@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import Configuration, _partitions
+from .configuration import Configuration, _partitions_into
 from .exact import HALF, _check_ps, _evaluate, _stateless_classifier
 from .strategies import MODESTY
 
@@ -79,11 +79,12 @@ def _razor_states(n: int, r: int) -> list[tuple[int, ...]]:
     every fusion successor precedes its sources."""
     states = []
     for total in range(n + 1):
-        for items in _partitions(total, r):
-            counts = [0] * r
-            for part, mult in items:
-                counts[part - 1] = mult
-            states.append(tuple(counts))
+        for parts in range(total + 1):
+            for items in _partitions_into(total, parts, r):
+                counts = [0] * r
+                for part, mult in items:
+                    counts[part - 1] = mult
+                states.append(tuple(counts))
     states.sort(key=lambda c: (sum((i + 2) * x for i, x in enumerate(c)), c))
     return states
 

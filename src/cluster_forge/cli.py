@@ -308,6 +308,11 @@ def _cmd_validate(args) -> int:
             failures += 1
 
     size = args.n
+    if size > 12:
+        # the exhaustive checks stay small; stdout keeps naming the sizes used
+        print(f"cluster-forge: note: validate --n {size} checks strategy validity up to "
+              f"{min(size, 14)} edges and the monotonicity suite up to 12 edges",
+              file=sys.stderr)
     configs = list(enumerate_configurations(min(size, 14)))
     for name, strategy in BUILTIN_STRATEGIES.items():
         bad = None

@@ -263,33 +263,45 @@ def parse_key(key: str) -> Configuration:
     return Configuration(tuple(items))
 
 
-def _partitions(total: int, max_part: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Integer partitions of ``total`` with parts <= max_part, as sorted
-    (part, multiplicity) tuples. Tails recurse on strictly smaller parts,
-    so the tuples come out sorted by construction."""
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, max_part), 0, -1):
-        mult = 1
-        rest = total - part
-        while rest >= 0:
-            for tail in _partitions(rest, part - 1):
-                yield tail + ((part, mult),)
-            mult += 1
-            rest -= part
+def _partitions_into(total: int, parts: int, max_part: int) -> list[tuple[tuple[int, int], ...]]:
+    """Integer partitions of ``total`` into exactly ``parts`` parts, each
+    <= max_part, as sorted (part, multiplicity) tuples. Parts are chosen
+    smallest first, so the tuples come out sorted by construction."""
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def extend(prefix, total, parts, min_part):
+        if parts == 0:
+            out.append(prefix)
+            return
+        # the smallest part is at most the mean
+        for part in range(min_part, min(max_part, total // parts) + 1):
+            rest, rest_parts = total, parts
+            for mult in range(1, parts + 1):
+                rest -= part
+                rest_parts -= 1
+                # the other parts must fit in [part + 1, max_part]
+                if rest_parts * (part + 1) <= rest <= rest_parts * max_part:
+                    extend(prefix + ((part, mult),), rest, rest_parts, part + 1)
+
+    if parts or not total:  # zero parts only sum to zero
+        extend((), total, parts, 1)
+    return out
 
 
 def enumerate_configurations(max_total_length: int) -> Iterator[Configuration]:
     """Yield every configuration with total_length <= the given bound,
     exactly once, in non-decreasing vertex-count order (ties broken by
     canonical key). Dependencies of the quality recursion always precede
-    their dependents in this order."""
-    levels: dict[int, list[Configuration]] = {}
-    for total in range(max_total_length + 1):
-        for items in _partitions(total, total):
-            config = Configuration(items)
-            levels.setdefault(config.vertex_count, []).append(config)
-    for v in sorted(levels):
-        for config in sorted(levels[v], key=canonical_key):
-            yield config
+    their dependents in this order.
+
+    Lazy by vertex level: level V holds the configurations of L edges in
+    V - L chains, and only that level is built and sorted before its
+    first configuration is yielded."""
+    for v in range(2 * max_total_length + 1):
+        level = [
+            Configuration(items)
+            for total in range((v + 1) // 2, min(v, max_total_length) + 1)
+            for items in _partitions_into(total, v - total, total)
+        ]
+        level.sort(key=canonical_key)
+        yield from level

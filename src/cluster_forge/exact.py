@@ -11,6 +11,22 @@ The optimal quality maximizes this recursion over all feasible fusion
 pairs, anchored at value(single chain of length k) = k and value(empty)
 = 0. Because every attempt strictly decreases the vertex count, the
 recursion is well-founded and can be tabulated level by level.
+
+:func:`build_quality_table` is one engine for exact and float ``ps``:
+
+* Integer scaling. With ``ps = p/q`` a configuration of V vertices holds
+  ``I = value * q**V`` as a Python int. Success removes one vertex and
+  failure ``drop = 2 + [a == 1] + [b == 1]``, so
+  ``I(C) = p * I(S) + (q - p) * q**(drop - 1) * I(F)``: no gcd inside
+  the DP, and values of one level compare as plain ints. Each table
+  entry is one ``Fraction(I, q**V)``. A float ``ps`` runs the same code
+  with q = 1, which gives bit-identical floats since ``x * 1`` is exact.
+* Count codes. Configurations are keyed by the integer
+  ``sum(count_k * (n + 1)**k)``, so both successors of a fusion are the
+  code plus a precomputed shift (:func:`_count_codes`).
+* Level-lazy enumeration. :func:`enumerate_configurations` builds one
+  vertex level at a time, and a successor is at most four levels down,
+  so the DP keeps four levels of values and a budget stops early.
 """
 
 from __future__ import annotations
@@ -249,6 +265,24 @@ class QualityTable:
         return cls(n=n, ps=ps, entries=entries)
 
 
+def _count_codes(n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Integer count codes for configurations of at most ``n`` edges.
+
+    A configuration with ``count_k`` chains of length k has code
+    ``sum(count_k * w[k])`` with ``w[k] = (n + 1) ** k`` and ``w[0] = 0``;
+    no count exceeds n, so the code is injective. Fusing lengths a <= b
+    adds ``success[a][b] = w[a+b] - w[a] - w[b]`` to the code on success
+    and ``failure[a][b] = w[a-1] - w[a] + w[b-1] - w[b]`` on failure.
+    Returns ``(w, success, failure)``; entries with a + b > n are 0.
+    """
+    w = [0] + [(n + 1) ** k for k in range(1, n + 1)]
+    success = [[w[a + b] - w[a] - w[b] if a + b <= n else 0 for b in range(n + 1)]
+               for a in range(n + 1)]
+    failure = [[w[a - 1] - w[a] + w[b - 1] - w[b] if a and b else 0 for b in range(n + 1)]
+               for a in range(n + 1)]
+    return w, success, failure
+
+
 def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> QualityTable:
     """Tabulate the optimal quality over every configuration with at most
     ``n`` edges, working up through vertex-count levels so that both
@@ -258,48 +292,76 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
     is stored, so tables are deterministic. Raises
     :class:`TableBudgetExceeded` when ``max_entries`` is hit, naming the
     vertex-count level that was being filled.
+
+    Values are integer-scaled and keyed by count code, as the module
+    docstring describes; only the four levels below the current one are
+    kept.
     """
     _check_ps(ps)
-    cast, _, _ = _numeric_kit(ps)
-    pf = 1 - ps
-    values: dict[tuple, object] = {}
+    exact = isinstance(ps, Fraction)
+    p, q = (ps.numerator, ps.denominator) if exact else (ps, 1)
+    # fail_factor[a == 1][b == 1]: (q - p) * q**(drop - 1) with drop = 2 + [a == 1] + [b == 1]
+    fail_factor = [[(q - p) * q ** (1 + i + j) for j in (0, 1)] for i in (0, 1)]
+    w, success, failure = _count_codes(n)
+    # one shared Fuse per length pair a <= b with a + b <= n
+    fuses = [[Fuse(a, b) if a <= b else None for b in range(n + 1 - a)] for a in range(n + 1)]
+    levels: dict[int, dict[int, object]] = {}
     entries: dict[str, tuple[object, Action]] = {}
+    level = -1
     for config in enumerate_configurations(n):
-        if max_entries is not None and len(entries) >= max_entries:
-            raise TableBudgetExceeded(n, config.vertex_count, len(entries), max_entries)
         items = config.items
-        if config.chain_count <= 1:
-            best = cast(config.total_length)
-            best_action: Action = STOP
+        v = code = chains = 0
+        for k, count in items:
+            v += count * (k + 1)
+            code += count * w[k]
+            chains += count
+        if max_entries is not None and len(entries) >= max_entries:
+            raise TableBudgetExceeded(n, v, len(entries), max_entries)
+        if v != level:
+            level = v
+            levels.pop(v - 5, None)
+            here = levels[v] = {}
+            # below[d]: values one to four vertices down
+            below = [None] + [levels.get(v - d, {}) for d in (1, 2, 3, 4)]
+            down = below[1]
+            scale = q ** v
+        if chains <= 1:
+            total = v - chains
+            best = total * scale if exact else float(total)
+            action: Action = STOP
         else:
             best = None
-            best_action = STOP
-            for a, b in config.fusion_pairs():
-                value = (
-                    ps * values[_fuse_items(items, a, b, True)]
-                    + pf * values[_fuse_items(items, a, b, False)]
-                )
-                if best is None or value > best:
-                    best = value
-                    best_action = Fuse(a, b)
-        values[items] = best
-        entries[canonical_key(config)] = (best, best_action)
+            for i, (a, count) in enumerate(items):
+                s_row, f_row, fuse_row = success[a], failure[a], fuses[a]
+                one_a = a == 1
+                for b, _ in items[i if count >= 2 else i + 1:]:
+                    one_b = b == 1
+                    value = (p * down[code + s_row[b]]
+                             + fail_factor[one_a][one_b]
+                             * below[2 + one_a + one_b][code + f_row[b]])
+                    if best is None or value > best:
+                        best = value
+                        action = fuse_row[b]
+        here[code] = best
+        entries[canonical_key(config)] = (Fraction(best, scale) if exact else best, action)
     return QualityTable(n=n, ps=ps, entries=entries)
 
 
-_table_cache: dict[tuple[int, object], QualityTable] = {}
+_table_cache: dict[tuple[int, type, object], QualityTable] = {}
 
 
 def cached_quality_table(n: int, ps=HALF) -> QualityTable:
     """Reuse (or build and cache) a table covering total length ``n``.
 
-    A previously built table for a larger bound is reused directly.
+    A previously built table for a larger bound is reused directly. The
+    type of ``ps`` is part of the key: ``0.5 == Fraction(1, 2)``, but a
+    float table must never answer an exact request.
     """
-    for (cached_n, cached_ps), table in _table_cache.items():
-        if cached_ps == ps and cached_n >= n:
+    for (cached_n, cached_type, cached_ps), table in _table_cache.items():
+        if cached_type is type(ps) and cached_ps == ps and cached_n >= n:
             return table
     table = build_quality_table(n, ps)
-    _table_cache[(n, ps)] = table
+    _table_cache[(n, type(ps), ps)] = table
     return table
 
 

@@ -40,6 +40,17 @@ def _draws_bound(start: Configuration) -> int:
     return max(start.vertex_count, 1)
 
 
+def _check_edges(strategy, left: int, expected: int) -> None:
+    """End-of-trial edge conservation: a failed attempt loses exactly two
+    edges and a successful one none. Raised, not asserted, so that it
+    still runs under ``python -O``."""
+    if left != expected:
+        raise RuntimeError(
+            f"edge conservation broken under {strategy.name}: "
+            f"{left} edges left, expected {expected}"
+        )
+
+
 def _play_anonymous(strategy: Strategy, start: Configuration, ps: float, row) -> tuple[dict, int]:
     counts = start.counts()
     edges = start.total_length
@@ -47,6 +58,7 @@ def _play_anonymous(strategy: Strategy, start: Configuration, ps: float, row) ->
     while True:
         action = strategy.decide_counts(counts)
         if isinstance(action, Stop):
+            _check_edges(strategy, sum(k * n for k, n in counts.items()), edges)
             return counts, attempts
         a, b = action.a, action.b
         success = row[attempts] < ps
@@ -64,7 +76,6 @@ def _play_anonymous(strategy: Strategy, start: Configuration, ps: float, row) ->
         for k in (a, b):
             if counts.get(k) == 0:
                 del counts[k]
-        assert sum(k * n for k, n in counts.items()) == edges, "edge conservation broken"
 
 
 def _play_identity(strategy: StatefulStrategy, start: Configuration, ps: float, row) -> tuple[tuple, int]:
@@ -75,6 +86,7 @@ def _play_identity(strategy: StatefulStrategy, start: Configuration, ps: float, 
     while True:
         action = strategy.decide(chains, memory)
         if isinstance(action, Stop):
+            _check_edges(strategy, chains.total_length, edges)
             return chains.chains, attempts
         outcome = SUCCESS if row[attempts] < ps else FAILURE
         attempts += 1
@@ -83,7 +95,6 @@ def _play_identity(strategy: StatefulStrategy, start: Configuration, ps: float, 
         chains = nxt
         if outcome == FAILURE:
             edges -= 2
-        assert chains.total_length == edges, "edge conservation broken"
 
 
 def simulate_run(

@@ -175,3 +175,15 @@ class TestFlagsAndCaches:
         code, out = run(capsys, "validate", "--n", "8")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_validate_says_when_it_caps_sizes(self, capsys):
+        assert main(["validate", "--n", "12"]) == 0
+        assert capsys.readouterr().err == ""
+        code = main(["validate", "--n", "13"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "up to 13 edges" in captured.out
+        assert "monotonicity suite on configurations up to 12 edges" in captured.out
+        assert "note" not in captured.out
+        assert "validate --n 13 checks" in captured.err
+        assert "monotonicity suite up to 12 edges" in captured.err

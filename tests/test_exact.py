@@ -1,17 +1,25 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cluster_forge.configuration import (
+    FAILURE,
     STOP,
+    SUCCESS,
     Configuration,
     Fuse,
     IdentityConfiguration,
+    enumerate_configurations,
 )
 from cluster_forge.exact import (
     HALF,
     QualityTable,
     TableBudgetExceeded,
+    _count_codes,
     build_quality_table,
     cached_quality_table,
     clear_table_cache,
@@ -203,3 +211,120 @@ class TestQualityTable:
         big = cached_quality_table(10)
         assert cached_quality_table(4) is big
         clear_table_cache()
+
+    def test_cache_keeps_float_and_exact_tables_apart(self):
+        # 0.5 == Fraction(1, 2), so a cache keyed on the value alone would
+        # answer the exact request from the float table
+        clear_table_cache()
+        try:
+            assert isinstance(optimal_quality(epr(8), 0.5), float)
+            value = optimal_quality(epr(8), Fraction(1, 2))
+            assert isinstance(value, Fraction)
+            assert value == Fraction(649, 256)
+            assert isinstance(optimal_quality(epr(8), 0.5), float)
+        finally:
+            clear_table_cache()
+
+    def test_budget_bounds_memory(self):
+        # enumeration is lazy by vertex level, so a budget stops the build
+        # before the whole N=40 state space (215,308 entries) is made
+        limit = 4 * 2 ** 20
+        tracemalloc.start()
+        try:
+            assert len(list(itertools.islice(enumerate_configurations(40), 10))) == 10
+            assert tracemalloc.get_traced_memory()[1] < limit
+            tracemalloc.reset_peak()
+            with pytest.raises(TableBudgetExceeded):
+                build_quality_table(40, max_entries=10)
+            assert tracemalloc.get_traced_memory()[1] < limit
+        finally:
+            tracemalloc.stop()
+
+
+def reference_quality(config, ps, memo):
+    """(optimal quality, smallest maximizing action) by the plain
+    recursion value = ps * value(success) + (1 - ps) * value(failure),
+    memoized on configurations: the oracle for the integer-scaled engine."""
+    if config not in memo:
+        if config.chain_count <= 1:
+            exact = isinstance(ps, Fraction)
+            memo[config] = ((Fraction if exact else float)(config.total_length), STOP)
+        else:
+            best = action = None
+            for a, b in config.fusion_pairs():
+                value = (ps * reference_quality(config.fuse(a, b, SUCCESS), ps, memo)[0]
+                         + (1 - ps) * reference_quality(config.fuse(a, b, FAILURE), ps, memo)[0])
+                if best is None or value > best:
+                    best, action = value, Fuse(a, b)
+            memo[config] = (best, action)
+    return memo[config]
+
+
+RATIONAL_PS = [HALF, Fraction(1, 3), Fraction(2, 3), Fraction(137, 2048), Fraction(1)]
+
+
+@st.composite
+def small_configurations(draw, max_total=14):
+    lengths, room = [], draw(st.integers(0, max_total))
+    while room:
+        lengths.append(draw(st.integers(1, room)))
+        room -= lengths[-1]
+    return Configuration.from_lengths(lengths)
+
+
+def assert_matches_oracle(table, ps):
+    """Same type, same value (floats bit for bit) and same action."""
+    memo = {}
+    for config, quality, action in table.items():
+        ref_quality, ref_action = reference_quality(config, ps, memo)
+        assert type(quality) is type(ref_quality), config
+        if isinstance(quality, float):
+            quality, ref_quality = quality.hex(), ref_quality.hex()
+        assert (quality, action) == (ref_quality, ref_action), config
+
+
+class TestIntegerScaledEngine:
+    @pytest.mark.parametrize("ps", RATIONAL_PS, ids=str)
+    def test_every_entry_equals_the_rational_oracle(self, ps):
+        table = build_quality_table(14, ps)
+        assert len(table) == sum(1 for _ in enumerate_configurations(14))
+        assert_matches_oracle(table, ps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 12),
+           ps=st.fractions(min_value=0, max_value=1, max_denominator=4096).filter(bool))
+    def test_random_rational_ps_equals_the_oracle(self, n, ps):
+        assert_matches_oracle(build_quality_table(n, ps), ps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 12),
+           ps=st.one_of(st.sampled_from([0.5, 0.3, 0.137, 0.9, 1.0]),
+                        st.floats(min_value=0, max_value=1, exclude_min=True)))
+    def test_float_tables_are_bit_identical_to_the_float_oracle(self, n, ps):
+        assert_matches_oracle(build_quality_table(n, ps), ps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=small_configurations(max_total=10), ps=st.sampled_from(RATIONAL_PS))
+    def test_random_configurations_match_the_event_tree(self, config, ps):
+        table = build_quality_table(config.total_length, ps)
+        quality = table.quality(config)
+        assert (quality, table.action(config)) == reference_quality(config, ps, {})
+        assert event_tree_oracle(table.as_strategy(), config, ps).mean_length == quality
+
+    def test_code_deltas_equal_the_fusion_rule(self):
+        n = 10
+        w, success, failure = _count_codes(n)
+
+        def code(config):
+            return sum(count * w[k] for k, count in config.items)
+
+        configs = list(enumerate_configurations(n))
+        assert len({code(c) for c in configs}) == len(configs)
+        for config in configs:
+            for a, b in config.fusion_pairs():
+                won = config.fuse(a, b, SUCCESS)
+                lost = config.fuse(a, b, FAILURE)
+                assert code(won) == code(config) + success[a][b]
+                assert code(lost) == code(config) + failure[a][b]
+                assert won.vertex_count == config.vertex_count - 1
+                assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cluster_forge.configuration import Configuration
+from cluster_forge.configuration import Configuration, IdentityConfiguration
 from cluster_forge.exact import strategy_quality
 from cluster_forge.montecarlo import (
     SimulationReport,
@@ -12,7 +12,7 @@ from cluster_forge.montecarlo import (
     two_stage_strategy,
     wilson_interval,
 )
-from cluster_forge.strategies import GREED, MODESTY, STATIC
+from cluster_forge.strategies import GREED, MODESTY, STATIC, Strategy
 
 
 def epr(n):
@@ -47,6 +47,39 @@ class TestSimulateRun:
     def test_stateful_strategy(self):
         final = simulate_run(STATIC, epr(16), 1.0, seed=1)
         assert final == Configuration.single_chain(16)
+
+    def test_broken_conservation_raises_in_anonymous_player(self):
+        class Forger(Strategy):
+            """Modesty that slips an extra chain into the counts it is shown."""
+
+            name = "forger"
+
+            def __init__(self):
+                self.forged = False
+
+            def decide_counts(self, counts):
+                if not self.forged:
+                    self.forged = True
+                    counts[1] = counts.get(1, 0) + 1
+                return MODESTY.decide_counts(counts)
+
+        with pytest.raises(RuntimeError, match="edge conservation"):
+            simulate_run(Forger(), epr(6), 0.5, seed=3)
+
+    def test_broken_conservation_raises_in_identity_player(self, monkeypatch):
+        fuse_at = IdentityConfiguration.fuse_at
+
+        def leaky_fuse_at(self, i, j, outcome):
+            # a success whose merged chain comes out one edge short
+            i, j = min(i, j), max(i, j)
+            chains = list(fuse_at(self, i, j, outcome).chains)
+            if outcome == "S":
+                chains[i] -= 1
+            return IdentityConfiguration(tuple(chains))
+
+        monkeypatch.setattr(IdentityConfiguration, "fuse_at", leaky_fuse_at)
+        with pytest.raises(RuntimeError, match="edge conservation"):
+            simulate_run(STATIC, epr(8), 1.0, seed=3)
 
 
 class TestEstimateQuality:
