@@ -218,6 +218,10 @@ def _cmd_razor(args) -> int:
 
 def _cmd_mc(args) -> int:
     ps = _parse_ps(args.ps)
+    for flag, value, least in (("--n", args.n, 0), ("--trials", args.trials, 1),
+                               ("--threads", args.threads, 1)):
+        if value < least:
+            raise CLIError(f"{flag} must be at least {least}, got {value}")
     strategy = BUILTIN_STRATEGIES[args.strategy]
     report = estimate_quality(
         strategy,

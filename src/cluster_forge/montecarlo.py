@@ -6,6 +6,19 @@ the substream ``Philox(key=seed, counter=c << 128)``, and trial ``t``
 consumes row ``t % TRIAL_CHUNK`` of that chunk's uniform block. Every
 trial therefore has its own reproducible stream regardless of execution
 order, so parallel runs aggregate to bit-identical results.
+
+A chunk of the built-in shapes -- :class:`Modesty`, :class:`Greed`, and
+:class:`TwoStage` around either of them -- is played for all its trials
+at once on numpy arrays. Smallest- and largest-first fusion run on a
+``(trials, total_length + 1)`` count matrix; a two-stage run plays its
+blocks one after another as independent count-matrix runs, then its
+insistent-pairing rounds on a ``(trials, chains)`` length array. Each
+trial keeps its own attempt pointer and reads ``rows[t, attempts[t]]``,
+the uniform the scalar player reads at that step, so the finals, and
+the float sums built from them, are bit-identical to the scalar
+players'. Dispatch is on the exact type: every other strategy,
+subclasses included, runs on the scalar players :func:`_play_anonymous`
+and :func:`_play_identity`, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from .configuration import (
     Stop,
     canonical_key,
 )
-from .strategies import MODESTY, StatefulStrategy, Strategy, TwoStage
+from .strategies import MODESTY, Greed, Modesty, StatefulStrategy, Strategy, TwoStage
 
 TRIAL_CHUNK = 4096
 
@@ -140,12 +153,155 @@ class SimulationReport:
         return asdict(self)
 
 
+def _play_counts(
+    greedy: bool, counts: dict[int, int], rows: np.ndarray, attempts: np.ndarray, p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-first fusion (largest-first with ``greedy``) from
+    ``counts`` in every trial of a chunk at once.
+
+    Trial t reads its next uniform at ``rows[t, attempts[t]]``, and
+    ``attempts`` is advanced in place. Returns each trial's final total
+    length and its number of failed attempts."""
+    trials = len(rows)
+    total = sum(k * n for k, n in counts.items())
+    chain_count = sum(counts.values())
+    failures = np.zeros(trials, np.int64)
+    if chain_count <= 1:
+        return np.full(trials, total, np.int64), failures
+    # Column base + sign * k counts the chains of length k, so that the
+    # chain to fuse first sits in the leftmost occupied column. The
+    # length-0 column collects chains a failure destroys and is cleared
+    # after every step. No count ever exceeds the starting chain count.
+    base, sign = (total, -1) if greedy else (0, 1)
+    width = total + 1
+    matrix = np.zeros((trials, width), np.min_scalar_type(chain_count))
+    for k, n in counts.items():
+        matrix[:, base + sign * k] = n
+    column_lengths = base + sign * np.arange(width)
+    chains = np.full(trials, chain_count, np.int64)
+    finals = np.zeros(trials, np.int64)
+    live = np.arange(trials)
+    while live.size:
+        local = np.arange(live.size)
+        present = matrix > 0
+        first = present.argmax(1)
+        present[local, first] = matrix[local, first] >= 2
+        second = present.argmax(1)
+        a = base + sign * first
+        b = base + sign * second
+        at = attempts[live]
+        success = rows[live, at] < p
+        attempts[live] = at + 1
+        matrix[local, first] -= 1
+        matrix[local, second] -= 1
+        matrix[local, base + sign * np.where(success, a + b, a - 1)] += 1
+        matrix[local, base + sign * np.where(success, 0, b - 1)] += 1
+        matrix[:, base] = 0
+        failures[live[~success]] += 1
+        chains -= np.where(success, 1, (a == 1).astype(np.int64) + (b == 1))
+        done = chains <= 1
+        if done.any():
+            finals[live[done]] = matrix[done] @ column_lengths
+            keep = ~done
+            matrix, chains, live = matrix[keep], chains[keep], live[keep]
+    return finals, failures
+
+
+def _compact(lengths: np.ndarray) -> np.ndarray:
+    """Each row's nonzero lengths moved left in order, trailing columns
+    that are zero in every row dropped."""
+    order = np.argsort(lengths == 0, axis=1, kind="stable")
+    packed = np.take_along_axis(lengths, order, axis=1)
+    return packed[:, :int((packed > 0).sum(1).max(initial=0))]
+
+
+def _pairing_round(
+    lineup: np.ndarray, rows: np.ndarray, attempts: np.ndarray, p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of insistent pairwise fusion on a compacted
+    (trials, chains) lineup: chains 2i and 2i+1 are retried until they
+    merge or one is destroyed, pair after pair, and an odd last chain
+    carries over. Returns the compacted survivors and each trial's
+    failed attempts."""
+    trials, m = lineup.shape
+    out = np.zeros((trials, (m + 1) // 2), lineup.dtype)
+    failures = np.zeros(trials, np.int64)
+    for i in range(m // 2):
+        x = lineup[:, 2 * i].copy()
+        y = lineup[:, 2 * i + 1].copy()
+        live = np.flatnonzero((x > 0) & (y > 0))
+        while live.size:
+            at = attempts[live]
+            success = rows[live, at] < p
+            attempts[live] = at + 1
+            xs, ys = x[live], y[live]
+            x[live] = np.where(success, xs + ys, xs - 1)
+            y[live] = np.where(success, 0, ys - 1)
+            failures[live[~success]] += 1
+            live = live[~success & (xs > 1) & (ys > 1)]
+        out[:, i] = x + y
+    if m % 2:
+        out[:, -1] = lineup[:, -1]
+    return _compact(out), failures
+
+
+def _play_two_stage(
+    strategy: TwoStage, start: Configuration, rows: np.ndarray, p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every trial of a chunk under a two-stage strategy whose inner
+    strategy is :class:`Modesty` or :class:`Greed`: the blocks in lineup
+    order, each an independent count-matrix run continuing its trials'
+    attempt pointers, then insistent-pairing rounds on the survivors."""
+    greedy = type(strategy.inner) is Greed
+    lineup = IdentityConfiguration.from_configuration(start).chains
+    size = strategy.block_size
+    trials = len(rows)
+    attempts = np.zeros(trials, np.int64)
+    failures = np.zeros(trials, np.int64)
+    survivors = np.zeros((trials, -(-len(lineup) // size)), np.int64)
+    for i in range(survivors.shape[1]):
+        block = Configuration.from_lengths(lineup[i * size:(i + 1) * size]).counts()
+        survivors[:, i], lost = _play_counts(greedy, block, rows, attempts, p)
+        failures += lost
+    chains = _compact(survivors)
+    while chains.shape[1] >= 2:
+        chains, lost = _pairing_round(chains, rows, attempts, p)
+        failures += lost
+    return chains.sum(1), failures
+
+
+def _play_chunk(strategy, start: Configuration, p: float, rows: np.ndarray) -> np.ndarray | None:
+    """Final total length of every trial of a chunk, played on arrays,
+    or None when ``strategy`` is not one of the built-in shapes."""
+    kind = type(strategy)
+    if kind is Modesty or kind is Greed:
+        finals, failures = _play_counts(
+            kind is Greed, start.counts(), rows, np.zeros(len(rows), np.int64), p)
+    elif kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
+        finals, failures = _play_two_stage(strategy, start, rows, p)
+    else:
+        return None
+    expected = start.total_length - 2 * failures
+    broken = np.flatnonzero(finals != expected)
+    if broken.size:
+        _check_edges(strategy, int(finals[broken[0]]), int(expected[broken[0]]))
+    return finals
+
+
 def _chunk_stats(
     strategy, start: Configuration, p: float, seed: int, chunk: int,
     trials_in_chunk: int, threshold: int | None,
 ) -> tuple[float, float, int]:
     draws = _draws_bound(start)
     rows = _chunk_uniforms(seed, chunk, trials_in_chunk, draws)
+    finals = _play_chunk(strategy, start, p, rows)
+    if finals is not None:
+        # Finals are integers and no partial sum reaches 2**53 (that needs
+        # trials * total_length**2 >= 2**53, far past a uniform block that
+        # fits in memory), so the int64 sums converted once equal the
+        # scalar loop's float sums.
+        successes = int((finals >= threshold).sum()) if threshold is not None else 0
+        return float(finals.sum()), float((finals * finals).sum()), successes
     total = 0.0
     total_sq = 0.0
     successes = 0
@@ -195,7 +351,8 @@ def estimate_quality(
         jobs.append((chunk, (strategy, start, p, seed, chunk, in_chunk, threshold)))
 
     if processes > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        # a forked pool starts every worker up front
+        with ProcessPoolExecutor(max_workers=min(processes, n_chunks)) as pool:
             parts = dict(pool.map(_chunk_stats_args, jobs))
         ordered = [parts[c] for c in range(n_chunks)]
     else:

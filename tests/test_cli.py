@@ -110,6 +110,25 @@ class TestMC:
         payload = json.loads(out)
         assert 0 <= payload["wilson_low"] <= payload["wilson_high"] <= 1
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--n", "-3"),
+                                             ("--threads", "-2"), ("--threads", "0")])
+    def test_bad_values_exit_one_with_one_error_line(self, capsys, flag, value):
+        args = {"--strategy": "modesty", "--n": "4", "--trials": "10", "--seed": "1",
+                "--threads": "1"}
+        args[flag] = value
+        code = main(["mc"] + [part for item in args.items() for part in item])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"cluster-forge: error: {flag} must be at least " \
+                               f"{0 if flag == '--n' else 1}, got {value}\n"
+
+    def test_empty_start_is_accepted(self, capsys):
+        code, out = run(capsys, "mc", "--strategy", "greed", "--n", "0", "--trials", "3",
+                        "--seed", "1", "--threads", "1")
+        assert code == 0
+        assert json.loads(out)["mean"] == 0.0
+
 
 class TestWeave:
     def test_row_fields(self, capsys):

@@ -1,10 +1,15 @@
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cluster_forge.configuration import Configuration, IdentityConfiguration
+from cluster_forge import montecarlo
+from cluster_forge.configuration import Configuration, IdentityConfiguration, parse_key
 from cluster_forge.exact import strategy_quality
 from cluster_forge.montecarlo import (
+    TRIAL_CHUNK,
     SimulationReport,
     estimate_quality,
     simulate_run,
@@ -12,7 +17,7 @@ from cluster_forge.montecarlo import (
     two_stage_strategy,
     wilson_interval,
 )
-from cluster_forge.strategies import GREED, MODESTY, STATIC, Strategy
+from cluster_forge.strategies import GREED, MODESTY, STATIC, Greed, Modesty, Strategy, TwoStage
 
 
 def epr(n):
@@ -216,3 +221,114 @@ class TestThresholdExperiment:
         )
         assert report.n_pairs == 270
         assert report.fraction <= 0.5
+
+
+def scalar_estimate(strategy, start, ps, trials, seed, threshold=None):
+    """estimate_quality with every chunk played by the scalar players, the
+    reference the array engine must reproduce bit for bit."""
+    with mock.patch.object(montecarlo, "_play_chunk", lambda *args: None):
+        return estimate_quality(strategy, start, ps, trials, seed, threshold)
+
+
+PS_VALUES = [Fraction(0), Fraction(137, 2048), Fraction(1, 2), Fraction(1)]
+ps_values = st.sampled_from(PS_VALUES + [float(ps) for ps in PS_VALUES])
+starts = st.sampled_from([
+    epr(12), parse_key("1^3,2^2,5^1"), Configuration.single_chain(9), Configuration(),
+]) | st.lists(st.integers(1, 6), max_size=10).map(Configuration.from_lengths)
+
+
+class LargestFirstModesty(Modesty):
+    """A subclass the array engine must not mistake for Modesty."""
+
+    decide_counts = Greed.decide_counts
+
+
+class TestChunkEngine:
+    """The array engine against the scalar players."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategy=st.sampled_from([MODESTY, GREED]), start=starts, ps=ps_values,
+           seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 300),
+           threshold=st.none() | st.integers(0, 20))
+    def test_modesty_and_greed(self, strategy, start, ps, seed, trials, threshold):
+        args = (strategy, start, ps, trials, seed, threshold)
+        assert estimate_quality(*args) == scalar_estimate(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_size=st.sampled_from([2, 3, 5, 8]), inner=st.sampled_from([MODESTY, GREED]),
+           start=starts | st.integers(0, 40).map(epr), ps=ps_values,
+           seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 200))
+    @example(block_size=2, inner=MODESTY, start=epr(80), ps=0.5, seed=1, trials=200)
+    def test_two_stage(self, block_size, inner, start, ps, seed, trials):
+        args = (TwoStage(block_size, inner), start, ps, trials, seed, start.total_length // 2)
+        assert estimate_quality(*args) == scalar_estimate(*args)
+
+    @pytest.mark.parametrize("strategy, n", [(MODESTY, 8), (GREED, 8), (STATIC, 19)])
+    def test_chunk_remainder(self, strategy, n):
+        args = (strategy, epr(n), Fraction(1, 2), TRIAL_CHUNK + 257, 3, 4)
+        assert estimate_quality(*args) == scalar_estimate(*args)
+
+    @pytest.mark.parametrize("strategy", [LargestFirstModesty(),
+                                          TwoStage(4, LargestFirstModesty())])
+    def test_subclasses_use_the_scalar_players(self, strategy):
+        assert montecarlo._play_chunk(strategy, epr(6), 0.5, None) is None
+        like_greed = TwoStage(4, GREED) if isinstance(strategy, TwoStage) else GREED
+        ours = estimate_quality(strategy, epr(10), 0.5, trials=500, seed=8)
+        greed = estimate_quality(like_greed, epr(10), 0.5, trials=500, seed=8)
+        assert (ours.mean, ours.stderr) == (greed.mean, greed.stderr)
+
+    @pytest.mark.parametrize("strategy, engine", [
+        (MODESTY, "_play_counts"), (GREED, "_play_counts"), (STATIC, "_pairing_round"),
+    ])
+    def test_broken_conservation_raises(self, monkeypatch, strategy, engine):
+        original = getattr(montecarlo, engine)
+
+        def one_failure_too_many(*args):
+            result, failures = original(*args)
+            failures[0] += 1
+            return result, failures
+
+        monkeypatch.setattr(montecarlo, engine, one_failure_too_many)
+        with pytest.raises(RuntimeError, match="edge conservation"):
+            estimate_quality(strategy, epr(16), 0.5, trials=50, seed=3)
+
+    def test_count_matrix_stays_within_the_uniform_block(self):
+        start = epr(200)
+        rows = montecarlo._chunk_uniforms(5, 0, TRIAL_CHUNK, montecarlo._draws_bound(start))
+        tracemalloc.start()
+        try:
+            montecarlo._play_chunk(MODESTY, start, 0.5, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a one-byte count matrix and its temporaries; eight-byte counts
+        # alone would take half the bound
+        assert peak < rows.nbytes // 3
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor, running every job in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    args = (MODESTY, epr(6), 0.5, TRIAL_CHUNK + 904, 9)
+    wide = estimate_quality(*args, processes=64)
+    narrow = estimate_quality(*args, processes=1)
+    assert RecordingPool.sizes == [2]
+    assert wide == narrow
