@@ -11,6 +11,12 @@ upper bound on quality: quality <= N - attempts at success probability
 one half. The R = 2 razor model reduces further to a three-action walk
 on a quarter-plane whose attempt count is bounded by a tiny linear
 program, solved here exactly with a verified optimality certificate.
+
+Exact answers stay Fractions, but the razor DP and the smallest-first
+sweep behind the lower bounds do their arithmetic on integer-scaled
+values like the exact engine (see :mod:`cluster_forge.exact`): the razor
+DP on capped count codes, the sweep through
+:func:`~cluster_forge.exact.strategy_quality_range`.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import Configuration, _partitions_into
-from .exact import HALF, _check_ps, _evaluate, _stateless_classifier
+from .configuration import _partitions_into
+from .exact import HALF, _check_ps, _scaling, strategy_quality_range
 from .strategies import MODESTY
 
 
@@ -74,75 +80,71 @@ class RazorState:
         return sum((i + 2) * c for i, c in enumerate(self.counts))
 
 
-def _razor_states(n: int, r: int) -> list[tuple[int, ...]]:
-    """All capped count vectors with at most n edges, in an order where
-    every fusion successor precedes its sources."""
-    states = []
-    for total in range(n + 1):
-        for parts in range(total + 1):
-            for items in _partitions_into(total, parts, r):
-                counts = [0] * r
-                for part, mult in items:
-                    counts[part - 1] = mult
-                states.append(tuple(counts))
-    states.sort(key=lambda c: (sum((i + 2) * x for i, x in enumerate(c)), c))
-    return states
-
-
-def _razor_fuse(counts: tuple[int, ...], i: int, j: int, success: bool, r: int) -> tuple[int, ...]:
-    """Fuse lengths i and j (1-based); the merged chain is capped at r."""
-    out = list(counts)
-    out[i - 1] -= 1
-    out[j - 1] -= 1
-    if success:
-        out[min(i + j, r) - 1] += 1
-    else:
-        if i > 1:
-            out[i - 2] += 1
-        if j > 1:
-            out[j - 2] += 1
-    return tuple(out)
-
-
 def razor_quality(n: int, r: int, ps=HALF) -> tuple[Fraction, Fraction]:
     """Optimal quality and minimal expected attempts in the razor model.
 
     With r >= n no chain is ever capped and both numbers match the full
     problem. Bound claims are made at ps = 1/2 only; other values are
     informational.
+
+    Runs on capped count codes and integer-scaled values, like
+    :func:`~cluster_forge.exact.build_quality_table`: a state with
+    ``count_k`` chains of capped length k has code ``sum(count_k * w[k])``
+    with ``w[k] = (n + 1)**k``, and with ``ps = p/q`` a state of V
+    vertices holds its values times ``q**V``. Success sends the merged
+    chain to ``w[min(a + b, r)]`` and removes ``sdrop = 1 + (a + b -
+    min(a + b, r))`` vertices; failure removes ``2 + [a == 1] + [b ==
+    1]``. Quality is maximised and attempts minimised as plain ints.
     """
     if r < 2:
         raise ValueError("razor parameter must be at least 2")
     _check_ps(ps)
-    exact = isinstance(ps, Fraction)
-    cast = Fraction if exact else float
-    pf = 1 - ps
-    quality: dict[tuple[int, ...], object] = {}
-    attempts: dict[tuple[int, ...], object] = {}
-    for counts in _razor_states(n, r):
-        if sum(counts) <= 1:
-            quality[counts] = cast(sum((i + 1) * c for i, c in enumerate(counts)))
-            attempts[counts] = cast(0)
-            continue
-        best_q = None
-        best_t = None
-        for i in range(1, r + 1):
-            if counts[i - 1] == 0:
-                continue
-            for j in range(i, r + 1):
-                if counts[j - 1] < (2 if i == j else 1):
+    r = min(r, n)  # no chain is longer than n, so a larger cap changes nothing
+    exact, p, scale, fail_factor = _scaling(ps, 2 * n)
+    w = [0] + [(n + 1) ** k for k in range(1, max(r, 1) + 1)]
+    # per length pair a <= b: (success shift, success factor, failure shift, failure factor)
+    moves = [[None] * (r + 1) for _ in range(r + 1)]
+    for a in range(1, r + 1):
+        for b in range(a, r + 1):
+            merged = min(a + b, r)
+            moves[a][b] = (
+                w[merged] - w[a] - w[b],
+                p * scale[a + b - merged],
+                w[a - 1] - w[a] + w[b - 1] - w[b],
+                fail_factor[2 + (a == 1) + (b == 1)],
+            )
+    quality: dict[int, object] = {}
+    attempts: dict[int, object] = {}
+    zero = 0 * scale[0]
+    for v in range(2 * n + 1):
+        here = scale[v]
+        for total in range((v + 1) // 2, min(v, n) + 1):
+            chains = v - total
+            for items in _partitions_into(total, chains, r):
+                code = 0
+                for k, count in items:
+                    code += count * w[k]
+                if chains <= 1:
+                    quality[code] = total * here
+                    attempts[code] = zero
                     continue
-                succ = _razor_fuse(counts, i, j, True, r)
-                fail = _razor_fuse(counts, i, j, False, r)
-                q = ps * quality[succ] + pf * quality[fail]
-                t = 1 + ps * attempts[succ] + pf * attempts[fail]
-                if best_q is None or q > best_q:
-                    best_q = q
-                if best_t is None or t < best_t:
-                    best_t = t
-        quality[counts] = best_q
-        attempts[counts] = best_t
-    start = RazorState.initial(n, r).counts
+                best_q = best_t = None
+                for i, (a, count) in enumerate(items):
+                    row = moves[a]
+                    for b, _ in items[i if count >= 2 else i + 1:]:
+                        s_shift, s_factor, f_shift, f_factor = row[b]
+                        succ, fail = code + s_shift, code + f_shift
+                        value = s_factor * quality[succ] + f_factor * quality[fail]
+                        cost = here + s_factor * attempts[succ] + f_factor * attempts[fail]
+                        if best_q is None or value > best_q:
+                            best_q = value
+                        if best_t is None or cost < best_t:
+                            best_t = cost
+                quality[code] = best_q
+                attempts[code] = best_t
+    start, v = n * w[1], 2 * n
+    if exact:
+        return Fraction(quality[start], scale[v]), Fraction(attempts[start], scale[v])
     return quality[start], attempts[start]
 
 
@@ -370,15 +372,7 @@ def combine_lower_bound(parts: Iterable[Fraction]) -> Fraction:
 def modesty_quality_range(max_n: int, ps=HALF) -> dict[int, Fraction]:
     """Exact smallest-first quality for every start of 1..max_n pairs,
     sharing one memo across the whole sweep."""
-    exact = isinstance(ps, Fraction)
-    classify = _stateless_classifier(
-        MODESTY, Fraction if exact else float, Fraction(0) if exact else 0.0
-    )
-    memo: dict = {}
-    return {
-        n: _evaluate(Configuration.epr_pairs(n).items, classify, ps, memo=memo)
-        for n in range(1, max_n + 1)
-    }
+    return strategy_quality_range(MODESTY, range(1, max_n + 1), ps)
 
 
 def modesty_lower_bound(

@@ -30,6 +30,7 @@ from .exact import (
     cached_quality_table,
     event_tree_oracle,
     strategy_quality,
+    strategy_quality_range,
 )
 from .strategies import BUILTIN_STRATEGIES, validate_strategy
 from . import bounds as bnd
@@ -137,32 +138,30 @@ def _cmd_quality(args) -> int:
         if not isinstance(ps, Fraction) or ps != HALF:
             raise CLIError("--strategy all tabulates the ps = 1/2 reference curves")
         table = _table_for(args.n_max, ps)
+        modesty = strategy_quality_range(BUILTIN_STRATEGIES["modesty"], ns, ps)
+        greed = strategy_quality_range(BUILTIN_STRATEGIES["greed"], ns, ps)
         columns = ["n", "optimal", "modesty", "greed", "static_bound", "greed_asymptotic"]
         rows = []
         for n in ns:
-            start = Configuration.epr_pairs(n)
             static_bound = ""
             if n >= 8 and n & (n - 1) == 0:
                 static_bound = bnd.static_lower_bound(n)
             rows.append([
                 n,
-                table.quality(start),
-                strategy_quality(BUILTIN_STRATEGIES["modesty"], start, ps),
-                strategy_quality(BUILTIN_STRATEGIES["greed"], start, ps),
+                table.quality(Configuration.epr_pairs(n)),
+                modesty[n],
+                greed[n],
                 static_bound,
                 bnd.greed_asymptotic(n),
             ])
     else:
         columns = ["n", "quality"]
-        rows = []
         if args.strategy == "optimal":
             table = _table_for(args.n_max, ps)
-            for n in ns:
-                rows.append([n, table.quality(Configuration.epr_pairs(n))])
+            rows = [[n, table.quality(Configuration.epr_pairs(n))] for n in ns]
         else:
-            strategy = BUILTIN_STRATEGIES[args.strategy]
-            for n in ns:
-                rows.append([n, strategy_quality(strategy, Configuration.epr_pairs(n), ps)])
+            values = strategy_quality_range(BUILTIN_STRATEGIES[args.strategy], ns, ps)
+            rows = [[n, value] for n, value in values.items()]
     if args.format == "json":
         _emit_json(args.out, "quality", {
             "strategy": args.strategy,
@@ -442,7 +441,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--threshold", type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mc)
 

@@ -1,9 +1,9 @@
 """Exact expectation values and the globally optimal dynamic program.
 
-All exact computation runs on arbitrary-precision rationals
-(:class:`fractions.Fraction`); pass a float success probability to get a
-floating-point evaluation instead. The per-attempt success probability
-``ps`` weights the two branches of every fusion:
+Every answer for a :class:`fractions.Fraction` success probability is an
+exact Fraction; pass a float success probability to get a floating-point
+evaluation instead. The per-attempt success probability ``ps`` weights
+the two branches of every fusion:
 
     value(C) = ps * value(C_success) + (1 - ps) * value(C_failure)
 
@@ -27,6 +27,17 @@ recursion is well-founded and can be tabulated level by level.
 * Level-lazy enumeration. :func:`enumerate_configurations` builds one
   vertex level at a time, and a successor is at most four levels down,
   so the DP keeps four levels of values and a budget stops early.
+
+The read side is scaled the same way. :func:`strategy_quality`,
+:func:`expected_attempts` and :func:`strategy_quality_range` walk a
+strategy's event DAG (item tuples for stateless strategies, identity
+chains plus memory for stateful ones) with a memo of ints ``value *
+q**V``, one ``Fraction(I, q**V)`` per answer, and the same q = 1 float
+path. Scaled values depend only on the state, so
+:func:`strategy_quality_range` shares one memo over a whole sweep of
+starts; the memo is dropped when the sweep returns. The razor model in
+:mod:`cluster_forge.bounds` runs on capped count codes and scaled ints
+too, through :func:`_scaling`.
 """
 
 from __future__ import annotations
@@ -73,18 +84,39 @@ def _check_ps(ps) -> None:
         raise ValueError(f"success probability must be in (0, 1], got {ps}")
 
 
-def _evaluate(start: Hashable, classify: Callable, ps, memo: dict | None = None):
-    """Memoized expectation of an additive value over the event DAG.
+def _scaling(ps, vmax: int):
+    """``(exact, p, scale, fail_factor)`` for the integer-scaled read side.
 
-    ``classify(state)`` returns ``("leaf", value)`` for terminal states or
-    ``("node", success_state, failure_state, base)`` with
-    value = base + ps * value(success) + (1 - ps) * value(failure).
-    Iterative so that deep event chains cannot hit the recursion limit.
-    A caller-supplied ``memo`` is reused across related starts.
+    With ``ps = p/q``, ``scale[v] = q**v`` for v <= vmax and
+    ``fail_factor[drop] = (q - p) * q**(drop - 1)`` for a failure that
+    removes ``drop`` (2 to 4) vertices. A float ps has p = ps, q = 1 and
+    float scales, so the same code runs the float recursion bit for bit.
     """
-    pf = 1 - ps
-    if memo is None:
-        memo = {}
+    exact = isinstance(ps, Fraction)
+    p, q = (ps.numerator, ps.denominator) if exact else (ps, 1)
+    scale = [q ** v for v in range(vmax + 1)] if exact else [1.0] * (vmax + 1)
+    fail_factor = [None, None] + [(q - p) * q ** (drop - 1) for drop in (2, 3, 4)]
+    return exact, p, scale, fail_factor
+
+
+def _evaluate(start: Hashable, classify: Callable, memo: dict, p, scale, fail_factor,
+              attempts: bool = False):
+    """Memoized, integer-scaled expectation over the event DAG.
+
+    ``classify(state)`` returns ``(v, None, total_length, None)`` for a
+    terminal state of v vertices, or ``(v, success_state, drop,
+    failure_state)`` for a fusion whose failure removes ``drop``
+    vertices. A state of v vertices stores ``I = value * q**v``, so
+
+        I = (base + p * I(success)) + (q - p) * q**(drop - 1) * I(failure)
+
+    with base ``q**v`` for attempts and 0 for quality; terminal states
+    hold ``total_length * q**v`` (quality) or 0 (attempts). Scaled
+    values depend only on the state, so one ``memo`` serves every start
+    of a sweep for one strategy, ps and kind of value. Iterative so
+    that deep event chains cannot hit the recursion limit.
+    """
+    zero = 0 * scale[0]
     stack: list[tuple[Hashable, tuple | None]] = [(start, None)]
     while stack:
         state, node = stack.pop()
@@ -92,22 +124,24 @@ def _evaluate(start: Hashable, classify: Callable, ps, memo: dict | None = None)
             if state in memo:
                 continue
             node = classify(state)
-            if node[0] == "leaf":
-                memo[state] = node[1]
+            if node[1] is None:
+                v, _, total, _ = node
+                memo[state] = zero if attempts else total * scale[v]
                 continue
-            _, succ, fail, _ = node
+            _, succ, _, fail = node
             stack.append((state, node))
             if fail not in memo:
                 stack.append((fail, None))
             if succ not in memo:
                 stack.append((succ, None))
         else:
-            _, succ, fail, base = node
-            memo[state] = base + ps * memo[succ] + pf * memo[fail]
+            v, succ, drop, fail = node
+            base = scale[v] if attempts else zero
+            memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
     return memo[start]
 
 
-def _stateless_classifier(strategy: Strategy, terminal, base):
+def _stateless_classifier(strategy: Strategy):
     """classify() over raw (length, count) item tuples."""
 
     def classify(items):
@@ -118,16 +152,16 @@ def _stateless_classifier(strategy: Strategy, terminal, base):
                 raise ValueError(
                     f"invalid strategy {strategy.name}: premature stop on '{config}'"
                 )
-            return ("leaf", terminal(config.total_length))
-        config.fuse(action.a, action.b, SUCCESS)  # availability check
-        succ = _fuse_items(items, action.a, action.b, True)
-        fail = _fuse_items(items, action.a, action.b, False)
-        return ("node", succ, fail, base)
+            return config.vertex_count, None, config.total_length, None
+        a, b = action.a, action.b
+        succ = config.fuse(a, b, SUCCESS).items  # checks that both chains exist
+        fail = _fuse_items(items, a, b, False)
+        return config.vertex_count, succ, 2 + (a == 1) + (b == 1), fail
 
     return classify
 
 
-def _stateful_classifier(strategy: StatefulStrategy, terminal, base):
+def _stateful_classifier(strategy: StatefulStrategy):
     """classify() over (identity chains, memory) pairs."""
 
     def classify(state):
@@ -138,21 +172,18 @@ def _stateful_classifier(strategy: StatefulStrategy, terminal, base):
                 raise ValueError(
                     f"invalid strategy {strategy.name}: premature stop on {chains.chains}"
                 )
-            return ("leaf", terminal(chains.total_length))
+            return chains.vertex_count, None, chains.total_length, None
         succ = chains.fuse_at(action.a, action.b, SUCCESS)
         fail = chains.fuse_at(action.a, action.b, FAILURE)
-        succ_state = (succ, strategy.next_memory(chains, memory, action, SUCCESS, succ))
-        fail_state = (fail, strategy.next_memory(chains, memory, action, FAILURE, fail))
-        return ("node", succ_state, fail_state, base)
+        drop = 2 + (chains.chains[action.a] == 1) + (chains.chains[action.b] == 1)
+        return (
+            chains.vertex_count,
+            (succ, strategy.next_memory(chains, memory, action, SUCCESS, succ)),
+            drop,
+            (fail, strategy.next_memory(chains, memory, action, FAILURE, fail)),
+        )
 
     return classify
-
-
-def _numeric_kit(ps):
-    """(terminal length cast, zero/one base) matching the type of ps."""
-    if isinstance(ps, Fraction):
-        return Fraction, Fraction(0), Fraction(1)
-    return float, 0.0, 1.0
 
 
 def _stateful_start(strategy: StatefulStrategy, start: Configuration | IdentityConfiguration):
@@ -161,6 +192,29 @@ def _stateful_start(strategy: StatefulStrategy, start: Configuration | IdentityC
     else:
         chains = start
     return (chains, strategy.initial_memory(chains))
+
+
+def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
+    """Quality (or expected attempts) of ``strategy`` from each start,
+    all sharing one memo of scaled values, which is dropped on return."""
+    _check_ps(ps)
+    if strategy.stateful:
+        states = [_stateful_start(strategy, start) for start in starts]
+        classify = _stateful_classifier(strategy)
+        vertices = [chains.vertex_count for chains, _ in states]
+    else:
+        configs = [start.to_configuration() if isinstance(start, IdentityConfiguration) else start
+                   for start in starts]
+        states = [config.items for config in configs]
+        classify = _stateless_classifier(strategy)
+        vertices = [config.vertex_count for config in configs]
+    exact, p, scale, fail_factor = _scaling(ps, max(vertices, default=0))
+    memo: dict = {}
+    answers = []
+    for state, v in zip(states, vertices):
+        value = _evaluate(state, classify, memo, p, scale, fail_factor, attempts)
+        answers.append(Fraction(value, scale[v]) if exact else value)
+    return answers
 
 
 def strategy_quality(
@@ -172,15 +226,14 @@ def strategy_quality(
 
     Exact (a Fraction) whenever ``ps`` is a Fraction.
     """
-    _check_ps(ps)
-    cast, zero, _ = _numeric_kit(ps)
-    if strategy.stateful:
-        classify = _stateful_classifier(strategy, cast, zero)
-        return _evaluate(_stateful_start(strategy, start), classify, ps)
-    if isinstance(start, IdentityConfiguration):
-        start = start.to_configuration()
-    classify = _stateless_classifier(strategy, cast, zero)
-    return _evaluate(start.items, classify, ps)
+    return _sweep(strategy, [start], ps)[0]
+
+
+def strategy_quality_range(strategy: Strategy | StatefulStrategy, ns, ps=HALF) -> dict:
+    """``{n: strategy_quality(strategy, epr_pairs(n), ps)}`` for each n in
+    ``ns``, computed with one memo shared by the whole sweep."""
+    ns = list(ns)
+    return dict(zip(ns, _sweep(strategy, [Configuration.epr_pairs(n) for n in ns], ps)))
 
 
 def expected_attempts(
@@ -193,15 +246,7 @@ def expected_attempts(
     Satisfies quality = total_length - 2 * (1 - ps) * attempts, since a
     failed attempt loses exactly two edges and a successful one none.
     """
-    _check_ps(ps)
-    cast, zero, one = _numeric_kit(ps)
-    if strategy.stateful:
-        classify = _stateful_classifier(strategy, lambda _: zero, one)
-        return _evaluate(_stateful_start(strategy, start), classify, ps)
-    if isinstance(start, IdentityConfiguration):
-        start = start.to_configuration()
-    classify = _stateless_classifier(strategy, lambda _: zero, one)
-    return _evaluate(start.items, classify, ps)
+    return _sweep(strategy, [start], ps, attempts=True)[0]
 
 
 @dataclass
@@ -255,13 +300,19 @@ class QualityTable:
             num, _, den = fields["ps"].partition("/")
             ps = Fraction(int(num), int(den))
             entries: dict[str, tuple[Fraction, Action]] = {}
+            # a table holds few distinct actions: parse each text once and
+            # share the frozen action objects
+            actions: dict[str, Action] = {}
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                key, value, action = line.split("\t")
+                key, value, text = line.split("\t")
+                action = actions.get(text)
+                if action is None:
+                    action = actions[text] = parse_action(text)
                 num, _, den = value.partition("/")
-                entries[key] = (Fraction(int(num), int(den)), parse_action(action))
+                entries[key] = (Fraction(int(num), int(den)), action)
         return cls(n=n, ps=ps, entries=entries)
 
 

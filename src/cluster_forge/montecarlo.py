@@ -340,10 +340,15 @@ def estimate_quality(
 ) -> SimulationReport:
     """Mean and standard error of the final total length over ``trials``
     independent runs. ``threshold`` additionally counts runs whose final
-    length reaches it. The aggregate is independent of ``processes``."""
+    length reaches it. The aggregate is independent of ``processes``.
+    ``ps = 0`` is allowed: every attempt fails."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
     p = float(ps)
+    if not 0 <= p <= 1:  # also rejects NaN
+        raise ValueError(f"success probability must be in [0, 1], got {ps}")
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
     jobs = []
     for chunk in range(n_chunks):

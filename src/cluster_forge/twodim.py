@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_sf
 
 from .montecarlo import wilson_interval
 
@@ -54,11 +54,24 @@ class WeaveParameters:
         return self.n * (self.attempt_budget - self.n + 1)
 
 
+def _binomial_tail(params: WeaveParameters) -> float:
+    """P(Binomial(m, ps) >= n), unclipped.
+
+    This is the Boost survival function that ``scipy.stats.binom.sf``
+    and ``binom.logsf`` evaluate (the budget m is at least n, so the
+    point n - 1 is always inside the support), called directly so that
+    ``scipy.stats`` is never imported. The public ``scipy.special.bdtrc``
+    is a different (Cephes) implementation and differs in the last
+    bits; the tests pin equality with ``scipy.stats.binom``.
+    """
+    return _binom_sf(float(params.n - 1), float(params.attempt_budget), float(params.ps))
+
+
 def single_chain_weave_probability(params: WeaveParameters) -> float:
     """Probability that one cross-chain accumulates its n successes
     within the attempt budget: the upper tail of Binomial(m, ps) at n,
     evaluated via the regularized-beta survival function."""
-    return float(binom.sf(params.n - 1, params.attempt_budget, params.ps))
+    return float(np.clip(_binomial_tail(params), 0.0, 1.0))
 
 
 def negative_binomial_weave_probability(params: WeaveParameters) -> float:
@@ -75,7 +88,8 @@ def negative_binomial_weave_probability(params: WeaveParameters) -> float:
 
 def log_overall_success_probability(params: WeaveParameters) -> float:
     """log P with P the probability that all n cross-chains weave in."""
-    return params.n * float(binom.logsf(params.n - 1, params.attempt_budget, params.ps))
+    with np.errstate(divide="ignore"):
+        return params.n * float(np.log(_binomial_tail(params)))
 
 
 def overall_success_probability(params: WeaveParameters) -> float:

@@ -34,6 +34,54 @@ def epr(n):
     return Configuration.epr_pairs(n)
 
 
+def reference_razor(n, r, ps):
+    """(optimal quality, minimal expected attempts) of the razor model by
+    the plain recursion over count tuples (counts[i] chains of capped
+    length i + 1), memoized: the oracle for the count-code engine."""
+    cast = Fraction if isinstance(ps, Fraction) else float
+    quality, attempts = {}, {}
+
+    def fused(counts, a, b, success):
+        out = list(counts)
+        out[a - 1] -= 1
+        out[b - 1] -= 1
+        if success:
+            out[min(a + b, r) - 1] += 1
+        else:
+            for k in (a, b):
+                if k > 1:
+                    out[k - 2] += 1
+        return tuple(out)
+
+    def solve(counts):
+        if counts in quality:
+            return
+        if sum(counts) <= 1:
+            quality[counts] = cast(sum((i + 1) * c for i, c in enumerate(counts)))
+            attempts[counts] = cast(0)
+            return
+        best_q = best_t = None
+        for a in range(1, r + 1):
+            for b in range(a, r + 1):
+                if counts[a - 1] < 1 or counts[b - 1] < (2 if a == b else 1):
+                    continue
+                won, lost = fused(counts, a, b, True), fused(counts, a, b, False)
+                solve(won)
+                solve(lost)
+                value = ps * quality[won] + (1 - ps) * quality[lost]
+                cost = 1 + ps * attempts[won] + (1 - ps) * attempts[lost]
+                if best_q is None or value > best_q:
+                    best_q = value
+                if best_t is None or cost < best_t:
+                    best_t = cost
+        quality[counts] = best_q
+        attempts[counts] = best_t
+
+    start = tuple([n] + [0] * (r - 1))
+    solve(start)
+    return quality[start], attempts[start]
+
+
 class TestRazor:
     def test_uncapped_recovers_exact_optimum(self):
         table = cached_quality_table(8)
@@ -73,6 +121,19 @@ class TestRazor:
                 assert quality >= prev_q
                 assert attempts >= prev_t
             prev_ub, prev_q, prev_t = ub, quality, attempts
+
+    @pytest.mark.parametrize("ps", [Fraction(1, 2), Fraction(1, 3), Fraction(137, 2048),
+                                    Fraction(1), 0.5, 1 / 3, 137 / 2048, 1.0], ids=repr)
+    def test_equals_the_plain_recursion(self, ps):
+        for n in range(13):
+            for r in (2, 3, 4, 5, 6, 15):
+                reference = reference_razor(n, r, ps)
+                got = razor_quality(n, r, ps)
+                assert [type(x) for x in got] == [type(x) for x in reference]
+                if isinstance(ps, float):
+                    got = tuple(x.hex() for x in got)
+                    reference = tuple(x.hex() for x in reference)
+                assert got == reference, (n, r)
 
     def test_rejects_tiny_r(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from cluster_forge.cli import main
+from cluster_forge.cli import build_parser, main
 from cluster_forge.exact import QualityTable
 
 
@@ -122,6 +122,11 @@ class TestMC:
         assert captured.out == ""
         assert captured.err == f"cluster-forge: error: {flag} must be at least " \
                                f"{0 if flag == '--n' else 1}, got {value}\n"
+
+    def test_threads_default_to_one(self):
+        args = build_parser().parse_args(["mc", "--strategy", "modesty", "--n", "4",
+                                          "--trials", "10", "--seed", "1"])
+        assert args.threads == 1
 
     def test_empty_start_is_accepted(self, capsys):
         code, out = run(capsys, "mc", "--strategy", "greed", "--n", "0", "--trials", "3",

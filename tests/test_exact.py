@@ -13,6 +13,7 @@ from cluster_forge.configuration import (
     Configuration,
     Fuse,
     IdentityConfiguration,
+    Stop,
     enumerate_configurations,
 )
 from cluster_forge.exact import (
@@ -20,6 +21,12 @@ from cluster_forge.exact import (
     QualityTable,
     TableBudgetExceeded,
     _count_codes,
+    _evaluate,
+    _scaling,
+    _stateful_classifier,
+    _stateful_start,
+    _stateless_classifier,
+    _sweep,
     build_quality_table,
     cached_quality_table,
     clear_table_cache,
@@ -28,8 +35,16 @@ from cluster_forge.exact import (
     optimal_attempts,
     optimal_quality,
     strategy_quality,
+    strategy_quality_range,
 )
-from cluster_forge.strategies import BUILTIN_STRATEGIES, GREED, MODESTY, STATIC, Strategy
+from cluster_forge.strategies import (
+    BUILTIN_STRATEGIES,
+    GREED,
+    MODESTY,
+    STATIC,
+    Strategy,
+    TwoStage,
+)
 
 
 def epr(n):
@@ -206,6 +221,15 @@ class TestQualityTable:
         assert err.value.vertex_level > 0
         assert err.value.entries == 10
 
+    def test_load_shares_one_action_object_per_text(self, tmp_path):
+        table = build_quality_table(12)
+        path = tmp_path / "table.tsv"
+        table.save(path)
+        loaded = QualityTable.load(path)
+        assert loaded.entries == table.entries
+        actions = [action for _, action in loaded.entries.values()]
+        assert len({id(action) for action in actions}) == len(set(actions))
+
     def test_cache_reuses_larger_tables(self):
         clear_table_cache()
         big = cached_quality_table(10)
@@ -328,3 +352,120 @@ class TestIntegerScaledEngine:
                 assert code(lost) == code(config) + failure[a][b]
                 assert won.vertex_count == config.vertex_count - 1
                 assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)
+
+
+def reference_strategy_value(strategy, start, ps, attempts=False):
+    """Quality (or expected attempts) of ``strategy`` from ``start`` by the
+    plain recursion value = base + ps * value(success) + (1 - ps) *
+    value(failure), memoized on states: the oracle for the
+    integer-scaled read side."""
+    cast = Fraction if isinstance(ps, Fraction) else float
+    base = cast(1 if attempts else 0)
+    memo = {}
+
+    def value(state):
+        if state not in memo:
+            if strategy.stateful:
+                chains, memory = state
+                action = strategy.decide(chains, memory)
+                total = chains.total_length
+            else:
+                action = strategy.decide(state)
+                total = state.total_length
+            if isinstance(action, Stop):
+                memo[state] = cast(0 if attempts else total)
+            else:
+                children = []
+                for outcome in (SUCCESS, FAILURE):
+                    if strategy.stateful:
+                        nxt = chains.fuse_at(action.a, action.b, outcome)
+                        children.append(
+                            (nxt, strategy.next_memory(chains, memory, action, outcome, nxt)))
+                    else:
+                        children.append(state.fuse(action.a, action.b, outcome))
+                won, lost = (value(child) for child in children)
+                memo[state] = base + ps * won + (1 - ps) * lost
+        return memo[state]
+
+    if strategy.stateful:
+        chains = IdentityConfiguration.from_configuration(start)
+        return value((chains, strategy.initial_memory(chains)))
+    return value(start)
+
+
+def assert_same_number(value, reference):
+    """Same type and value; floats bit for bit."""
+    assert type(value) is type(reference)
+    if isinstance(value, float):
+        assert value.hex() == reference.hex()
+    else:
+        assert value == reference
+
+
+READ_SIDE_STRATEGIES = [MODESTY, GREED, STATIC, TwoStage(2), TwoStage(3), TwoStage(5),
+                        TwoStage(3, inner=GREED)]
+READ_SIDE_PS = [HALF, Fraction(1, 3), Fraction(137, 2048), Fraction(1)]
+READ_SIDE_PS += [float(ps) for ps in READ_SIDE_PS]
+
+
+class TestIntegerScaledReadSide:
+    @pytest.mark.parametrize("ps", READ_SIDE_PS, ids=repr)
+    @pytest.mark.parametrize("strategy", READ_SIDE_STRATEGIES, ids=lambda s: s.name)
+    def test_epr_starts_equal_the_plain_recursion(self, strategy, ps):
+        for n in range(13):
+            for attempts, evaluate in ((False, strategy_quality), (True, expected_attempts)):
+                assert_same_number(evaluate(strategy, epr(n), ps),
+                                   reference_strategy_value(strategy, epr(n), ps, attempts))
+
+    @settings(max_examples=80, deadline=None)
+    @given(strategy=st.sampled_from(READ_SIDE_STRATEGIES),
+           start=small_configurations(max_total=10),
+           ps=st.one_of(st.sampled_from(READ_SIDE_PS),
+                        st.fractions(min_value=0, max_value=1, max_denominator=4096).filter(bool),
+                        st.floats(min_value=0, max_value=1, exclude_min=True)))
+    def test_random_starts_and_ps_equal_the_plain_recursion(self, strategy, start, ps):
+        quality = strategy_quality(strategy, start, ps)
+        attempts = expected_attempts(strategy, start, ps)
+        assert_same_number(quality, reference_strategy_value(strategy, start, ps))
+        assert_same_number(attempts, reference_strategy_value(strategy, start, ps, True))
+        if isinstance(ps, Fraction):
+            # edge-loss identity: a failed attempt loses two edges
+            assert quality == start.total_length - 2 * (1 - ps) * attempts
+
+    @pytest.mark.parametrize("ps", READ_SIDE_PS, ids=repr)
+    @pytest.mark.parametrize("strategy", READ_SIDE_STRATEGIES, ids=lambda s: s.name)
+    def test_range_equals_one_call_per_start(self, strategy, ps):
+        for ns in (range(0, 14), [9, 2, 13, 0, 5]):
+            values = strategy_quality_range(strategy, ns, ps)
+            assert list(values) == list(ns)
+            for n, value in values.items():
+                assert_same_number(value, strategy_quality(strategy, epr(n), ps))
+
+    def test_range_of_nothing_is_empty(self):
+        assert strategy_quality_range(STATIC, [], HALF) == {}
+
+    @pytest.mark.parametrize("ps, stored", [(Fraction(137, 2048), int), (137 / 2048, float)],
+                             ids=repr)
+    @pytest.mark.parametrize("strategy", [MODESTY, STATIC], ids=lambda s: s.name)
+    def test_memo_holds_scaled_values_and_answers_keep_the_type_of_ps(self, strategy, ps, stored):
+        starts = [epr(n) for n in range(1, 11)]
+        if strategy.stateful:
+            classify = _stateful_classifier(strategy)
+            states = [_stateful_start(strategy, start) for start in starts]
+        else:
+            classify = _stateless_classifier(strategy)
+            states = [start.items for start in starts]
+        _, p, scale, fail_factor = _scaling(ps, 20)
+        for attempts in (False, True):
+            memo = {}
+            for state in states:
+                _evaluate(state, classify, memo, p, scale, fail_factor, attempts)
+            assert memo and all(type(value) is stored for value in memo.values())
+            answers = _sweep(strategy, starts, ps, attempts)
+            assert all(type(answer) is type(ps) for answer in answers)
+
+    def test_range_rejects_bad_ps(self):
+        with pytest.raises(ValueError):
+            strategy_quality_range(MODESTY, range(1, 4), Fraction(0))
+        with pytest.raises(ValueError):
+            strategy_quality_range(STATIC, range(1, 4), 1.5)

@@ -332,3 +332,24 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     narrow = estimate_quality(*args, processes=1)
     assert RecordingPool.sizes == [2]
     assert wide == narrow
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("ps", [1.5, -0.5, float("nan"), Fraction(3, 2), float("inf")],
+                             ids=repr)
+    def test_success_probability_outside_unit_interval_is_rejected(self, ps):
+        with pytest.raises(ValueError, match="success probability"):
+            estimate_quality(MODESTY, epr(4), ps, 10, 1)
+
+    @pytest.mark.parametrize("processes", [0, -3])
+    def test_fewer_than_one_process_is_rejected(self, processes):
+        with pytest.raises(ValueError, match="processes"):
+            estimate_quality(MODESTY, epr(4), 0.5, 10, 1, processes=processes)
+
+    def test_zero_success_probability_is_allowed(self):
+        assert estimate_quality(STATIC, epr(8), 0, 10, 1).mean == 0.0
+
+    def test_threshold_experiment_checks_its_success_probability(self):
+        with pytest.raises(ValueError, match="success probability"):
+            threshold_experiment(8, Fraction(137, 2048), 1, block_size=8, trials=10, seed=0,
+                                 ps=1.5)

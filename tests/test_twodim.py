@@ -187,3 +187,28 @@ class TestPercolationScan:
             percolation_scan([10], a=2.0)
         with pytest.raises(ValueError):
             percolation_scan([], a=2.0, ps_values=[0.4])
+
+
+# every percolation-scan point of the benchmark (n in 50..800, a = 2, ps in
+# 0.40..0.60), its weave step (n = 20, a = 3, ps = 0.5), and a grid around
+# them reaching the extremes where the tail underflows to zero
+BINOM_GRID_N = [1, 2, 3, 5, 8, 13, 20, 33, 50, 100, 200, 400, 800, 1500]
+BINOM_GRID_A = [1.01, 1.2, 1.5, 1.9, 2.0, 2.1, 2.5, 3.0, 4.0, 8.0]
+BINOM_GRID_PS = [1e-6, 0.01, 0.1, 0.25, 0.3, 0.4, 0.45, 0.48, 0.5, 0.52, 0.55, 0.6,
+                 0.75, 0.9, 0.99, 1.0]
+
+
+def test_tail_is_bit_identical_to_scipy_stats_binom():
+    """The weave tail calls the Boost ufunc behind scipy.stats.binom
+    directly; a scipy upgrade that changes it fails here."""
+    from scipy.stats import binom
+
+    for n in BINOM_GRID_N:
+        for a in BINOM_GRID_A:
+            for ps in BINOM_GRID_PS:
+                params = WeaveParameters(n=n, a=a, ps=ps)
+                m = params.attempt_budget
+                assert single_chain_weave_probability(params).hex() == \
+                    float(binom.sf(n - 1, m, ps)).hex(), (n, a, ps)
+                assert log_overall_success_probability(params).hex() == \
+                    (n * float(binom.logsf(n - 1, m, ps))).hex(), (n, a, ps)
