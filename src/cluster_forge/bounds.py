@@ -10,7 +10,8 @@ lower-bounds the true one; the edge-loss identity then turns it into an
 upper bound on quality: quality <= N - attempts at success probability
 one half. The R = 2 razor model reduces further to a three-action walk
 on a quarter-plane whose attempt count is bounded by a tiny linear
-program, solved here exactly with a verified optimality certificate.
+program, whose optimum is a closed form proven here by an explicit,
+checked primal/dual certificate.
 
 Exact answers stay Fractions, but the razor DP and the smallest-first
 sweep behind the lower bounds do their arithmetic on integer-scaled
@@ -24,15 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .configuration import _partitions_into
-from .exact import HALF, _check_ps, _scaling, strategy_quality_range
+from .exact import HALF, _check_ps, _count_codes, _scaling, strategy_quality_range
 from .strategies import MODESTY
 
 
 class CertificateMismatch(RuntimeError):
-    """Solver and closed-form certificate disagree; indicates a bug."""
+    """A closed form and its optimality certificate disagree; indicates a bug."""
 
 
 class HypothesisViolated(ValueError):
@@ -47,39 +48,6 @@ class HypothesisViolated(ValueError):
 # razor model
 
 
-@dataclass(frozen=True)
-class RazorState:
-    """Counts per capped length: counts[i] chains of length i + 1.
-
-    With cap r and at most n edges there are fewer than (n + 1)^r such
-    states, so the relaxed model is polynomial where the full one is
-    exponential.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"counts must be non-negative: {self.counts}")
-
-    @classmethod
-    def initial(cls, n: int, r: int) -> "RazorState":
-        """n elementary pairs under cap r."""
-        return cls(tuple([n] + [0] * (r - 1))) if n else cls((0,) * r)
-
-    @property
-    def total_edges(self) -> int:
-        return sum((i + 1) * c for i, c in enumerate(self.counts))
-
-    @property
-    def chain_count(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def vertex_count(self) -> int:
-        return sum((i + 2) * c for i, c in enumerate(self.counts))
-
-
 def razor_quality(n: int, r: int, ps=HALF) -> tuple[Fraction, Fraction]:
     """Optimal quality and minimal expected attempts in the razor model.
 
@@ -90,29 +58,21 @@ def razor_quality(n: int, r: int, ps=HALF) -> tuple[Fraction, Fraction]:
     Runs on capped count codes and integer-scaled values, like
     :func:`~cluster_forge.exact.build_quality_table`: a state with
     ``count_k`` chains of capped length k has code ``sum(count_k * w[k])``
-    with ``w[k] = (n + 1)**k``, and with ``ps = p/q`` a state of V
-    vertices holds its values times ``q**V``. Success sends the merged
-    chain to ``w[min(a + b, r)]`` and removes ``sdrop = 1 + (a + b -
-    min(a + b, r))`` vertices; failure removes ``2 + [a == 1] + [b ==
-    1]``. Quality is maximised and attempts minimised as plain ints.
+    from :func:`~cluster_forge.exact._count_codes` with ``cap = r``, and
+    with ``ps = p/q`` a state of V vertices holds its values times
+    ``q**V``. Success sends the merged chain to ``w[min(a + b, r)]`` and
+    removes ``1 + (a + b - min(a + b, r))`` vertices; failure removes
+    ``2 + [a == 1] + [b == 1]``. Quality is maximised and attempts
+    minimised as plain ints.
     """
     if r < 2:
         raise ValueError("razor parameter must be at least 2")
     _check_ps(ps)
     r = min(r, n)  # no chain is longer than n, so a larger cap changes nothing
     exact, p, scale, fail_factor = _scaling(ps, 2 * n)
-    w = [0] + [(n + 1) ** k for k in range(1, max(r, 1) + 1)]
-    # per length pair a <= b: (success shift, success factor, failure shift, failure factor)
-    moves = [[None] * (r + 1) for _ in range(r + 1)]
-    for a in range(1, r + 1):
-        for b in range(a, r + 1):
-            merged = min(a + b, r)
-            moves[a][b] = (
-                w[merged] - w[a] - w[b],
-                p * scale[a + b - merged],
-                w[a - 1] - w[a] + w[b - 1] - w[b],
-                fail_factor[2 + (a == 1) + (b == 1)],
-            )
+    w, success, failure = _count_codes(n, max(r, 1))
+    # a merged length s > r is cut to r, taking s - r more vertices
+    s_factor = [p * scale[max(s - r, 0)] for s in range(2 * r + 1)]
     quality: dict[int, object] = {}
     attempts: dict[int, object] = {}
     zero = 0 * scale[0]
@@ -130,12 +90,13 @@ def razor_quality(n: int, r: int, ps=HALF) -> tuple[Fraction, Fraction]:
                     continue
                 best_q = best_t = None
                 for i, (a, count) in enumerate(items):
-                    row = moves[a]
+                    s_row, f_row = success[a], failure[a]
+                    drop_a = 2 + (a == 1)
                     for b, _ in items[i if count >= 2 else i + 1:]:
-                        s_shift, s_factor, f_shift, f_factor = row[b]
-                        succ, fail = code + s_shift, code + f_shift
-                        value = s_factor * quality[succ] + f_factor * quality[fail]
-                        cost = here + s_factor * attempts[succ] + f_factor * attempts[fail]
+                        sf, ff = s_factor[a + b], fail_factor[drop_a + (b == 1)]
+                        succ, fail = code + s_row[b], code + f_row[b]
+                        value = sf * quality[succ] + ff * quality[fail]
+                        cost = here + sf * attempts[succ] + ff * attempts[fail]
                         if best_q is None or value > best_q:
                             best_q = value
                         if best_t is None or cost < best_t:
@@ -186,107 +147,6 @@ class LinearProgramInstance:
         )
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            factor = line[col]
-            tableau[r] = [v - factor * w for v, w in zip(line, tableau[row])]
-    basis[row] = col
-
-
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    allowed: int | None = None,
-) -> None:
-    """Minimize with Bland's rule; cost has one entry per column (no rhs).
-    Only the first ``allowed`` columns may enter the basis."""
-    m = len(tableau)
-    if allowed is None:
-        allowed = len(cost)
-    while True:
-        cb = [cost[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(allowed):
-            reduced = cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
-            if reduced < 0:
-                entering = j
-                break
-        if entering is None:
-            return
-        leaving = None
-        ratio = None
-        for i in range(m):
-            if tableau[i][entering] > 0:
-                r = tableau[i][-1] / tableau[i][entering]
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
-                    ratio = r
-                    leaving = i
-        if leaving is None:
-            raise CertificateMismatch("linear program unbounded; bug in setup")
-        _pivot(tableau, basis, leaving, entering)
-
-
-def simplex_minimize(
-    cost: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact two-phase simplex for min cost.x, rows.x <= rhs, x >= 0."""
-    n = len(cost)
-    m = len(rows)
-    negate = [rhs[i] < 0 for i in range(m)]
-    n_art = sum(negate)
-    width = n + m + n_art + 1
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    art = n + m
-    for i in range(m):
-        line = [Fraction(0)] * width
-        sign = -1 if negate[i] else 1
-        for j in range(n):
-            line[j] = sign * Fraction(rows[i][j])
-        line[n + i] = Fraction(sign)
-        line[-1] = sign * Fraction(rhs[i])
-        if negate[i]:
-            line[art] = Fraction(1)
-            basis.append(art)
-            art += 1
-        else:
-            basis.append(n + i)
-        tableau.append(line)
-
-    if n_art:
-        phase1 = [Fraction(0)] * (width - 1)
-        for j in range(n + m, width - 1):
-            phase1[j] = Fraction(1)
-        _run_simplex(tableau, basis, phase1)
-        infeasibility = sum(
-            tableau[i][-1] for i in range(m) if basis[i] >= n + m
-        )
-        if infeasibility != 0:
-            raise CertificateMismatch("linear program infeasible; bug in setup")
-        for i in range(m):
-            if basis[i] >= n + m:
-                for j in range(n + m):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, basis, i, j)
-                        break
-
-    phase2 = [Fraction(c) for c in cost] + [Fraction(0)] * (m + n_art)
-    _run_simplex(tableau, basis, phase2, allowed=n + m)
-
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
-    value = sum(c * v for c, v in zip(cost, x))
-    return value, tuple(x)
-
-
 def lp_closed_form(n: int) -> Fraction:
     if n < 1:
         raise ValueError("need at least one pair")
@@ -314,9 +174,10 @@ def lp_certificate(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 
 def lp_attempts_bound(n: int) -> Fraction:
     """Lower bound on the expected attempts of any R = 2 razor strategy
-    on n pairs, with the optimum certified three ways: simplex solution,
-    closed form, and an explicit primal/dual pair whose objectives
-    coincide and which are feasible for their respective programs."""
+    on n pairs: the closed form, certified by an explicit primal/dual
+    pair that are feasible for their respective programs and whose
+    objectives coincide with it, which proves it the optimum. Every
+    check raises :class:`CertificateMismatch`, also under ``python -O``."""
     instance = LinearProgramInstance.for_pairs(n)
     closed = lp_closed_form(n)
     x, y = lp_certificate(n)
@@ -336,12 +197,10 @@ def lp_attempts_bound(n: int) -> Fraction:
 
     primal_value = sum(c * v for c, v in zip(instance.cost, x))
     dual_value = (n - 1) * y[0] - y[1]
-    rows = [[instance.matrix[i][j] for i in range(3)] for j in range(2)]
-    simplex_value, _ = simplex_minimize(instance.cost, rows, instance.rhs)
-    if not (primal_value == dual_value == closed == simplex_value):
+    if not (primal_value == dual_value == closed):
         raise CertificateMismatch(
             f"objective mismatch for N={n}: primal={primal_value} "
-            f"dual={dual_value} closed={closed} simplex={simplex_value}"
+            f"dual={dual_value} closed={closed}"
         )
     return closed
 

@@ -72,6 +72,23 @@ def _parse_ps(text: str):
     return value
 
 
+def _check_least(*checks) -> None:
+    """Reject any ``(flag, value, least)`` whose value is below its least."""
+    for flag, value, least in checks:
+        if value < least:
+            raise CLIError(f"{flag} must be at least {least}, got {value}")
+
+
+def _sizes(args, least: int) -> list[int]:
+    """The single ``--n``, or the nonempty ``--n-min``..``--n-max`` sweep,
+    no size below ``least``."""
+    if args.n is not None:
+        _check_least(("--n", args.n, least))
+        return [args.n]
+    _check_least(("--n-min", args.n_min, least), ("--n-max", args.n_max, args.n_min))
+    return list(range(args.n_min, args.n_max + 1))
+
+
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
@@ -133,6 +150,7 @@ def _table_for(n: int, ps) -> QualityTable:
 
 def _cmd_quality(args) -> int:
     ps = _parse_ps(args.ps)
+    _check_least(("--n-min", args.n_min, 0), ("--step", args.step, 1))
     ns = range(args.n_min, args.n_max + 1, args.step)
     if args.strategy == "all":
         if not isinstance(ps, Fraction) or ps != HALF:
@@ -184,7 +202,7 @@ def _cmd_optimal_table(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    ns = [args.n] if args.n is not None else list(range(args.n_min, args.n_max + 1))
+    ns = _sizes(args, 1)
     exact_max = args.exact_max if args.exact_max is not None else 30
     table_n = min(max(ns), exact_max)
     table = _table_for(table_n, HALF) if table_n >= 1 else None
@@ -204,7 +222,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_razor(args) -> int:
     if args.n is None and args.n_max is None:
         raise CLIError("need --n (razor-parameter sweep) or --n-max (size sweep)")
-    ns = [args.n] if args.n is not None else list(range(args.n_min, args.n_max + 1))
+    ns = _sizes(args, 0)
+    _check_least(("--r-min", args.r_min, 2))
     columns = ["n", "r", "razor_quality", "razor_attempts", "upper_bound"]
     rows = []
     for n in ns:
@@ -217,10 +236,7 @@ def _cmd_razor(args) -> int:
 
 def _cmd_mc(args) -> int:
     ps = _parse_ps(args.ps)
-    for flag, value, least in (("--n", args.n, 0), ("--trials", args.trials, 1),
-                               ("--threads", args.threads, 1)):
-        if value < least:
-            raise CLIError(f"{flag} must be at least {least}, got {value}")
+    _check_least(("--n", args.n, 0), ("--trials", args.trials, 1), ("--threads", args.threads, 1))
     strategy = BUILTIN_STRATEGIES[args.strategy]
     report = estimate_quality(
         strategy,
@@ -311,6 +327,7 @@ def _cmd_validate(args) -> int:
             failures += 1
 
     size = args.n
+    _check_least(("--n", size, 0))
     if size > 12:
         # the exhaustive checks stay small; stdout keeps naming the sizes used
         print(f"cluster-forge: note: validate --n {size} checks strategy validity up to "
@@ -348,7 +365,7 @@ def _cmd_validate(args) -> int:
     check("event-tree oracle agrees with memoized qualities at N=8", oracle_ok, detail)
 
     suite_n = min(size, 12)
-    table = cached_quality_table(suite_n + 6, HALF)
+    table = cached_quality_table(max(suite_n + 6, 8), HALF)  # the razor check reads 8 edges
     suite_ok = True
     detail = ""
     for config in enumerate_configurations(suite_n):

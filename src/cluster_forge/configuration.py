@@ -162,30 +162,26 @@ class Configuration:
         Raises :class:`InvalidFusionError` when the requested chains are
         not available (if ``a == b`` two such chains are required).
         """
-        need_two = a == b
-        if self.count(a) < (2 if need_two else 1) or (not need_two and self.count(b) < 1):
+        counts = self.counts()
+        counts[a] = counts.get(a, 0) - 1
+        counts[b] = counts.get(b, 0) - 1
+        if counts[a] < 0 or counts[b] < 0:
             raise InvalidFusionError(f"no chains of lengths ({a},{b}) in {self}")
-        return Configuration(_fuse_items(self.items, a, b, outcome == SUCCESS))
+        if outcome == SUCCESS:
+            counts[a + b] = counts.get(a + b, 0) + 1
+        else:
+            if a > 1:
+                counts[a - 1] = counts.get(a - 1, 0) + 1
+            if b > 1:
+                counts[b - 1] = counts.get(b - 1, 0) + 1
+        return Configuration.from_counts(counts)
+
+    def to_configuration(self) -> "Configuration":
+        """The anonymous view, which a configuration already is."""
+        return self
 
     def __str__(self) -> str:
         return canonical_key(self) or "(empty)"
-
-
-def _fuse_items(
-    items: tuple[tuple[int, int], ...], a: int, b: int, success: bool
-) -> tuple[tuple[int, int], ...]:
-    """Elementary rule on raw (length, count) tuples; no availability check."""
-    counts = dict(items)
-    counts[a] -= 1
-    counts[b] = counts.get(b, 0) - 1
-    if success:
-        counts[a + b] = counts.get(a + b, 0) + 1
-    else:
-        if a > 1:
-            counts[a - 1] = counts.get(a - 1, 0) + 1
-        if b > 1:
-            counts[b - 1] = counts.get(b - 1, 0) + 1
-    return tuple(sorted((k, n) for k, n in counts.items() if n > 0))
 
 
 @dataclass(frozen=True)
@@ -247,10 +243,6 @@ def canonical_key(config: Configuration) -> str:
     """Injective text encoding: ``"1^2,3^1"``; the empty configuration
     encodes as the empty string. Used in persisted tables and CLI I/O."""
     return ",".join(f"{k}^{n}" for k, n in config.items)
-
-
-def key_from_counts(counts: Mapping[int, int]) -> str:
-    return ",".join(f"{k}^{counts[k]}" for k in sorted(counts) if counts[k] > 0)
 
 
 def parse_key(key: str) -> Configuration:

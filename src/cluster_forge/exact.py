@@ -30,14 +30,14 @@ recursion is well-founded and can be tabulated level by level.
 
 The read side is scaled the same way. :func:`strategy_quality`,
 :func:`expected_attempts` and :func:`strategy_quality_range` walk a
-strategy's event DAG (item tuples for stateless strategies, identity
-chains plus memory for stateful ones) with a memo of ints ``value *
-q**V``, one ``Fraction(I, q**V)`` per answer, and the same q = 1 float
-path. Scaled values depend only on the state, so
+strategy's event DAG through its process interface (see
+:mod:`cluster_forge.strategies`) with a memo of ints ``value * q**V``,
+one ``Fraction(I, q**V)`` per answer, and the same q = 1 float path.
+Scaled values depend only on the state, so
 :func:`strategy_quality_range` shares one memo over a whole sweep of
 starts; the memo is dropped when the sweep returns. The razor model in
-:mod:`cluster_forge.bounds` runs on capped count codes and scaled ints
-too, through :func:`_scaling`.
+:mod:`cluster_forge.bounds` runs on the capped count codes of
+:func:`_count_codes` and scaled ints too, through :func:`_scaling`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
-    _fuse_items,
     canonical_key,
     enumerate_configurations,
     parse_key,
@@ -85,7 +84,7 @@ def _check_ps(ps) -> None:
 
 
 def _scaling(ps, vmax: int):
-    """``(exact, p, scale, fail_factor)`` for the integer-scaled read side.
+    """``(exact, p, scale, fail_factor)`` for the integer-scaled engines.
 
     With ``ps = p/q``, ``scale[v] = q**v`` for v <= vmax and
     ``fail_factor[drop] = (q - p) * q**(drop - 1)`` for a failure that
@@ -141,79 +140,39 @@ def _evaluate(start: Hashable, classify: Callable, memo: dict, p, scale, fail_fa
     return memo[start]
 
 
-def _stateless_classifier(strategy: Strategy):
-    """classify() over raw (length, count) item tuples."""
-
-    def classify(items):
-        config = Configuration(items)
-        action = strategy.decide(config)
-        if isinstance(action, Stop):
-            if config.chain_count > 1:
-                raise ValueError(
-                    f"invalid strategy {strategy.name}: premature stop on '{config}'"
-                )
-            return config.vertex_count, None, config.total_length, None
-        a, b = action.a, action.b
-        succ = config.fuse(a, b, SUCCESS).items  # checks that both chains exist
-        fail = _fuse_items(items, a, b, False)
-        return config.vertex_count, succ, 2 + (a == 1) + (b == 1), fail
-
-    return classify
-
-
-def _stateful_classifier(strategy: StatefulStrategy):
-    """classify() over (identity chains, memory) pairs."""
+def _classifier(strategy: Strategy | StatefulStrategy):
+    """classify() over the strategy's process states. A failure that
+    destroys a chain of length 1 loses both its vertices, so the failure
+    removes 2 vertices plus one per destroyed chain."""
 
     def classify(state):
-        chains, memory = state
-        action = strategy.decide(chains, memory)
+        action = strategy.choose(state)
         if isinstance(action, Stop):
-            if chains.chain_count > 1:
+            if state.chain_count > 1:
                 raise ValueError(
-                    f"invalid strategy {strategy.name}: premature stop on {chains.chains}"
+                    f"invalid strategy {strategy.name}: premature stop on "
+                    f"'{state.to_configuration()}'"
                 )
-            return chains.vertex_count, None, chains.total_length, None
-        succ = chains.fuse_at(action.a, action.b, SUCCESS)
-        fail = chains.fuse_at(action.a, action.b, FAILURE)
-        drop = 2 + (chains.chains[action.a] == 1) + (chains.chains[action.b] == 1)
-        return (
-            chains.vertex_count,
-            (succ, strategy.next_memory(chains, memory, action, SUCCESS, succ)),
-            drop,
-            (fail, strategy.next_memory(chains, memory, action, FAILURE, fail)),
-        )
+            return state.vertex_count, None, state.total_length, None
+        succ = strategy.step(state, action, SUCCESS)
+        fail = strategy.step(state, action, FAILURE)
+        return state.vertex_count, succ, 2 + state.chain_count - fail.chain_count, fail
 
     return classify
-
-
-def _stateful_start(strategy: StatefulStrategy, start: Configuration | IdentityConfiguration):
-    if isinstance(start, Configuration):
-        chains = IdentityConfiguration.from_configuration(start)
-    else:
-        chains = start
-    return (chains, strategy.initial_memory(chains))
 
 
 def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
     """Quality (or expected attempts) of ``strategy`` from each start,
     all sharing one memo of scaled values, which is dropped on return."""
     _check_ps(ps)
-    if strategy.stateful:
-        states = [_stateful_start(strategy, start) for start in starts]
-        classify = _stateful_classifier(strategy)
-        vertices = [chains.vertex_count for chains, _ in states]
-    else:
-        configs = [start.to_configuration() if isinstance(start, IdentityConfiguration) else start
-                   for start in starts]
-        states = [config.items for config in configs]
-        classify = _stateless_classifier(strategy)
-        vertices = [config.vertex_count for config in configs]
-    exact, p, scale, fail_factor = _scaling(ps, max(vertices, default=0))
+    states = [strategy.start(start) for start in starts]
+    classify = _classifier(strategy)
+    exact, p, scale, fail_factor = _scaling(ps, max((s.vertex_count for s in states), default=0))
     memo: dict = {}
     answers = []
-    for state, v in zip(states, vertices):
+    for state in states:
         value = _evaluate(state, classify, memo, p, scale, fail_factor, attempts)
-        answers.append(Fraction(value, scale[v]) if exact else value)
+        answers.append(Fraction(value, scale[state.vertex_count]) if exact else value)
     return answers
 
 
@@ -316,21 +275,24 @@ class QualityTable:
         return cls(n=n, ps=ps, entries=entries)
 
 
-def _count_codes(n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Integer count codes for configurations of at most ``n`` edges.
+def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Integer count codes for configurations of at most ``n`` edges whose
+    chains are at most ``cap`` long.
 
     A configuration with ``count_k`` chains of length k has code
     ``sum(count_k * w[k])`` with ``w[k] = (n + 1) ** k`` and ``w[0] = 0``;
     no count exceeds n, so the code is injective. Fusing lengths a <= b
-    adds ``success[a][b] = w[a+b] - w[a] - w[b]`` to the code on success
-    and ``failure[a][b] = w[a-1] - w[a] + w[b-1] - w[b]`` on failure.
-    Returns ``(w, success, failure)``; entries with a + b > n are 0.
+    adds ``success[a][b] = w[min(a+b, cap)] - w[a] - w[b]`` to the code on
+    success (a merged chain longer than ``cap`` is cut to ``cap``, as in
+    the razor model; with ``cap = n`` nothing is cut) and
+    ``failure[a][b] = w[a-1] - w[a] + w[b-1] - w[b]`` on failure.
+    Returns ``(w, success, failure)``, indexed by lengths up to ``cap``.
     """
-    w = [0] + [(n + 1) ** k for k in range(1, n + 1)]
-    success = [[w[a + b] - w[a] - w[b] if a + b <= n else 0 for b in range(n + 1)]
-               for a in range(n + 1)]
-    failure = [[w[a - 1] - w[a] + w[b - 1] - w[b] if a and b else 0 for b in range(n + 1)]
-               for a in range(n + 1)]
+    w = [0] + [(n + 1) ** k for k in range(1, cap + 1)]
+    success = [[w[min(a + b, cap)] - w[a] - w[b] for b in range(cap + 1)]
+               for a in range(cap + 1)]
+    failure = [[w[a - 1] - w[a] + w[b - 1] - w[b] if a and b else 0 for b in range(cap + 1)]
+               for a in range(cap + 1)]
     return w, success, failure
 
 
@@ -349,11 +311,8 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
     kept.
     """
     _check_ps(ps)
-    exact = isinstance(ps, Fraction)
-    p, q = (ps.numerator, ps.denominator) if exact else (ps, 1)
-    # fail_factor[a == 1][b == 1]: (q - p) * q**(drop - 1) with drop = 2 + [a == 1] + [b == 1]
-    fail_factor = [[(q - p) * q ** (1 + i + j) for j in (0, 1)] for i in (0, 1)]
-    w, success, failure = _count_codes(n)
+    exact, p, scale, fail_factor = _scaling(ps, 2 * n)
+    w, success, failure = _count_codes(n, n)
     # one shared Fuse per length pair a <= b with a + b <= n
     fuses = [[Fuse(a, b) if a <= b else None for b in range(n + 1 - a)] for a in range(n + 1)]
     levels: dict[int, dict[int, object]] = {}
@@ -375,26 +334,23 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
             # below[d]: values one to four vertices down
             below = [None] + [levels.get(v - d, {}) for d in (1, 2, 3, 4)]
             down = below[1]
-            scale = q ** v
         if chains <= 1:
-            total = v - chains
-            best = total * scale if exact else float(total)
+            best = (v - chains) * scale[v]
             action: Action = STOP
         else:
             best = None
             for i, (a, count) in enumerate(items):
                 s_row, f_row, fuse_row = success[a], failure[a], fuses[a]
-                one_a = a == 1
+                drop_a = 2 + (a == 1)
                 for b, _ in items[i if count >= 2 else i + 1:]:
-                    one_b = b == 1
+                    drop = drop_a + (b == 1)
                     value = (p * down[code + s_row[b]]
-                             + fail_factor[one_a][one_b]
-                             * below[2 + one_a + one_b][code + f_row[b]])
+                             + fail_factor[drop] * below[drop][code + f_row[b]])
                     if best is None or value > best:
                         best = value
                         action = fuse_row[b]
         here[code] = best
-        entries[canonical_key(config)] = (Fraction(best, scale) if exact else best, action)
+        entries[canonical_key(config)] = (Fraction(best, scale[v]) if exact else best, action)
     return QualityTable(n=n, ps=ps, entries=entries)
 
 
@@ -476,12 +432,6 @@ def event_tree_oracle(
     distribution: dict[Configuration, Fraction] = {}
     stats = {"mean": Fraction(0), "attempts": Fraction(0), "paths": 0}
 
-    if strategy.stateful:
-        root = _stateful_start(strategy, start)
-    else:
-        config0 = start.to_configuration() if isinstance(start, IdentityConfiguration) else start
-        root = config0
-
     def record(final: Configuration, prob: Fraction, depth: int) -> None:
         distribution[final] = distribution.get(final, Fraction(0)) + prob
         stats["mean"] += prob * final.total_length
@@ -489,25 +439,14 @@ def event_tree_oracle(
         stats["paths"] += 1
 
     def walk(state, prob: Fraction, depth: int) -> None:
-        if strategy.stateful:
-            chains, memory = state
-            action = strategy.decide(chains, memory)
-            if isinstance(action, Stop):
-                record(chains.to_configuration(), prob, depth)
-                return
-            for outcome, weight in ((SUCCESS, ps), (FAILURE, pf)):
-                nxt = chains.fuse_at(action.a, action.b, outcome)
-                mem = strategy.next_memory(chains, memory, action, outcome, nxt)
-                walk((nxt, mem), prob * weight, depth + 1)
-        else:
-            action = strategy.decide(state)
-            if isinstance(action, Stop):
-                record(state, prob, depth)
-                return
-            for outcome, weight in ((SUCCESS, ps), (FAILURE, pf)):
-                walk(state.fuse(action.a, action.b, outcome), prob * weight, depth + 1)
+        action = strategy.choose(state)
+        if isinstance(action, Stop):
+            record(state.to_configuration(), prob, depth)
+            return
+        for outcome, weight in ((SUCCESS, ps), (FAILURE, pf)):
+            walk(strategy.step(state, action, outcome), prob * weight, depth + 1)
 
-    walk(root, Fraction(1), 0)
+    walk(strategy.start(start), Fraction(1), 0)
     return OracleResult(
         distribution=distribution,
         mean_length=stats["mean"],

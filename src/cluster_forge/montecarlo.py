@@ -16,9 +16,11 @@ insistent-pairing rounds on a ``(trials, chains)`` length array. Each
 trial keeps its own attempt pointer and reads ``rows[t, attempts[t]]``,
 the uniform the scalar player reads at that step, so the finals, and
 the float sums built from them, are bit-identical to the scalar
-players'. Dispatch is on the exact type: every other strategy,
-subclasses included, runs on the scalar players :func:`_play_anonymous`
-and :func:`_play_identity`, which the tests keep as the oracle.
+player's. Dispatch is on the exact type: every other strategy,
+subclasses included, runs one trial at a time on the scalar player
+:func:`_play`, which the tests keep as the oracle. It drives stateless
+and stateful strategies alike through their process interface
+(``start``, ``choose``, ``step``; see :mod:`cluster_forge.strategies`).
 """
 
 from __future__ import annotations
@@ -64,50 +66,24 @@ def _check_edges(strategy, left: int, expected: int) -> None:
         )
 
 
-def _play_anonymous(strategy: Strategy, start: Configuration, ps: float, row) -> tuple[dict, int]:
-    counts = start.counts()
+def _play(strategy: Strategy | StatefulStrategy, start: Configuration, ps: float, row):
+    """One trial through the strategy's process interface, attempt i
+    succeeding when ``row[i] < ps``; returns the final process state."""
+    state = strategy.start(start)
     edges = start.total_length
     attempts = 0
     while True:
-        action = strategy.decide_counts(counts)
+        action = strategy.choose(state)
         if isinstance(action, Stop):
-            _check_edges(strategy, sum(k * n for k, n in counts.items()), edges)
-            return counts, attempts
-        a, b = action.a, action.b
-        success = row[attempts] < ps
-        attempts += 1
-        counts[a] -= 1
-        counts[b] = counts.get(b, 0) - 1
-        if success:
-            counts[a + b] = counts.get(a + b, 0) + 1
+            _check_edges(strategy, state.total_length, edges)
+            return state
+        if row[attempts] < ps:
+            outcome = SUCCESS
         else:
-            if a > 1:
-                counts[a - 1] = counts.get(a - 1, 0) + 1
-            if b > 1:
-                counts[b - 1] = counts.get(b - 1, 0) + 1
+            outcome = FAILURE
             edges -= 2
-        for k in (a, b):
-            if counts.get(k) == 0:
-                del counts[k]
-
-
-def _play_identity(strategy: StatefulStrategy, start: Configuration, ps: float, row) -> tuple[tuple, int]:
-    chains = IdentityConfiguration.from_configuration(start)
-    memory = strategy.initial_memory(chains)
-    edges = chains.total_length
-    attempts = 0
-    while True:
-        action = strategy.decide(chains, memory)
-        if isinstance(action, Stop):
-            _check_edges(strategy, chains.total_length, edges)
-            return chains.chains, attempts
-        outcome = SUCCESS if row[attempts] < ps else FAILURE
         attempts += 1
-        nxt = chains.fuse_at(action.a, action.b, outcome)
-        memory = strategy.next_memory(chains, memory, action, outcome, nxt)
-        chains = nxt
-        if outcome == FAILURE:
-            edges -= 2
+        state = strategy.step(state, action, outcome)
 
 
 def simulate_run(
@@ -118,14 +94,9 @@ def simulate_run(
     trial_index: int = 0,
 ) -> Configuration:
     """Sample one trajectory and return the final configuration."""
-    p = float(ps)
     chunk, offset = divmod(trial_index, TRIAL_CHUNK)
     rows = _chunk_uniforms(seed, chunk, offset + 1, _draws_bound(start))
-    if strategy.stateful:
-        chains, _ = _play_identity(strategy, start, p, rows[offset])
-        return Configuration.from_lengths(chains)
-    counts, _ = _play_anonymous(strategy, start, p, rows[offset])
-    return Configuration.from_counts(counts)
+    return _play(strategy, start, float(ps), rows[offset]).to_configuration()
 
 
 @dataclass(frozen=True)
@@ -305,22 +276,12 @@ def _chunk_stats(
     total = 0.0
     total_sq = 0.0
     successes = 0
-    if strategy.stateful:
-        for t in range(trials_in_chunk):
-            chains, _ = _play_identity(strategy, start, p, rows[t])
-            final = sum(chains)
-            total += final
-            total_sq += final * final
-            if threshold is not None and final >= threshold:
-                successes += 1
-    else:
-        for t in range(trials_in_chunk):
-            counts, _ = _play_anonymous(strategy, start, p, rows[t])
-            final = sum(k * n for k, n in counts.items())
-            total += final
-            total_sq += final * final
-            if threshold is not None and final >= threshold:
-                successes += 1
+    for t in range(trials_in_chunk):
+        final = _play(strategy, start, p, rows[t]).total_length
+        total += final
+        total_sq += final * final
+        if threshold is not None and final >= threshold:
+            successes += 1
     return total, total_sq, successes
 
 
@@ -390,14 +351,6 @@ def estimate_quality(
     )
 
 
-def two_stage_strategy(block_size: int, inner: Strategy | None = None) -> TwoStage:
-    """Process blocks of ``block_size`` pairs with ``inner`` (smallest
-    first by default), then combine the survivors by rounds of insistent
-    pairwise fusion. ``block_size=8`` with the default inner strategy is
-    exactly the built-in static strategy."""
-    return TwoStage(block_size=block_size, inner=inner if inner is not None else MODESTY)
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a Bernoulli rate; asymmetric, so it stays
     informative for fractions near 0 or 1."""
@@ -464,7 +417,7 @@ def threshold_experiment(
     if rate <= 0:
         raise ValueError("epsilon too large: nonpositive pair budget")
     n_pairs = math.ceil(rate * target_length)
-    strategy = two_stage_strategy(block_size)
+    strategy = TwoStage(block_size, MODESTY)
     report = estimate_quality(
         strategy, Configuration.epr_pairs(n_pairs), ps, trials, seed,
         threshold=target_length,

@@ -3,16 +3,36 @@
 A valid strategy never references absent chains (no null fusions) and
 stops exactly when at most one chain remains (no premature stops).
 
-Stateless strategies decide from the anonymous configuration alone.
-Strategies that need to address individual chains and remember them
-(insistent pairings, block structure) implement the stateful interface
-on identity configurations with an explicit, hashable memory value.
+Strategies are written against one of two author interfaces:
+
+* :class:`Strategy` decides from the anonymous configuration alone:
+  ``decide(config)`` returns a :class:`Fuse` of two lengths or ``STOP``.
+* :class:`StatefulStrategy` addresses individual chains and remembers
+  them (insistent pairings, block structure): ``initial_memory(chains)``,
+  ``decide(chains, memory)`` with a :class:`Fuse` of two chain indices,
+  and ``next_memory(chains, memory, action, outcome, result)`` on
+  identity configurations, with an explicit, hashable memory value.
+
+Every walker (the exact evaluation, the event-tree oracle, the validity
+check and the scalar Monte Carlo player) runs both kinds through one
+process interface that the two base classes provide:
+
+* ``start(config)`` gives the process state at a start configuration,
+* ``choose(state)`` the next action,
+* ``step(state, action, outcome)`` the state after that action had
+  outcome ``SUCCESS`` or ``FAILURE``, raising on a null fusion.
+
+A stateless strategy's state is the :class:`Configuration` itself and
+its step is :meth:`Configuration.fuse`. A stateful strategy's state is a
+:class:`ProcessState`, the pair of identity chains and memory. Both are
+hashable and expose ``chain_count``, ``vertex_count``, ``total_length``
+and ``to_configuration()``, which is all a walker asks of a state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from .configuration import (
     FAILURE,
@@ -24,7 +44,6 @@ from .configuration import (
     IdentityConfiguration,
     Stop,
     canonical_key,
-    key_from_counts,
 )
 
 
@@ -37,12 +56,15 @@ class Strategy:
     def decide(self, config: Configuration) -> Action:
         raise NotImplementedError
 
-    def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        """Decision from a raw length -> count mapping.
+    def start(self, config: Configuration | IdentityConfiguration) -> Configuration:
+        """The process state at ``config``: its anonymous configuration."""
+        return config.to_configuration()
 
-        Hot path for simulation; the default just wraps ``decide``.
-        """
-        return self.decide(Configuration.from_counts(counts))
+    def choose(self, state: Configuration) -> Action:
+        return self.decide(state)
+
+    def step(self, state: Configuration, action: Fuse, outcome: str) -> Configuration:
+        return state.fuse(action.a, action.b, outcome)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -98,13 +120,6 @@ class LookupStrategy(Strategy):
         except KeyError:
             raise KeyError(f"lookup table has no entry for configuration '{key}'") from None
 
-    def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        key = key_from_counts(counts)
-        try:
-            return self.table[key]
-        except KeyError:
-            raise KeyError(f"lookup table has no entry for configuration '{key}'") from None
-
     def save(self, path) -> None:
         """One line per entry: ``key<TAB>a,b`` or ``key<TAB>stop``."""
         with open(path, "w", encoding="ascii") as fh:
@@ -137,6 +152,30 @@ def parse_action(text: str) -> Action:
     return Fuse(int(a), int(b))
 
 
+class ProcessState(NamedTuple):
+    """A stateful strategy's process state: identity chains and memory.
+
+    Compares and hashes like the plain ``(chains, memory)`` pair."""
+
+    chains: IdentityConfiguration
+    memory: Hashable
+
+    @property
+    def chain_count(self) -> int:
+        return self.chains.chain_count
+
+    @property
+    def vertex_count(self) -> int:
+        return self.chains.vertex_count
+
+    @property
+    def total_length(self) -> int:
+        return self.chains.total_length
+
+    def to_configuration(self) -> Configuration:
+        return self.chains.to_configuration()
+
+
 class StatefulStrategy:
     """Decision rule on identity configurations with persistent memory.
 
@@ -163,6 +202,21 @@ class StatefulStrategy:
         result: IdentityConfiguration,
     ) -> Hashable:
         raise NotImplementedError
+
+    def start(self, config: Configuration | IdentityConfiguration) -> ProcessState:
+        """The process state at ``config``; an anonymous start is lined up
+        ascending."""
+        if isinstance(config, Configuration):
+            config = IdentityConfiguration.from_configuration(config)
+        return ProcessState(config, self.initial_memory(config))
+
+    def choose(self, state: ProcessState) -> Action:
+        return self.decide(state.chains, state.memory)
+
+    def step(self, state: ProcessState, action: Fuse, outcome: str) -> ProcessState:
+        chains, memory = state
+        result = chains.fuse_at(action.a, action.b, outcome)
+        return ProcessState(result, self.next_memory(chains, memory, action, outcome, result))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -323,15 +377,9 @@ def validate_strategy(
     if max_steps is None:
         max_steps = start.vertex_count
 
-    if strategy.stateful:
-        chains0 = IdentityConfiguration.from_configuration(start)
-        root = (chains0, strategy.initial_memory(chains0))
-    else:
-        root = start
-
     seen: set = set()
     # stack of (state, event string so far)
-    stack: list[tuple[object, str]] = [(root, "")]
+    stack: list[tuple[object, str]] = [(strategy.start(start), "")]
     while stack:
         state, event = stack.pop()
         if state in seen:
@@ -340,15 +388,10 @@ def validate_strategy(
         if len(event) > max_steps:
             return ValidationResult(False, event, "did not terminate within the step bound")
         try:
-            if strategy.stateful:
-                chains, memory = state
-                n_chains = chains.chain_count
-                action = strategy.decide(chains, memory)
-            else:
-                n_chains = state.chain_count
-                action = strategy.decide(state)
+            action = strategy.choose(state)
         except KeyError as exc:
             return ValidationResult(False, event, f"no decision available: {exc}")
+        n_chains = state.chain_count
         if isinstance(action, Stop):
             if n_chains > 1:
                 return ValidationResult(False, event, f"premature stop with {n_chains} chains")
@@ -357,12 +400,7 @@ def validate_strategy(
             return ValidationResult(False, event, "fusion attempted on a terminal configuration")
         for outcome in (SUCCESS, FAILURE):
             try:
-                if strategy.stateful:
-                    nxt = chains.fuse_at(action.a, action.b, outcome)
-                    mem = strategy.next_memory(chains, memory, action, outcome, nxt)
-                    child = (nxt, mem)
-                else:
-                    child = state.fuse(action.a, action.b, outcome)
+                child = strategy.step(state, action, outcome)
             except (ValueError, IndexError) as exc:
                 return ValidationResult(False, event + outcome, f"null fusion: {exc}")
             stack.append((child, event + outcome))

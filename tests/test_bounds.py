@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -22,7 +27,6 @@ from cluster_forge.bounds import (
     modesty_quality_range,
     razor_quality,
     razor_upper_bound,
-    simplex_minimize,
     static_lower_bound,
 )
 from cluster_forge.configuration import Configuration
@@ -139,16 +143,50 @@ class TestRazor:
         with pytest.raises(ValueError):
             razor_quality(4, 1)
 
-    def test_state_type(self):
-        from cluster_forge.bounds import RazorState
 
-        state = RazorState.initial(6, 2)
-        assert state.counts == (6, 0)
-        assert state.total_edges == 6
-        assert state.vertex_count == 12
-        assert RazorState.initial(0, 3).chain_count == 0
-        with pytest.raises(ValueError):
-            RazorState((1, -1))
+def _closed_form_plus_one(n):
+    return lp_closed_form(n) + 1
+
+
+def _suboptimal_primal(n):
+    # feasible for N=7 but worth 4 > 18/5
+    return (Fraction(3), Fraction(1), Fraction(0)), lp_certificate(n)[1]
+
+
+def _negative_primal(n):
+    x, y = lp_certificate(n)
+    return x[:2] + (Fraction(-1),), y
+
+
+def _zero_primal(n):
+    return (Fraction(0),) * 3, lp_certificate(n)[1]
+
+
+def _negative_dual(n):
+    return lp_certificate(n)[0], (Fraction(-1), Fraction(0))
+
+
+def _infeasible_dual(n):
+    return lp_certificate(n)[0], (Fraction(1), Fraction(0))
+
+
+CORRUPTIONS = [
+    ("lp_closed_form", _closed_form_plus_one, "objective mismatch"),
+    ("lp_certificate", _suboptimal_primal, "objective mismatch"),
+    ("lp_certificate", _negative_primal, "primal certificate not nonnegative"),
+    ("lp_certificate", _zero_primal, "primal certificate infeasible"),
+    ("lp_certificate", _negative_dual, "dual certificate not nonnegative"),
+    ("lp_certificate", _infeasible_dual, "dual certificate infeasible"),
+]
+
+
+def assert_every_corruption_raises():
+    """Each corrupted closed form or certificate makes lp_attempts_bound
+    raise; uses no assert statement, so it also checks under -O."""
+    for name, corrupted, message in CORRUPTIONS:
+        with mock.patch.object(bounds, name, corrupted):
+            with pytest.raises(CertificateMismatch, match=message):
+                lp_attempts_bound(7)
 
 
 class TestLinearProgram:
@@ -174,19 +212,18 @@ class TestLinearProgram:
         assert sum(x) == lp_closed_form(100)
         assert y == (Fraction(4, 5), Fraction(6, 5))
 
-    def test_simplex_detects_unbounded(self):
-        with pytest.raises(CertificateMismatch, match="unbounded"):
-            simplex_minimize([Fraction(-1)], [[Fraction(-1)]], [Fraction(0)])
+    def test_corrupted_certificates_raise(self):
+        assert_every_corruption_raises()
 
-    def test_simplex_standalone(self):
-        value, x = simplex_minimize(
-            [Fraction(2), Fraction(3)],
-            [[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)], [Fraction(-1), Fraction(-1)]],
-            [Fraction(-1), Fraction(-1), Fraction(-3)],
-        )
-        # x, y >= 1 and x + y >= 3, minimize 2x + 3y -> x = 2, y = 1
-        assert value == 7
-        assert x == (2, 1)
+    def test_corrupted_certificates_raise_under_python_O(self):
+        env = dict(os.environ)
+        package_root = str(Path(bounds.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = ("assert False, 'asserts must be stripped'\n"
+                "import test_bounds\n"
+                "test_bounds.assert_every_corruption_raises()")
+        subprocess.run([sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, env=env,
+                       check=True, timeout=120)
 
     def test_chain_of_relaxations(self):
         table = cached_quality_table(20)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from cluster_forge.cli import build_parser, main
-from cluster_forge.exact import QualityTable
+from cluster_forge.exact import QualityTable, clear_table_cache
 
 
 def run(capsys, *argv):
@@ -211,3 +211,42 @@ class TestFlagsAndCaches:
         assert "note" not in captured.out
         assert "validate --n 13 checks" in captured.err
         assert "monotonicity suite up to 12 edges" in captured.err
+
+
+class TestSmallSizes:
+    @pytest.mark.parametrize("argv, message", [
+        (["quality", "--strategy", "modesty", "--n-max", "3", "--n-min", "-2"],
+         "--n-min must be at least 0, got -2"),
+        (["quality", "--strategy", "greed", "--n-max", "3", "--step", "0"],
+         "--step must be at least 1, got 0"),
+        (["bounds", "--n-min", "0"], "--n-min must be at least 1, got 0"),
+        (["bounds", "--n", "0"], "--n must be at least 1, got 0"),
+        (["bounds", "--n-min", "5", "--n-max", "3"], "--n-max must be at least 5, got 3"),
+        (["razor", "--n", "-1", "--r-max", "3"], "--n must be at least 0, got -1"),
+        (["razor", "--n-min", "-1", "--n-max", "2", "--r-max", "3"],
+         "--n-min must be at least 0, got -1"),
+        (["razor", "--n", "4", "--r-min", "1", "--r-max", "3"], "--r-min must be at least 2, got 1"),
+        (["validate", "--n", "-1"], "--n must be at least 0, got -1"),
+    ], ids=" ".join)
+    def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"cluster-forge: error: {message}\n"
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_validate_runs_clean_on_the_smallest_sizes(self, capsys, n):
+        clear_table_cache()  # a larger cached table would hide a too-small build
+        code, out = run(capsys, "validate", "--n", n)
+        assert code == 0
+        assert "FAIL" not in out
+        assert "razor model with R >= N recovers the exact optimum" in out
+
+    def test_smallest_bounds_and_razor_sizes_are_accepted(self, capsys):
+        code, out = run(capsys, "bounds", "--n", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "1,1,,1,1,"
+        code, out = run(capsys, "razor", "--n", "0", "--r-max", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "0,2,0,0,0"

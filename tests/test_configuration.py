@@ -67,6 +67,8 @@ class TestFusionRule:
         with pytest.raises(InvalidFusionError):
             epr(2).fuse(3, 1, SUCCESS)
         with pytest.raises(InvalidFusionError):
+            epr(2).fuse(1, 3, FAILURE)
+        with pytest.raises(InvalidFusionError):
             Configuration.from_lengths([2, 1]).fuse(2, 2, SUCCESS)
 
     def test_fuse_is_unordered(self):

@@ -20,12 +20,10 @@ from cluster_forge.exact import (
     HALF,
     QualityTable,
     TableBudgetExceeded,
+    _classifier,
     _count_codes,
     _evaluate,
     _scaling,
-    _stateful_classifier,
-    _stateful_start,
-    _stateless_classifier,
     _sweep,
     build_quality_table,
     cached_quality_table,
@@ -42,8 +40,10 @@ from cluster_forge.strategies import (
     GREED,
     MODESTY,
     STATIC,
+    IdentityAdapter,
     Strategy,
     TwoStage,
+    validate_strategy,
 )
 
 
@@ -336,22 +336,29 @@ class TestIntegerScaledEngine:
         assert event_tree_oracle(table.as_strategy(), config, ps).mean_length == quality
 
     def test_code_deltas_equal_the_fusion_rule(self):
+        # cap = n is the table's rule; a smaller cap the razor model's, in
+        # which a merged chain longer than cap is cut to cap
         n = 10
-        w, success, failure = _count_codes(n)
+        for cap in (n, 4):
+            w, success, failure = _count_codes(n, cap)
 
-        def code(config):
-            return sum(count * w[k] for k, count in config.items)
+            def code(config):
+                return sum(count * w[k] for k, count in config.items)
 
-        configs = list(enumerate_configurations(n))
-        assert len({code(c) for c in configs}) == len(configs)
-        for config in configs:
-            for a, b in config.fusion_pairs():
-                won = config.fuse(a, b, SUCCESS)
-                lost = config.fuse(a, b, FAILURE)
-                assert code(won) == code(config) + success[a][b]
-                assert code(lost) == code(config) + failure[a][b]
-                assert won.vertex_count == config.vertex_count - 1
-                assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)
+            def cut(config):
+                return Configuration.from_lengths(
+                    min(k, cap) for k, count in config.items for _ in range(count))
+
+            configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
+            assert len({code(c) for c in configs}) == len(configs)
+            for config in configs:
+                for a, b in config.fusion_pairs():
+                    won = cut(config.fuse(a, b, SUCCESS))
+                    lost = config.fuse(a, b, FAILURE)
+                    assert code(won) == code(config) + success[a][b]
+                    assert code(lost) == code(config) + failure[a][b]
+                    assert won.vertex_count == config.vertex_count - 1 - (a + b - min(a + b, cap))
+                    assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)
 
 
 def reference_strategy_value(strategy, start, ps, attempts=False):
@@ -449,12 +456,8 @@ class TestIntegerScaledReadSide:
     @pytest.mark.parametrize("strategy", [MODESTY, STATIC], ids=lambda s: s.name)
     def test_memo_holds_scaled_values_and_answers_keep_the_type_of_ps(self, strategy, ps, stored):
         starts = [epr(n) for n in range(1, 11)]
-        if strategy.stateful:
-            classify = _stateful_classifier(strategy)
-            states = [_stateful_start(strategy, start) for start in starts]
-        else:
-            classify = _stateless_classifier(strategy)
-            states = [start.items for start in starts]
+        classify = _classifier(strategy)
+        states = [strategy.start(start) for start in starts]
         _, p, scale, fail_factor = _scaling(ps, 20)
         for attempts in (False, True):
             memo = {}
@@ -469,3 +472,24 @@ class TestIntegerScaledReadSide:
             strategy_quality_range(MODESTY, range(1, 4), Fraction(0))
         with pytest.raises(ValueError):
             strategy_quality_range(STATIC, range(1, 4), 1.5)
+
+
+class TestBothStateKindsThroughOneWalker:
+    """A stateless strategy and its IdentityAdapter play the same process
+    on different kinds of state (configurations, identity chains plus
+    memory); every walker must give both the same answers."""
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048), 0.3], ids=repr)
+    @pytest.mark.parametrize("name", ["modesty", "greed", "lookup"])
+    def test_identity_adapter_agrees_with_its_strategy(self, name, ps):
+        if name == "lookup":
+            strategy = build_quality_table(10).as_strategy()
+        else:
+            strategy = BUILTIN_STRATEGIES[name]
+        adapter = IdentityAdapter(strategy)
+        for start in enumerate_configurations(10):
+            for evaluate in (strategy_quality, expected_attempts):
+                assert_same_number(evaluate(adapter, start, ps), evaluate(strategy, start, ps))
+            # distribution, mean length, expected attempts and path count
+            assert event_tree_oracle(adapter, start, ps) == event_tree_oracle(strategy, start, ps)
+            assert validate_strategy(adapter, start) == validate_strategy(strategy, start)

@@ -14,10 +14,9 @@ from cluster_forge.montecarlo import (
     estimate_quality,
     simulate_run,
     threshold_experiment,
-    two_stage_strategy,
     wilson_interval,
 )
-from cluster_forge.strategies import GREED, MODESTY, STATIC, Greed, Modesty, Strategy, TwoStage
+from cluster_forge.strategies import GREED, MODESTY, STATIC, Greed, Modesty, TwoStage
 
 
 def epr(n):
@@ -53,23 +52,19 @@ class TestSimulateRun:
         final = simulate_run(STATIC, epr(16), 1.0, seed=1)
         assert final == Configuration.single_chain(16)
 
-    def test_broken_conservation_raises_in_anonymous_player(self):
-        class Forger(Strategy):
-            """Modesty that slips an extra chain into the counts it is shown."""
+    def test_broken_conservation_raises_in_anonymous_player(self, monkeypatch):
+        fuse = Configuration.fuse
 
-            name = "forger"
+        def leaky_fuse(self, a, b, outcome):
+            # a success whose merged chain comes out one edge short
+            result = fuse(self, a, b, outcome)
+            if outcome == "S":
+                result = result.add(a + b, -1).add(a + b - 1)
+            return result
 
-            def __init__(self):
-                self.forged = False
-
-            def decide_counts(self, counts):
-                if not self.forged:
-                    self.forged = True
-                    counts[1] = counts.get(1, 0) + 1
-                return MODESTY.decide_counts(counts)
-
+        monkeypatch.setattr(Configuration, "fuse", leaky_fuse)
         with pytest.raises(RuntimeError, match="edge conservation"):
-            simulate_run(Forger(), epr(6), 0.5, seed=3)
+            simulate_run(MODESTY, epr(6), 1.0, seed=3)
 
     def test_broken_conservation_raises_in_identity_player(self, monkeypatch):
         fuse_at = IdentityConfiguration.fuse_at
@@ -130,19 +125,19 @@ class TestEstimateQuality:
 
 class TestTwoStage:
     def test_block_eight_is_static(self):
-        strategy = two_stage_strategy(8)
+        strategy = TwoStage(8)
         for n in (8, 12, 16):
             assert strategy_quality(strategy, epr(n)) == strategy_quality(STATIC, epr(n))
 
     def test_block_size_one_rejected(self):
         with pytest.raises(ValueError):
-            two_stage_strategy(1)
+            TwoStage(1)
 
     def test_block_yield_bound(self):
         # 16 blocks of 8: expected yield >= 16 (q8 - 2) + 2 within 3 sigma
         q8 = strategy_quality(MODESTY, epr(8))
         bound = float(16 * (q8 - 2) + 2)
-        report = estimate_quality(two_stage_strategy(8), epr(128), 0.5, trials=4000, seed=17)
+        report = estimate_quality(TwoStage(8), epr(128), 0.5, trials=4000, seed=17)
         assert report.mean + 3 * report.stderr >= bound
 
     def test_static_bound_at_64_within_three_sigma(self):
