@@ -31,6 +31,7 @@ from .strategies import (
     TwoStage,
     ValidationResult,
     validate_strategy,
+    validate_strategy_sweep,
 )
 from .exact import (
     HALF,
@@ -55,6 +56,7 @@ __all__ = [
     "Strategy", "StatefulStrategy", "Greed", "Modesty", "TwoStage",
     "IdentityAdapter", "LookupStrategy", "ValidationResult",
     "GREED", "MODESTY", "STATIC", "BUILTIN_STRATEGIES", "validate_strategy",
+    "validate_strategy_sweep",
     "HALF", "QualityTable", "TableBudgetExceeded", "OracleResult",
     "strategy_quality", "expected_attempts", "optimal_quality",
     "optimal_attempts", "build_quality_table", "cached_quality_table",

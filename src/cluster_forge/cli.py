@@ -32,7 +32,7 @@ from .exact import (
     strategy_quality,
     strategy_quality_range,
 )
-from .strategies import BUILTIN_STRATEGIES, validate_strategy
+from .strategies import BUILTIN_STRATEGIES, validate_strategy_sweep
 from . import bounds as bnd
 from .montecarlo import estimate_quality, wilson_interval
 from .twodim import (
@@ -150,7 +150,8 @@ def _table_for(n: int, ps) -> QualityTable:
 
 def _cmd_quality(args) -> int:
     ps = _parse_ps(args.ps)
-    _check_least(("--n-min", args.n_min, 0), ("--step", args.step, 1))
+    _check_least(("--n-min", args.n_min, 0), ("--n-max", args.n_max, args.n_min),
+                 ("--step", args.step, 1))
     ns = range(args.n_min, args.n_max + 1, args.step)
     if args.strategy == "all":
         if not isinstance(ps, Fraction) or ps != HALF:
@@ -195,6 +196,7 @@ def _cmd_optimal_table(args) -> int:
     ps = _parse_ps(args.ps)
     if not isinstance(ps, Fraction):
         raise CLIError("persisted tables require an exact rational ps such as 1/2")
+    _check_least(("--n", args.n, 0))
     table = build_quality_table(args.n, ps, max_entries=args.max_entries)
     table.save(args.out)
     print(f"wrote {len(table)} entries for N={args.n} to {args.out}")
@@ -223,7 +225,7 @@ def _cmd_razor(args) -> int:
     if args.n is None and args.n_max is None:
         raise CLIError("need --n (razor-parameter sweep) or --n-max (size sweep)")
     ns = _sizes(args, 0)
-    _check_least(("--r-min", args.r_min, 2))
+    _check_least(("--r-min", args.r_min, 2), ("--r-max", args.r_max, args.r_min))
     columns = ["n", "r", "razor_quality", "razor_attempts", "upper_bound"]
     rows = []
     for n in ns:
@@ -257,7 +259,12 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_weave(args) -> int:
-    params = WeaveParameters(n=args.n, a=args.a, ps=_as_float_ps(args.ps))
+    ps = _as_float_ps(args.ps)
+    _check_least(("--trials", args.trials, 0))
+    try:
+        params = WeaveParameters(n=args.n, a=args.a, ps=ps)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
     pi = single_chain_weave_probability(params)
     overall = overall_success_probability(params)
     try:
@@ -297,11 +304,15 @@ def _cmd_percolation_scan(args) -> int:
     if args.a is not None:
         if not args.ps_grid:
             raise CLIError("--a requires --ps-grid")
-        scan = percolation_scan(n_values, a=args.a, ps_values=_parse_number_list(args.ps_grid, float))
+        grid = {"a": args.a, "ps_values": _parse_number_list(args.ps_grid, float)}
     else:
         if not args.a_grid:
             raise CLIError("--ps requires --a-grid")
-        scan = percolation_scan(n_values, ps=_as_float_ps(args.ps), a_values=_parse_number_list(args.a_grid, float))
+        grid = {"ps": _as_float_ps(args.ps), "a_values": _parse_number_list(args.a_grid, float)}
+    try:
+        scan = percolation_scan(n_values, **grid)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
     comments = [f"threshold={scan.threshold!r}"]
     for (a, ps), trend in sorted(scan.trends.items()):
         comments.append(f"trend a={a!r} ps={ps!r}: {trend}")
@@ -335,12 +346,8 @@ def _cmd_validate(args) -> int:
               file=sys.stderr)
     configs = list(enumerate_configurations(min(size, 14)))
     for name, strategy in BUILTIN_STRATEGIES.items():
-        bad = None
-        for config in configs:
-            result = validate_strategy(strategy, config)
-            if not result.ok:
-                bad = f"{config}: {result.message} at '{result.event}'"
-                break
+        config, result = validate_strategy_sweep(strategy, configs)
+        bad = None if result.ok else f"{config}: {result.message} at '{result.event}'"
         check(f"validity of {name} on all configurations up to {min(size, 14)} edges",
               bad is None, bad or "")
 

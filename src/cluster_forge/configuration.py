@@ -20,7 +20,7 @@ every process terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 SUCCESS = "S"
 FAILURE = "F"
@@ -184,15 +184,23 @@ class Configuration:
         return canonical_key(self) or "(empty)"
 
 
-@dataclass(frozen=True)
-class IdentityConfiguration:
-    """Ordered list of chain lengths (the identity picture)."""
+class _Lineup(NamedTuple):
+    chains: tuple[int, ...]
 
-    chains: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if any(k < 1 for k in self.chains):
-            raise ValueError(f"chain lengths must be positive: {self.chains}")
+class IdentityConfiguration(_Lineup):
+    """Ordered list of chain lengths (the identity picture).
+
+    A one-field named tuple, so it compares and hashes like the plain
+    ``(chains,)`` without a Python-level call: exact evaluation hashes
+    every process state several times."""
+
+    __slots__ = ()
+
+    def __new__(cls, chains: tuple[int, ...] = ()) -> "IdentityConfiguration":
+        if chains and min(chains) < 1:
+            raise ValueError(f"chain lengths must be positive: {chains}")
+        return tuple.__new__(cls, (chains,))
 
     @classmethod
     def from_configuration(cls, config: Configuration) -> "IdentityConfiguration":
@@ -212,7 +220,7 @@ class IdentityConfiguration:
 
     @property
     def vertex_count(self) -> int:
-        return sum(k + 1 for k in self.chains)
+        return sum(self.chains) + len(self.chains)
 
     @property
     def chain_count(self) -> int:
@@ -227,16 +235,16 @@ class IdentityConfiguration:
         n = len(self.chains)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise InvalidFusionError(f"bad chain indices ({i},{j}) for {n} chains")
-        i, j = min(i, j), max(i, j)
-        out = list(self.chains)
+        if i > j:
+            i, j = j, i
+        c = self.chains
         if outcome == SUCCESS:
-            out[i] = out[i] + out[j]
-            del out[j]
+            out = c[:i] + (c[i] + c[j],) + c[i + 1:j] + c[j + 1:]
         else:
-            out[i] -= 1
-            out[j] -= 1
-            out = [k for k in out if k > 0]
-        return IdentityConfiguration(tuple(out))
+            # each chain loses an edge; a chain of length 1 is destroyed
+            out = (c[:i] + ((c[i] - 1,) if c[i] > 1 else ()) + c[i + 1:j]
+                   + ((c[j] - 1,) if c[j] > 1 else ()) + c[j + 1:])
+        return IdentityConfiguration(out)
 
 
 def canonical_key(config: Configuration) -> str:

@@ -311,6 +311,8 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
     kept.
     """
     _check_ps(ps)
+    if n < 0:
+        raise ValueError(f"table size must be at least 0, got {n}")
     exact, p, scale, fail_factor = _scaling(ps, 2 * n)
     w, success, failure = _count_codes(n, n)
     # one shared Fuse per length pair a <= b with a + b <= n

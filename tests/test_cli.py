@@ -227,6 +227,19 @@ class TestSmallSizes:
          "--n-min must be at least 0, got -1"),
         (["razor", "--n", "4", "--r-min", "1", "--r-max", "3"], "--r-min must be at least 2, got 1"),
         (["validate", "--n", "-1"], "--n must be at least 0, got -1"),
+        (["quality", "--strategy", "modesty", "--n-min", "5", "--n-max", "3"],
+         "--n-max must be at least 5, got 3"),
+        (["quality", "--strategy", "all", "--n-max", "0"], "--n-max must be at least 1, got 0"),
+        (["razor", "--n", "4", "--r-min", "4", "--r-max", "3"], "--r-max must be at least 4, got 3"),
+        (["razor", "--n", "4", "--r-max", "1"], "--r-max must be at least 2, got 1"),
+        (["weave", "--n", "0", "--a", "3", "--ps", "0.5"], "cluster side must be at least 1"),
+        (["weave", "--n", "5", "--a", "1", "--ps", "0.5"], "overhead factor must exceed 1"),
+        (["weave", "--n", "5", "--a", "3", "--ps", "0.5", "--trials", "-1"],
+         "--trials must be at least 0, got -1"),
+        (["percolation-scan", "--n-list", "0", "--a", "2", "--ps-grid", "0.4"],
+         "cluster side must be at least 1"),
+        (["percolation-scan", "--n-list", "50", "--ps", "0.5", "--a-grid", "3,1"],
+         "overhead factor must exceed 1"),
     ], ids=" ".join)
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
@@ -234,6 +247,14 @@ class TestSmallSizes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"cluster-forge: error: {message}\n"
+
+    def test_negative_table_size_writes_no_file(self, capsys, tmp_path):
+        out = tmp_path / "t.tsv"
+        code = main(["optimal-table", "--n", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "cluster-forge: error: --n must be at least 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_validate_runs_clean_on_the_smallest_sizes(self, capsys, n):

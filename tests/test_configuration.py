@@ -175,6 +175,18 @@ class TestIdentityConfiguration:
         assert ident.fuse_at(1, 2, FAILURE).chains == (2, 3)
         assert ident.fuse_at(0, 1, FAILURE).chains == (1, 4)
 
+    @pytest.mark.parametrize("chains", [(0,), (2, -1), (3, 0, 1)])
+    def test_nonpositive_lengths_rejected(self, chains):
+        with pytest.raises(ValueError, match="chain lengths must be positive"):
+            IdentityConfiguration(chains)
+
+    def test_compares_and_hashes_by_lineup(self):
+        assert IdentityConfiguration((2, 1)) == IdentityConfiguration((2, 1))
+        assert hash(IdentityConfiguration((2, 1))) == hash(IdentityConfiguration((2, 1)))
+        assert IdentityConfiguration((2, 1)) != IdentityConfiguration((1, 2))
+        assert IdentityConfiguration() == IdentityConfiguration(())
+        assert IdentityConfiguration().chains == ()
+
     def test_fuse_at_rejects_bad_indices(self):
         ident = IdentityConfiguration((2, 1))
         with pytest.raises(InvalidFusionError):
@@ -194,3 +206,27 @@ def test_identity_projects_to_valid_configuration(lengths, data):
     projected = after.to_configuration()
     assert projected.total_length == after.total_length
     assert ident.to_configuration().fuse(lengths[i], lengths[j], outcome) == projected
+
+
+def reference_fuse_at(chains, i, j, outcome):
+    """The fusion rule on a list: the oracle for ``fuse_at``'s lineup."""
+    i, j = min(i, j), max(i, j)
+    out = list(chains)
+    if outcome == SUCCESS:
+        out[i] += out[j]
+        del out[j]
+    else:
+        out[i] -= 1
+        out[j] -= 1
+        out = [k for k in out if k > 0]
+    return tuple(out)
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuse_at_keeps_the_lineup_order(lengths, data):
+    i, j = data.draw(st.lists(st.integers(0, len(lengths) - 1), min_size=2, max_size=2,
+                              unique=True))
+    outcome = data.draw(st.sampled_from([SUCCESS, FAILURE]))
+    after = IdentityConfiguration(tuple(lengths)).fuse_at(i, j, outcome)
+    assert after.chains == reference_fuse_at(lengths, i, j, outcome)

@@ -221,6 +221,11 @@ class TestQualityTable:
         assert err.value.vertex_level > 0
         assert err.value.entries == 10
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="table size must be at least 0, got -1"):
+            build_quality_table(-1)
+        assert len(build_quality_table(0)) == 1
+
     def test_load_shares_one_action_object_per_text(self, tmp_path):
         table = build_quality_table(12)
         path = tmp_path / "table.tsv"
@@ -365,7 +370,8 @@ def reference_strategy_value(strategy, start, ps, attempts=False):
     """Quality (or expected attempts) of ``strategy`` from ``start`` by the
     plain recursion value = base + ps * value(success) + (1 - ps) *
     value(failure), memoized on states: the oracle for the
-    integer-scaled read side."""
+    integer-scaled read side. A two-stage strategy decides each state with
+    a fresh copy, so no decision it remembers is used."""
     cast = Fraction if isinstance(ps, Fraction) else float
     base = cast(1 if attempts else 0)
     memo = {}
@@ -374,7 +380,10 @@ def reference_strategy_value(strategy, start, ps, attempts=False):
         if state not in memo:
             if strategy.stateful:
                 chains, memory = state
-                action = strategy.decide(chains, memory)
+                decider = strategy
+                if isinstance(strategy, TwoStage):
+                    decider = TwoStage(strategy.block_size, strategy.inner)
+                action = decider.decide(chains, memory)
                 total = chains.total_length
             else:
                 action = strategy.decide(state)
@@ -410,7 +419,7 @@ def assert_same_number(value, reference):
 
 
 READ_SIDE_STRATEGIES = [MODESTY, GREED, STATIC, TwoStage(2), TwoStage(3), TwoStage(5),
-                        TwoStage(3, inner=GREED)]
+                        TwoStage(8), TwoStage(3, inner=GREED)]
 READ_SIDE_PS = [HALF, Fraction(1, 3), Fraction(137, 2048), Fraction(1)]
 READ_SIDE_PS += [float(ps) for ps in READ_SIDE_PS]
 

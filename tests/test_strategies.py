@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +14,9 @@ from cluster_forge.configuration import (
     Configuration,
     Fuse,
     IdentityConfiguration,
+    Stop,
     enumerate_configurations,
+    parse_key,
 )
 from cluster_forge.strategies import (
     BUILTIN_STRATEGIES,
@@ -20,7 +27,9 @@ from cluster_forge.strategies import (
     LookupStrategy,
     Strategy,
     TwoStage,
+    ValidationResult,
     validate_strategy,
+    validate_strategy_sweep,
 )
 
 
@@ -147,29 +156,31 @@ class TestStatic:
                 stack.append((nxt, mem))
 
 
+class Quitter(Strategy):
+    name = "quitter"
+
+    def decide(self, config):
+        return STOP
+
+
+class Fantasist(Strategy):
+    name = "fantasist"
+
+    def decide(self, config):
+        return Fuse(3, 1)
+
+
 class TestValidation:
     def test_greed_ok(self):
         assert validate_strategy(GREED, Configuration.epr_pairs(6)).ok
 
     def test_premature_stop_detected(self):
-        class Quitter(Strategy):
-            name = "quitter"
-
-            def decide(self, config):
-                return STOP
-
         result = validate_strategy(Quitter(), Configuration.epr_pairs(2))
         assert not result.ok
         assert "premature stop" in result.message
         assert result.event == ""
 
     def test_null_fusion_detected(self):
-        class Fantasist(Strategy):
-            name = "fantasist"
-
-            def decide(self, config):
-                return Fuse(3, 1)
-
         result = validate_strategy(Fantasist(), Configuration.epr_pairs(2))
         assert not result.ok
         assert "null fusion" in result.message
@@ -228,3 +239,245 @@ class TestLookupStrategy:
         result = validate_strategy(strategy, Configuration.epr_pairs(2))
         assert not result.ok
         assert "no decision" in result.message
+
+
+def reference_validate(strategy, start, max_steps=None):
+    """One start's validity walk with a seen set of its own: the oracle
+    for the shared sweep of :func:`validate_strategy_sweep`."""
+    if max_steps is None:
+        max_steps = start.vertex_count
+    seen = set()
+    stack = [(strategy.start(start), "")]
+    while stack:
+        state, event = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        if len(event) > max_steps:
+            return ValidationResult(False, event, "did not terminate within the step bound")
+        try:
+            action = strategy.choose(state)
+        except KeyError as exc:
+            return ValidationResult(False, event, f"no decision available: {exc}")
+        n_chains = state.chain_count
+        if isinstance(action, Stop):
+            if n_chains > 1:
+                return ValidationResult(False, event, f"premature stop with {n_chains} chains")
+            continue
+        if n_chains <= 1:
+            return ValidationResult(False, event, "fusion attempted on a terminal configuration")
+        for outcome in (SUCCESS, FAILURE):
+            try:
+                child = strategy.step(state, action, outcome)
+            except (ValueError, IndexError) as exc:
+                return ValidationResult(False, event + outcome, f"null fusion: {exc}")
+            stack.append((child, event + outcome))
+    return ValidationResult(True)
+
+
+class LateQuitter(Strategy):
+    """Smallest-first, but stops once three chains hold six or more edges."""
+
+    name = "late-quitter"
+
+    def decide(self, config):
+        if config.chain_count == 3 and config.total_length >= 6:
+            return STOP
+        return MODESTY.decide(config)
+
+
+class LateFantasist(Strategy):
+    """Smallest-first, but asks for a second chain of its longest length
+    once a lone longest chain has four edges."""
+
+    name = "late-fantasist"
+
+    def decide(self, config):
+        if config.chain_count >= 2:
+            longest = config.lengths()[-1]
+            if longest >= 4 and config.count(longest) == 1:
+                return Fuse(longest, longest)
+        return MODESTY.decide(config)
+
+
+class Treadmill(Strategy):
+    """Smallest-first whose failed attempts leave the state as it was: a
+    step that removes no vertex."""
+
+    name = "treadmill"
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+    def step(self, state, action, outcome):
+        return state if outcome == FAILURE else super().step(state, action, outcome)
+
+
+class Grower(Strategy):
+    """Smallest-first whose failed attempts add a chain of length 1, so
+    only the step bound ends a walk."""
+
+    name = "grower"
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+    def step(self, state, action, outcome):
+        return state.add(1) if outcome == FAILURE else super().step(state, action, outcome)
+
+
+class Detour(Strategy):
+    """Smallest-first, except that a failed attempt at a configuration
+    named in ``detours`` goes to the configuration it names."""
+
+    name = "detour"
+
+    def __init__(self, detours):
+        self.detours = {parse_key(key): parse_key(to) for key, to in detours.items()}
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+    def step(self, state, action, outcome):
+        if outcome == FAILURE and state in self.detours:
+            return self.detours[state]
+        return super().step(state, action, outcome)
+
+
+# Two walks that reach a state walked clean from an earlier start only
+# after more steps than the later start's bound. From three pairs (6
+# vertices), six failures that each add a vertex lead to 1^9, whose
+# seventh failure reaches two pairs, the earlier start. From five pairs
+# (10 vertices), four failures keep 10 vertices and seven more remove at
+# least one each, ending on a single pair. Skipping the earlier start as
+# already seen would report the success branch one step above it.
+DETOUR = Detour({f"1^{k}": f"1^{k + 1}" for k in range(3, 9)} | {"1^9": "1^2"})
+LEVEL_DETOUR = Detour(dict(zip(
+    ["1^5", "1^1,7^1", "2^1,6^1", "3^1,5^1", "4^2", "1^3,2^1", "1^4", "1^2,2^1", "1^3",
+     "1^1,2^1", "1^2"],
+    ["1^1,7^1", "2^1,6^1", "3^1,5^1", "4^2", "1^3,2^1", "1^4", "1^2,2^1", "1^3", "1^1,2^1",
+     "1^2", "1^1"])))
+DETOUR_CASES = [(DETOUR, [parse_key("1^2"), parse_key("1^3")], "F" * 7),
+                (LEVEL_DETOUR, [parse_key("1^1"), parse_key("1^5")], "F" * 11)]
+# every configuration up to 10 edges, in vertex-count order: a state below
+# a start is itself an earlier start, so failures show at the root; from
+# pairs alone they show deep in the tree
+SMALL_STARTS = list(enumerate_configurations(10))
+PAIR_STARTS = [Configuration.epr_pairs(n) for n in range(13)]
+SWEEP_STRATEGIES = [GREED, MODESTY, STATIC, Quitter(), Fantasist(),
+                    LookupStrategy({"1^2": Fuse(1, 1)}), LateQuitter(), LateFantasist(),
+                    Treadmill(), Grower(), DETOUR]
+SWEEP_CASES = [(strategy, starts) for strategy in SWEEP_STRATEGIES
+               for starts in (SMALL_STARTS, PAIR_STARTS)]
+SWEEP_CASES += [(strategy, starts) for strategy, starts, _ in DETOUR_CASES]
+SWEEP_IDS = [f"{strategy.name}-{kind}" for strategy in SWEEP_STRATEGIES
+             for kind in ("small", "pairs")] + ["detour-two-starts", "level-detour-two-starts"]
+
+
+class CountingStrategy:
+    """Passes the process interface through, counting decisions."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.decisions = 0
+
+    def start(self, config):
+        return self.inner.start(config)
+
+    def choose(self, state):
+        self.decisions += 1
+        return self.inner.choose(state)
+
+    def step(self, state, action, outcome):
+        return self.inner.step(state, action, outcome)
+
+
+class TestValidationSweep:
+    @pytest.mark.parametrize("max_steps", [None, 3])
+    @pytest.mark.parametrize("strategy, starts", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_sweep_equals_one_walk_per_start(self, strategy, starts, max_steps):
+        expected = (None, ValidationResult(True))
+        for start in starts:
+            result = reference_validate(strategy, start, max_steps)
+            assert validate_strategy(strategy, start, max_steps) == result
+            if not result.ok and expected[1].ok:
+                expected = (start, result)
+        assert validate_strategy_sweep(strategy, starts, max_steps) == expected
+
+    @pytest.mark.parametrize("strategy, starts, event", DETOUR_CASES,
+                             ids=["detour", "level-detour"])
+    def test_a_state_seen_before_still_counts_its_steps(self, strategy, starts, event):
+        assert validate_strategy_sweep(strategy, starts) == (
+            starts[1], ValidationResult(False, event, "did not terminate within the step bound"))
+
+    def test_broken_strategies_fail_deep_in_a_later_start(self):
+        for strategy in (LateQuitter(), LateFantasist()):
+            start, result = validate_strategy_sweep(strategy, PAIR_STARTS)
+            assert not result.ok and result.event
+            assert start.chain_count > 4
+
+    @pytest.mark.parametrize("strategy", [GREED, MODESTY, STATIC], ids=lambda s: s.name)
+    def test_sweep_decides_each_reachable_state_once(self, strategy):
+        reachable = set()
+        stack = [strategy.start(start) for start in SMALL_STARTS]
+        while stack:
+            state = stack.pop()
+            if state in reachable:
+                continue
+            reachable.add(state)
+            action = strategy.choose(state)
+            if isinstance(action, Fuse):
+                stack.extend(strategy.step(state, action, outcome) for outcome in (SUCCESS, FAILURE))
+        counting = CountingStrategy(strategy)
+        assert validate_strategy_sweep(counting, SMALL_STARTS) == (None, ValidationResult(True))
+        assert counting.decisions == len(reachable)
+
+    def test_no_starts_is_valid(self):
+        assert validate_strategy_sweep(GREED, []) == (None, ValidationResult(True))
+
+
+class Stubborn(Strategy):
+    name = "stubborn"
+
+    def decide(self, config):
+        return STOP
+
+
+def assert_two_stage_errors_raise():
+    """A two-stage strategy whose inner strategy stops inside a block, or
+    whose block memory has no block to work on, raises ValueError; uses no
+    assert statement, so it also checks under -O."""
+    with pytest.raises(ValueError, match=r"inner strategy stubborn returned Stop inside the "
+                                         r"block \(1, 1, 1\)"):
+        TwoStage(3, Stubborn()).decide(IdentityConfiguration((1, 1, 1)), ("blocks", (3,)))
+    with pytest.raises(ValueError, match=r"two-stage-3-modesty: block memory \(1, 1\) has no "
+                                         r"block of two or more chains"):
+        TwoStage(3).decide(IdentityConfiguration((1, 1)), ("blocks", (1, 1)))
+
+
+class TestTwoStageBlockDecisions:
+    def test_instances_with_different_inner_strategies_decide_apart(self):
+        chains = IdentityConfiguration((1, 2, 3))
+        smallest, largest = TwoStage(3, MODESTY), TwoStage(3, GREED)
+        for _ in range(2):
+            assert smallest.decide(chains, ("blocks", (3,))) == Fuse(0, 1)
+            assert largest.decide(chains, ("blocks", (3,))) == Fuse(1, 2)
+
+    def test_a_remembered_lineup_is_moved_to_its_block(self):
+        strategy = TwoStage(3)
+        assert strategy.decide(IdentityConfiguration((2, 1, 1)), ("blocks", (3,))) == Fuse(1, 2)
+        assert strategy.decide(IdentityConfiguration((4, 2, 1, 1)), ("blocks", (1, 3))) == Fuse(2, 3)
+        assert strategy.decide(IdentityConfiguration((2, 1, 1)), ("blocks", (3,))) == Fuse(1, 2)
+
+    def test_bad_inner_action_and_memory_raise(self):
+        assert_two_stage_errors_raise()
+
+    def test_bad_inner_action_and_memory_raise_under_python_O(self):
+        env = dict(os.environ)
+        package_root = str(Path(sys.modules[TwoStage.__module__].__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = ("assert False, 'asserts must be stripped'\n"
+                "import test_strategies\n"
+                "test_strategies.assert_two_stage_errors_raise()")
+        subprocess.run([sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, env=env,
+                       check=True, timeout=120)
