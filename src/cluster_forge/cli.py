@@ -121,9 +121,16 @@ def _emit_json(path, subcommand, payload) -> None:
     _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
+# Tables read from CLUSTER_FORGE_TABLE_DIR, by file path, kept for the rest
+# of the process. They stay out of the exact-engine cache, which answers
+# library calls only from tables built in this process.
+_file_tables: dict[str, QualityTable] = {}
+
+
 def _table_for(n: int, ps) -> QualityTable:
     """Table covering total length n, via the exact-engine cache and the
-    CLUSTER_FORGE_TABLE_DIR file cache when set."""
+    CLUSTER_FORGE_TABLE_DIR file cache when set; each file is read at
+    most once per process."""
     table_dir = os.environ.get("CLUSTER_FORGE_TABLE_DIR")
     if table_dir and isinstance(ps, Fraction):
         candidates = []
@@ -137,7 +144,10 @@ def _table_for(n: int, ps) -> QualityTable:
                     candidates.append((file_n, name))
         if candidates:
             candidates.sort()
-            return QualityTable.load(os.path.join(table_dir, candidates[0][1]))
+            path = os.path.join(table_dir, candidates[0][1])
+            if path not in _file_tables:
+                _file_tables[path] = QualityTable.load(path)
+            return _file_tables[path]
         table = cached_quality_table(n, ps)
         table.save(os.path.join(table_dir, f"table-n{n}-ps{ps.numerator}-{ps.denominator}.tsv"))
         return table

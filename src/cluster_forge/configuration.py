@@ -270,38 +270,122 @@ def _partitions_into(total: int, parts: int, max_part: int) -> list[tuple[tuple[
     out: list[tuple[tuple[int, int], ...]] = []
 
     def extend(prefix, total, parts, min_part):
-        if parts == 0:
-            out.append(prefix)
-            return
         # the smallest part is at most the mean
         for part in range(min_part, min(max_part, total // parts) + 1):
             rest, rest_parts = total, parts
-            for mult in range(1, parts + 1):
+            for mult in range(1, parts):
                 rest -= part
                 rest_parts -= 1
                 # the other parts must fit in [part + 1, max_part]
                 if rest_parts * (part + 1) <= rest <= rest_parts * max_part:
                     extend(prefix + ((part, mult),), rest, rest_parts, part + 1)
+            if part * parts == total:  # all the parts are equal
+                out.append(prefix + ((part, parts),))
 
-    if parts or not total:  # zero parts only sum to zero
+    if parts:
         extend((), total, parts, 1)
+    elif not total:  # zero parts only sum to zero
+        out.append(())
     return out
+
+
+def _blocks(max_total_length: int) -> Iterator[tuple[int, int]]:
+    """``(vertex count, total length)`` of each block of configurations in
+    storage order: vertex count ascending, then total length ascending.
+    The block of V vertices and L edges holds the partitions of L into
+    V - L parts, in the order :func:`_partitions_into` gives them; no
+    block is empty."""
+    yield 0, 0  # the empty configuration
+    for v in range(2, 2 * max_total_length + 1):
+        # every chain has at least one edge, and there is at least one chain
+        for total in range((v + 1) // 2, min(v - 1, max_total_length) + 1):
+            yield v, total
+
+
+def _partition_ranker(max_total_length: int):
+    """``(rank, keys, size)`` for the ``size`` configurations of at most
+    ``max_total_length`` edges, numbered by their position in
+    :func:`enumerate_configurations`.
+
+    ``rank(items)`` gives ``(position, vertex count)`` of the configuration
+    with these ``(length, count)`` items and raises KeyError beyond
+    ``max_total_length`` edges. ``keys()`` yields ``(canonical key,
+    position, vertex count)`` for every configuration, in no set order,
+    each in O(1) steps.
+
+    Neither builds a dictionary over configurations. A position is the
+    last position of the configuration's block (t edges in c chains, see
+    :func:`_blocks`) less the partitions after it in the block, in the
+    order of :func:`_partitions_into`. Take an item (k, m) with (T', C')
+    the edges and chains of it and every longer item, (T, C) those of the
+    longer items alone, and r = T - C*k. Among the partitions that agree
+    with this one below k, ``exactly[C'][r]`` have a next part above k
+    (take k from each of the C' parts) and ``fewer[C][r]`` have more than
+    m parts equal to k (the C' - j parts above k, for j > m copies, sum
+    to r + (C' - j) * k). The terms of all items add up to the count.
+    """
+    n = max_total_length
+    # exactly[c][r]: partitions of r into exactly c parts
+    exactly = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for c in range(1, n + 1):
+        for r in range(c, n + 1):
+            exactly[c][r] = exactly[c - 1][r - 1] + exactly[c][r - c]
+    # fewer[c][r]: partitions of r into fewer than c parts
+    fewer = [[0] * (n + 1)]
+    for c in range(1, n + 1):
+        fewer.append([x + y for x, y in zip(fewer[-1], exactly[c - 1])])
+    # last[c][t]: position of the last configuration of t edges in c chains
+    last = [[0] * (n + 1) for _ in range(n + 1)]
+    size = 0
+    for v, total in _blocks(n):
+        size += exactly[v - total][total]
+        last[v - total][total] = size - 1
+    # texts[k][m] is "k^m", the canonical_key text of m chains of length k
+    texts = [[]] + [[f"{k}^{m}" for m in range(n // k + 1)] for k in range(1, n + 1)]
+
+    def rank(items) -> tuple[int, int]:
+        total = chains = after = 0
+        try:
+            for k, m in reversed(items):
+                rest = total - chains * k
+                chains += m
+                after += exactly[chains][rest] + fewer[chains - m][rest]
+                total += k * m
+            return last[chains][total] - after, total + chains
+        except IndexError:
+            raise KeyError(f"{items} has more than {n} edges") from None
+
+    def keys() -> Iterator[tuple[str, int, int]]:
+        yield "", 0, 0
+        # configurations to extend by shorter lengths: (key, edges,
+        # chains, shortest length, the terms of their items)
+        stack = [("", 0, 0, n + 1, 0)]
+        while stack:
+            key, total, chains, shortest, after = stack.pop()
+            tail = "," + key if key else ""
+            for k in range(1, min(shortest, n - total + 1)):
+                rest = total - chains * k
+                base = after + fewer[chains][rest]
+                for m in range(1, (n - total) // k + 1):
+                    c = chains + m
+                    t = total + k * m
+                    here = base + exactly[c][rest]
+                    text = texts[k][m] + tail
+                    yield text, last[c][t] - here, t + c
+                    if k > 1:
+                        stack.append((text, t, c, k, here))
+
+    return rank, keys, size
 
 
 def enumerate_configurations(max_total_length: int) -> Iterator[Configuration]:
     """Yield every configuration with total_length <= the given bound,
-    exactly once, in non-decreasing vertex-count order (ties broken by
-    canonical key). Dependencies of the quality recursion always precede
-    their dependents in this order.
+    exactly once, in storage order (see :func:`_blocks`): non-decreasing
+    vertex count, so the dependencies of the quality recursion always
+    precede their dependents. :func:`_partition_ranker` gives each
+    configuration's position in this order.
 
-    Lazy by vertex level: level V holds the configurations of L edges in
-    V - L chains, and only that level is built and sorted before its
-    first configuration is yielded."""
-    for v in range(2 * max_total_length + 1):
-        level = [
-            Configuration(items)
-            for total in range((v + 1) // 2, min(v, max_total_length) + 1)
-            for items in _partitions_into(total, v - total, total)
-        ]
-        level.sort(key=canonical_key)
-        yield from level
+    Lazy by block: only one block of partitions is built at a time."""
+    for v, total in _blocks(max_total_length):
+        for items in _partitions_into(total, v - total, total):
+            yield Configuration(items)

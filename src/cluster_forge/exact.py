@@ -18,15 +18,24 @@ recursion is well-founded and can be tabulated level by level.
   ``I = value * q**V`` as a Python int. Success removes one vertex and
   failure ``drop = 2 + [a == 1] + [b == 1]``, so
   ``I(C) = p * I(S) + (q - p) * q**(drop - 1) * I(F)``: no gcd inside
-  the DP, and values of one level compare as plain ints. Each table
-  entry is one ``Fraction(I, q**V)``. A float ``ps`` runs the same code
-  with q = 1, which gives bit-identical floats since ``x * 1`` is exact.
-* Count codes. Configurations are keyed by the integer
+  the DP, and values of one level compare as plain ints. A float ``ps``
+  runs the same code with q = 1, which gives bit-identical floats since
+  ``x * 1`` is exact.
+* Count codes. Inside the DP, configurations are keyed by the integer
   ``sum(count_k * (n + 1)**k)``, so both successors of a fusion are the
   code plus a precomputed shift (:func:`_count_codes`).
-* Level-lazy enumeration. :func:`enumerate_configurations` builds one
-  vertex level at a time, and a successor is at most four levels down,
-  so the DP keeps four levels of values and a budget stops early.
+* Level-lazy enumeration. Count vectors come straight from
+  ``configuration._partitions_into``, one block of vertex and edge count
+  at a time, in the order of :func:`enumerate_configurations`. A
+  successor is at most four levels down, so the DP keeps four levels of
+  values and a budget stops early.
+* Rank-indexed storage. Each configuration's entry sits at its rank,
+  its position in that order, as one scaled value in a list and one
+  index into a shared list of actions in an ``array('H')``. The build
+  makes no configuration object, key string or Fraction: a
+  :class:`QualityTable` computes the rank from a count vector when asked
+  (``configuration._partition_ranker``) and builds ``Fraction(I, q**V)``
+  and key strings only on demand.
 
 The read side is scaled the same way. :func:`strategy_quality`,
 :func:`expected_attempts` and :func:`strategy_quality_range` walk a
@@ -42,9 +51,12 @@ starts; the memo is dropped when the sweep returns. The razor model in
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator
+from math import gcd
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterator, Mapping
 
 from .configuration import (
     FAILURE,
@@ -55,9 +67,10 @@ from .configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
-    canonical_key,
+    _blocks,
+    _partition_ranker,
+    _partitions_into,
     enumerate_configurations,
-    parse_key,
 )
 from .strategies import LookupStrategy, StatefulStrategy, Strategy, format_action, parse_action
 
@@ -208,71 +221,139 @@ def expected_attempts(
     return _sweep(strategy, [start], ps, attempts=True)[0]
 
 
-@dataclass
 class QualityTable:
     """Optimal quality and an optimal action for every configuration with
-    at most ``n`` edges, keyed by canonical key."""
+    at most ``n`` edges, stored by rank.
 
-    n: int
-    ps: Fraction
-    entries: dict[str, tuple[Fraction, Action]]
+    Entry r belongs to the configuration at position r of
+    :func:`enumerate_configurations`; :meth:`rank` computes r from the
+    configuration's count vector with a table of restricted-partition
+    counts (``configuration._partition_ranker``); the table holds no
+    dictionary over entries. ``values[r]`` is the scaled int ``I = quality * q**V``
+    for ``ps = p/q`` and a configuration of V vertices, or the quality
+    itself for a float ``ps``. The action is ``actions[action_ids[r]]``,
+    a small index into one shared list of ``Fuse``/``STOP`` objects.
+    :meth:`quality` builds ``Fraction(I, q**V)`` only when asked, and
+    canonical key strings are made only by :meth:`save`, :meth:`load`,
+    :meth:`as_strategy` and :attr:`entries`.
+    """
+
+    def __init__(self, n: int, ps, values: list, action_ids: array, actions: list[Action]):
+        self.n = n
+        self.ps = ps
+        self.values = values
+        self.action_ids = action_ids
+        self.actions = actions
+        self._rank, self._keys, _ = _partition_ranker(n)
+        # q**V per vertex count V for an exact ps; None for a float ps
+        self._scale = ([ps.denominator ** v for v in range(2 * n + 1)]
+                       if isinstance(ps, Fraction) else None)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     def __contains__(self, config: Configuration) -> bool:
-        return canonical_key(config) in self.entries
+        return config.total_length <= self.n
 
-    def quality(self, config: Configuration) -> Fraction:
-        return self.entries[canonical_key(config)][0]
+    def rank(self, config: Configuration) -> int:
+        """Storage position of ``config``; KeyError beyond ``n`` edges."""
+        return self._rank(config.items)[0]
+
+    def _quality(self, position: int, vertices: int):
+        value = self.values[position]
+        return value if self._scale is None else Fraction(value, self._scale[vertices])
+
+    def quality(self, config: Configuration):
+        return self._quality(*self._rank(config.items))
 
     def action(self, config: Configuration) -> Action:
-        return self.entries[canonical_key(config)][1]
+        return self.actions[self.action_ids[self._rank(config.items)[0]]]
 
     def items(self) -> Iterator[tuple[Configuration, Fraction, Action]]:
-        for key, (quality, action) in self.entries.items():
-            yield parse_key(key), quality, action
+        """``(configuration, quality, action)`` in storage order."""
+        actions, action_ids = self.actions, self.action_ids
+        for position, config in enumerate(enumerate_configurations(self.n)):
+            yield (config, self._quality(position, config.vertex_count),
+                   actions[action_ids[position]])
+
+    @property
+    def entries(self) -> Mapping[str, tuple[Fraction, Action]]:
+        """Read-only ``{canonical key: (quality, action)}``, built anew on
+        each access."""
+        actions, action_ids = self.actions, self.action_ids
+        return MappingProxyType({
+            key: (self._quality(position, vertices), actions[action_ids[position]])
+            for key, position, vertices in self._keys()})
 
     def as_strategy(self, name: str = "optimal") -> LookupStrategy:
-        return LookupStrategy({k: a for k, (_, a) in self.entries.items()}, name=name)
+        actions, action_ids = self.actions, self.action_ids
+        return LookupStrategy({key: actions[action_ids[position]]
+                               for key, position, _ in self._keys()}, name=name)
 
     def save(self, path) -> None:
         """Header ``N=<n> ps=<num>/<den>`` then one sorted line per entry:
         ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible."""
-        if not isinstance(self.ps, Fraction):
+        if self._scale is None:
             raise TypeError("only exact-rational tables are persisted")
+        texts = [format_action(action) for action in self.actions]
+        values, action_ids, scale = self.values, self.action_ids, self._scale
+        lines = []
+        for key, position, vertices in self._keys():
+            value, denominator = values[position], scale[vertices]
+            common = gcd(value, denominator)
+            lines.append(f"{key}\t{value // common}/{denominator // common}"
+                         f"\t{texts[action_ids[position]]}\n")
+        # a tab sorts before every key character, so this is key order
+        lines.sort()
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"N={self.n} ps={self.ps.numerator}/{self.ps.denominator}\n")
-            for key in sorted(self.entries):
-                quality, action = self.entries[key]
-                fh.write(
-                    f"{key}\t{quality.numerator}/{quality.denominator}\t"
-                    f"{format_action(action)}\n"
-                )
+            fh.writelines(lines)
 
     @classmethod
     def load(cls, path) -> "QualityTable":
+        """Read a table written by :meth:`save`. Raises ValueError unless
+        the file holds every configuration of at most N edges exactly
+        once, each with a value that is a multiple of ``1/q**V``."""
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip()
             fields = dict(part.split("=", 1) for part in header.split())
             n = int(fields["N"])
             num, _, den = fields["ps"].partition("/")
             ps = Fraction(int(num), int(den))
-            entries: dict[str, tuple[Fraction, Action]] = {}
+            _, keys, size = _partition_ranker(n)
+            unread = {key: (position, vertices) for key, position, vertices in keys()}
+            scale = [ps.denominator ** v for v in range(2 * n + 1)]
+            values: list = [None] * size
+            action_ids = array("H", bytes(2 * size))
             # a table holds few distinct actions: parse each text once and
             # share the frozen action objects
-            actions: dict[str, Action] = {}
+            actions: list[Action] = []
+            action_index: dict[str, int] = {}
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 key, value, text = line.split("\t")
-                action = actions.get(text)
-                if action is None:
-                    action = actions[text] = parse_action(text)
+                try:
+                    position, vertices = unread.pop(key)
+                except KeyError:
+                    raise ValueError(f"{path}: '{key}' is repeated or not the key of a "
+                                     f"configuration of at most N={n} edges") from None
                 num, _, den = value.partition("/")
-                entries[key] = (Fraction(int(num), int(den)), action)
-        return cls(n=n, ps=ps, entries=entries)
+                den = int(den)
+                if den < 1 or scale[vertices] % den:
+                    raise ValueError(f"{path}: value {value} of '{key}' is not a multiple "
+                                     f"of 1/{scale[vertices]}")
+                values[position] = int(num) * (scale[vertices] // den)
+                index = action_index.get(text)
+                if index is None:
+                    index = action_index[text] = len(actions)
+                    actions.append(parse_action(text))
+                action_ids[position] = index
+        if unread:
+            raise ValueError(f"{path}: {len(unread)} of the {size} entries for N={n} are "
+                             f"missing, such as '{next(iter(unread))}'")
+        return cls(n, ps, values, action_ids, actions)
 
 
 def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -306,29 +387,31 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
     :class:`TableBudgetExceeded` when ``max_entries`` is hit, naming the
     vertex-count level that was being filled.
 
-    Values are integer-scaled and keyed by count code, as the module
-    docstring describes; only the four levels below the current one are
-    kept.
+    Values are integer-scaled and keyed by count code while the DP runs,
+    and stored by rank, as the module docstring describes; only the four
+    levels below the current one are kept by code.
     """
     _check_ps(ps)
     if n < 0:
         raise ValueError(f"table size must be at least 0, got {n}")
-    exact, p, scale, fail_factor = _scaling(ps, 2 * n)
+    _, p, scale, fail_factor = _scaling(ps, 2 * n)
     w, success, failure = _count_codes(n, n)
-    # one shared Fuse per length pair a <= b with a + b <= n
-    fuses = [[Fuse(a, b) if a <= b else None for b in range(n + 1 - a)] for a in range(n + 1)]
+    # one shared action list: STOP, then Fuse(a, b) for a <= b, a + b <= n
+    actions: list[Action] = [STOP]
+    fuse_ids = [[0] * (n + 1 - a) for a in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(a, n + 1 - a):
+            fuse_ids[a][b] = len(actions)
+            actions.append(Fuse(a, b))
+    values: list = []
+    action_ids = array("H")
     levels: dict[int, dict[int, object]] = {}
-    entries: dict[str, tuple[object, Action]] = {}
     level = -1
-    for config in enumerate_configurations(n):
-        items = config.items
-        v = code = chains = 0
-        for k, count in items:
-            v += count * (k + 1)
-            code += count * w[k]
-            chains += count
-        if max_entries is not None and len(entries) >= max_entries:
-            raise TableBudgetExceeded(n, v, len(entries), max_entries)
+    for v, total in _blocks(n):
+        block = _partitions_into(total, v - total, total)
+        if max_entries is not None and len(values) + len(block) > max_entries:
+            # the entries stored when the next one would exceed the budget
+            raise TableBudgetExceeded(n, v, max(max_entries, 0), max_entries)
         if v != level:
             level = v
             levels.pop(v - 5, None)
@@ -336,24 +419,31 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
             # below[d]: values one to four vertices down
             below = [None] + [levels.get(v - d, {}) for d in (1, 2, 3, 4)]
             down = below[1]
-        if chains <= 1:
-            best = (v - chains) * scale[v]
-            action: Action = STOP
-        else:
-            best = None
+        if v - total <= 1:
+            # the empty configuration or one chain: stop
+            here[w[total]] = best = total * scale[v]
+            values.append(best)
+            action_ids.append(0)
+            continue
+        for items in block:
+            code = 0
+            for k, count in items:
+                code += count * w[k]
+            best = -1  # below every value
             for i, (a, count) in enumerate(items):
-                s_row, f_row, fuse_row = success[a], failure[a], fuses[a]
+                s_row, f_row, id_row = success[a], failure[a], fuse_ids[a]
                 drop_a = 2 + (a == 1)
                 for b, _ in items[i if count >= 2 else i + 1:]:
                     drop = drop_a + (b == 1)
                     value = (p * down[code + s_row[b]]
                              + fail_factor[drop] * below[drop][code + f_row[b]])
-                    if best is None or value > best:
+                    if value > best:
                         best = value
-                        action = fuse_row[b]
-        here[code] = best
-        entries[canonical_key(config)] = (Fraction(best, scale[v]) if exact else best, action)
-    return QualityTable(n=n, ps=ps, entries=entries)
+                        action = id_row[b]
+            here[code] = best
+            values.append(best)
+            action_ids.append(action)
+    return QualityTable(n, ps, values, action_ids, actions)
 
 
 _table_cache: dict[tuple[int, type, object], QualityTable] = {}

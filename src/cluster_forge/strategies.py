@@ -395,8 +395,9 @@ def validate_strategy(
     exactly when at most one chain remains) and that every branch
     terminates within ``max_steps`` (default: the vertex count of the
     start, an upper bound on any fusion sequence). Returns the first
-    violation's event string, if any. A one-start
-    :func:`validate_strategy_sweep`.
+    violation's event string, if any. A ``choose`` that raises KeyError
+    (no decision) or ValueError (an action it cannot realise) fails the
+    check at that state. A one-start :func:`validate_strategy_sweep`.
     """
     return validate_strategy_sweep(strategy, [start], max_steps)[1]
 
@@ -457,6 +458,8 @@ def _walk(strategy, start, bound: int, seen: set, shrinking: bool) -> Validation
             action = strategy.choose(state)
         except KeyError as exc:
             return ValidationResult(False, event, f"no decision available: {exc}")
+        except ValueError as exc:
+            return ValidationResult(False, event, f"invalid decision: {exc}")
         n_chains = state.chain_count
         if isinstance(action, Stop):
             if n_chains > 1:

@@ -168,7 +168,7 @@ def test_criterion_06_linear_program_and_corollary(table30):
         assert bounds.lp_attempts_bound(n) == expected, n
     for n in range(6, TABLE_N + 1):
         assert table.quality(epr(n)) <= bounds.analytic_upper_bound(n), n
-    report(6, "simplex + dual certificates match closed form for N=1..200; "
+    report(6, "checked primal/dual certificates match closed form for N=1..200; "
               "quality <= N/5 + 2 for N=6..30")
 
 

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from cluster_forge import cli, exact
 from cluster_forge.cli import build_parser, main
-from cluster_forge.exact import QualityTable, clear_table_cache
+from cluster_forge.exact import QualityTable, build_quality_table, clear_table_cache
 
 
 def run(capsys, *argv):
@@ -194,6 +195,27 @@ class TestFlagsAndCaches:
         code, second = run(capsys, "quality", "--strategy", "optimal", "--n-max", "6")
         assert code == 0
         assert first == second
+
+    def test_each_table_file_is_read_once(self, capsys, tmp_path, monkeypatch):
+        steps = [("quality", "--strategy", "all", "--n-max", "10"), ("bounds", "--n-max", "10")]
+        clear_table_cache()
+        built = [run(capsys, *argv) for argv in steps]
+        clear_table_cache()
+        build_quality_table(10).save(tmp_path / "table-n10-ps1-2.tsv")
+        monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "_file_tables", {})
+        loads = []
+        load = QualityTable.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(QualityTable, "load", classmethod(counting_load))
+        assert [run(capsys, *argv) for argv in steps] == built
+        assert loads == [str(tmp_path / "table-n10-ps1-2.tsv")]
+        # a file-loaded table never answers a library call
+        assert exact._table_cache == {}
 
     def test_validate_runs_clean(self, capsys):
         code, out = run(capsys, "validate", "--n", "8")

@@ -270,6 +270,89 @@ class TestQualityTable:
             tracemalloc.stop()
 
 
+def all_configurations(max_total):
+    """Every configuration with at most ``max_total`` edges, from plain
+    integer partitions with the largest part first."""
+    def partitions(total, largest):
+        if total == 0:
+            yield ()
+        for part in range(min(total, largest), 0, -1):
+            for rest in partitions(total - part, part):
+                yield (part,) + rest
+    return [Configuration.from_lengths(lengths)
+            for total in range(max_total + 1) for lengths in partitions(total, total)]
+
+
+def assert_bellman(table, ps):
+    """Each stored scaled value is the best over the fusion pairs of the
+    stored successor values, and the stored action attains it."""
+    p, q = (ps.numerator, ps.denominator) if isinstance(ps, Fraction) else (ps, 1)
+    for config in enumerate_configurations(table.n):
+        position = table.rank(config)
+        value = table.values[position]
+        action = table.actions[table.action_ids[position]]
+        vertices = config.vertex_count
+        if config.chain_count <= 1:
+            assert (value, action) == (config.total_length * q ** vertices, STOP), config
+            continue
+        options = {}
+        for a, b in config.fusion_pairs():
+            success = config.fuse(a, b, SUCCESS)
+            failure = config.fuse(a, b, FAILURE)
+            drop = vertices - failure.vertex_count
+            options[Fuse(a, b)] = (p * table.values[table.rank(success)]
+                                   + (q - p) * q ** (drop - 1) * table.values[table.rank(failure)])
+        assert value == max(options.values()), config
+        assert options[action] == value, config
+
+
+class TestRankedStorage:
+    def test_rank_is_the_storage_position(self):
+        table = build_quality_table(20)
+        configs = [config for config, _, _ in table.items()]
+        assert len(configs) == len(table) == len(set(configs))
+        assert set(configs) == set(all_configurations(20))
+        for position, config in enumerate(configs):
+            assert table.rank(config) == position
+            assert config in table
+        assert epr(21) not in table
+        with pytest.raises(KeyError):
+            table.rank(epr(21))
+        with pytest.raises(KeyError):
+            table.quality(Configuration.single_chain(21))
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048), 0.3], ids=str)
+    def test_stored_values_obey_bellman(self, ps):
+        table = build_quality_table(16, ps)
+        assert_bellman(table, ps)
+        assert all(type(value) is (int if isinstance(ps, Fraction) else float)
+                   for value in table.values)
+
+    def test_load_passes_bellman(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        build_quality_table(12).save(path)
+        assert_bellman(QualityTable.load(path), HALF)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:5] + lines[6:], "1 of the 67 entries for N=8 are missing"),
+        (lambda lines: lines + lines[-1:], "is repeated or not the key"),
+        (lambda lines: lines[:1] + ["9^1\t9/1\tstop"] + lines[1:], "is repeated or not the key"),
+        (lambda lines: [line.replace("1^1,2^1\t", "2^1,1^1\t") for line in lines],
+         "is repeated or not the key"),
+        (lambda lines: [line.replace("\t1/1\t", "\t1/3\t") for line in lines],
+         "is not a multiple of"),
+        (lambda lines: [line.replace("\t1/1\t", "\t1/0\t") for line in lines],
+         "is not a multiple of"),
+    ], ids=["missing", "duplicated", "too-long", "not-canonical", "bad-value", "zero-denominator"])
+    def test_load_rejects_a_damaged_file(self, tmp_path, edit, message):
+        path = tmp_path / "table.tsv"
+        build_quality_table(8).save(path)
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            QualityTable.load(path)
+
+
 def reference_quality(config, ps, memo):
     """(optimal quality, smallest maximizing action) by the plain
     recursion value = ps * value(success) + (1 - ps) * value(failure),

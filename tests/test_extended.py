@@ -1,18 +1,22 @@
 """Extended, minutes-scale verification at the full published sizes.
 
 Opt in with CLUSTER_FORGE_EXTENDED=1; see README. Covers the N=46 exact
-table and the size-92 anchor of the linear lower bound.
+table, built in a fresh process whose time and peak RSS are reported,
+and the size-92 anchor of the linear lower bound.
 """
 
+import json
 import os
-import time
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cluster_forge import bounds
 from cluster_forge.configuration import Configuration
-from cluster_forge.exact import build_quality_table
+from cluster_forge.exact import QualityTable
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("CLUSTER_FORGE_EXTENDED") != "1",
@@ -20,6 +24,23 @@ pytestmark = pytest.mark.skipif(
 )
 
 EXTENDED_N = 46
+# peak RSS of a process that only imports the exact layer and builds the
+# N=46 table
+BUILD_RSS_LIMIT_MB = 100
+
+# Builds and times the table, takes the peak RSS before the table file is
+# written, then writes it; prints one JSON line.
+BUILD_SCRIPT = """
+import json, resource, sys, time
+from cluster_forge.exact import build_quality_table
+start = time.perf_counter()
+table = build_quality_table(int(sys.argv[1]))
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+table.save(sys.argv[2])
+print(json.dumps({"seconds": seconds, "peak_mb": peak_mb, "entries": len(table),
+                  "numpy": "numpy" in sys.modules}))
+"""
 
 
 def epr(n):
@@ -27,13 +48,28 @@ def epr(n):
 
 
 @pytest.fixture(scope="module")
-def table46():
-    start = time.perf_counter()
-    table = build_quality_table(EXTENDED_N)
-    elapsed = time.perf_counter() - start
-    print(f"\nEXTENDED: table for N={EXTENDED_N} built in {elapsed:.0f}s "
-          f"({len(table)} entries)")
-    return table
+def build46(tmp_path_factory):
+    path = tmp_path_factory.mktemp("extended") / f"table-n{EXTENDED_N}-ps1-2.tsv"
+    env = dict(os.environ)
+    package_root = str(Path(sys.modules[QualityTable.__module__].__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BUILD_SCRIPT, str(EXTENDED_N), str(path)],
+                          env=env, capture_output=True, text=True, check=True, timeout=900)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    print(f"\nEXTENDED: table for N={EXTENDED_N} built in {report['seconds']:.1f}s, "
+          f"peak RSS {report['peak_mb']:.0f} MB ({report['entries']} entries)")
+    return path, report
+
+
+@pytest.fixture(scope="module")
+def table46(build46):
+    return QualityTable.load(build46[0])
+
+
+def test_build_46_fits_in_memory(build46):
+    _, report = build46
+    assert not report["numpy"]
+    assert report["peak_mb"] < BUILD_RSS_LIMIT_MB
 
 
 def test_near_optimality_to_46(table46):

@@ -259,6 +259,8 @@ def reference_validate(strategy, start, max_steps=None):
             action = strategy.choose(state)
         except KeyError as exc:
             return ValidationResult(False, event, f"no decision available: {exc}")
+        except ValueError as exc:
+            return ValidationResult(False, event, f"invalid decision: {exc}")
         n_chains = state.chain_count
         if isinstance(action, Stop):
             if n_chains > 1:
@@ -441,6 +443,30 @@ class Stubborn(Strategy):
 
     def decide(self, config):
         return STOP
+
+
+class Overreacher(Strategy):
+    """Asks for a chain of length 3 whatever the configuration holds."""
+
+    name = "overreacher"
+
+    def decide(self, config):
+        return Fuse(3, 1)
+
+
+@pytest.mark.parametrize("inner, message", [
+    (Stubborn(), "invalid decision: two-stage-3-stubborn: inner strategy stubborn returned "
+                 "Stop inside the block (1, 1, 1)"),
+    (Overreacher(), "invalid decision: tuple.index(x): x not in tuple"),
+], ids=["stop", "absent-length"])
+def test_a_bad_inner_action_fails_validation(inner, message):
+    strategy = TwoStage(3, inner)
+    start = Configuration.epr_pairs(3)
+    expected = ValidationResult(False, "", message)
+    assert validate_strategy(strategy, start) == expected
+    assert validate_strategy_sweep(strategy, [Configuration.single_chain(4), start]) == (
+        start, expected)
+    assert reference_validate(strategy, start) == expected
 
 
 def assert_two_stage_errors_raise():
