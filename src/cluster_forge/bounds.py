@@ -13,10 +13,11 @@ on a quarter-plane whose attempt count is bounded by a tiny linear
 program, whose optimum is a closed form proven here by an explicit,
 checked primal/dual certificate.
 
-Exact answers stay Fractions, but the razor DP and the smallest-first
+Exact answers stay Fractions, but the razor model and the smallest-first
 sweep behind the lower bounds do their arithmetic on integer-scaled
-values like the exact engine (see :mod:`cluster_forge.exact`): the razor
-DP on capped count codes, the sweep through
+values in :mod:`cluster_forge.exact`. This module has no DP of its own:
+the razor model is the optimal-table engine run with a cap of R on the
+chain length, and the sweep goes through
 :func:`~cluster_forge.exact.strategy_quality_range`.
 """
 
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .configuration import _partitions_into
-from .exact import HALF, _check_ps, _count_codes, _scaling, strategy_quality_range
+from .exact import HALF, _check_ps, _optimize, strategy_quality_range
 from .strategies import MODESTY
 
 
@@ -55,58 +55,21 @@ def razor_quality(n: int, r: int, ps=HALF) -> tuple[Fraction, Fraction]:
     problem. Bound claims are made at ps = 1/2 only; other values are
     informational.
 
-    Runs on capped count codes and integer-scaled values, like
-    :func:`~cluster_forge.exact.build_quality_table`: a state with
-    ``count_k`` chains of capped length k has code ``sum(count_k * w[k])``
-    from :func:`~cluster_forge.exact._count_codes` with ``cap = r``, and
-    with ``ps = p/q`` a state of V vertices holds its values times
-    ``q**V``. Success sends the merged chain to ``w[min(a + b, r)]`` and
-    removes ``1 + (a + b - min(a + b, r))`` vertices; failure removes
-    ``2 + [a == 1] + [b == 1]``. Quality is maximised and attempts
-    minimised as plain ints.
+    The razor model is the optimal strategy's own recursion with a
+    merged chain cut to length r, so it runs on the engine of
+    :func:`~cluster_forge.exact.build_quality_table` with ``cap = r``:
+    one pass maximises quality and minimises attempts over capped count
+    codes and integer-scaled values (see :func:`~cluster_forge.exact._optimize`).
     """
     if r < 2:
         raise ValueError("razor parameter must be at least 2")
-    _check_ps(ps)
-    r = min(r, n)  # no chain is longer than n, so a larger cap changes nothing
-    exact, p, scale, fail_factor = _scaling(ps, 2 * n)
-    w, success, failure = _count_codes(n, max(r, 1))
-    # a merged length s > r is cut to r, taking s - r more vertices
-    s_factor = [p * scale[max(s - r, 0)] for s in range(2 * r + 1)]
-    quality: dict[int, object] = {}
-    attempts: dict[int, object] = {}
-    zero = 0 * scale[0]
-    for v in range(2 * n + 1):
-        here = scale[v]
-        for total in range((v + 1) // 2, min(v, n) + 1):
-            chains = v - total
-            for items in _partitions_into(total, chains, r):
-                code = 0
-                for k, count in items:
-                    code += count * w[k]
-                if chains <= 1:
-                    quality[code] = total * here
-                    attempts[code] = zero
-                    continue
-                best_q = best_t = None
-                for i, (a, count) in enumerate(items):
-                    s_row, f_row = success[a], failure[a]
-                    drop_a = 2 + (a == 1)
-                    for b, _ in items[i if count >= 2 else i + 1:]:
-                        sf, ff = s_factor[a + b], fail_factor[drop_a + (b == 1)]
-                        succ, fail = code + s_row[b], code + f_row[b]
-                        value = sf * quality[succ] + ff * quality[fail]
-                        cost = here + sf * attempts[succ] + ff * attempts[fail]
-                        if best_q is None or value > best_q:
-                            best_q = value
-                        if best_t is None or cost < best_t:
-                            best_t = cost
-                quality[code] = best_q
-                attempts[code] = best_t
-    start, v = n * w[1], 2 * n
-    if exact:
-        return Fraction(quality[start], scale[v]), Fraction(attempts[start], scale[v])
-    return quality[start], attempts[start]
+    # no chain is longer than n, so a larger cap changes nothing
+    values, _, _, costs = _optimize(n, ps, min(r, n), attempts=True)
+    # the start, n chains of length 1, is the last configuration
+    if isinstance(ps, Fraction):
+        scale = ps.denominator ** (2 * n)
+        return Fraction(values[-1], scale), Fraction(costs[-1], scale)
+    return values[-1], costs[-1]
 
 
 def razor_upper_bound(n: int, r: int) -> Fraction:

@@ -133,9 +133,10 @@ def _table_for(n: int, ps) -> QualityTable:
     most once per process."""
     table_dir = os.environ.get("CLUSTER_FORGE_TABLE_DIR")
     if table_dir and isinstance(ps, Fraction):
+        suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
         candidates = []
         for name in os.listdir(table_dir):
-            if name.startswith("table-n") and name.endswith(f"-ps{ps.numerator}-{ps.denominator}.tsv"):
+            if name.startswith("table-n") and name.endswith(suffix):
                 try:
                     file_n = int(name[len("table-n"):].split("-")[0])
                 except ValueError:
@@ -149,7 +150,8 @@ def _table_for(n: int, ps) -> QualityTable:
                 _file_tables[path] = QualityTable.load(path)
             return _file_tables[path]
         table = cached_quality_table(n, ps)
-        table.save(os.path.join(table_dir, f"table-n{n}-ps{ps.numerator}-{ps.denominator}.tsv"))
+        # the cache may answer with a larger table; name the file by its size
+        table.save(os.path.join(table_dir, f"table-n{table.n}{suffix}"))
         return table
     return cached_quality_table(n, ps)
 
@@ -207,6 +209,8 @@ def _cmd_optimal_table(args) -> int:
     if not isinstance(ps, Fraction):
         raise CLIError("persisted tables require an exact rational ps such as 1/2")
     _check_least(("--n", args.n, 0))
+    if args.max_entries is not None:
+        _check_least(("--max-entries", args.max_entries, 0))
     table = build_quality_table(args.n, ps, max_entries=args.max_entries)
     table.save(args.out)
     print(f"wrote {len(table)} entries for N={args.n} to {args.out}")

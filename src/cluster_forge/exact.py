@@ -12,23 +12,29 @@ pairs, anchored at value(single chain of length k) = k and value(empty)
 = 0. Because every attempt strictly decreases the vertex count, the
 recursion is well-founded and can be tabulated level by level.
 
-:func:`build_quality_table` is one engine for exact and float ``ps``:
+One count-code optimiser, :func:`_optimize`, solves this recursion for
+exact and float ``ps``: :func:`build_quality_table` with no cap on chain
+length, and the razor model of :mod:`cluster_forge.bounds` with a merged
+chain cut to R edges, which also minimises attempts in the same pass.
 
 * Integer scaling. With ``ps = p/q`` a configuration of V vertices holds
-  ``I = value * q**V`` as a Python int. Success removes one vertex and
+  ``I = value * q**V`` as a Python int. Success removes ``1 + cut``
+  vertices (``cut`` edges lost to the cap, none for the table) and
   failure ``drop = 2 + [a == 1] + [b == 1]``, so
-  ``I(C) = p * I(S) + (q - p) * q**(drop - 1) * I(F)``: no gcd inside
-  the DP, and values of one level compare as plain ints. A float ``ps``
-  runs the same code with q = 1, which gives bit-identical floats since
-  ``x * 1`` is exact.
-* Count codes. Inside the DP, configurations are keyed by the integer
-  ``sum(count_k * (n + 1)**k)``, so both successors of a fusion are the
-  code plus a precomputed shift (:func:`_count_codes`).
+  ``I(C) = p * q**cut * I(S) + (q - p) * q**(drop - 1) * I(F)``: no gcd
+  inside the DP, and values of one level compare as plain ints. A float
+  ``ps`` runs the same code with q = 1, which gives bit-identical floats
+  since ``x * 1`` is exact.
+* Count codes and pair rows. Configurations are keyed by the integer
+  ``sum(count_k * (n + 1)**k)`` (:func:`_count_codes`). One precomputed
+  row per fusion pair holds both code shifts, both branch factors, both
+  drops and the action index, so the inner loop does no arithmetic on
+  lengths.
 * Level-lazy enumeration. Count vectors come straight from
   ``configuration._partitions_into``, one block of vertex and edge count
-  at a time, in the order of :func:`enumerate_configurations`. A
-  successor is at most four levels down, so the DP keeps four levels of
-  values and a budget stops early.
+  at a time, in the order of :func:`enumerate_configurations`. The DP
+  keeps only as many levels as the deepest drop, four for the table,
+  and a budget stops early.
 * Rank-indexed storage. Each configuration's entry sits at its rank,
   its position in that order, as one scaled value in a list and one
   index into a shared list of actions in an ``array('H')``. The build
@@ -44,9 +50,7 @@ strategy's event DAG through its process interface (see
 one ``Fraction(I, q**V)`` per answer, and the same q = 1 float path.
 Scaled values depend only on the state, so
 :func:`strategy_quality_range` shares one memo over a whole sweep of
-starts; the memo is dropped when the sweep returns. The razor model in
-:mod:`cluster_forge.bounds` runs on the capped count codes of
-:func:`_count_codes` and scaled ints too, through :func:`_scaling`.
+starts; the memo is dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -377,72 +381,102 @@ def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[lis
     return w, success, failure
 
 
+def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | None = None):
+    """The count-code optimiser: :func:`build_quality_table` runs it with
+    ``cap = n`` and :func:`cluster_forge.bounds.razor_quality` with ``cap =
+    r``, where a success cuts a merged chain longer than ``cap`` to ``cap``.
+
+    Works up through the configurations of at most ``n`` edges and chains
+    of at most ``cap`` edges in storage order, so both successors of
+    every fusion are known. Returns ``(values, action_ids, actions,
+    costs)`` by position: the maximal scaled quality, the index into
+    ``actions`` of the smallest maximizing pair, and, with ``attempts``,
+    the minimal scaled expected attempts (else an empty list).
+    """
+    _check_ps(ps)
+    _, p, scale, fail_factor = _scaling(ps, 2 * n)
+    w, success, failure = _count_codes(n, cap)
+    # rows[a][b], a <= b: (success shift, p * q**cut, success drop 1 + cut,
+    # failure shift, failure factor, failure drop, action index), where the
+    # cap cuts a + b - min(a + b, cap) edges from the merged chain
+    actions: list[Action] = [STOP]
+    rows: list[list] = [[]]
+    for a in range(1, cap + 1):
+        rows.append([None] * (cap + 1))
+        for b in range(a, min(cap, n - a) + 1):
+            cut, drop = a + b - min(a + b, cap), 2 + (a == 1) + (b == 1)
+            rows[a][b] = (success[a][b], p * scale[cut], 1 + cut,
+                          failure[a][b], fail_factor[drop], drop, len(actions))
+            actions.append(Fuse(a, b))
+    # keep as many levels as the deepest drop: 4 for a failure, 1 + cut
+    # for a success, and the largest cut is min(2 cap, n) - cap
+    depth = max(4, 1 + max(min(2 * cap, n) - cap, 0))
+    zero, inf = 0 * scale[0], float("inf")
+    values: list = []
+    action_ids = array("H")
+    costs: list = []
+    # quality[v], spent[v]: {code: scaled quality or attempts} at v vertices,
+    # None once no successor can reach them
+    quality: list = [{} for _ in range(2 * n + 1)]
+    spent: list = [{} for _ in range(2 * n + 1)]
+    level = -1
+    for v, total in _blocks(n):
+        # under a cap a one-chain block may be empty; it then stores nothing
+        block = _partitions_into(total, v - total, cap)
+        if max_entries is not None and len(values) + len(block) > max_entries:
+            # the entries stored when the next one would exceed the budget
+            raise TableBudgetExceeded(n, v, max_entries, max_entries)
+        if v != level:
+            level, base = v, scale[v]
+            if v > depth:
+                quality[v - depth - 1] = spent[v - depth - 1] = None
+            here, there = quality[v], spent[v]
+            # below[d], spent_below[d]: the levels d vertices down
+            below, spent_below = quality[v::-1], spent[v::-1]
+        stop = v - total <= 1  # the empty configuration or one chain
+        for items in block:
+            code = 0
+            for k, count in items:
+                code += count * w[k]
+            # a stop keeps its length; -1 is below every value, inf above every cost
+            best, action, least = (total * base, 0, zero) if stop else (-1, None, inf)
+            for i, (a, count) in enumerate(items):
+                row = rows[a]
+                for b, _ in items[i if count >= 2 else i + 1:]:
+                    s_shift, s_factor, s_drop, f_shift, f_factor, f_drop, index = row[b]
+                    value = (s_factor * below[s_drop][code + s_shift]
+                             + f_factor * below[f_drop][code + f_shift])
+                    if value > best:
+                        best, action = value, index
+                    if attempts:
+                        # the base comes first, as in the plain recursion
+                        cost = (base + s_factor * spent_below[s_drop][code + s_shift]
+                                + f_factor * spent_below[f_drop][code + f_shift])
+                        if cost < least:
+                            least = cost
+            here[code] = best
+            values.append(best)
+            action_ids.append(action)
+            if attempts:
+                there[code] = least
+                costs.append(least)
+    return values, action_ids, actions, costs
+
+
 def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> QualityTable:
     """Tabulate the optimal quality over every configuration with at most
-    ``n`` edges, working up through vertex-count levels so that both
-    successors of every fusion are already known.
+    ``n`` edges: :func:`_optimize` with ``cap = n``, so no chain is cut.
 
     Among maximizing actions the lexicographically smallest length pair
     is stored, so tables are deterministic. Raises
     :class:`TableBudgetExceeded` when ``max_entries`` is hit, naming the
     vertex-count level that was being filled.
-
-    Values are integer-scaled and keyed by count code while the DP runs,
-    and stored by rank, as the module docstring describes; only the four
-    levels below the current one are kept by code.
     """
-    _check_ps(ps)
     if n < 0:
         raise ValueError(f"table size must be at least 0, got {n}")
-    _, p, scale, fail_factor = _scaling(ps, 2 * n)
-    w, success, failure = _count_codes(n, n)
-    # one shared action list: STOP, then Fuse(a, b) for a <= b, a + b <= n
-    actions: list[Action] = [STOP]
-    fuse_ids = [[0] * (n + 1 - a) for a in range(n + 1)]
-    for a in range(1, n + 1):
-        for b in range(a, n + 1 - a):
-            fuse_ids[a][b] = len(actions)
-            actions.append(Fuse(a, b))
-    values: list = []
-    action_ids = array("H")
-    levels: dict[int, dict[int, object]] = {}
-    level = -1
-    for v, total in _blocks(n):
-        block = _partitions_into(total, v - total, total)
-        if max_entries is not None and len(values) + len(block) > max_entries:
-            # the entries stored when the next one would exceed the budget
-            raise TableBudgetExceeded(n, v, max(max_entries, 0), max_entries)
-        if v != level:
-            level = v
-            levels.pop(v - 5, None)
-            here = levels[v] = {}
-            # below[d]: values one to four vertices down
-            below = [None] + [levels.get(v - d, {}) for d in (1, 2, 3, 4)]
-            down = below[1]
-        if v - total <= 1:
-            # the empty configuration or one chain: stop
-            here[w[total]] = best = total * scale[v]
-            values.append(best)
-            action_ids.append(0)
-            continue
-        for items in block:
-            code = 0
-            for k, count in items:
-                code += count * w[k]
-            best = -1  # below every value
-            for i, (a, count) in enumerate(items):
-                s_row, f_row, id_row = success[a], failure[a], fuse_ids[a]
-                drop_a = 2 + (a == 1)
-                for b, _ in items[i if count >= 2 else i + 1:]:
-                    drop = drop_a + (b == 1)
-                    value = (p * down[code + s_row[b]]
-                             + fail_factor[drop] * below[drop][code + f_row[b]])
-                    if value > best:
-                        best = value
-                        action = id_row[b]
-            here[code] = best
-            values.append(best)
-            action_ids.append(action)
+    if max_entries is not None and max_entries < 0:
+        raise ValueError(f"entry budget must be at least 0, got {max_entries}")
+    values, action_ids, actions, _ = _optimize(n, ps, n, max_entries=max_entries)
     return QualityTable(n, ps, values, action_ids, actions)
 
 

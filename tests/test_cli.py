@@ -5,7 +5,13 @@ import pytest
 
 from cluster_forge import cli, exact
 from cluster_forge.cli import build_parser, main
-from cluster_forge.exact import QualityTable, build_quality_table, clear_table_cache
+from cluster_forge.configuration import Configuration
+from cluster_forge.exact import (
+    QualityTable,
+    build_quality_table,
+    cached_quality_table,
+    clear_table_cache,
+)
 
 
 def run(capsys, *argv):
@@ -187,6 +193,7 @@ class TestFlagsAndCaches:
         assert err.value.code == 1
 
     def test_table_dir_cache(self, capsys, tmp_path, monkeypatch):
+        clear_table_cache()  # a larger cached table would be saved under its own size
         monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
         code, first = run(capsys, "quality", "--strategy", "optimal", "--n-max", "6")
         assert code == 0
@@ -195,6 +202,28 @@ class TestFlagsAndCaches:
         code, second = run(capsys, "quality", "--strategy", "optimal", "--n-max", "6")
         assert code == 0
         assert first == second
+
+    def test_a_larger_cached_table_is_saved_under_its_own_size(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        clear_table_cache()
+        expected = cached_quality_table(12).quality(Configuration.epr_pairs(12))
+        monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "_file_tables", {})
+        assert run(capsys, "quality", "--strategy", "optimal", "--n-max", "6")[0] == 0
+        assert os.listdir(tmp_path) == ["table-n12-ps1-2.tsv"]
+        assert (tmp_path / "table-n12-ps1-2.tsv").read_text().startswith("N=12 ps=1/2\n")
+        # a later process asking for up to 12 edges loads that file
+        clear_table_cache()
+        monkeypatch.setattr(cli, "_file_tables", {})
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a table that a file holds")
+
+        monkeypatch.setattr(exact, "build_quality_table", no_build)
+        code, out = run(capsys, "quality", "--strategy", "optimal", "--n-min", "7", "--n-max", "12")
+        assert code == 0
+        assert out.splitlines()[-1] == f"12,{expected}"
+        assert list(cli._file_tables) == [str(tmp_path / "table-n12-ps1-2.tsv")]
 
     def test_each_table_file_is_read_once(self, capsys, tmp_path, monkeypatch):
         steps = [("quality", "--strategy", "all", "--n-max", "10"), ("bounds", "--n-max", "10")]
@@ -249,6 +278,8 @@ class TestSmallSizes:
          "--n-min must be at least 0, got -1"),
         (["razor", "--n", "4", "--r-min", "1", "--r-max", "3"], "--r-min must be at least 2, got 1"),
         (["validate", "--n", "-1"], "--n must be at least 0, got -1"),
+        (["optimal-table", "--n", "4", "--max-entries", "-3", "--out", os.devnull],
+         "--max-entries must be at least 0, got -3"),
         (["quality", "--strategy", "modesty", "--n-min", "5", "--n-max", "3"],
          "--n-max must be at least 5, got 3"),
         (["quality", "--strategy", "all", "--n-max", "0"], "--n-max must be at least 1, got 0"),

@@ -23,6 +23,7 @@ from cluster_forge.exact import (
     _classifier,
     _count_codes,
     _evaluate,
+    _optimize,
     _scaling,
     _sweep,
     build_quality_table,
@@ -225,6 +226,13 @@ class TestQualityTable:
         with pytest.raises(ValueError, match="table size must be at least 0, got -1"):
             build_quality_table(-1)
         assert len(build_quality_table(0)) == 1
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="entry budget must be at least 0, got -3"):
+            build_quality_table(4, max_entries=-3)
+        with pytest.raises(TableBudgetExceeded) as err:
+            build_quality_table(4, max_entries=0)
+        assert (err.value.vertex_level, err.value.entries) == (0, 0)
 
     def test_load_shares_one_action_object_per_text(self, tmp_path):
         table = build_quality_table(12)
@@ -447,6 +455,43 @@ class TestIntegerScaledEngine:
                     assert code(lost) == code(config) + failure[a][b]
                     assert won.vertex_count == config.vertex_count - 1 - (a + b - min(a + b, cap))
                     assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)
+
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), 0.3], ids=str)
+    def test_capped_engine_obeys_its_recursion(self, ps):
+        # every stored value is the best and every stored cost the least
+        # over the fusion pairs, from the stored successors with a merged
+        # chain cut to cap; the stored action is the first pair that
+        # attains the best
+        n = 10
+        p, q = (ps.numerator, ps.denominator) if isinstance(ps, Fraction) else (ps, 1)
+        for cap in (n, 4, 2):
+            values, action_ids, actions, costs = _optimize(n, ps, cap, attempts=True)
+            configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
+            position = {config: i for i, config in enumerate(configs)}
+            assert len(values) == len(action_ids) == len(costs) == len(configs)
+            for config, i in position.items():
+                vertices = config.vertex_count
+                if config.chain_count <= 1:
+                    assert (values[i], actions[action_ids[i]], costs[i]) == (
+                        config.total_length * q ** vertices, STOP, 0), config
+                    continue
+                options, spent = {}, []
+                for a, b in config.fusion_pairs():
+                    won = Configuration.from_lengths(
+                        min(k, cap) for k, count in config.fuse(a, b, SUCCESS).items
+                        for _ in range(count))
+                    lost = config.fuse(a, b, FAILURE)
+                    s_factor = p * q ** (vertices - won.vertex_count - 1)
+                    f_factor = (q - p) * q ** (vertices - lost.vertex_count - 1)
+                    w, f = position[won], position[lost]
+                    options[Fuse(a, b)] = s_factor * values[w] + f_factor * values[f]
+                    spent.append(q ** vertices + s_factor * costs[w] + f_factor * costs[f])
+                best = max(options.values())
+                assert values[i] == best, (cap, config)
+                assert actions[action_ids[i]] == next(
+                    action for action, value in options.items() if value == best), (cap, config)
+                assert costs[i] == min(spent), (cap, config)
 
 
 def reference_strategy_value(strategy, start, ps, attempts=False):
