@@ -18,7 +18,9 @@ sweep behind the lower bounds do their arithmetic on integer-scaled
 values in :mod:`cluster_forge.exact`. This module has no DP of its own:
 the razor model is the optimal-table engine run with a cap of R on the
 chain length, and the sweep goes through
-:func:`~cluster_forge.exact.strategy_quality_range`.
+:func:`~cluster_forge.exact.strategy_quality_range`. A sweep over sizes
+reads every size from the one razor DP for the largest
+(:func:`razor_quality_range`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .configuration import _block_sizes, _blocks
 from .exact import HALF, _check_ps, _optimize, strategy_quality_range
 from .strategies import MODESTY
 
@@ -61,15 +64,37 @@ def razor_quality(n: int, r: int, ps=HALF) -> tuple[Fraction, Fraction]:
     one pass maximises quality and minimises attempts over capped count
     codes and integer-scaled values (see :func:`~cluster_forge.exact._optimize`).
     """
+    return razor_quality_range([n], r, ps)[n]
+
+
+def razor_quality_range(ns: Iterable[int], r: int, ps=HALF) -> dict[int, tuple]:
+    """``{n: razor_quality(n, r, ps)}`` for each n in ``ns``, read from the
+    one razor DP for the largest n.
+
+    That DP holds every start of m <= n pairs. Its value there is the
+    m-pair DP's: a cap of at least m cuts no chain of at most m edges,
+    so both run the same recursion with the same arithmetic. The start
+    of m pairs is the only configuration of 2m vertices and m edges and
+    opens level 2m, so its position is the count of the configurations
+    below that level (``configuration._block_sizes``).
+    """
     if r < 2:
         raise ValueError("razor parameter must be at least 2")
+    ns = list(ns)
+    n = max(ns, default=0)
     # no chain is longer than n, so a larger cap changes nothing
-    values, _, _, costs = _optimize(n, ps, min(r, n), attempts=True)
-    # the start, n chains of length 1, is the last configuration
+    cap = min(r, n)
+    values, _, _, costs = _optimize(n, ps, cap, attempts=True)
+    sizes, stored, positions = _block_sizes(n, cap), 0, {}
+    for v, total in _blocks(n):
+        if v == 2 * total:
+            positions[total] = stored
+        stored += sizes[v][total]
     if isinstance(ps, Fraction):
-        scale = ps.denominator ** (2 * n)
-        return Fraction(values[-1], scale), Fraction(costs[-1], scale)
-    return values[-1], costs[-1]
+        scale = [ps.denominator ** (2 * m) for m in range(n + 1)]
+        return {m: (Fraction(values[positions[m]], scale[m]),
+                    Fraction(costs[positions[m]], scale[m])) for m in ns}
+    return {m: (values[positions[m]], costs[positions[m]]) for m in ns}
 
 
 def razor_upper_bound(n: int, r: int) -> Fraction:

@@ -223,12 +223,13 @@ def _cmd_bounds(args) -> int:
     table_n = min(max(ns), exact_max)
     table = _table_for(table_n, HALF) if table_n >= 1 else None
     modesty_values = bnd.modesty_quality_range(max(16, max(ns)))
+    razor2 = bnd.razor_quality_range(ns, 2)
     columns = ["n", "modesty", "lower_bound", "exact_q", "razor2_upper", "corollary_upper"]
     rows = []
     for n in ns:
         lower = bnd.modesty_lower_bound(n, 8, modesty_values) if n >= 8 else ""
         exact_q = table.quality(Configuration.epr_pairs(n)) if n <= table_n else ""
-        upper2 = bnd.razor_upper_bound(n, 2) if n >= 1 else ""
+        upper2 = n - razor2[n][1]
         corollary = bnd.analytic_upper_bound(n) if n >= 6 else ""
         rows.append([n, modesty_values[n], lower, exact_q, upper2, corollary])
     _emit_csv(args.out, "bounds", columns, rows)
@@ -241,10 +242,12 @@ def _cmd_razor(args) -> int:
     ns = _sizes(args, 0)
     _check_least(("--r-min", args.r_min, 2), ("--r-max", args.r_max, args.r_min))
     columns = ["n", "r", "razor_quality", "razor_attempts", "upper_bound"]
+    # one razor DP per r, for the largest n
+    by_r = {r: bnd.razor_quality_range(ns, r) for r in range(args.r_min, args.r_max + 1)}
     rows = []
     for n in ns:
-        for r in range(args.r_min, args.r_max + 1):
-            quality, attempts = bnd.razor_quality(n, r)
+        for r, razor in by_r.items():
+            quality, attempts = razor[n]
             rows.append([n, r, quality, attempts, n - attempts])
     _emit_csv(args.out, "razor", columns, rows, comments=["ps=1/2"])
     return 0

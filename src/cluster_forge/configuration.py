@@ -19,6 +19,7 @@ every process terminates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -67,25 +68,50 @@ STOP = Stop()
 Action = Fuse | Stop
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _Counts(NamedTuple):
+    items: tuple[tuple[int, int], ...]
+    vertex_count: int  # a chain of length k has k + 1 vertices
+
+
+# Builds a state from fields already known to be valid, skipping the checks
+# of the public constructors: ``_new(Configuration, (items, vertex_count))``.
+_new = tuple.__new__
+
+
+class Configuration(_Counts):
     """Anonymous multiset of chain lengths.
 
     ``items`` holds ``(length, count)`` pairs, strictly increasing in
     length, with every count >= 1. The empty configuration (total
     annihilation) is ``Configuration()``.
+
+    A two-field named tuple ``(items, vertex_count)``, so it compares and
+    hashes in C and knows its vertex count without a sum: exact
+    evaluation hashes every process state several times. The second
+    field also keeps ``Configuration()`` unequal to the one-field
+    ``IdentityConfiguration()``. The constructor checks ``items``;
+    :meth:`fuse` builds its result directly, valid by construction.
     """
 
-    items: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        prev = 0
-        for length, count in self.items:
+    def __new__(cls, items: tuple[tuple[int, int], ...] = ()) -> "Configuration":
+        items = tuple(items)
+        prev = vertices = 0
+        for length, count in items:
             if length <= prev:
-                raise ValueError(f"lengths must be strictly increasing: {self.items}")
+                raise ValueError(f"lengths must be strictly increasing: {items}")
             if count < 1:
-                raise ValueError(f"counts must be positive: {self.items}")
+                raise ValueError(f"counts must be positive: {items}")
             prev = length
+            vertices += count * (length + 1)
+        return _new(cls, (items, vertices))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.items,)
+
+    def __repr__(self) -> str:
+        return f"Configuration(items={self.items!r})"
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "Configuration":
@@ -113,11 +139,6 @@ class Configuration:
     def total_length(self) -> int:
         """Total number of edges."""
         return sum(k * n for k, n in self.items)
-
-    @property
-    def vertex_count(self) -> int:
-        """Total number of vertices; a chain of length k has k + 1."""
-        return sum(n * (k + 1) for k, n in self.items)
 
     @property
     def chain_count(self) -> int:
@@ -161,20 +182,36 @@ class Configuration:
 
         Raises :class:`InvalidFusionError` when the requested chains are
         not available (if ``a == b`` two such chains are required).
+
+        The result is built directly, without the constructor's checks:
+        each length is found by bisection in the sorted ``items``, so it
+        stays sorted and positive by construction.
         """
-        counts = self.counts()
-        counts[a] = counts.get(a, 0) - 1
-        counts[b] = counts.get(b, 0) - 1
-        if counts[a] < 0 or counts[b] < 0:
-            raise InvalidFusionError(f"no chains of lengths ({a},{b}) in {self}")
+        items, vertices = self
+        out = list(items)
+        for k in (a, b):  # take one chain of each length
+            i = bisect_left(out, (k,))
+            if i == len(out) or out[i][0] != k:
+                raise InvalidFusionError(f"no chains of lengths ({a},{b}) in {self}")
+            n = out[i][1]
+            if n > 1:
+                out[i] = (k, n - 1)
+            else:
+                del out[i]
         if outcome == SUCCESS:
-            counts[a + b] = counts.get(a + b, 0) + 1
+            adds = (a + b,)
+            vertices -= 1
         else:
-            if a > 1:
-                counts[a - 1] = counts.get(a - 1, 0) + 1
-            if b > 1:
-                counts[b - 1] = counts.get(b - 1, 0) + 1
-        return Configuration.from_counts(counts)
+            # each chain loses an edge; a chain of length 1 is destroyed
+            adds = [k - 1 for k in (a, b) if k > 1]
+            vertices -= 4 - len(adds)
+        for k in adds:
+            i = bisect_left(out, (k,))
+            if i < len(out) and out[i][0] == k:
+                out[i] = (k, out[i][1] + 1)
+            else:
+                out.insert(i, (k, 1))
+        return _new(Configuration, (tuple(out), vertices))
 
     def to_configuration(self) -> "Configuration":
         """The anonymous view, which a configuration already is."""
@@ -193,14 +230,15 @@ class IdentityConfiguration(_Lineup):
 
     A one-field named tuple, so it compares and hashes like the plain
     ``(chains,)`` without a Python-level call: exact evaluation hashes
-    every process state several times."""
+    every process state several times. The constructor checks that every
+    length is positive; :meth:`fuse_at` builds its result directly."""
 
     __slots__ = ()
 
     def __new__(cls, chains: tuple[int, ...] = ()) -> "IdentityConfiguration":
         if chains and min(chains) < 1:
             raise ValueError(f"chain lengths must be positive: {chains}")
-        return tuple.__new__(cls, (chains,))
+        return _new(cls, (chains,))
 
     @classmethod
     def from_configuration(cls, config: Configuration) -> "IdentityConfiguration":
@@ -231,20 +269,27 @@ class IdentityConfiguration(_Lineup):
 
     def fuse_at(self, i: int, j: int, outcome: str) -> "IdentityConfiguration":
         """Fuse the chains at positions ``i`` and ``j``; destroyed chains
-        are pruned, so surviving chains are renumbered."""
-        n = len(self.chains)
+        are pruned, so surviving chains are renumbered. Every length of
+        the result is positive by construction, so it skips the
+        constructor's check."""
+        c = self.chains
+        n = len(c)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise InvalidFusionError(f"bad chain indices ({i},{j}) for {n} chains")
         if i > j:
             i, j = j, i
-        c = self.chains
+        out = list(c)
         if outcome == SUCCESS:
-            out = c[:i] + (c[i] + c[j],) + c[i + 1:j] + c[j + 1:]
+            out[i] += out[j]
+            del out[j]
         else:
             # each chain loses an edge; a chain of length 1 is destroyed
-            out = (c[:i] + ((c[i] - 1,) if c[i] > 1 else ()) + c[i + 1:j]
-                   + ((c[j] - 1,) if c[j] > 1 else ()) + c[j + 1:])
-        return IdentityConfiguration(out)
+            for k in (j, i):
+                if out[k] > 1:
+                    out[k] -= 1
+                else:
+                    del out[k]
+        return _new(IdentityConfiguration, (tuple(out),))
 
 
 def canonical_key(config: Configuration) -> str:
@@ -300,6 +345,23 @@ def _blocks(max_total_length: int) -> Iterator[tuple[int, int]]:
         # every chain has at least one edge, and there is at least one chain
         for total in range((v + 1) // 2, min(v - 1, max_total_length) + 1):
             yield v, total
+
+
+def _block_sizes(max_total_length: int, cap: int) -> list[list[int]]:
+    """``sizes[v][t]``: the configurations of v vertices and t edges whose
+    chains are at most ``cap`` long, for t <= ``max_total_length``; with
+    ``cap >= max_total_length`` these are the blocks of :func:`_blocks`.
+    Counted without enumerating them: each chain length k <= cap in turn
+    may be added to a configuration any number of times, adding k + 1
+    vertices and k edges each time."""
+    n = max_total_length
+    sizes = [[0] * (n + 1) for _ in range(2 * n + 1)]
+    sizes[0][0] = 1
+    for k in range(1, cap + 1):
+        for v in range(k + 1, 2 * n + 1):
+            row, fewer = sizes[v], sizes[v - k - 1]
+            row[k:] = [x + y for x, y in zip(row[k:], fewer)]
+    return sizes
 
 
 def _partition_ranker(max_total_length: int):

@@ -71,6 +71,7 @@ from .configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
+    _block_sizes,
     _blocks,
     _partition_ranker,
     _partitions_into,
@@ -119,10 +120,12 @@ def _evaluate(start: Hashable, classify: Callable, memo: dict, p, scale, fail_fa
               attempts: bool = False):
     """Memoized, integer-scaled expectation over the event DAG.
 
-    ``classify(state)`` returns ``(v, None, total_length, None)`` for a
-    terminal state of v vertices, or ``(v, success_state, drop,
+    ``classify(state, v)`` returns ``(None, total_length, None)`` for a
+    terminal state of v vertices, or ``(success_state, drop,
     failure_state)`` for a fusion whose failure removes ``drop``
-    vertices. A state of v vertices stores ``I = value * q**v``, so
+    vertices. A success removes one vertex, so each state's vertex count
+    v comes from its parent's, and only the start's is summed. A state
+    of v vertices stores ``I = value * q**v``, so
 
         I = (base + p * I(success)) + (q - p) * q**(drop - 1) * I(failure)
 
@@ -133,36 +136,36 @@ def _evaluate(start: Hashable, classify: Callable, memo: dict, p, scale, fail_fa
     that deep event chains cannot hit the recursion limit.
     """
     zero = 0 * scale[0]
-    stack: list[tuple[Hashable, tuple | None]] = [(start, None)]
+    # (state, its vertex count, its classification once its successors are pushed)
+    stack: list[tuple[Hashable, int, tuple | None]] = [(start, start.vertex_count, None)]
     while stack:
-        state, node = stack.pop()
+        state, v, node = stack.pop()
         if node is None:
             if state in memo:
                 continue
-            node = classify(state)
-            if node[1] is None:
-                v, _, total, _ = node
-                memo[state] = zero if attempts else total * scale[v]
+            node = classify(state, v)
+            succ, drop, fail = node
+            if succ is None:  # a stop: drop holds the total length
+                memo[state] = zero if attempts else drop * scale[v]
                 continue
-            _, succ, _, fail = node
-            stack.append((state, node))
-            if fail not in memo:
-                stack.append((fail, None))
-            if succ not in memo:
-                stack.append((succ, None))
+            # a child already in the memo is skipped when popped, so
+            # each state is hashed once per parent, not twice
+            stack.append((state, v, node))
+            stack.append((fail, v - drop, None))
+            stack.append((succ, v - 1, None))
         else:
-            v, succ, drop, fail = node
+            succ, drop, fail = node
             base = scale[v] if attempts else zero
             memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
     return memo[start]
 
 
 def _classifier(strategy: Strategy | StatefulStrategy):
-    """classify() over the strategy's process states. A failure that
-    destroys a chain of length 1 loses both its vertices, so the failure
-    removes 2 vertices plus one per destroyed chain."""
+    """classify() over the strategy's process states: the failure's drop
+    is the state's v less the failure state's vertex count, a field of a
+    :class:`Configuration`."""
 
-    def classify(state):
+    def classify(state, v):
         action = strategy.choose(state)
         if isinstance(action, Stop):
             if state.chain_count > 1:
@@ -170,10 +173,10 @@ def _classifier(strategy: Strategy | StatefulStrategy):
                     f"invalid strategy {strategy.name}: premature stop on "
                     f"'{state.to_configuration()}'"
                 )
-            return state.vertex_count, None, state.total_length, None
+            return None, state.total_length, None
         succ = strategy.step(state, action, SUCCESS)
         fail = strategy.step(state, action, FAILURE)
-        return state.vertex_count, succ, 2 + state.chain_count - fail.chain_count, fail
+        return succ, v - fail.vertex_count, fail
 
     return classify
 
@@ -394,6 +397,14 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | N
     the minimal scaled expected attempts (else an empty list).
     """
     _check_ps(ps)
+    if max_entries is not None:
+        # counted before any DP work: the entries stored when the next
+        # one would exceed the budget
+        sizes, stored = _block_sizes(n, cap), 0
+        for v, total in _blocks(n):
+            stored += sizes[v][total]
+            if stored > max_entries:
+                raise TableBudgetExceeded(n, v, max_entries, max_entries)
     _, p, scale, fail_factor = _scaling(ps, 2 * n)
     w, success, failure = _count_codes(n, cap)
     # rows[a][b], a <= b: (success shift, p * q**cut, success drop 1 + cut,
@@ -423,9 +434,6 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | N
     for v, total in _blocks(n):
         # under a cap a one-chain block may be empty; it then stores nothing
         block = _partitions_into(total, v - total, cap)
-        if max_entries is not None and len(values) + len(block) > max_entries:
-            # the entries stored when the next one would exceed the budget
-            raise TableBudgetExceeded(n, v, max_entries, max_entries)
         if v != level:
             level, base = v, scale[v]
             if v > depth:

@@ -25,8 +25,11 @@ process interface that the two base classes provide:
 A stateless strategy's state is the :class:`Configuration` itself and
 its step is :meth:`Configuration.fuse`. A stateful strategy's state is a
 :class:`ProcessState`, the pair of identity chains and memory. Both are
-hashable and expose ``chain_count``, ``vertex_count``, ``total_length``
-and ``to_configuration()``, which is all a walker asks of a state.
+named tuples, so they hash and compare in C, and expose
+``chain_count``, ``vertex_count``, ``total_length`` and
+``to_configuration()``, which is all a walker asks of a state. A step
+builds its successor directly, without the constructors' checks: it is
+valid by construction.
 
 Validity is checked by walking every state reachable from a start.
 :func:`validate_strategy_sweep` checks many starts with one set of
@@ -34,14 +37,17 @@ walked states, so a subtree shared by several starts is walked once
 (``cluster-forge validate`` walks 508 states of smallest-first for the
 508 configurations up to 14 edges, not 12,340); it gives the first
 failing start with the verdict, event and message that start's own
-:func:`validate_strategy` call gives. :class:`TwoStage` remembers its
-inner strategy's in-block fusion per block lineup, since that decision
-depends on the lineup alone.
+:func:`validate_strategy` call gives. :class:`Modesty` and
+:class:`Greed` decide from the sorted ``items`` in O(1). :class:`TwoStage`
+remembers its inner strategy's fusion per block offset and lineup, and
+its stage-one memory update per block sizes, chain index and chains
+removed, since each depends on those alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Mapping, NamedTuple
 
 from .configuration import (
@@ -53,8 +59,13 @@ from .configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
+    _new,
     canonical_key,
 )
+
+# Shared, immutable Fuse objects per index or length pair, so a decision
+# seldom allocates one; bounded, since the pairs grow with the sizes walked.
+_fuse = lru_cache(maxsize=4096)(Fuse)
 
 
 class Strategy:
@@ -80,13 +91,39 @@ class Strategy:
         return f"<{type(self).__name__} {self.name}>"
 
 
-class Greed(Strategy):
+class _CountRule(Strategy):
+    """A rule given on the count dict by ``decide_counts``, with a
+    ``decide`` that reads the same answer off the sorted ``items`` in
+    O(1). A subclass that overrides ``decide_counts`` alone decides
+    through it."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "decide_counts" in cls.__dict__ and "decide" not in cls.__dict__:
+            cls.decide = _CountRule.decide
+
+    def decide(self, config: Configuration) -> Action:
+        return self.decide_counts(config.counts())
+
+    def decide_counts(self, counts: Mapping[int, int]) -> Action:
+        raise NotImplementedError
+
+
+class Greed(_CountRule):
     """Always fuse the two largest available chains."""
 
     name = "greed"
 
     def decide(self, config: Configuration) -> Action:
-        return self.decide_counts(config.counts())
+        items = config.items
+        if not items:
+            return STOP
+        a, count = items[-1]
+        if count >= 2:
+            return _fuse(a, a)
+        if len(items) == 1:
+            return STOP
+        return _fuse(items[-2][0], a)
 
     def decide_counts(self, counts: Mapping[int, int]) -> Action:
         total = sum(counts.values())
@@ -97,13 +134,21 @@ class Greed(Strategy):
         return Fuse(a, b)
 
 
-class Modesty(Strategy):
+class Modesty(_CountRule):
     """Always fuse the two smallest available chains."""
 
     name = "modesty"
 
     def decide(self, config: Configuration) -> Action:
-        return self.decide_counts(config.counts())
+        items = config.items
+        if not items:
+            return STOP
+        a, count = items[0]
+        if count >= 2:
+            return _fuse(a, a)
+        if len(items) == 1:
+            return STOP
+        return _fuse(a, items[1][0])
 
     def decide_counts(self, counts: Mapping[int, int]) -> Action:
         total = sum(counts.values())
@@ -165,7 +210,9 @@ def parse_action(text: str) -> Action:
 class ProcessState(NamedTuple):
     """A stateful strategy's process state: identity chains and memory.
 
-    Compares and hashes like the plain ``(chains, memory)`` pair."""
+    Compares and hashes like the plain ``(chains, memory)`` pair. A step
+    builds it with ``tuple.__new__``, skipping the Python-level
+    ``__new__`` of a named tuple."""
 
     chains: IdentityConfiguration
     memory: Hashable
@@ -226,7 +273,8 @@ class StatefulStrategy:
     def step(self, state: ProcessState, action: Fuse, outcome: str) -> ProcessState:
         chains, memory = state
         result = chains.fuse_at(action.a, action.b, outcome)
-        return ProcessState(result, self.next_memory(chains, memory, action, outcome, result))
+        return _new(ProcessState,
+                    (result, self.next_memory(chains, memory, action, outcome, result)))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -291,9 +339,12 @@ class TwoStage(StatefulStrategy):
         self.inner = inner if inner is not None else Modesty()
         self.name = name if name is not None else f"two-stage-{block_size}-{self.inner.name}"
         # The inner strategy is a fixed rule of the block's configuration,
-        # so its in-block Fuse (block-relative indices) is remembered per
-        # block lineup; the dict holds one entry per lineup reached.
-        self._block_fuses: dict[tuple[int, ...], Fuse] = {}
+        # so its Fuse is remembered per (offset, block lineup); the dict
+        # holds one entry per pair reached.
+        self._block_fuses: dict[tuple[int, tuple[int, ...]], Fuse] = {}
+        # The block memory after a step, per (sizes, chain index, chains
+        # removed), shared so that a step allocates no memory tuple.
+        self._block_steps: dict[tuple, Hashable] = {}
 
     # memory is ("blocks", sizes) during stage one, ("pairs", pos) in
     # stage two; pos counts the chains already resolved this round.
@@ -305,13 +356,7 @@ class TwoStage(StatefulStrategy):
             take = min(self.block_size, remaining)
             sizes.append(take)
             remaining -= take
-        return self._normalize(("blocks", tuple(sizes)))
-
-    @staticmethod
-    def _normalize(memory):
-        if memory[0] == "blocks" and max(memory[1], default=0) <= 1:
-            return ("pairs", 0)
-        return memory
+        return ("blocks", tuple(sizes)) if max(sizes, default=0) >= 2 else _ROUND_START
 
     def decide(self, chains: IdentityConfiguration, memory: Hashable) -> Action:
         lineup = chains.chains
@@ -319,38 +364,50 @@ class TwoStage(StatefulStrategy):
             return STOP
         kind, state = memory
         if kind != "blocks":
-            return Fuse(state, state + 1)
+            return _fuse(state, state + 1)
         offset = 0
         for size in state:
             if size >= 2:
-                block = lineup[offset:offset + size]
-                fuse = self._block_fuses.get(block)
+                # the decision depends on the block's lineup and offset alone
+                key = (offset, lineup[offset:offset + size])
+                fuse = self._block_fuses.get(key)
                 if fuse is None:
-                    fuse = self._block_fuses[block] = self._block_fuse(block)
-                return Fuse(offset + fuse.a, offset + fuse.b) if offset else fuse
+                    fuse = self._block_fuses[key] = self._block_fuse(*key)
+                return fuse
             offset += size
         raise ValueError(f"{self.name}: block memory {state} has no block of two or more "
                          f"chains, with chains {lineup}")
 
-    def _block_fuse(self, block: tuple[int, ...]) -> Fuse:
-        """The inner strategy's fusion inside ``block``, as block indices."""
+    def _block_fuse(self, offset: int, block: tuple[int, ...]) -> Fuse:
+        """The inner strategy's fusion inside ``block``, whose first chain
+        is at ``offset``."""
         action = self.inner.decide(Configuration.from_lengths(block))
         if not isinstance(action, Fuse):
             raise ValueError(f"{self.name}: inner strategy {self.inner.name} returned "
                              f"{action!r} inside the block {block}")
-        return _lowest_indices(block, action.a, action.b)
+        return _lowest_indices(block, action.a, action.b, offset)
 
     def next_memory(self, chains, memory, action, outcome, result) -> Hashable:
+        """One step's memory update: a lookup in stage one, a few
+        comparisons in stage two."""
         kind, state = memory
         if kind == "blocks":
+            # the block memory after a step depends on the block sizes, the
+            # chain index and the chains removed alone
             removed = len(chains.chains) - len(result.chains)
-            end = 0
-            for bi, size in enumerate(state):
-                end += size
-                if action.a < end:
-                    state = state[:bi] + (size - removed,) + state[bi + 1:]
-                    break
-            return self._normalize(("blocks", state))
+            key = (state, action.a, removed)
+            memory = self._block_steps.get(key)
+            if memory is None:
+                end = 0
+                for bi, size in enumerate(state):
+                    end += size
+                    if action.a < end:
+                        state = state[:bi] + (size - removed,) + state[bi + 1:]
+                        break
+                # stage two starts once no block holds two chains
+                memory = self._block_steps[key] = (
+                    ("blocks", state) if max(state, default=0) >= 2 else _ROUND_START)
+            return memory
         pos = state
         x = chains.chains[action.a]
         y = chains.chains[action.b]
@@ -364,6 +421,9 @@ class TwoStage(StatefulStrategy):
         if pos >= len(result.chains) - 1:
             pos = 0  # round over; survivors renumbered in order
         return ("pairs", pos)
+
+
+_ROUND_START = ("pairs", 0)
 
 
 GREED = Greed()

@@ -26,6 +26,7 @@ from cluster_forge.bounds import (
     modesty_lower_bound,
     modesty_quality_range,
     razor_quality,
+    razor_quality_range,
     razor_upper_bound,
     static_lower_bound,
 )
@@ -139,9 +140,28 @@ class TestRazor:
                     reference = tuple(x.hex() for x in reference)
                 assert got == reference, (n, r)
 
+    @pytest.mark.parametrize("ps", [Fraction(1, 2), Fraction(1, 3), 0.3], ids=repr)
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_one_dp_holds_every_smaller_start(self, r, ps):
+        """The DP for the largest n answers every size of a sweep as that
+        size's own DP does, floats bit for bit."""
+        shared = razor_quality_range(range(21), r, ps)
+        assert list(shared) == list(range(21))
+        for n, got in shared.items():
+            reference = razor_quality(n, r, ps)
+            assert [type(x) for x in got] == [type(x) for x in reference]
+            if isinstance(ps, float):
+                got = tuple(x.hex() for x in got)
+                reference = tuple(x.hex() for x in reference)
+            assert got == reference, n
+        assert razor_quality_range([9, 3, 9], r, ps) == {m: shared[m] for m in (9, 3)}
+        assert razor_quality_range([], r, ps) == {}
+
     def test_rejects_tiny_r(self):
         with pytest.raises(ValueError):
             razor_quality(4, 1)
+        with pytest.raises(ValueError):
+            razor_quality_range([4], 1)
 
 
 def _closed_form_plus_one(n):

@@ -14,6 +14,36 @@ from cluster_forge.exact import (
 )
 
 
+STATIC_03_SWEEP = """\
+# cluster-forge v0.1.0 quality
+n,quality
+1,1.0
+2,0.6
+3,1.18
+4,0.9858
+5,1.3335399999999997
+6,1.2531474
+7,1.4707806399999994
+8,1.4541403523999998
+9,1.5858997145199993
+10,1.6113376270811997
+11,1.7050760931512792
+12,1.74914424477694
+13,1.811801457578356
+14,1.8710994233056621
+15,1.9108922467188574
+16,1.9813937632463916
+17,1.9723972709456101
+18,2.0668055521729927
+19,2.0752514518969596
+20,2.1611129610322153
+21,2.168954786859233
+22,2.255112292203995
+23,2.2571007061116983
+24,2.3461263832969235
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -48,6 +78,14 @@ class TestQuality:
                         "--ps", "0.5")
         assert code == 0
         assert "4,1.625" in out
+
+    def test_static_float_sweep_is_unchanged(self, capsys):
+        """The two-stage walk on the float path, byte for byte as recorded
+        before its process states were made cheap."""
+        code, out = run(capsys, "quality", "--strategy", "static", "--ps", "0.3",
+                        "--n-max", "24")
+        assert code == 0
+        assert out == STATIC_03_SWEEP
 
     def test_static_strategy_sweep(self, capsys):
         code, out = run(capsys, "quality", "--strategy", "static", "--n-max", "8",
@@ -176,6 +214,21 @@ class TestOptimalTable:
                      "--max-entries", "5"])
         assert code == 2
 
+    def test_budget_stops_the_build_before_any_dp_work(self, capsys, tmp_path, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("a block was enumerated")
+
+        monkeypatch.setattr(exact, "_partitions_into", no_enumeration)
+        out = tmp_path / "t.tsv"
+        code = main(["optimal-table", "--n", "30", "--max-entries", "5000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "cluster-forge: budget exceeded: table build for N=30 exceeded budget of 5000 "
+            "entries at vertex-count level 30 (5000 entries stored)\n")
+        assert not out.exists()
+
     def test_rational_ps_required(self, capsys, tmp_path):
         code = main(["optimal-table", "--n", "4", "--ps", "0.5",
                      "--out", str(tmp_path / "t.tsv")])
@@ -293,7 +346,11 @@ class TestSmallSizes:
          "cluster side must be at least 1"),
         (["percolation-scan", "--n-list", "50", "--ps", "0.5", "--a-grid", "3,1"],
          "overhead factor must exceed 1"),
-    ], ids=" ".join)
+    ], ids=["quality-n-min", "quality-step", "bounds-n-min", "bounds-n", "bounds-n-max",
+            "razor-n", "razor-n-min", "razor-r-min", "validate-n", "optimal-table-max-entries",
+            "quality-n-max", "quality-all-n-max", "razor-r-max-below-r-min", "razor-r-max",
+            "weave-n", "weave-a", "weave-trials", "percolation-scan-n-list",
+            "percolation-scan-a-grid"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

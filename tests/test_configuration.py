@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,3 +236,93 @@ def test_fuse_at_keeps_the_lineup_order(lengths, data):
     outcome = data.draw(st.sampled_from([SUCCESS, FAILURE]))
     after = IdentityConfiguration(tuple(lengths)).fuse_at(i, j, outcome)
     assert after.chains == reference_fuse_at(lengths, i, j, outcome)
+
+
+def reference_fuse(config, a, b, outcome):
+    """The fusion rule on a counts dict, rebuilt through the checked
+    constructor: the oracle for ``Configuration.fuse``."""
+    counts = config.counts()
+    counts[a] = counts.get(a, 0) - 1
+    counts[b] = counts.get(b, 0) - 1
+    if counts[a] < 0 or counts[b] < 0:
+        return None
+    if outcome == SUCCESS:
+        counts[a + b] = counts.get(a + b, 0) + 1
+    else:
+        for k in (a, b):
+            if k > 1:
+                counts[k - 1] = counts.get(k - 1, 0) + 1
+    return Configuration.from_counts(counts)
+
+
+@given(configurations, st.integers(1, 9), st.integers(1, 9), st.sampled_from([SUCCESS, FAILURE]))
+@settings(max_examples=400, deadline=None)
+def test_fuse_equals_the_dict_rule(config, a, b, outcome):
+    """Any length pair, present or not: the directly built result equals
+    the checked rebuild, field for field, and a null fusion raises."""
+    expected = reference_fuse(config, a, b, outcome)
+    if expected is None:
+        with pytest.raises(InvalidFusionError):
+            config.fuse(a, b, outcome)
+        return
+    after = config.fuse(a, b, outcome)
+    assert tuple(after) == tuple(expected)
+    assert after.vertex_count == sum(n * (k + 1) for k, n in after.items)
+    assert hash(after) == hash(expected)
+
+
+MALFORMED = {
+    "zero-length": lambda: Configuration.from_counts({0: 1}),
+    "zero-length-among-others": lambda: Configuration.from_counts({2: 1, 0: 3}),
+    "zero-count": lambda: Configuration(((1, 0),)),
+    "zero-count-last": lambda: Configuration(((1, 2), (3, 0))),
+    "unsorted": lambda: Configuration(((2, 1), (1, 1))),
+    "repeated-length": lambda: Configuration(((2, 1), (2, 1))),
+    "identity-zero-length": lambda: IdentityConfiguration((0,)),
+}
+
+
+def assert_constructors_reject():
+    """Every malformed input raises ValueError; uses no assert statement,
+    so it also checks under -O."""
+    for build in MALFORMED.values():
+        with pytest.raises(ValueError):
+            build()
+
+
+class TestConstructorsCheck:
+    """The public constructors keep their checks; only fusion skips them."""
+
+    @pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_is_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_malformed_input_is_rejected_under_python_O(self):
+        env = dict(os.environ)
+        package_root = str(Path(sys.modules[Configuration.__module__].__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = ("assert False, 'asserts must be stripped'\n"
+                "import test_configuration\n"
+                "test_configuration.assert_constructors_reject()")
+        subprocess.run([sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, env=env,
+                       check=True, timeout=120)
+
+    def test_the_vertex_count_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            Configuration(((1, 2),), 4)
+        assert Configuration(((1, 2), (3, 1))).vertex_count == 8
+
+    def test_anonymous_and_identity_views_differ(self):
+        assert Configuration() != IdentityConfiguration()
+        assert Configuration.epr_pairs(2) != IdentityConfiguration.epr_pairs(2)
+        assert len({Configuration(), IdentityConfiguration()}) == 2
+
+    def test_repr_names_the_items(self):
+        assert repr(Configuration.from_lengths([1, 3])) == "Configuration(items=((1, 1), (3, 1)))"
+        assert repr(Configuration()) == "Configuration(items=())"
+
+    def test_pickles_through_the_checked_constructor(self):
+        config = Configuration.from_lengths([2, 2, 5])
+        again = pickle.loads(pickle.dumps(config))
+        assert again == config and again.vertex_count == config.vertex_count

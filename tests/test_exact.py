@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cluster_forge import exact
 from cluster_forge.configuration import (
     FAILURE,
     STOP,
@@ -233,6 +234,28 @@ class TestQualityTable:
         with pytest.raises(TableBudgetExceeded) as err:
             build_quality_table(4, max_entries=0)
         assert (err.value.vertex_level, err.value.entries) == (0, 0)
+
+    @pytest.mark.parametrize("n, budget", [(30, 5000), (8, 10), (12, 77), (6, 29), (5, 0)])
+    def test_budget_is_checked_before_any_dp_work(self, monkeypatch, n, budget):
+        """An over-budget build raises before it enumerates a block, naming
+        the level of the first entry past the budget."""
+        level = list(enumerate_configurations(n))[budget].vertex_count
+
+        def no_enumeration(*args):
+            raise AssertionError("a block was enumerated")
+
+        monkeypatch.setattr(exact, "_partitions_into", no_enumeration)
+        with pytest.raises(TableBudgetExceeded) as err:
+            build_quality_table(n, max_entries=budget)
+        assert (err.value.n, err.value.vertex_level, err.value.entries, err.value.budget) == (
+            n, level, budget, budget)
+
+    @pytest.mark.parametrize("n", [0, 6, 11])
+    def test_a_budget_of_every_entry_is_enough(self, n):
+        size = len(build_quality_table(n))
+        assert len(build_quality_table(n, max_entries=size)) == size
+        with pytest.raises(TableBudgetExceeded):
+            build_quality_table(n, max_entries=size - 1)
 
     def test_load_shares_one_action_object_per_text(self, tmp_path):
         table = build_quality_table(12)

@@ -25,6 +25,7 @@ from cluster_forge.strategies import (
     STATIC,
     IdentityAdapter,
     LookupStrategy,
+    ProcessState,
     Strategy,
     TwoStage,
     ValidationResult,
@@ -507,3 +508,61 @@ class TestTwoStageBlockDecisions:
                 "test_strategies.assert_two_stage_errors_raise()")
         subprocess.run([sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, env=env,
                        check=True, timeout=120)
+
+
+def reference_two_stage_step(strategy, chains, memory, action, outcome):
+    """One two-stage step by the plain rule: fuse the lineup as a list,
+    find the action's block by its sizes, rebuild the memory and go to
+    stage two once no block holds two chains. The oracle for
+    ``TwoStage.step``."""
+    i, j = min(action.a, action.b), max(action.a, action.b)
+    lineup = list(chains.chains)
+    x, y = lineup[i], lineup[j]
+    if outcome == SUCCESS:
+        lineup[i] += lineup.pop(j)
+    else:
+        lineup[i] -= 1
+        lineup[j] -= 1
+        lineup = [k for k in lineup if k > 0]
+    kind, state = memory
+    if kind == "blocks":
+        sizes = list(state)
+        starts = [sum(sizes[:bi]) for bi in range(len(sizes))]
+        bi = max(b for b, start in enumerate(starts) if start <= action.a)
+        sizes[bi] -= len(chains.chains) - len(lineup)
+        memory = ("blocks", tuple(sizes)) if max(sizes) > 1 else ("pairs", 0)
+    else:
+        pos = state
+        if outcome == SUCCESS or (x == 1) != (y == 1):
+            pos += 1
+        memory = ("pairs", 0 if pos >= len(lineup) - 1 else pos)
+    return IdentityConfiguration(tuple(lineup)), memory
+
+
+@given(block_size=st.sampled_from([2, 3, 5, 8]), inner=st.sampled_from([MODESTY, GREED]),
+       lengths=st.lists(st.integers(1, 4), min_size=0, max_size=20),
+       outcomes=st.lists(st.sampled_from([SUCCESS, FAILURE]), max_size=60),
+       round_position=st.none() | st.integers(0, 18))
+@settings(max_examples=300, deadline=None)
+def test_two_stage_step_equals_the_plain_rule(block_size, inner, lengths, outcomes,
+                                              round_position):
+    """Along a random path, from the start or from a random point of a
+    pairing round, each step's chains and memory, and ``next_memory``,
+    equal the plain rule's, and both are built from the same values the
+    checked constructors give."""
+    strategy = TwoStage(block_size, inner)
+    chains = IdentityConfiguration(tuple(lengths))
+    state = strategy.start(chains)
+    if round_position is not None and round_position < len(lengths) - 1:
+        state = ProcessState(chains, ("pairs", round_position))
+    for outcome in outcomes:
+        action = strategy.choose(state)
+        if action == STOP:
+            assert state.chain_count <= 1
+            break
+        after = strategy.step(state, action, outcome)
+        chains, memory = reference_two_stage_step(strategy, *state, action, outcome)
+        assert tuple(after) == (chains, memory)
+        assert type(after.chains) is IdentityConfiguration
+        assert strategy.next_memory(*state, action, outcome, after.chains) == memory
+        state = after
