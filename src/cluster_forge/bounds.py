@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .configuration import _block_sizes, _blocks
 from .exact import HALF, _check_ps, _optimize, strategy_quality_range
 from .strategies import MODESTY
 
@@ -73,28 +72,18 @@ def razor_quality_range(ns: Iterable[int], r: int, ps=HALF) -> dict[int, tuple]:
 
     That DP holds every start of m <= n pairs. Its value there is the
     m-pair DP's: a cap of at least m cuts no chain of at most m edges,
-    so both run the same recursion with the same arithmetic. The start
-    of m pairs is the only configuration of 2m vertices and m edges and
-    opens level 2m, so its position is the count of the configurations
-    below that level (``configuration._block_sizes``).
+    so both run the same recursion with the same arithmetic.
     """
     if r < 2:
         raise ValueError("razor parameter must be at least 2")
     ns = list(ns)
     n = max(ns, default=0)
     # no chain is longer than n, so a larger cap changes nothing
-    cap = min(r, n)
-    values, _, _, costs = _optimize(n, ps, cap, attempts=True)
-    sizes, stored, positions = _block_sizes(n, cap), 0, {}
-    for v, total in _blocks(n):
-        if v == 2 * total:
-            positions[total] = stored
-        stored += sizes[v][total]
+    values, _, _, costs, starts = _optimize(n, ps, min(r, n), attempts=True)
     if isinstance(ps, Fraction):
-        scale = [ps.denominator ** (2 * m) for m in range(n + 1)]
-        return {m: (Fraction(values[positions[m]], scale[m]),
-                    Fraction(costs[positions[m]], scale[m])) for m in ns}
-    return {m: (values[positions[m]], costs[positions[m]]) for m in ns}
+        return {m: (Fraction(values[starts[m]], ps.denominator ** (2 * m)),
+                    Fraction(costs[starts[m]], ps.denominator ** (2 * m))) for m in ns}
+    return {m: (values[starts[m]], costs[starts[m]]) for m in ns}
 
 
 def razor_upper_bound(n: int, r: int) -> Fraction:

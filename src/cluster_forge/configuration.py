@@ -347,21 +347,27 @@ def _blocks(max_total_length: int) -> Iterator[tuple[int, int]]:
             yield v, total
 
 
-def _block_sizes(max_total_length: int, cap: int) -> list[list[int]]:
-    """``sizes[v][t]``: the configurations of v vertices and t edges whose
-    chains are at most ``cap`` long, for t <= ``max_total_length``; with
-    ``cap >= max_total_length`` these are the blocks of :func:`_blocks`.
-    Counted without enumerating them: each chain length k <= cap in turn
-    may be added to a configuration any number of times, adding k + 1
-    vertices and k edges each time."""
-    n = max_total_length
-    sizes = [[0] * (n + 1) for _ in range(2 * n + 1)]
-    sizes[0][0] = 1
-    for k in range(1, cap + 1):
-        for v in range(k + 1, 2 * n + 1):
-            row, fewer = sizes[v], sizes[v - k - 1]
-            row[k:] = [x + y for x, y in zip(row[k:], fewer)]
-    return sizes
+def _exactly(n: int) -> list[list[int]]:
+    """``exactly[c][r]``: the partitions of r into exactly c parts, for
+    c, r <= n."""
+    exactly = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for c in range(1, n + 1):
+        for r in range(c, n + 1):
+            exactly[c][r] = exactly[c - 1][r - 1] + exactly[c][r - c]
+    return exactly
+
+
+def _block_starts(max_total_length: int) -> Iterator[tuple[int, int, int, int]]:
+    """``(vertex count, total length, start, stop)`` of each block of
+    :func:`_blocks`, in storage order: positions ``start`` to ``stop - 1``
+    hold the block's configurations, the partitions of L into V - L
+    parts. The one account of where each block is stored; counted
+    without enumerating the blocks."""
+    exactly = _exactly(max_total_length)
+    stop = 0
+    for v, total in _blocks(max_total_length):
+        start, stop = stop, stop + exactly[v - total][total]
+        yield v, total, start, stop
 
 
 def _partition_ranker(max_total_length: int):
@@ -377,7 +383,7 @@ def _partition_ranker(max_total_length: int):
 
     Neither builds a dictionary over configurations. A position is the
     last position of the configuration's block (t edges in c chains, see
-    :func:`_blocks`) less the partitions after it in the block, in the
+    :func:`_block_starts`) less the partitions after it in the block, in the
     order of :func:`_partitions_into`. Take an item (k, m) with (T', C')
     the edges and chains of it and every longer item, (T, C) those of the
     longer items alone, and r = T - C*k. Among the partitions that agree
@@ -387,11 +393,7 @@ def _partition_ranker(max_total_length: int):
     to r + (C' - j) * k). The terms of all items add up to the count.
     """
     n = max_total_length
-    # exactly[c][r]: partitions of r into exactly c parts
-    exactly = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    for c in range(1, n + 1):
-        for r in range(c, n + 1):
-            exactly[c][r] = exactly[c - 1][r - 1] + exactly[c][r - c]
+    exactly = _exactly(n)
     # fewer[c][r]: partitions of r into fewer than c parts
     fewer = [[0] * (n + 1)]
     for c in range(1, n + 1):
@@ -399,8 +401,7 @@ def _partition_ranker(max_total_length: int):
     # last[c][t]: position of the last configuration of t edges in c chains
     last = [[0] * (n + 1) for _ in range(n + 1)]
     size = 0
-    for v, total in _blocks(n):
-        size += exactly[v - total][total]
+    for v, total, _, size in _block_starts(n):
         last[v - total][total] = size - 1
     # texts[k][m] is "k^m", the canonical_key text of m chains of length k
     texts = [[]] + [[f"{k}^{m}" for m in range(n // k + 1)] for k in range(1, n + 1)]

@@ -71,7 +71,7 @@ from .configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
-    _block_sizes,
+    _block_starts,
     _blocks,
     _partition_ranker,
     _partitions_into,
@@ -384,7 +384,7 @@ def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[lis
     return w, success, failure
 
 
-def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | None = None):
+def _optimize(n: int, ps, cap: int, attempts: bool = False):
     """The count-code optimiser: :func:`build_quality_table` runs it with
     ``cap = n`` and :func:`cluster_forge.bounds.razor_quality` with ``cap =
     r``, where a success cuts a merged chain longer than ``cap`` to ``cap``.
@@ -392,19 +392,13 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | N
     Works up through the configurations of at most ``n`` edges and chains
     of at most ``cap`` edges in storage order, so both successors of
     every fusion are known. Returns ``(values, action_ids, actions,
-    costs)`` by position: the maximal scaled quality, the index into
-    ``actions`` of the smallest maximizing pair, and, with ``attempts``,
-    the minimal scaled expected attempts (else an empty list).
+    costs, starts)``: by position, the maximal scaled quality, the index
+    into ``actions`` of the smallest maximizing pair, and, with
+    ``attempts``, the minimal scaled expected attempts (else an empty
+    list); and ``starts[m]``, the position of the start of m pairs for
+    m <= n.
     """
     _check_ps(ps)
-    if max_entries is not None:
-        # counted before any DP work: the entries stored when the next
-        # one would exceed the budget
-        sizes, stored = _block_sizes(n, cap), 0
-        for v, total in _blocks(n):
-            stored += sizes[v][total]
-            if stored > max_entries:
-                raise TableBudgetExceeded(n, v, max_entries, max_entries)
     _, p, scale, fail_factor = _scaling(ps, 2 * n)
     w, success, failure = _count_codes(n, cap)
     # rows[a][b], a <= b: (success shift, p * q**cut, success drop 1 + cut,
@@ -426,6 +420,7 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | N
     values: list = []
     action_ids = array("H")
     costs: list = []
+    starts: list[int] = []
     # quality[v], spent[v]: {code: scaled quality or attempts} at v vertices,
     # None once no successor can reach them
     quality: list = [{} for _ in range(2 * n + 1)]
@@ -441,6 +436,8 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | N
             here, there = quality[v], spent[v]
             # below[d], spent_below[d]: the levels d vertices down
             below, spent_below = quality[v::-1], spent[v::-1]
+        if v == 2 * total:  # the block of m = total pairs alone
+            starts.append(len(values))
         stop = v - total <= 1  # the empty configuration or one chain
         for items in block:
             code = 0
@@ -468,7 +465,7 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False, max_entries: int | N
             if attempts:
                 there[code] = least
                 costs.append(least)
-    return values, action_ids, actions, costs
+    return values, action_ids, actions, costs, starts
 
 
 def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> QualityTable:
@@ -484,7 +481,14 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
         raise ValueError(f"table size must be at least 0, got {n}")
     if max_entries is not None and max_entries < 0:
         raise ValueError(f"entry budget must be at least 0, got {max_entries}")
-    values, action_ids, actions, _ = _optimize(n, ps, n, max_entries=max_entries)
+    if max_entries is not None:
+        # checked before any DP work, after ps as in the DP: the entries
+        # stored when the next one would exceed the budget
+        _check_ps(ps)
+        for v, _, _, stop in _block_starts(n):
+            if stop > max_entries:
+                raise TableBudgetExceeded(n, v, max_entries, max_entries)
+    values, action_ids, actions, _, _ = _optimize(n, ps, n)
     return QualityTable(n, ps, values, action_ids, actions)
 
 

@@ -47,7 +47,7 @@ removed, since each depends on those alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Hashable, Mapping, NamedTuple
 
 from .configuration import (
@@ -64,8 +64,8 @@ from .configuration import (
 )
 
 # Shared, immutable Fuse objects per index or length pair, so a decision
-# seldom allocates one; bounded, since the pairs grow with the sizes walked.
-_fuse = lru_cache(maxsize=4096)(Fuse)
+# seldom allocates one. Chains of at most n edges give at most n**2 pairs.
+_fuse = cache(Fuse)
 
 
 class Strategy:
@@ -92,10 +92,9 @@ class Strategy:
 
 
 class _CountRule(Strategy):
-    """A rule given on the count dict by ``decide_counts``, with a
-    ``decide`` that reads the same answer off the sorted ``items`` in
-    O(1). A subclass that overrides ``decide_counts`` alone decides
-    through it."""
+    """A rule that ``decide`` reads off the sorted ``items`` in O(1);
+    ``decide_counts`` asks the same rule of a count dict. A subclass
+    that overrides ``decide_counts`` alone decides through it."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -126,12 +125,8 @@ class Greed(_CountRule):
         return _fuse(items[-2][0], a)
 
     def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        total = sum(counts.values())
-        if total <= 1:
-            return STOP
-        a = max(counts)
-        b = a if counts[a] >= 2 else max(k for k in counts if k != a)
-        return Fuse(a, b)
+        # through the class, so a subclass that borrows this cannot recurse
+        return Greed.decide(self, Configuration.from_counts(counts))
 
 
 class Modesty(_CountRule):
@@ -151,12 +146,7 @@ class Modesty(_CountRule):
         return _fuse(a, items[1][0])
 
     def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        total = sum(counts.values())
-        if total <= 1:
-            return STOP
-        a = min(counts)
-        b = a if counts[a] >= 2 else min(k for k in counts if k != a)
-        return Fuse(a, b)
+        return Modesty.decide(self, Configuration.from_counts(counts))
 
 
 class LookupStrategy(Strategy):

@@ -489,10 +489,11 @@ class TestIntegerScaledEngine:
         n = 10
         p, q = (ps.numerator, ps.denominator) if isinstance(ps, Fraction) else (ps, 1)
         for cap in (n, 4, 2):
-            values, action_ids, actions, costs = _optimize(n, ps, cap, attempts=True)
+            values, action_ids, actions, costs, starts = _optimize(n, ps, cap, attempts=True)
             configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
             position = {config: i for i, config in enumerate(configs)}
             assert len(values) == len(action_ids) == len(costs) == len(configs)
+            assert starts == [position[Configuration.epr_pairs(m)] for m in range(n + 1)]
             for config, i in position.items():
                 vertices = config.vertex_count
                 if config.chain_count <= 1:

@@ -56,6 +56,22 @@ class TestModesty:
         assert MODESTY.decide(Configuration()) == STOP
 
 
+@given(lengths=st.lists(st.integers(1, 6), max_size=12))
+def test_count_rules_equal_the_plain_rule(lengths):
+    """Greed and Modesty decide from the sorted items as the plain rule on
+    the count dict does: the two largest (smallest) chains, a length
+    twice when it has two chains; and ``decide_counts`` agrees."""
+    config = Configuration.from_lengths(lengths)
+    counts = config.counts()
+    for strategy, pick in ((GREED, max), (MODESTY, min)):
+        if sum(counts.values()) <= 1:
+            expected = STOP
+        else:
+            a = pick(counts)
+            expected = Fuse(a, a if counts[a] >= 2 else pick(k for k in counts if k != a))
+        assert strategy.decide(config) == strategy.decide_counts(counts) == expected
+
+
 def walk(strategy, chains, memory, outcomes):
     """Drive a stateful strategy through a fixed outcome string."""
     trace = []
