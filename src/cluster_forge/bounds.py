@@ -79,11 +79,8 @@ def razor_quality_range(ns: Iterable[int], r: int, ps=HALF) -> dict[int, tuple]:
     ns = list(ns)
     n = max(ns, default=0)
     # no chain is longer than n, so a larger cap changes nothing
-    values, _, _, costs, starts = _optimize(n, ps, min(r, n), attempts=True)
-    if isinstance(ps, Fraction):
-        return {m: (Fraction(values[starts[m]], ps.denominator ** (2 * m)),
-                    Fraction(costs[starts[m]], ps.denominator ** (2 * m))) for m in ns}
-    return {m: (values[starts[m]], costs[starts[m]]) for m in ns}
+    *_, starts = _optimize(n, ps, min(r, n), attempts=True)
+    return {m: starts[m] for m in ns}
 
 
 def razor_upper_bound(n: int, r: int) -> Fraction:

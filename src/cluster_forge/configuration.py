@@ -299,13 +299,19 @@ def canonical_key(config: Configuration) -> str:
 
 
 def parse_key(key: str) -> Configuration:
-    if not key:
-        return Configuration()
-    items = []
-    for part in key.split(","):
-        k, _, n = part.partition("^")
-        items.append((int(k), int(n)))
-    return Configuration(tuple(items))
+    """The configuration whose :func:`canonical_key` is ``key``; ValueError
+    for a malformed or non-canonical key."""
+    try:
+        items = []
+        for part in key.split(",") if key else ():
+            k, _, n = part.partition("^")
+            items.append((int(k), int(n)))
+        config = Configuration(tuple(items))
+    except ValueError:
+        config = None
+    if config is None or canonical_key(config) != key:
+        raise ValueError(f"'{key}' is not a canonical configuration key")
+    return config
 
 
 def _partitions_into(total: int, parts: int, max_part: int) -> list[tuple[tuple[int, int], ...]]:
@@ -416,7 +422,8 @@ def _partition_ranker(max_total_length: int):
                 total += k * m
             return last[chains][total] - after, total + chains
         except IndexError:
-            raise KeyError(f"{items} has more than {n} edges") from None
+            raise KeyError(f"configuration '{Configuration(items)}' has more than {n} "
+                           f"edges") from None
 
     def keys() -> Iterator[tuple[str, int, int]]:
         yield "", 0, 0

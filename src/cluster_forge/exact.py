@@ -40,8 +40,9 @@ chain cut to R edges, which also minimises attempts in the same pass.
   index into a shared list of actions in an ``array('H')``. The build
   makes no configuration object, key string or Fraction: a
   :class:`QualityTable` computes the rank from a count vector when asked
-  (``configuration._partition_ranker``) and builds ``Fraction(I, q**V)``
-  and key strings only on demand.
+  (``configuration._partition_ranker``), and its quality, action and
+  strategy read by rank. ``Fraction(I, q**V)`` is built only on demand,
+  and canonical key strings only where a table is saved or loaded.
 
 The read side is scaled the same way. :func:`strategy_quality`,
 :func:`expected_attempts` and :func:`strategy_quality_range` walk a
@@ -59,8 +60,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from types import MappingProxyType
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import Hashable, Iterator
 
 from .configuration import (
     FAILURE,
@@ -77,7 +77,7 @@ from .configuration import (
     _partitions_into,
     enumerate_configurations,
 )
-from .strategies import LookupStrategy, StatefulStrategy, Strategy, format_action, parse_action
+from .strategies import StatefulStrategy, Strategy, format_action, parse_action
 
 HALF = Fraction(1, 2)
 
@@ -116,42 +116,51 @@ def _scaling(ps, vmax: int):
     return exact, p, scale, fail_factor
 
 
-def _evaluate(start: Hashable, classify: Callable, memo: dict, p, scale, fail_factor,
-              attempts: bool = False):
-    """Memoized, integer-scaled expectation over the event DAG.
+def _evaluate(start: Hashable, strategy: Strategy | StatefulStrategy, memo: dict, p, scale,
+              fail_factor, attempts: bool = False):
+    """Memoized, integer-scaled expectation over ``strategy``'s event DAG
+    from the process state ``start``.
 
-    ``classify(state, v)`` returns ``(None, total_length, None)`` for a
-    terminal state of v vertices, or ``(success_state, drop,
-    failure_state)`` for a fusion whose failure removes ``drop``
-    vertices. A success removes one vertex, so each state's vertex count
-    v comes from its parent's, and only the start's is summed. A state
+    A success removes one vertex, so each state's vertex count v comes
+    from its parent's and only the start's is summed; a failure removes
+    ``drop`` vertices, v less the failure state's vertex count. A state
     of v vertices stores ``I = value * q**v``, so
 
         I = (base + p * I(success)) + (q - p) * q**(drop - 1) * I(failure)
 
-    with base ``q**v`` for attempts and 0 for quality; terminal states
-    hold ``total_length * q**v`` (quality) or 0 (attempts). Scaled
-    values depend only on the state, so one ``memo`` serves every start
-    of a sweep for one strategy, ps and kind of value. Iterative so
-    that deep event chains cannot hit the recursion limit.
+    with base ``q**v`` for attempts and 0 for quality; a stop holds
+    ``total_length * q**v`` (quality) or 0 (attempts), and a stop with
+    more than one chain left raises ValueError. Scaled values depend
+    only on the state, so one ``memo`` serves every start of a sweep for
+    one strategy, ps and kind of value. Iterative so that deep event
+    chains cannot hit the recursion limit.
     """
+    choose, step = strategy.choose, strategy.step
     zero = 0 * scale[0]
-    # (state, its vertex count, its classification once its successors are pushed)
+    # (state, its vertex count, (success state, failure drop, failure
+    # state) once its successors are pushed)
     stack: list[tuple[Hashable, int, tuple | None]] = [(start, start.vertex_count, None)]
     while stack:
         state, v, node = stack.pop()
         if node is None:
             if state in memo:
                 continue
-            node = classify(state, v)
-            succ, drop, fail = node
-            if succ is None:  # a stop: drop holds the total length
-                memo[state] = zero if attempts else drop * scale[v]
+            action = choose(state)
+            if isinstance(action, Stop):
+                if state.chain_count > 1:
+                    raise ValueError(
+                        f"invalid strategy {strategy.name}: premature stop on "
+                        f"'{state.to_configuration()}'"
+                    )
+                memo[state] = zero if attempts else state.total_length * scale[v]
                 continue
+            succ = step(state, action, SUCCESS)
+            fail = step(state, action, FAILURE)
+            fail_v = fail.vertex_count
             # a child already in the memo is skipped when popped, so
             # each state is hashed once per parent, not twice
-            stack.append((state, v, node))
-            stack.append((fail, v - drop, None))
+            stack.append((state, v, (succ, v - fail_v, fail)))
+            stack.append((fail, fail_v, None))
             stack.append((succ, v - 1, None))
         else:
             succ, drop, fail = node
@@ -160,38 +169,16 @@ def _evaluate(start: Hashable, classify: Callable, memo: dict, p, scale, fail_fa
     return memo[start]
 
 
-def _classifier(strategy: Strategy | StatefulStrategy):
-    """classify() over the strategy's process states: the failure's drop
-    is the state's v less the failure state's vertex count, a field of a
-    :class:`Configuration`."""
-
-    def classify(state, v):
-        action = strategy.choose(state)
-        if isinstance(action, Stop):
-            if state.chain_count > 1:
-                raise ValueError(
-                    f"invalid strategy {strategy.name}: premature stop on "
-                    f"'{state.to_configuration()}'"
-                )
-            return None, state.total_length, None
-        succ = strategy.step(state, action, SUCCESS)
-        fail = strategy.step(state, action, FAILURE)
-        return succ, v - fail.vertex_count, fail
-
-    return classify
-
-
 def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
     """Quality (or expected attempts) of ``strategy`` from each start,
     all sharing one memo of scaled values, which is dropped on return."""
     _check_ps(ps)
     states = [strategy.start(start) for start in starts]
-    classify = _classifier(strategy)
     exact, p, scale, fail_factor = _scaling(ps, max((s.vertex_count for s in states), default=0))
     memo: dict = {}
     answers = []
     for state in states:
-        value = _evaluate(state, classify, memo, p, scale, fail_factor, attempts)
+        value = _evaluate(state, strategy, memo, p, scale, fail_factor, attempts)
         answers.append(Fraction(value, scale[state.vertex_count]) if exact else value)
     return answers
 
@@ -241,8 +228,9 @@ class QualityTable:
     itself for a float ``ps``. The action is ``actions[action_ids[r]]``,
     a small index into one shared list of ``Fuse``/``STOP`` objects.
     :meth:`quality` builds ``Fraction(I, q**V)`` only when asked, and
-    canonical key strings are made only by :meth:`save`, :meth:`load`,
-    :meth:`as_strategy` and :attr:`entries`.
+    :meth:`as_strategy` decides by rank too: canonical key strings are
+    made only where a table crosses the file boundary, by :meth:`save`
+    and :meth:`load`.
     """
 
     def __init__(self, n: int, ps, values: list, action_ids: array, actions: list[Action]):
@@ -258,6 +246,10 @@ class QualityTable:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __reduce__(self):
+        # the ranker's closures are rebuilt, not pickled
+        return type(self), (self.n, self.ps, self.values, self.action_ids, self.actions)
 
     def __contains__(self, config: Configuration) -> bool:
         return config.total_length <= self.n
@@ -283,19 +275,10 @@ class QualityTable:
             yield (config, self._quality(position, config.vertex_count),
                    actions[action_ids[position]])
 
-    @property
-    def entries(self) -> Mapping[str, tuple[Fraction, Action]]:
-        """Read-only ``{canonical key: (quality, action)}``, built anew on
-        each access."""
-        actions, action_ids = self.actions, self.action_ids
-        return MappingProxyType({
-            key: (self._quality(position, vertices), actions[action_ids[position]])
-            for key, position, vertices in self._keys()})
-
-    def as_strategy(self, name: str = "optimal") -> LookupStrategy:
-        actions, action_ids = self.actions, self.action_ids
-        return LookupStrategy({key: actions[action_ids[position]]
-                               for key, position, _ in self._keys()}, name=name)
+    def as_strategy(self, name: str = "optimal") -> Strategy:
+        """The table's optimal actions as a strategy, deciding by rank; a
+        configuration beyond ``n`` edges raises KeyError."""
+        return _TableStrategy(self, name)
 
     def save(self, path) -> None:
         """Header ``N=<n> ps=<num>/<den>`` then one sorted line per entry:
@@ -363,6 +346,18 @@ class QualityTable:
         return cls(n, ps, values, action_ids, actions)
 
 
+class _TableStrategy(Strategy):
+    """:meth:`QualityTable.as_strategy`: each decision is the table's
+    :meth:`~QualityTable.action`."""
+
+    def __init__(self, table: QualityTable, name: str):
+        self.table = table
+        self.name = name
+
+    def decide(self, config: Configuration) -> Action:
+        return self.table.action(config)
+
+
 def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Integer count codes for configurations of at most ``n`` edges whose
     chains are at most ``cap`` long.
@@ -395,11 +390,12 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     costs, starts)``: by position, the maximal scaled quality, the index
     into ``actions`` of the smallest maximizing pair, and, with
     ``attempts``, the minimal scaled expected attempts (else an empty
-    list); and ``starts[m]``, the position of the start of m pairs for
-    m <= n.
+    list); and ``starts[m]``, the quality and (with ``attempts``, else
+    None) the attempts from the start of m pairs for m <= n, decoded: a
+    Fraction for an exact ``ps``.
     """
     _check_ps(ps)
-    _, p, scale, fail_factor = _scaling(ps, 2 * n)
+    exact, p, scale, fail_factor = _scaling(ps, 2 * n)
     w, success, failure = _count_codes(n, cap)
     # rows[a][b], a <= b: (success shift, p * q**cut, success drop 1 + cut,
     # failure shift, failure factor, failure drop, action index), where the
@@ -465,7 +461,11 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
             if attempts:
                 there[code] = least
                 costs.append(least)
-    return values, action_ids, actions, costs, starts
+    # the start of m pairs has 2m vertices
+    decode = (lambda x, m: Fraction(x, scale[2 * m])) if exact else (lambda x, m: x)
+    return values, action_ids, actions, costs, [
+        (decode(values[i], m), decode(costs[i], m) if attempts else None)
+        for m, i in enumerate(starts)]
 
 
 def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> QualityTable:

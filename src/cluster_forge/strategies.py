@@ -60,7 +60,7 @@ from .configuration import (
     IdentityConfiguration,
     Stop,
     _new,
-    canonical_key,
+    parse_key,
 )
 
 # Shared, immutable Fuse objects per index or length pair, so a decision
@@ -72,7 +72,6 @@ class Strategy:
     """Stateless decision rule on anonymous configurations."""
 
     name = "strategy"
-    stateful = False
 
     def decide(self, config: Configuration) -> Action:
         raise NotImplementedError
@@ -150,38 +149,23 @@ class Modesty(_CountRule):
 
 
 class LookupStrategy(Strategy):
-    """Strategy given extensionally by a canonical-key -> action table."""
+    """Strategy given extensionally by a canonical-key -> action table.
+
+    Each key is parsed once, here (:func:`parse_key`), so a decision is
+    one dict lookup; a malformed or non-canonical key raises ValueError.
+    """
 
     name = "lookup"
 
     def __init__(self, table: Mapping[str, Action], name: str = "lookup"):
-        self.table = dict(table)
+        self.table = {parse_key(key): action for key, action in table.items()}
         self.name = name
 
     def decide(self, config: Configuration) -> Action:
-        key = canonical_key(config)
         try:
-            return self.table[key]
+            return self.table[config]
         except KeyError:
-            raise KeyError(f"lookup table has no entry for configuration '{key}'") from None
-
-    def save(self, path) -> None:
-        """One line per entry: ``key<TAB>a,b`` or ``key<TAB>stop``."""
-        with open(path, "w", encoding="ascii") as fh:
-            for key in sorted(self.table):
-                fh.write(f"{key}\t{format_action(self.table[key])}\n")
-
-    @classmethod
-    def load(cls, path, name: str = "lookup") -> "LookupStrategy":
-        table: dict[str, Action] = {}
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                key, _, act = line.partition("\t")
-                table[key] = parse_action(act)
-        return cls(table, name=name)
+            raise KeyError(f"lookup table has no entry for configuration '{config}'") from None
 
 
 def format_action(action: Action) -> str:
@@ -232,7 +216,6 @@ class StatefulStrategy:
     """
 
     name = "stateful"
-    stateful = True
 
     def initial_memory(self, chains: IdentityConfiguration) -> Hashable:
         raise NotImplementedError

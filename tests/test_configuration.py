@@ -160,6 +160,12 @@ class TestCanonicalKey:
         for config in enumerate_configurations(12):
             assert parse_key(canonical_key(config)) == config
 
+    @pytest.mark.parametrize("key", ["1^0", "2^1,1^1", "1^1,1^1", "x", "1", "1^2,", ",",
+                                     "01^2", " 1^2", "1^+2", "1_0^1", "1^2^3"])
+    def test_parse_rejects_what_canonical_key_never_gives(self, key):
+        with pytest.raises(ValueError, match="not a canonical configuration key"):
+            parse_key(key)
+
 
 class TestIdentityConfiguration:
     def test_projection(self):

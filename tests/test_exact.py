@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -16,12 +17,12 @@ from cluster_forge.configuration import (
     IdentityConfiguration,
     Stop,
     enumerate_configurations,
+    parse_key,
 )
 from cluster_forge.exact import (
     HALF,
     QualityTable,
     TableBudgetExceeded,
-    _classifier,
     _count_codes,
     _evaluate,
     _optimize,
@@ -43,6 +44,7 @@ from cluster_forge.strategies import (
     MODESTY,
     STATIC,
     IdentityAdapter,
+    StatefulStrategy,
     Strategy,
     TwoStage,
     validate_strategy,
@@ -204,7 +206,7 @@ class TestQualityTable:
         loaded = QualityTable.load(path)
         assert loaded.n == table.n
         assert loaded.ps == table.ps
-        assert loaded.entries == table.entries
+        assert list(loaded.items()) == list(table.items())
         second = tmp_path / "again.tsv"
         loaded.save(second)
         assert path.read_bytes() == second.read_bytes()
@@ -262,8 +264,8 @@ class TestQualityTable:
         path = tmp_path / "table.tsv"
         table.save(path)
         loaded = QualityTable.load(path)
-        assert loaded.entries == table.entries
-        actions = [action for _, action in loaded.entries.values()]
+        assert list(loaded.items()) == list(table.items())
+        actions = [action for _, _, action in loaded.items()]
         assert len({id(action) for action in actions}) == len(set(actions))
 
     def test_cache_reuses_larger_tables(self):
@@ -351,6 +353,30 @@ class TestRankedStorage:
             table.rank(epr(21))
         with pytest.raises(KeyError):
             table.quality(Configuration.single_chain(21))
+
+    @pytest.mark.parametrize("ps", [HALF, 0.3], ids=str)
+    def test_strategy_is_the_table_action(self, ps):
+        table = build_quality_table(12, ps)
+        strategy = table.as_strategy()
+        assert strategy.name == "optimal"
+        for config in all_configurations(12):
+            assert strategy.choose(config) is table.action(config)
+        for config in (epr(13), Configuration.single_chain(13), parse_key("1^1,12^1")):
+            with pytest.raises(KeyError, match=re.escape(f"'{config}' has more than 12")):
+                strategy.decide(config)
+        result = validate_strategy(strategy, epr(13))
+        assert not result.ok and result.message.startswith("no decision available")
+
+    def test_strategy_makes_no_key_strings(self, monkeypatch):
+        table = build_quality_table(10)
+
+        def no_keys():
+            raise AssertionError("a key string was made")
+
+        monkeypatch.setattr(table, "_keys", no_keys)
+        strategy = table.as_strategy("replay")
+        assert strategy.name == "replay"
+        assert strategy_quality(strategy, epr(10)) == table.quality(epr(10))
 
     @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048), 0.3], ids=str)
     def test_stored_values_obey_bellman(self, ps):
@@ -493,7 +519,11 @@ class TestIntegerScaledEngine:
             configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
             position = {config: i for i, config in enumerate(configs)}
             assert len(values) == len(action_ids) == len(costs) == len(configs)
-            assert starts == [position[Configuration.epr_pairs(m)] for m in range(n + 1)]
+            # each start of m pairs (2m vertices), decoded
+            decode = (lambda x, m: Fraction(x, q ** (2 * m))) if q != 1 else (lambda x, m: x)
+            pairs = [position[Configuration.epr_pairs(m)] for m in range(n + 1)]
+            assert starts == [(decode(values[i], m), decode(costs[i], m))
+                              for m, i in enumerate(pairs)]
             for config, i in position.items():
                 vertices = config.vertex_count
                 if config.chain_count <= 1:
@@ -530,7 +560,7 @@ def reference_strategy_value(strategy, start, ps, attempts=False):
 
     def value(state):
         if state not in memo:
-            if strategy.stateful:
+            if isinstance(strategy, StatefulStrategy):
                 chains, memory = state
                 decider = strategy
                 if isinstance(strategy, TwoStage):
@@ -545,7 +575,7 @@ def reference_strategy_value(strategy, start, ps, attempts=False):
             else:
                 children = []
                 for outcome in (SUCCESS, FAILURE):
-                    if strategy.stateful:
+                    if isinstance(strategy, StatefulStrategy):
                         nxt = chains.fuse_at(action.a, action.b, outcome)
                         children.append(
                             (nxt, strategy.next_memory(chains, memory, action, outcome, nxt)))
@@ -555,7 +585,7 @@ def reference_strategy_value(strategy, start, ps, attempts=False):
                 memo[state] = base + ps * won + (1 - ps) * lost
         return memo[state]
 
-    if strategy.stateful:
+    if isinstance(strategy, StatefulStrategy):
         chains = IdentityConfiguration.from_configuration(start)
         return value((chains, strategy.initial_memory(chains)))
     return value(start)
@@ -617,13 +647,12 @@ class TestIntegerScaledReadSide:
     @pytest.mark.parametrize("strategy", [MODESTY, STATIC], ids=lambda s: s.name)
     def test_memo_holds_scaled_values_and_answers_keep_the_type_of_ps(self, strategy, ps, stored):
         starts = [epr(n) for n in range(1, 11)]
-        classify = _classifier(strategy)
         states = [strategy.start(start) for start in starts]
         _, p, scale, fail_factor = _scaling(ps, 20)
         for attempts in (False, True):
             memo = {}
             for state in states:
-                _evaluate(state, classify, memo, p, scale, fail_factor, attempts)
+                _evaluate(state, strategy, memo, p, scale, fail_factor, attempts)
             assert memo and all(type(value) is stored for value in memo.values())
             answers = _sweep(strategy, starts, ps, attempts)
             assert all(type(answer) is type(ps) for answer in answers)

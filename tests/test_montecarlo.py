@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cluster_forge import montecarlo
 from cluster_forge.configuration import Configuration, IdentityConfiguration, parse_key
-from cluster_forge.exact import strategy_quality
+from cluster_forge.exact import build_quality_table, strategy_quality
 from cluster_forge.montecarlo import (
     TRIAL_CHUNK,
     SimulationReport,
@@ -115,6 +115,14 @@ class TestEstimateQuality:
         trials = 2 * 4096 + 257  # spans three chunks
         seq = estimate_quality(MODESTY, epr(6), 0.5, trials=trials, seed=9, processes=1)
         par = estimate_quality(MODESTY, epr(6), 0.5, trials=trials, seed=9, processes=3)
+        assert seq == par
+
+    def test_parallel_table_strategy_matches_sequential(self):
+        # a pool pickles the strategy, and with it the table it decides by
+        strategy = build_quality_table(8).as_strategy()
+        trials = TRIAL_CHUNK + 100  # spans two chunks
+        seq = estimate_quality(strategy, epr(8), 0.5, trials=trials, seed=9, processes=1)
+        par = estimate_quality(strategy, epr(8), 0.5, trials=trials, seed=9, processes=2)
         assert seq == par
 
     def test_float_and_fraction_ps_agree(self):

@@ -232,24 +232,18 @@ def test_identity_adapter_picks_lowest_indices():
 
 
 class TestLookupStrategy:
-    def test_file_round_trip(self, tmp_path):
-        table = {
-            "1^2": Fuse(1, 1),
-            "2^1": STOP,
-            "": STOP,
-        }
-        strategy = LookupStrategy(table)
-        path = tmp_path / "lookup.tsv"
-        strategy.save(path)
-        loaded = LookupStrategy.load(path)
-        assert loaded.table == table
-        assert path.read_text() == "\tstop\n1^2\t1,1\n2^1\tstop\n"
-
     def test_decide_and_missing_entry(self):
-        strategy = LookupStrategy({"1^2": Fuse(1, 1)})
+        strategy = LookupStrategy({"1^2": Fuse(1, 1), "2^1": STOP, "": STOP})
         assert strategy.decide(Configuration.epr_pairs(2)) == Fuse(1, 1)
-        with pytest.raises(KeyError):
+        assert strategy.decide(Configuration.single_chain(2)) == STOP
+        assert strategy.decide(Configuration()) == STOP
+        with pytest.raises(KeyError, match=r"no entry for configuration '1\^3'"):
             strategy.decide(Configuration.epr_pairs(3))
+
+    @pytest.mark.parametrize("key", ["1^0", "2^1,1^1", "x"])
+    def test_rejects_a_malformed_or_non_canonical_key(self, key):
+        with pytest.raises(ValueError, match="not a canonical configuration key"):
+            LookupStrategy({key: Fuse(1, 1)})
 
     def test_partial_table_fails_validation(self):
         strategy = LookupStrategy({"1^2": Fuse(1, 1)})
