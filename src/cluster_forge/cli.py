@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 invalid flags or values, 2 table budget
 exceeded, 3 internal certificate failure (LP duality, oracle mismatch,
-or a failed validation run).
+or a failed validation run) or a corrupt table in
+CLUSTER_FORGE_TABLE_DIR.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ from .twodim import (
 
 class CLIError(Exception):
     """Invalid flag values; maps to exit code 1."""
+
+
+class CorruptTable(Exception):
+    """A cached table file that does not parse or whose header disagrees
+    with its name; maps to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,7 +136,8 @@ _file_tables: dict[str, QualityTable] = {}
 def _table_for(n: int, ps) -> QualityTable:
     """Table covering total length n, via the exact-engine cache and the
     CLUSTER_FORGE_TABLE_DIR file cache when set; each file is read at
-    most once per process."""
+    most once per process, and one that does not parse or whose header
+    disagrees with its name raises CorruptTable."""
     table_dir = os.environ.get("CLUSTER_FORGE_TABLE_DIR")
     if table_dir and isinstance(ps, Fraction):
         suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
@@ -145,9 +152,17 @@ def _table_for(n: int, ps) -> QualityTable:
                     candidates.append((file_n, name))
         if candidates:
             candidates.sort()
-            path = os.path.join(table_dir, candidates[0][1])
+            file_n, name = candidates[0]
+            path = os.path.join(table_dir, name)
             if path not in _file_tables:
-                _file_tables[path] = QualityTable.load(path)
+                try:
+                    table = QualityTable.load(path)
+                except ValueError as exc:
+                    raise CorruptTable(exc) from None
+                if (table.n, table.ps) != (file_n, ps):
+                    raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
+                                       f"the file name N={file_n} ps={ps}")
+                _file_tables[path] = table
             return _file_tables[path]
         table = cached_quality_table(n, ps)
         # the cache may answer with a larger table; name the file by its size
@@ -524,6 +539,9 @@ def main(argv=None) -> int:
         return 2
     except bnd.CertificateMismatch as exc:
         print(f"cluster-forge: certificate failure: {exc}", file=sys.stderr)
+        return 3
+    except CorruptTable as exc:
+        print(f"cluster-forge: corrupt table: {exc}", file=sys.stderr)
         return 3
 
 

@@ -56,6 +56,7 @@ starts; the memo is dropped when the sweep returns.
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,14 +86,13 @@ HALF = Fraction(1, 2)
 class TableBudgetExceeded(RuntimeError):
     """Quality-table build ran past its entry budget."""
 
-    def __init__(self, n: int, vertex_level: int, entries: int, budget: int):
+    def __init__(self, n: int, vertex_level: int, budget: int):
         super().__init__(
             f"table build for N={n} exceeded budget of {budget} entries "
-            f"at vertex-count level {vertex_level} ({entries} entries stored)"
+            f"at vertex-count level {vertex_level}"
         )
         self.n = n
         self.vertex_level = vertex_level
-        self.entries = entries
         self.budget = budget
 
 
@@ -282,7 +282,12 @@ class QualityTable:
 
     def save(self, path) -> None:
         """Header ``N=<n> ps=<num>/<den>`` then one sorted line per entry:
-        ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible."""
+        ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible. Written to
+        ``<path>.<pid>.part`` and renamed over ``path``, so ``path`` never
+        holds a partial table; the temporary file does not outlive a failed
+        write. A ``path`` that exists but is no regular file, such as
+        ``/dev/null``, is written in place, since a rename would replace
+        it."""
         if self._scale is None:
             raise TypeError("only exact-rational tables are persisted")
         texts = [format_action(action) for action in self.actions]
@@ -295,21 +300,37 @@ class QualityTable:
                          f"\t{texts[action_ids[position]]}\n")
         # a tab sorts before every key character, so this is key order
         lines.sort()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"N={self.n} ps={self.ps.numerator}/{self.ps.denominator}\n")
-            fh.writelines(lines)
+        in_place = os.path.exists(path) and not os.path.isfile(path)
+        partial = path if in_place else f"{os.fspath(path)}.{os.getpid()}.part"
+        try:
+            with open(partial, "w", encoding="ascii") as fh:
+                fh.write(f"N={self.n} ps={self.ps.numerator}/{self.ps.denominator}\n")
+                fh.writelines(lines)
+            if not in_place:
+                os.replace(partial, path)
+        except BaseException:
+            if not in_place and os.path.exists(partial):
+                os.remove(partial)
+            raise
 
     @classmethod
     def load(cls, path) -> "QualityTable":
-        """Read a table written by :meth:`save`. Raises ValueError unless
-        the file holds every configuration of at most N edges exactly
-        once, each with a value that is a multiple of ``1/q**V``."""
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            fields = dict(part.split("=", 1) for part in header.split())
-            n = int(fields["N"])
-            num, _, den = fields["ps"].partition("/")
-            ps = Fraction(int(num), int(den))
+        """Read a table written by :meth:`save`. Raises ValueError, naming
+        ``path``, unless the header and every line parse and the file
+        holds every configuration of at most N edges exactly once, each
+        with a value that is a multiple of ``1/q**V``."""
+        # a byte that is not ASCII decodes to U+FFFD and fails as malformed
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            header = fh.readline()
+            try:
+                fields = dict(part.split("=", 1) for part in header.split())
+                n = int(fields["N"])
+                num, _, den = fields["ps"].partition("/")
+                ps = Fraction(int(num), int(den))
+                if n < 0 or not 0 < ps <= 1:
+                    raise ValueError
+            except (KeyError, ValueError, ZeroDivisionError):
+                raise ValueError(f"{path}: malformed header {header!r}") from None
             _, keys, size = _partition_ranker(n)
             unread = {key: (position, vertices) for key, position, vertices in keys()}
             scale = [ps.denominator ** v for v in range(2 * n + 1)]
@@ -319,26 +340,31 @@ class QualityTable:
             # share the frozen action objects
             actions: list[Action] = []
             action_index: dict[str, int] = {}
-            for line in fh:
+            for number, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                key, value, text = line.split("\t")
+                try:
+                    key, value, text = line.split("\t")
+                    num, _, den = value.partition("/")
+                    num, den = int(num), int(den)
+                    index = action_index.get(text)
+                    if index is None:
+                        action = parse_action(text)
+                except ValueError:
+                    raise ValueError(f"{path}: line {number} is malformed: {line!r}") from None
                 try:
                     position, vertices = unread.pop(key)
                 except KeyError:
                     raise ValueError(f"{path}: '{key}' is repeated or not the key of a "
                                      f"configuration of at most N={n} edges") from None
-                num, _, den = value.partition("/")
-                den = int(den)
                 if den < 1 or scale[vertices] % den:
                     raise ValueError(f"{path}: value {value} of '{key}' is not a multiple "
                                      f"of 1/{scale[vertices]}")
-                values[position] = int(num) * (scale[vertices] // den)
-                index = action_index.get(text)
+                values[position] = num * (scale[vertices] // den)
                 if index is None:
                     index = action_index[text] = len(actions)
-                    actions.append(parse_action(text))
+                    actions.append(action)
                 action_ids[position] = index
         if unread:
             raise ValueError(f"{path}: {len(unread)} of the {size} entries for N={n} are "
@@ -474,20 +500,21 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
 
     Among maximizing actions the lexicographically smallest length pair
     is stored, so tables are deterministic. Raises
-    :class:`TableBudgetExceeded` when ``max_entries`` is hit, naming the
-    vertex-count level that was being filled.
+    :class:`TableBudgetExceeded`, before any DP work, when the table has
+    more than ``max_entries`` entries, naming the vertex-count level of
+    the first entry past the budget.
     """
     if n < 0:
         raise ValueError(f"table size must be at least 0, got {n}")
     if max_entries is not None and max_entries < 0:
         raise ValueError(f"entry budget must be at least 0, got {max_entries}")
     if max_entries is not None:
-        # checked before any DP work, after ps as in the DP: the entries
-        # stored when the next one would exceed the budget
+        # checked before any DP work, after ps as in the DP: the level of
+        # the first entry past the budget
         _check_ps(ps)
         for v, _, _, stop in _block_starts(n):
             if stop > max_entries:
-                raise TableBudgetExceeded(n, v, max_entries, max_entries)
+                raise TableBudgetExceeded(n, v, max_entries)
     values, action_ids, actions, _, _ = _optimize(n, ps, n)
     return QualityTable(n, ps, values, action_ids, actions)
 

@@ -31,17 +31,21 @@ named tuples, so they hash and compare in C, and expose
 builds its successor directly, without the constructors' checks: it is
 valid by construction.
 
-Validity is checked by walking every state reachable from a start.
-:func:`validate_strategy_sweep` checks many starts with one set of
-walked states, so a subtree shared by several starts is walked once
-(``cluster-forge validate`` walks 508 states of smallest-first for the
-508 configurations up to 14 edges, not 12,340); it gives the first
-failing start with the verdict, event and message that start's own
-:func:`validate_strategy` call gives. :class:`Modesty` and
-:class:`Greed` decide from the sorted ``items`` in O(1). :class:`TwoStage`
-remembers its inner strategy's fusion per block offset and lineup, and
-its stage-one memory update per block sizes, chain index and chains
-removed, since each depends on those alone.
+Validity is checked by walking every state reachable from a start,
+with rules local to a state: ``choose`` decides, a stop leaves at most
+one chain, a fusion needs two chains, a step does not raise, and each
+step removes the vertices the fusion rule removes (exactly 1 on
+``SUCCESS``, 2 to 4 on ``FAILURE``). So every walk ends, and the exact
+evaluation can run every state it reaches. Since each rule is local, a
+state walked clean has a clean subtree: :func:`validate_strategy_sweep`
+checks many starts with one shared set of walked states, so a subtree
+shared by several starts is walked once (``cluster-forge validate``
+walks 508 states of smallest-first for the 508 configurations up to 14
+edges, not 12,340). :class:`Modesty` and :class:`Greed` decide from the
+sorted ``items`` in O(1). :class:`TwoStage` remembers its inner
+strategy's fusion per block offset and lineup, and its stage-one memory
+update per block sizes, chain index and chains removed, since each
+depends on those alone.
 """
 
 from __future__ import annotations
@@ -90,24 +94,7 @@ class Strategy:
         return f"<{type(self).__name__} {self.name}>"
 
 
-class _CountRule(Strategy):
-    """A rule that ``decide`` reads off the sorted ``items`` in O(1);
-    ``decide_counts`` asks the same rule of a count dict. A subclass
-    that overrides ``decide_counts`` alone decides through it."""
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "decide_counts" in cls.__dict__ and "decide" not in cls.__dict__:
-            cls.decide = _CountRule.decide
-
-    def decide(self, config: Configuration) -> Action:
-        return self.decide_counts(config.counts())
-
-    def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        raise NotImplementedError
-
-
-class Greed(_CountRule):
+class Greed(Strategy):
     """Always fuse the two largest available chains."""
 
     name = "greed"
@@ -123,12 +110,8 @@ class Greed(_CountRule):
             return STOP
         return _fuse(items[-2][0], a)
 
-    def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        # through the class, so a subclass that borrows this cannot recurse
-        return Greed.decide(self, Configuration.from_counts(counts))
 
-
-class Modesty(_CountRule):
+class Modesty(Strategy):
     """Always fuse the two smallest available chains."""
 
     name = "modesty"
@@ -143,9 +126,6 @@ class Modesty(_CountRule):
         if len(items) == 1:
             return STOP
         return _fuse(a, items[1][0])
-
-    def decide_counts(self, counts: Mapping[int, int]) -> Action:
-        return Modesty.decide(self, Configuration.from_counts(counts))
 
 
 class LookupStrategy(Strategy):
@@ -417,66 +397,41 @@ class ValidationResult:
     message: str | None = None
 
 
-def validate_strategy(
-    strategy: Strategy | StatefulStrategy,
-    start: Configuration,
-    max_steps: int | None = None,
-) -> ValidationResult:
-    """Exhaustively walk the event tree from ``start`` and check validity.
-
-    Verifies both rules on every reachable state (no null fusions, stop
-    exactly when at most one chain remains) and that every branch
-    terminates within ``max_steps`` (default: the vertex count of the
-    start, an upper bound on any fusion sequence). Returns the first
-    violation's event string, if any. A ``choose`` that raises KeyError
-    (no decision) or ValueError (an action it cannot realise) fails the
-    check at that state. A one-start :func:`validate_strategy_sweep`.
-    """
-    return validate_strategy_sweep(strategy, [start], max_steps)[1]
+def validate_strategy(strategy: Strategy | StatefulStrategy,
+                      start: Configuration) -> ValidationResult:
+    """Walk the event tree from ``start`` and check validity: a one-start
+    :func:`validate_strategy_sweep`."""
+    return validate_strategy_sweep(strategy, [start])[1]
 
 
-def validate_strategy_sweep(
-    strategy: Strategy | StatefulStrategy,
-    starts,
-    max_steps: int | None = None,
-) -> tuple[Configuration | None, ValidationResult]:
+def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
+                            starts) -> tuple[Configuration | None, ValidationResult]:
     """Check validity from each start in turn, walking shared subtrees once.
 
-    Returns the first start whose walk finds a violation with that
-    :class:`ValidationResult`, or ``(None, ValidationResult(True))``.
-    Each start's verdict, event and message are those of its own
-    :func:`validate_strategy` call.
+    Every state reachable from a start must obey the local rules: its
+    ``choose`` decides (a KeyError is no decision, a ValueError an action
+    it cannot realise), a stop leaves at most one chain, a fusion has two
+    chains, both steps succeed (else a null fusion), and a step removes
+    exactly 1 vertex on success and 2 to 4 on failure. Returns the first
+    start whose walk breaks a rule, with the event string and message of
+    the first violation, or ``(None, ValidationResult(True))``.
 
     The starts share one set of walked states. A state that an earlier
-    start's walk put there was walked without a violation, so every
-    state below it is in the set too and obeys both rules. Skipping it
-    is exact when no path below it can break the step bound either: that
-    holds while every step removes at least one vertex and the bound is
-    at least the start's vertex count, since then no path from the start
-    is longer than that count. A start with a smaller bound is walked
-    alone, and once a step keeps the vertex count, so is the start that
-    took it and every later one.
+    start's walk put there obeyed every rule, and so did each state
+    below it, so skipping it is exact: each start's verdict, event and
+    message are those of its own :func:`validate_strategy` call.
     """
-    shared: set | None = set()
+    seen: set = set()
     for start in starts:
-        bound = start.vertex_count if max_steps is None else max_steps
-        result = None
-        if shared is not None and bound >= start.vertex_count:
-            result = _walk(strategy, start, bound, shared, shrinking=True)
-            if result is None:
-                shared = None
-        if result is None:
-            result = _walk(strategy, start, bound, set(), shrinking=False)
+        result = _walk(strategy, start, seen)
         if not result.ok:
             return start, result
     return None, ValidationResult(True)
 
 
-def _walk(strategy, start, bound: int, seen: set, shrinking: bool) -> ValidationResult | None:
+def _walk(strategy, start, seen: set) -> ValidationResult:
     """Depth-first walk of the event tree from ``start``, adding each state
-    to ``seen`` and skipping states already there. With ``shrinking``,
-    gives up (returns None) at the first step that does not remove a
-    vertex."""
+    to ``seen`` and skipping states already there."""
     first = strategy.start(start)
     # stack of (state, its vertex count, event string so far)
     stack: list[tuple[object, int, str]] = [(first, first.vertex_count, "")]
@@ -485,8 +440,6 @@ def _walk(strategy, start, bound: int, seen: set, shrinking: bool) -> Validation
         if state in seen:
             continue
         seen.add(state)
-        if len(event) > bound:
-            return ValidationResult(False, event, "did not terminate within the step bound")
         try:
             action = strategy.choose(state)
         except KeyError as exc:
@@ -505,8 +458,9 @@ def _walk(strategy, start, bound: int, seen: set, shrinking: bool) -> Validation
                 child = strategy.step(state, action, outcome)
             except (ValueError, IndexError) as exc:
                 return ValidationResult(False, event + outcome, f"null fusion: {exc}")
-            child_vertices = child.vertex_count
-            if shrinking and child_vertices >= vertices:
-                return None
-            stack.append((child, child_vertices, event + outcome))
+            drop = vertices - child.vertex_count
+            if not (drop == 1 if outcome == SUCCESS else 2 <= drop <= 4):
+                return ValidationResult(False, event + outcome, f"a step removed {drop} vertices; "
+                                        "the fusion rule removes 1 on success, 2 to 4 on failure")
+            stack.append((child, vertices - drop, event + outcome))
     return ValidationResult(True)

@@ -223,7 +223,7 @@ class TestLinearProgram:
         assert lp_attempts_bound(5) == 2
         assert lp_attempts_bound(6) == Fraction(14, 5)
 
-    def test_simplex_certificate_closed_form_agree(self):
+    def test_lp_bound_equals_its_closed_form(self):
         for n in range(1, 61):
             assert lp_attempts_bound(n) == lp_closed_form(n)
 

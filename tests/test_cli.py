@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from cluster_forge import cli, exact
 from cluster_forge.cli import build_parser, main
 from cluster_forge.configuration import Configuration
 from cluster_forge.exact import (
+    HALF,
     QualityTable,
     build_quality_table,
     cached_quality_table,
@@ -226,7 +228,7 @@ class TestOptimalTable:
         assert captured.out == ""
         assert captured.err == (
             "cluster-forge: budget exceeded: table build for N=30 exceeded budget of 5000 "
-            "entries at vertex-count level 30 (5000 entries stored)\n")
+            "entries at vertex-count level 30\n")
         assert not out.exists()
 
     def test_rational_ps_required(self, capsys, tmp_path):
@@ -298,6 +300,31 @@ class TestFlagsAndCaches:
         assert loads == [str(tmp_path / "table-n10-ps1-2.tsv")]
         # a file-loaded table never answers a library call
         assert exact._table_cache == {}
+
+    @pytest.mark.parametrize("name, ps, damage, message", [
+        ("table-n8-ps1-2.tsv", HALF, lambda text: text[:text.index("\t", 300) + 2],
+         "line 19 is malformed: '1^2,2^1\\t9'"),
+        ("table-n30-ps1-2.tsv", HALF, lambda text: text,
+         "header says N=8 ps=1/2, the file name N=30 ps=1/2"),
+        ("table-n8-ps1-2.tsv", Fraction(1, 3), lambda text: text,
+         "header says N=8 ps=1/3, the file name N=8 ps=1/2"),
+    ], ids=["truncated", "mislabelled-n", "mislabelled-ps"])
+    def test_a_corrupt_cached_table_exits_3(self, capsys, tmp_path, monkeypatch, name, ps,
+                                            damage, message):
+        """A cached table that does not parse, or whose header disagrees with
+        its file name, is one error line and exit code 3, not a traceback."""
+        clear_table_cache()
+        path = tmp_path / name
+        build_quality_table(8, ps).save(path)
+        path.write_text(damage(path.read_text()))
+        monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "_file_tables", {})
+        code = main(["quality", "--strategy", "optimal", "--n-max", "8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"cluster-forge: corrupt table: {path}: ")
+        assert captured.err.endswith(f"{message}\n") and captured.err.count("\n") == 1
 
     def test_validate_runs_clean(self, capsys):
         code, out = run(capsys, "validate", "--n", "8")

@@ -1,4 +1,7 @@
+import errno
+import fnmatch
 import itertools
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -211,6 +214,40 @@ class TestQualityTable:
         loaded.save(second)
         assert path.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_an_interrupted_write_leaves_no_partial_table(self, tmp_path, monkeypatch, existing):
+        """A write that fails halfway leaves ``path`` as it was (absent, or
+        the old table whole) and no temporary file; the temporary name is
+        not one the table cache would pick up."""
+        path = tmp_path / "table-n6-ps1-2.tsv"
+        if existing:
+            build_quality_table(6).save(path)
+        before = sorted(os.listdir(tmp_path)), path.exists() and path.read_bytes()
+        written = []
+
+        def failing_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+
+            def writelines(lines):
+                fh.write("".join(lines)[:100])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.writelines = writelines
+            written.append(os.path.basename(file))
+            return fh
+
+        monkeypatch.setattr(exact, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            build_quality_table(8).save(path)
+        assert (sorted(os.listdir(tmp_path)), path.exists() and path.read_bytes()) == before
+        assert len(written) == 1 and not fnmatch.fnmatch(written[0], "table-n*-ps*.tsv")
+
+    def test_a_device_is_written_in_place(self):
+        """Renaming over ``/dev/null`` would replace the device with a file."""
+        build_quality_table(4).save(os.devnull)
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
     def test_file_format(self, tmp_path):
         table = build_quality_table(2)
         path = tmp_path / "t.tsv"
@@ -223,7 +260,7 @@ class TestQualityTable:
         with pytest.raises(TableBudgetExceeded) as err:
             build_quality_table(8, max_entries=10)
         assert err.value.vertex_level > 0
-        assert err.value.entries == 10
+        assert err.value.budget == 10
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="table size must be at least 0, got -1"):
@@ -235,7 +272,7 @@ class TestQualityTable:
             build_quality_table(4, max_entries=-3)
         with pytest.raises(TableBudgetExceeded) as err:
             build_quality_table(4, max_entries=0)
-        assert (err.value.vertex_level, err.value.entries) == (0, 0)
+        assert (err.value.vertex_level, err.value.budget) == (0, 0)
 
     @pytest.mark.parametrize("n, budget", [(30, 5000), (8, 10), (12, 77), (6, 29), (5, 0)])
     def test_budget_is_checked_before_any_dp_work(self, monkeypatch, n, budget):
@@ -249,8 +286,7 @@ class TestQualityTable:
         monkeypatch.setattr(exact, "_partitions_into", no_enumeration)
         with pytest.raises(TableBudgetExceeded) as err:
             build_quality_table(n, max_entries=budget)
-        assert (err.value.n, err.value.vertex_level, err.value.entries, err.value.budget) == (
-            n, level, budget, budget)
+        assert (err.value.n, err.value.vertex_level, err.value.budget) == (n, level, budget)
 
     @pytest.mark.parametrize("n", [0, 6, 11])
     def test_a_budget_of_every_entry_is_enough(self, n):
@@ -400,13 +436,28 @@ class TestRankedStorage:
          "is not a multiple of"),
         (lambda lines: [line.replace("\t1/1\t", "\t1/0\t") for line in lines],
          "is not a multiple of"),
-    ], ids=["missing", "duplicated", "too-long", "not-canonical", "bad-value", "zero-denominator"])
+        (lambda lines: lines[:9] + [lines[9].split("\t")[0] + "\t1"], "line 11 is malformed"),
+        (lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t1;1"] + lines[1:], "line 2 is malformed"),
+        (lambda lines: [lines[0] + "\u00e9"] + lines[1:], "line 2 is malformed"),
+    ], ids=["missing", "duplicated", "too-long", "not-canonical", "bad-value", "zero-denominator",
+            "truncated", "bad-action", "not-ascii"])
     def test_load_rejects_a_damaged_file(self, tmp_path, edit, message):
         path = tmp_path / "table.tsv"
         build_quality_table(8).save(path)
         header, *lines = path.read_text().splitlines()
         path.write_text("\n".join([header] + edit(lines)) + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as err:
+            QualityTable.load(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("header", ["", "N=8", "ps=1/2", "N=x ps=1/2", "N=8 ps=1/0",
+                                        "N=8 ps=0/1", "N=8 ps=3/2", "N=-1 ps=1/2", "N=8 ps"])
+    def test_load_rejects_a_malformed_header(self, tmp_path, header):
+        path = tmp_path / "table.tsv"
+        build_quality_table(4).save(path)
+        path.write_text("\n".join([header] + path.read_text().splitlines()[1:]) + "\n")
+        expected = f"{path}: malformed header {header + chr(10)!r}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             QualityTable.load(path)
 
 
@@ -682,4 +733,5 @@ class TestBothStateKindsThroughOneWalker:
                 assert_same_number(evaluate(adapter, start, ps), evaluate(strategy, start, ps))
             # distribution, mean length, expected attempts and path count
             assert event_tree_oracle(adapter, start, ps) == event_tree_oracle(strategy, start, ps)
-            assert validate_strategy(adapter, start) == validate_strategy(strategy, start)
+            result = validate_strategy(strategy, start)
+            assert result.ok and validate_strategy(adapter, start) == result

@@ -243,7 +243,7 @@ starts = st.sampled_from([
 class LargestFirstModesty(Modesty):
     """A subclass the array engine must not mistake for Modesty."""
 
-    decide_counts = Greed.decide_counts
+    decide = Greed.decide
 
 
 class TestChunkEngine:

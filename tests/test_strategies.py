@@ -60,7 +60,7 @@ class TestModesty:
 def test_count_rules_equal_the_plain_rule(lengths):
     """Greed and Modesty decide from the sorted items as the plain rule on
     the count dict does: the two largest (smallest) chains, a length
-    twice when it has two chains; and ``decide_counts`` agrees."""
+    twice when it has two chains."""
     config = Configuration.from_lengths(lengths)
     counts = config.counts()
     for strategy, pick in ((GREED, max), (MODESTY, min)):
@@ -69,7 +69,7 @@ def test_count_rules_equal_the_plain_rule(lengths):
         else:
             a = pick(counts)
             expected = Fuse(a, a if counts[a] >= 2 else pick(k for k in counts if k != a))
-        assert strategy.decide(config) == strategy.decide_counts(counts) == expected
+        assert strategy.decide(config) == expected
 
 
 def walk(strategy, chains, memory, outcomes):
@@ -252,11 +252,9 @@ class TestLookupStrategy:
         assert "no decision" in result.message
 
 
-def reference_validate(strategy, start, max_steps=None):
+def reference_validate(strategy, start):
     """One start's validity walk with a seen set of its own: the oracle
     for the shared sweep of :func:`validate_strategy_sweep`."""
-    if max_steps is None:
-        max_steps = start.vertex_count
     seen = set()
     stack = [(strategy.start(start), "")]
     while stack:
@@ -264,8 +262,6 @@ def reference_validate(strategy, start, max_steps=None):
         if state in seen:
             continue
         seen.add(state)
-        if len(event) > max_steps:
-            return ValidationResult(False, event, "did not terminate within the step bound")
         try:
             action = strategy.choose(state)
         except KeyError as exc:
@@ -284,8 +280,16 @@ def reference_validate(strategy, start, max_steps=None):
                 child = strategy.step(state, action, outcome)
             except (ValueError, IndexError) as exc:
                 return ValidationResult(False, event + outcome, f"null fusion: {exc}")
+            drop = state.vertex_count - child.vertex_count
+            if drop not in ({1} if outcome == SUCCESS else {2, 3, 4}):
+                return ValidationResult(False, event + outcome, drop_message(drop))
             stack.append((child, event + outcome))
     return ValidationResult(True)
+
+
+def drop_message(drop):
+    return (f"a step removed {drop} vertices; the fusion rule removes 1 on success, "
+            "2 to 4 on failure")
 
 
 class LateQuitter(Strategy):
@@ -328,7 +332,7 @@ class Treadmill(Strategy):
 
 class Grower(Strategy):
     """Smallest-first whose failed attempts add a chain of length 1, so
-    only the step bound ends a walk."""
+    a walk that does not check each step never ends."""
 
     name = "grower"
 
@@ -357,34 +361,74 @@ class Detour(Strategy):
         return super().step(state, action, outcome)
 
 
-# Two walks that reach a state walked clean from an earlier start only
-# after more steps than the later start's bound. From three pairs (6
-# vertices), six failures that each add a vertex lead to 1^9, whose
-# seventh failure reaches two pairs, the earlier start. From five pairs
-# (10 vertices), four failures keep 10 vertices and seven more remove at
-# least one each, ending on a single pair. Skipping the earlier start as
-# already seen would report the success branch one step above it.
+# Failed attempts at 1^3 to 1^8 add a pair, and one at 1^9 goes back to
+# two pairs, the earlier start: a path that grows and then rejoins a
+# state walked clean. The local rule rejects the first failure from
+# three pairs, a step that adds two vertices.
 DETOUR = Detour({f"1^{k}": f"1^{k + 1}" for k in range(3, 9)} | {"1^9": "1^2"})
-LEVEL_DETOUR = Detour(dict(zip(
-    ["1^5", "1^1,7^1", "2^1,6^1", "3^1,5^1", "4^2", "1^3,2^1", "1^4", "1^2,2^1", "1^3",
-     "1^1,2^1", "1^2"],
-    ["1^1,7^1", "2^1,6^1", "3^1,5^1", "4^2", "1^3,2^1", "1^4", "1^2,2^1", "1^3", "1^1,2^1",
-     "1^2", "1^1"])))
-DETOUR_CASES = [(DETOUR, [parse_key("1^2"), parse_key("1^3")], "F" * 7),
-                (LEVEL_DETOUR, [parse_key("1^1"), parse_key("1^5")], "F" * 11)]
+DETOUR_STARTS = [parse_key("1^2"), parse_key("1^3")]
 # every configuration up to 10 edges, in vertex-count order: a state below
 # a start is itself an earlier start, so failures show at the root; from
 # pairs alone they show deep in the tree
 SMALL_STARTS = list(enumerate_configurations(10))
 PAIR_STARTS = [Configuration.epr_pairs(n) for n in range(13)]
+class LossySuccess(Strategy):
+    """Smallest-first whose successes also lose an edge of the merged
+    chain: a success that removes 2 vertices."""
+
+    name = "lossy-success"
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+    def step(self, state, action, outcome):
+        child = super().step(state, action, outcome)
+        if outcome == SUCCESS:
+            merged = action.a + action.b
+            child = child.add(merged, -1).add(merged - 1)
+        return child
+
+
+class MildFailure(Strategy):
+    """Smallest-first whose failures cost only the second chain one edge,
+    when it has two or more: a failure that removes 1 vertex."""
+
+    name = "mild-failure"
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+    def step(self, state, action, outcome):
+        if outcome == FAILURE and action.b > 1:
+            return state.add(action.b, -1).add(action.b - 1)
+        return super().step(state, action, outcome)
+
+
+class PairEatingSuccess(Strategy):
+    """Smallest-first whose successes also destroy a spare pair when one is
+    left: a success that removes 3 vertices."""
+
+    name = "pair-eating-success"
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+    def step(self, state, action, outcome):
+        child = super().step(state, action, outcome)
+        if outcome == SUCCESS and child.count(1):
+            child = child.add(1, -1)
+        return child
+
+
 SWEEP_STRATEGIES = [GREED, MODESTY, STATIC, Quitter(), Fantasist(),
                     LookupStrategy({"1^2": Fuse(1, 1)}), LateQuitter(), LateFantasist(),
-                    Treadmill(), Grower(), DETOUR]
+                    Treadmill(), Grower(), DETOUR, LossySuccess(), MildFailure(),
+                    PairEatingSuccess()]
 SWEEP_CASES = [(strategy, starts) for strategy in SWEEP_STRATEGIES
                for starts in (SMALL_STARTS, PAIR_STARTS)]
-SWEEP_CASES += [(strategy, starts) for strategy, starts, _ in DETOUR_CASES]
+SWEEP_CASES.append((DETOUR, DETOUR_STARTS))
 SWEEP_IDS = [f"{strategy.name}-{kind}" for strategy in SWEEP_STRATEGIES
-             for kind in ("small", "pairs")] + ["detour-two-starts", "level-detour-two-starts"]
+             for kind in ("small", "pairs")] + ["detour-two-starts"]
 
 
 class CountingStrategy:
@@ -406,22 +450,32 @@ class CountingStrategy:
 
 
 class TestValidationSweep:
-    @pytest.mark.parametrize("max_steps", [None, 3])
     @pytest.mark.parametrize("strategy, starts", SWEEP_CASES, ids=SWEEP_IDS)
-    def test_sweep_equals_one_walk_per_start(self, strategy, starts, max_steps):
+    def test_sweep_equals_one_walk_per_start(self, strategy, starts):
         expected = (None, ValidationResult(True))
         for start in starts:
-            result = reference_validate(strategy, start, max_steps)
-            assert validate_strategy(strategy, start, max_steps) == result
+            result = reference_validate(strategy, start)
+            assert validate_strategy(strategy, start) == result
             if not result.ok and expected[1].ok:
                 expected = (start, result)
-        assert validate_strategy_sweep(strategy, starts, max_steps) == expected
+        assert validate_strategy_sweep(strategy, starts) == expected
 
-    @pytest.mark.parametrize("strategy, starts, event", DETOUR_CASES,
-                             ids=["detour", "level-detour"])
-    def test_a_state_seen_before_still_counts_its_steps(self, strategy, starts, event):
-        assert validate_strategy_sweep(strategy, starts) == (
-            starts[1], ValidationResult(False, event, "did not terminate within the step bound"))
+    @pytest.mark.parametrize("strategy, start, event, drop", [
+        (LossySuccess(), "1^3", "S", 2),
+        (MildFailure(), "1^3", "SF", 1),
+        (PairEatingSuccess(), "1^3", "S", 3),
+        (Treadmill(), "1^2", "F", 0),
+        (Grower(), "1^2", "F", -2),
+        (DETOUR, "1^3", "F", -2),
+    ], ids=lambda value: getattr(value, "name", None))
+    def test_a_step_removes_what_the_fusion_rule_removes(self, strategy, start, event, drop):
+        """Each step must remove 1 vertex on success and 2 to 4 on failure,
+        as the exact evaluation assumes; the first step that does not
+        fails validation at its event, and the message names its drop."""
+        start = parse_key(start)
+        expected = ValidationResult(False, event, drop_message(drop))
+        assert validate_strategy(strategy, start) == expected
+        assert validate_strategy_sweep(strategy, [parse_key("1^1"), start]) == (start, expected)
 
     def test_broken_strategies_fail_deep_in_a_later_start(self):
         for strategy in (LateQuitter(), LateFantasist()):
