@@ -24,6 +24,7 @@ from .strategies import (
     STATIC,
     Greed,
     IdentityAdapter,
+    InvalidStrategy,
     LookupStrategy,
     Modesty,
     StatefulStrategy,
@@ -54,7 +55,7 @@ __all__ = [
     "Configuration", "IdentityConfiguration", "InvalidFusionError",
     "canonical_key", "parse_key", "enumerate_configurations",
     "Strategy", "StatefulStrategy", "Greed", "Modesty", "TwoStage",
-    "IdentityAdapter", "LookupStrategy", "ValidationResult",
+    "IdentityAdapter", "InvalidStrategy", "LookupStrategy", "ValidationResult",
     "GREED", "MODESTY", "STATIC", "BUILTIN_STRATEGIES", "validate_strategy",
     "validate_strategy_sweep",
     "HALF", "QualityTable", "TableBudgetExceeded", "OracleResult",

@@ -51,7 +51,8 @@ strategy's event DAG through its process interface (see
 one ``Fraction(I, q**V)`` per answer, and the same q = 1 float path.
 Scaled values depend only on the state, so
 :func:`strategy_quality_range` shares one memo over a whole sweep of
-starts; the memo is dropped when the sweep returns.
+starts; the memo is dropped when the sweep returns. The same walk
+enforces the validity rules, so no answer comes from an invalid strategy.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ from .configuration import (
     _partitions_into,
     enumerate_configurations,
 )
-from .strategies import StatefulStrategy, Strategy, format_action, parse_action
+from .strategies import InvalidStrategy, StatefulStrategy, Strategy, _premature_stop
+from .strategies import format_action, parse_action
 
 HALF = Fraction(1, 2)
 
@@ -116,57 +118,84 @@ def _scaling(ps, vmax: int):
     return exact, p, scale, fail_factor
 
 
-def _evaluate(start: Hashable, strategy: Strategy | StatefulStrategy, memo: dict, p, scale,
+def _evaluate(root: Hashable, strategy: Strategy | StatefulStrategy, memo: dict, p, scale,
               fail_factor, attempts: bool = False):
     """Memoized, integer-scaled expectation over ``strategy``'s event DAG
-    from the process state ``start``.
-
-    A success removes one vertex, so each state's vertex count v comes
-    from its parent's and only the start's is summed; a failure removes
-    ``drop`` vertices, v less the failure state's vertex count. A state
-    of v vertices stores ``I = value * q**v``, so
+    from the process state ``root``. A state of v vertices stores
+    ``I = value * q**v``, so
 
         I = (base + p * I(success)) + (q - p) * q**(drop - 1) * I(failure)
 
     with base ``q**v`` for attempts and 0 for quality; a stop holds
-    ``total_length * q**v`` (quality) or 0 (attempts), and a stop with
-    more than one chain left raises ValueError. Scaled values depend
-    only on the state, so one ``memo`` serves every start of a sweep for
-    one strategy, ps and kind of value. Iterative so that deep event
-    chains cannot hit the recursion limit.
+    ``total_length * q**v`` (quality) or 0 (attempts).
+
+    Each state it expands must obey the validity rules of
+    :mod:`cluster_forge.strategies`; the first broken one raises
+    :class:`InvalidStrategy`. So every walk ends, and a state in the memo
+    has a clean subtree: one ``memo`` serves every start of a sweep for
+    one strategy, ps and kind of value. Iterative and depth first, the
+    failure child first; that order decides which broken rule is reported.
     """
     choose, step = strategy.choose, strategy.step
     zero = 0 * scale[0]
     # (state, its vertex count, (success state, failure drop, failure
     # state) once its successors are pushed)
-    stack: list[tuple[Hashable, int, tuple | None]] = [(start, start.vertex_count, None)]
+    stack: list[tuple[Hashable, int, tuple | None]] = [(root, root.vertex_count, None)]
     while stack:
         state, v, node = stack.pop()
         if node is None:
             if state in memo:
                 continue
-            action = choose(state)
+            try:
+                action = choose(state)
+            except KeyError as exc:
+                raise _invalid(strategy, root, stack, f"no decision available: {exc}") from exc
+            except ValueError as exc:
+                raise _invalid(strategy, root, stack, f"invalid decision: {exc}") from exc
+            chains = state.chain_count
             if isinstance(action, Stop):
-                if state.chain_count > 1:
-                    raise ValueError(
-                        f"invalid strategy {strategy.name}: premature stop on "
-                        f"'{state.to_configuration()}'"
-                    )
+                if chains > 1:
+                    raise _invalid(strategy, root, stack, _premature_stop(chains))
                 memo[state] = zero if attempts else state.total_length * scale[v]
                 continue
-            succ = step(state, action, SUCCESS)
-            fail = step(state, action, FAILURE)
-            fail_v = fail.vertex_count
+            if chains <= 1:
+                raise _invalid(strategy, root, stack,
+                               "fusion attempted on a terminal configuration")
+            outcome = SUCCESS
+            try:
+                succ = step(state, action, SUCCESS)
+                drop = v - succ.vertex_count
+                if drop == 1:
+                    outcome = FAILURE
+                    fail = step(state, action, FAILURE)
+                    drop = v - fail.vertex_count
+            except (ValueError, IndexError) as exc:
+                raise _invalid(strategy, root, stack, f"null fusion: {exc}", outcome) from exc
+            # outcome is still SUCCESS when the success step removed drop != 1
+            if outcome == SUCCESS or not 2 <= drop <= 4:
+                raise _invalid(strategy, root, stack, f"a step removed {drop} vertices; the "
+                               "fusion rule removes 1 on success, 2 to 4 on failure", outcome)
             # a child already in the memo is skipped when popped, so
             # each state is hashed once per parent, not twice
-            stack.append((state, v, (succ, v - fail_v, fail)))
-            stack.append((fail, fail_v, None))
+            stack.append((state, v, (succ, drop, fail)))
             stack.append((succ, v - 1, None))
+            stack.append((fail, v - drop, None))
         else:
             succ, drop, fail = node
             base = scale[v] if attempts else zero
             memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
-    return memo[start]
+    return memo[root]
+
+
+def _invalid(strategy, root, stack: list, message: str, outcome: str = "") -> InvalidStrategy:
+    """The error of a rule broken at the state :func:`_evaluate` expands
+    from ``root``, or at its step with ``outcome``. The state's ancestors
+    are the post-order entries left on ``stack``; one whose success child
+    still waits right above it was left by failure, expanded first."""
+    event = "".join(
+        FAILURE if i + 1 < len(stack) and stack[i + 1][2] is None else SUCCESS
+        for i, (_, _, node) in enumerate(stack) if node is not None)
+    return InvalidStrategy(strategy.name, root.to_configuration(), event + outcome, message)
 
 
 def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
@@ -590,31 +619,26 @@ def event_tree_oracle(
         raise ValueError(
             f"oracle is exhaustive; start has {total} > {max_total_length} edges"
         )
-    if not isinstance(ps, Fraction):
-        ps = Fraction(ps)
+    ps = Fraction(ps)
     pf = 1 - ps
-
-    distribution: dict[Configuration, Fraction] = {}
-    stats = {"mean": Fraction(0), "attempts": Fraction(0), "paths": 0}
-
-    def record(final: Configuration, prob: Fraction, depth: int) -> None:
-        distribution[final] = distribution.get(final, Fraction(0)) + prob
-        stats["mean"] += prob * final.total_length
-        stats["attempts"] += prob * depth
-        stats["paths"] += 1
+    # (final configuration, probability, attempts) per event string
+    leaves: list[tuple[Configuration, Fraction, int]] = []
 
     def walk(state, prob: Fraction, depth: int) -> None:
         action = strategy.choose(state)
         if isinstance(action, Stop):
-            record(state.to_configuration(), prob, depth)
+            leaves.append((state.to_configuration(), prob, depth))
             return
         for outcome, weight in ((SUCCESS, ps), (FAILURE, pf)):
             walk(strategy.step(state, action, outcome), prob * weight, depth + 1)
 
     walk(strategy.start(start), Fraction(1), 0)
+    distribution: dict[Configuration, Fraction] = {}
+    for final, prob, _ in leaves:
+        distribution[final] = distribution.get(final, Fraction(0)) + prob
     return OracleResult(
         distribution=distribution,
-        mean_length=stats["mean"],
-        expected_attempts=stats["attempts"],
-        paths=stats["paths"],
+        mean_length=sum((prob * final.total_length for final, prob, _ in leaves), Fraction(0)),
+        expected_attempts=sum((prob * depth for _, prob, depth in leaves), Fraction(0)),
+        paths=len(leaves),
     )

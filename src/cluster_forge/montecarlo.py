@@ -40,7 +40,16 @@ from .configuration import (
     Stop,
     canonical_key,
 )
-from .strategies import MODESTY, Greed, Modesty, StatefulStrategy, Strategy, TwoStage
+from .strategies import (
+    MODESTY,
+    Greed,
+    InvalidStrategy,
+    Modesty,
+    StatefulStrategy,
+    Strategy,
+    TwoStage,
+    _premature_stop,
+)
 
 TRIAL_CHUNK = 4096
 
@@ -68,13 +77,19 @@ def _check_edges(strategy, left: int, expected: int) -> None:
 
 def _play(strategy: Strategy | StatefulStrategy, start: Configuration, ps: float, row):
     """One trial through the strategy's process interface, attempt i
-    succeeding when ``row[i] < ps``; returns the final process state."""
+    succeeding when ``row[i] < ps``; returns the final process state.
+    A stop that leaves more than one chain raises :class:`InvalidStrategy`,
+    as the exact evaluation does."""
     state = strategy.start(start)
     edges = start.total_length
     attempts = 0
     while True:
         action = strategy.choose(state)
         if isinstance(action, Stop):
+            if state.chain_count > 1:
+                event = "".join(SUCCESS if x < ps else FAILURE for x in row[:attempts])
+                raise InvalidStrategy(strategy.name, start, event,
+                                      _premature_stop(state.chain_count))
             _check_edges(strategy, state.total_length, edges)
             return state
         if row[attempts] < ps:

@@ -13,9 +13,9 @@ Strategies are written against one of two author interfaces:
   and ``next_memory(chains, memory, action, outcome, result)`` on
   identity configurations, with an explicit, hashable memory value.
 
-Every walker (the exact evaluation, the event-tree oracle, the validity
-check and the scalar Monte Carlo player) runs both kinds through one
-process interface that the two base classes provide:
+Every walker (the exact evaluation, the event-tree oracle and the scalar
+Monte Carlo player) runs both kinds through one process interface that
+the two base classes provide:
 
 * ``start(config)`` gives the process state at a start configuration,
 * ``choose(state)`` the next action,
@@ -31,38 +31,36 @@ named tuples, so they hash and compare in C, and expose
 builds its successor directly, without the constructors' checks: it is
 valid by construction.
 
-Validity is checked by walking every state reachable from a start,
-with rules local to a state: ``choose`` decides, a stop leaves at most
-one chain, a fusion needs two chains, a step does not raise, and each
-step removes the vertices the fusion rule removes (exactly 1 on
-``SUCCESS``, 2 to 4 on ``FAILURE``). So every walk ends, and the exact
-evaluation can run every state it reaches. Since each rule is local, a
-state walked clean has a clean subtree: :func:`validate_strategy_sweep`
-checks many starts with one shared set of walked states, so a subtree
-shared by several starts is walked once (``cluster-forge validate``
-walks 508 states of smallest-first for the 508 configurations up to 14
-edges, not 12,340). :class:`Modesty` and :class:`Greed` decide from the
-sorted ``items`` in O(1). :class:`TwoStage` remembers its inner
-strategy's fusion per block offset and lineup, and its stage-one memory
-update per block sizes, chain index and chains removed, since each
-depends on those alone.
+Validity has rules local to a state: ``choose`` decides, a stop leaves
+at most one chain, a fusion needs two chains, a step does not raise, and
+each step removes the vertices the fusion rule removes (exactly 1 on
+``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. The exact
+evaluation enforces them and raises :class:`InvalidStrategy` at the
+first broken one; :func:`validate_strategy_sweep` is that walk over many
+starts with one memo, so a subtree shared by starts is walked once
+(``cluster-forge validate`` walks 508 states of smallest-first for the
+508 configurations up to 14 edges, not 12,340). The scalar Monte Carlo
+player raises it at a premature stop. :class:`Modesty` and
+:class:`Greed` decide from the sorted ``items`` in O(1).
+:class:`TwoStage` remembers its inner strategy's fusion per block offset
+and lineup, and its stage-one memory update per block sizes, chain
+index and chains removed, since each depends on those alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from typing import Hashable, Mapping, NamedTuple
 
 from .configuration import (
-    FAILURE,
     STOP,
     SUCCESS,
     Action,
     Configuration,
     Fuse,
     IdentityConfiguration,
-    Stop,
     _new,
     parse_key,
 )
@@ -155,10 +153,15 @@ def format_action(action: Action) -> str:
 
 
 def parse_action(text: str) -> Action:
+    """Inverse of :func:`format_action`: ``stop`` or ``a,b`` in plain digits
+    with ``1 <= a <= b``; any other text raises ValueError."""
     if text == "stop":
         return STOP
     a, _, b = text.partition(",")
-    return Fuse(int(a), int(b))
+    action = Fuse(int(a), int(b))
+    if action.a < 1 or format_action(action) != text:
+        raise ValueError(f"not the text of an action: {text!r}")
+    return action
 
 
 class ProcessState(NamedTuple):
@@ -397,6 +400,22 @@ class ValidationResult:
     message: str | None = None
 
 
+class InvalidStrategy(ValueError):
+    """``message`` names the validity rule a strategy broke at the state
+    that the outcome string ``event`` reaches from ``start``."""
+
+    def __init__(self, name: str, start, event: str, message: str):
+        super().__init__(f"invalid strategy {name}: {message} at '{event}' from '{start}'")
+        self.name, self.start, self.event, self.message = name, start, event, message
+
+    def __reduce__(self):  # so that it crosses a process pool
+        return type(self), (self.name, self.start, self.event, self.message)
+
+
+def _premature_stop(chains: int) -> str:
+    return f"premature stop with {chains} chains"
+
+
 def validate_strategy(strategy: Strategy | StatefulStrategy,
                       start: Configuration) -> ValidationResult:
     """Walk the event tree from ``start`` and check validity: a one-start
@@ -406,61 +425,17 @@ def validate_strategy(strategy: Strategy | StatefulStrategy,
 
 def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
                             starts) -> tuple[Configuration | None, ValidationResult]:
-    """Check validity from each start in turn, walking shared subtrees once.
+    """Check validity from each start in turn: the exact evaluation over
+    ``starts`` with one shared memo, its values discarded (ps = 1 keeps
+    them small). Returns the first start that breaks a rule, as a
+    :class:`Configuration`, with its error's event and message, or
+    ``(None, ValidationResult(True))``. A state in the memo obeyed every
+    rule, and so did each state below it, so each start's verdict, event
+    and message are those of its own :func:`validate_strategy` call."""
+    from .exact import _sweep  # exact imports this module
 
-    Every state reachable from a start must obey the local rules: its
-    ``choose`` decides (a KeyError is no decision, a ValueError an action
-    it cannot realise), a stop leaves at most one chain, a fusion has two
-    chains, both steps succeed (else a null fusion), and a step removes
-    exactly 1 vertex on success and 2 to 4 on failure. Returns the first
-    start whose walk breaks a rule, with the event string and message of
-    the first violation, or ``(None, ValidationResult(True))``.
-
-    The starts share one set of walked states. A state that an earlier
-    start's walk put there obeyed every rule, and so did each state
-    below it, so skipping it is exact: each start's verdict, event and
-    message are those of its own :func:`validate_strategy` call.
-    """
-    seen: set = set()
-    for start in starts:
-        result = _walk(strategy, start, seen)
-        if not result.ok:
-            return start, result
+    try:
+        _sweep(strategy, starts, Fraction(1))
+    except InvalidStrategy as exc:
+        return exc.start, ValidationResult(False, exc.event, exc.message)
     return None, ValidationResult(True)
-
-
-def _walk(strategy, start, seen: set) -> ValidationResult:
-    """Depth-first walk of the event tree from ``start``, adding each state
-    to ``seen`` and skipping states already there."""
-    first = strategy.start(start)
-    # stack of (state, its vertex count, event string so far)
-    stack: list[tuple[object, int, str]] = [(first, first.vertex_count, "")]
-    while stack:
-        state, vertices, event = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        try:
-            action = strategy.choose(state)
-        except KeyError as exc:
-            return ValidationResult(False, event, f"no decision available: {exc}")
-        except ValueError as exc:
-            return ValidationResult(False, event, f"invalid decision: {exc}")
-        n_chains = state.chain_count
-        if isinstance(action, Stop):
-            if n_chains > 1:
-                return ValidationResult(False, event, f"premature stop with {n_chains} chains")
-            continue
-        if n_chains <= 1:
-            return ValidationResult(False, event, "fusion attempted on a terminal configuration")
-        for outcome in (SUCCESS, FAILURE):
-            try:
-                child = strategy.step(state, action, outcome)
-            except (ValueError, IndexError) as exc:
-                return ValidationResult(False, event + outcome, f"null fusion: {exc}")
-            drop = vertices - child.vertex_count
-            if not (drop == 1 if outcome == SUCCESS else 2 <= drop <= 4):
-                return ValidationResult(False, event + outcome, f"a step removed {drop} vertices; "
-                                        "the fusion rule removes 1 on success, 2 to 4 on failure")
-            stack.append((child, vertices - drop, event + outcome))
-    return ValidationResult(True)

@@ -439,8 +439,12 @@ class TestRankedStorage:
         (lambda lines: lines[:9] + [lines[9].split("\t")[0] + "\t1"], "line 11 is malformed"),
         (lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t1;1"] + lines[1:], "line 2 is malformed"),
         (lambda lines: [lines[0] + "\u00e9"] + lines[1:], "line 2 is malformed"),
+        (lambda lines: [line.replace("1^3\t3/2\t1,1", "1^3\t3/2\t0,-3") for line in lines],
+         r"line 29 is malformed: '1\^3\\t3/2\\t0,-3'"),
+        (lambda lines: [line[:-3] + "2,1" if line.endswith("\t1,2") else line for line in lines],
+         r"line 4 is malformed: '1\^1,2\^1\\t2/1\\t2,1'"),
     ], ids=["missing", "duplicated", "too-long", "not-canonical", "bad-value", "zero-denominator",
-            "truncated", "bad-action", "not-ascii"])
+            "truncated", "bad-action", "not-ascii", "negative-action", "reversed-action"])
     def test_load_rejects_a_damaged_file(self, tmp_path, edit, message):
         path = tmp_path / "table.tsv"
         build_quality_table(8).save(path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cluster_forge import montecarlo
-from cluster_forge.configuration import Configuration, IdentityConfiguration, parse_key
+from cluster_forge.configuration import STOP, Configuration, IdentityConfiguration, parse_key
 from cluster_forge.exact import build_quality_table, strategy_quality
 from cluster_forge.montecarlo import (
     TRIAL_CHUNK,
@@ -16,7 +16,16 @@ from cluster_forge.montecarlo import (
     threshold_experiment,
     wilson_interval,
 )
-from cluster_forge.strategies import GREED, MODESTY, STATIC, Greed, Modesty, TwoStage
+from cluster_forge.strategies import (
+    GREED,
+    MODESTY,
+    STATIC,
+    Greed,
+    InvalidStrategy,
+    Modesty,
+    Strategy,
+    TwoStage,
+)
 
 
 def epr(n):
@@ -80,6 +89,50 @@ class TestSimulateRun:
         monkeypatch.setattr(IdentityConfiguration, "fuse_at", leaky_fuse_at)
         with pytest.raises(RuntimeError, match="edge conservation"):
             simulate_run(STATIC, epr(8), 1.0, seed=3)
+
+
+class Quitter(Strategy):
+    name = "quitter"
+
+    def decide(self, config):
+        return STOP
+
+
+class StopsBelowSixVertices(Strategy):
+    """Smallest-first until fewer than six vertices are left, then stops."""
+
+    name = "stops-below-six"
+
+    def decide(self, config):
+        return STOP if config.vertex_count < 6 else MODESTY.decide(config)
+
+
+class TestPrematureStop:
+    """The scalar player raises the exact evaluation's error at a stop
+    that leaves more than one chain, instead of counting the chains left
+    as the trial's result."""
+
+    def test_estimate_quality_raises(self):
+        start = epr(6)
+        with pytest.raises(InvalidStrategy) as err:
+            estimate_quality(Quitter(), start, 0.5, trials=10, seed=0)
+        assert (err.value.start, err.value.event, err.value.message) == (
+            start, "", "premature stop with 6 chains")
+        with pytest.raises(InvalidStrategy) as exact:
+            strategy_quality(Quitter(), start)
+        assert str(err.value) == str(exact.value)
+
+    def test_simulate_run_names_the_event(self):
+        # from three pairs a success leaves two chains, a failure one
+        strategy, start = StopsBelowSixVertices(), epr(3)
+        with pytest.raises(InvalidStrategy) as err:
+            simulate_run(strategy, start, 1.0, seed=0)
+        assert str(err.value) == ("invalid strategy stops-below-six: premature stop with 2 "
+                                  "chains at 'S' from '1^3'")
+        with pytest.raises(InvalidStrategy) as exact:
+            strategy_quality(strategy, start)
+        assert str(err.value) == str(exact.value)
+        assert simulate_run(strategy, start, 0.0, seed=0) == Configuration.single_chain(1)
 
 
 class TestEstimateQuality:

@@ -1,4 +1,6 @@
 import os
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,17 +20,20 @@ from cluster_forge.configuration import (
     enumerate_configurations,
     parse_key,
 )
+from cluster_forge.exact import expected_attempts, strategy_quality
 from cluster_forge.strategies import (
     BUILTIN_STRATEGIES,
     GREED,
     MODESTY,
     STATIC,
     IdentityAdapter,
+    InvalidStrategy,
     LookupStrategy,
     ProcessState,
     Strategy,
     TwoStage,
     ValidationResult,
+    parse_action,
     validate_strategy,
     validate_strategy_sweep,
 )
@@ -231,6 +236,23 @@ def test_identity_adapter_picks_lowest_indices():
     assert adapter.decide(ident, None) == Fuse(1, 3)
 
 
+def test_invalid_strategy_names_its_walk_and_pickles():
+    err = InvalidStrategy("quitter", parse_key("1^2"), "SF", "premature stop with 2 chains")
+    assert str(err) == "invalid strategy quitter: premature stop with 2 chains at 'SF' from '1^2'"
+    assert isinstance(err, ValueError)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is InvalidStrategy and str(copy) == str(err)
+    assert (copy.name, copy.start, copy.event, copy.message) == (
+        err.name, err.start, err.event, err.message)
+
+
+@pytest.mark.parametrize("text", ["0,-3", "2,1", " 1,2", "+1,2", "01,2", "1,2 ", "1,\u0662",
+                                  "1_0,20"])
+def test_parse_action_rejects_what_format_action_never_writes(text):
+    with pytest.raises(ValueError, match="not the text of an action"):
+        parse_action(text)
+
+
 class TestLookupStrategy:
     def test_decide_and_missing_entry(self):
         strategy = LookupStrategy({"1^2": Fuse(1, 1), "2^1": STOP, "": STOP})
@@ -290,6 +312,17 @@ def reference_validate(strategy, start):
 def drop_message(drop):
     return (f"a step removed {drop} vertices; the fusion rule removes 1 on success, "
             "2 to 4 on failure")
+
+
+def assert_evaluation_raises(strategy, start, result):
+    """Exact quality and expected attempts from ``start`` raise
+    InvalidStrategy with the event and message of the rejected
+    ``result``."""
+    for evaluate in (strategy_quality, expected_attempts):
+        with pytest.raises(InvalidStrategy) as err:
+            evaluate(strategy, start)
+        assert (err.value.start, err.value.event, err.value.message) == (
+            start, result.event, result.message)
 
 
 class LateQuitter(Strategy):
@@ -452,12 +485,19 @@ class CountingStrategy:
 class TestValidationSweep:
     @pytest.mark.parametrize("strategy, starts", SWEEP_CASES, ids=SWEEP_IDS)
     def test_sweep_equals_one_walk_per_start(self, strategy, starts):
+        """The sweep's verdict is the first rejecting start's own, and
+        the exact evaluation from each start raises exactly when that
+        start is rejected, with the same event and message."""
         expected = (None, ValidationResult(True))
         for start in starts:
             result = reference_validate(strategy, start)
             assert validate_strategy(strategy, start) == result
-            if not result.ok and expected[1].ok:
-                expected = (start, result)
+            if result.ok:
+                strategy_quality(strategy, start)
+            else:
+                assert_evaluation_raises(strategy, start, result)
+                if expected[1].ok:
+                    expected = (start, result)
         assert validate_strategy_sweep(strategy, starts) == expected
 
     @pytest.mark.parametrize("strategy, start, event, drop", [
@@ -476,6 +516,7 @@ class TestValidationSweep:
         expected = ValidationResult(False, event, drop_message(drop))
         assert validate_strategy(strategy, start) == expected
         assert validate_strategy_sweep(strategy, [parse_key("1^1"), start]) == (start, expected)
+        assert_evaluation_raises(strategy, start, expected)
 
     def test_broken_strategies_fail_deep_in_a_later_start(self):
         for strategy in (LateQuitter(), LateFantasist()):
@@ -546,6 +587,13 @@ def assert_two_stage_errors_raise():
         TwoStage(3).decide(IdentityConfiguration((1, 1)), ("blocks", (1, 1)))
 
 
+def assert_pair_eating_success_is_rejected():
+    """Exact evaluation raises at a success that also destroys a spare
+    pair; uses no assert statement, so it also checks under -O."""
+    with pytest.raises(InvalidStrategy, match=re.escape(f"{drop_message(3)} at 'S' from '1^3'")):
+        strategy_quality(PairEatingSuccess(), parse_key("1^3"))
+
+
 class TestTwoStageBlockDecisions:
     def test_instances_with_different_inner_strategies_decide_apart(self):
         chains = IdentityConfiguration((1, 2, 3))
@@ -569,7 +617,8 @@ class TestTwoStageBlockDecisions:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         code = ("assert False, 'asserts must be stripped'\n"
                 "import test_strategies\n"
-                "test_strategies.assert_two_stage_errors_raise()")
+                "test_strategies.assert_two_stage_errors_raise()\n"
+                "test_strategies.assert_pair_eating_success_is_rejected()")
         subprocess.run([sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, env=env,
                        check=True, timeout=120)
 
