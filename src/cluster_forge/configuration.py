@@ -314,37 +314,53 @@ def parse_key(key: str) -> Configuration:
     return config
 
 
-def _partitions_into(total: int, parts: int, max_part: int) -> list[tuple[tuple[int, int], ...]]:
-    """Integer partitions of ``total`` into exactly ``parts`` parts, each
-    <= max_part, as sorted (part, multiplicity) tuples. Parts are chosen
-    smallest first, so the tuples come out sorted by construction."""
-    out: list[tuple[tuple[int, int], ...]] = []
+def _block_enumerator(max_part: int):
+    """``block(total, parts)``: the integer partitions of ``total`` into
+    exactly ``parts`` parts, each <= max_part, as sorted (part,
+    multiplicity) tuples, in storage order (see :func:`_blocks`).
 
-    def extend(prefix, total, parts, min_part):
+    Parts are chosen smallest first: each smallest part ascending, then
+    its multiplicity ascending, so the tuples come out sorted by
+    construction. A partition is ``((part, mult),) + suffix``, where the
+    suffix is a partition of the rest into parts above ``part``. Every
+    suffix list is built once, keyed by (total, parts, smallest part),
+    and shared by every block and prefix that ends in it; the blocks
+    themselves are not kept. The memo lives as long as ``block``."""
+    memo: dict[tuple[int, int, int], list[tuple[tuple[int, int], ...]]] = {}
+
+    def extend(total: int, parts: int, smallest: int) -> list[tuple[tuple[int, int], ...]]:
+        out: list[tuple[tuple[int, int], ...]] = []
         # the smallest part is at most the mean
-        for part in range(min_part, min(max_part, total // parts) + 1):
+        for part in range(smallest, min(max_part, total // parts) + 1):
             rest, rest_parts = total, parts
             for mult in range(1, parts):
                 rest -= part
                 rest_parts -= 1
                 # the other parts must fit in [part + 1, max_part]
                 if rest_parts * (part + 1) <= rest <= rest_parts * max_part:
-                    extend(prefix + ((part, mult),), rest, rest_parts, part + 1)
+                    key = (rest, rest_parts, part + 1)
+                    suffixes = memo.get(key)
+                    if suffixes is None:
+                        suffixes = memo[key] = extend(*key)
+                    head = ((part, mult),)
+                    out.extend([head + suffix for suffix in suffixes])
             if part * parts == total:  # all the parts are equal
-                out.append(prefix + ((part, parts),))
+                out.append(((part, parts),))
+        return out
 
-    if parts:
-        extend((), total, parts, 1)
-    elif not total:  # zero parts only sum to zero
-        out.append(())
-    return out
+    def block(total: int, parts: int) -> list[tuple[tuple[int, int], ...]]:
+        if parts:
+            return extend(total, parts, 1)
+        return [] if total else [()]  # zero parts only sum to zero
+
+    return block
 
 
 def _blocks(max_total_length: int) -> Iterator[tuple[int, int]]:
     """``(vertex count, total length)`` of each block of configurations in
     storage order: vertex count ascending, then total length ascending.
     The block of V vertices and L edges holds the partitions of L into
-    V - L parts, in the order :func:`_partitions_into` gives them; no
+    V - L parts, in the order :func:`_block_enumerator` gives them; no
     block is empty."""
     yield 0, 0  # the empty configuration
     for v in range(2, 2 * max_total_length + 1):
@@ -390,7 +406,7 @@ def _partition_ranker(max_total_length: int):
     Neither builds a dictionary over configurations. A position is the
     last position of the configuration's block (t edges in c chains, see
     :func:`_block_starts`) less the partitions after it in the block, in the
-    order of :func:`_partitions_into`. Take an item (k, m) with (T', C')
+    order of :func:`_block_enumerator`. Take an item (k, m) with (T', C')
     the edges and chains of it and every longer item, (T, C) those of the
     longer items alone, and r = T - C*k. Among the partitions that agree
     with this one below k, ``exactly[C'][r]`` have a next part above k
@@ -455,7 +471,9 @@ def enumerate_configurations(max_total_length: int) -> Iterator[Configuration]:
     precede their dependents. :func:`_partition_ranker` gives each
     configuration's position in this order.
 
-    Lazy by block: only one block of partitions is built at a time."""
+    Lazy by block: one block of partitions is built at a time, from
+    suffixes shared between blocks."""
+    block = _block_enumerator(max_total_length)
     for v, total in _blocks(max_total_length):
-        for items in _partitions_into(total, v - total, total):
+        for items in block(total, v - total):
             yield Configuration(items)

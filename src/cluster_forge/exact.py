@@ -30,11 +30,13 @@ chain cut to R edges, which also minimises attempts in the same pass.
   row per fusion pair holds both code shifts, both branch factors, both
   drops and the action index, so the inner loop does no arithmetic on
   lengths.
-* Level-lazy enumeration. Count vectors come straight from
-  ``configuration._partitions_into``, one block of vertex and edge count
-  at a time, in the order of :func:`enumerate_configurations`. The DP
-  keeps only as many levels as the deepest drop, four for the table,
-  and a budget stops early.
+* Level-lazy enumeration. Count vectors come from one
+  ``configuration._block_enumerator`` per build, one block of vertex and
+  edge count at a time, in the order of :func:`enumerate_configurations`.
+  It builds each list of partition suffixes once and shares it between
+  blocks, and drops them all when the build returns. The DP keeps only
+  as many levels as the deepest drop, four for the table, and a budget
+  stops early.
 * Rank-indexed storage. Each configuration's entry sits at its rank,
   its position in that order, as one scaled value in a list and one
   index into a shared list of actions in an ``array('H')``. The build
@@ -73,13 +75,13 @@ from .configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
+    _block_enumerator,
     _block_starts,
     _blocks,
     _partition_ranker,
-    _partitions_into,
     enumerate_configurations,
 )
-from .strategies import InvalidStrategy, StatefulStrategy, Strategy, _premature_stop
+from .strategies import InvalidStrategy, StatefulStrategy, Strategy, _bad_drop, _premature_stop
 from .strategies import format_action, parse_action
 
 HALF = Fraction(1, 2)
@@ -173,8 +175,7 @@ def _evaluate(root: Hashable, strategy: Strategy | StatefulStrategy, memo: dict,
                 raise _invalid(strategy, root, stack, f"null fusion: {exc}", outcome) from exc
             # outcome is still SUCCESS when the success step removed drop != 1
             if outcome == SUCCESS or not 2 <= drop <= 4:
-                raise _invalid(strategy, root, stack, f"a step removed {drop} vertices; the "
-                               "fusion rule removes 1 on success, 2 to 4 on failure", outcome)
+                raise _invalid(strategy, root, stack, _bad_drop(drop), outcome)
             # a child already in the memo is skipped when popped, so
             # each state is hashed once per parent, not twice
             stack.append((state, v, (succ, drop, fail)))
@@ -476,10 +477,11 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     # None once no successor can reach them
     quality: list = [{} for _ in range(2 * n + 1)]
     spent: list = [{} for _ in range(2 * n + 1)]
+    partitions = _block_enumerator(cap)
     level = -1
     for v, total in _blocks(n):
         # under a cap a one-chain block may be empty; it then stores nothing
-        block = _partitions_into(total, v - total, cap)
+        block = partitions(total, v - total)
         if v != level:
             level, base = v, scale[v]
             if v > depth:

@@ -48,6 +48,7 @@ from .strategies import (
     StatefulStrategy,
     Strategy,
     TwoStage,
+    _bad_drop,
     _premature_stop,
 )
 
@@ -78,27 +79,52 @@ def _check_edges(strategy, left: int, expected: int) -> None:
 def _play(strategy: Strategy | StatefulStrategy, start: Configuration, ps: float, row):
     """One trial through the strategy's process interface, attempt i
     succeeding when ``row[i] < ps``; returns the final process state.
-    A stop that leaves more than one chain raises :class:`InvalidStrategy`,
-    as the exact evaluation does."""
+
+    Each decision and step must obey the validity rules that the exact
+    evaluation enforces, with its messages; the first one broken raises
+    :class:`InvalidStrategy`, its event rebuilt from ``row``. A valid
+    trial never needs more than ``row`` holds, one uniform per vertex of
+    the start, since every attempt removes a vertex; a trial that does
+    raises it too."""
     state = strategy.start(start)
+    vertices = state.vertex_count
     edges = start.total_length
     attempts = 0
+
+    def invalid(message: str) -> InvalidStrategy:
+        event = "".join(SUCCESS if x < ps else FAILURE for x in row[:attempts])
+        return InvalidStrategy(strategy.name, start, event, message)
+
     while True:
-        action = strategy.choose(state)
+        try:
+            action = strategy.choose(state)
+        except KeyError as exc:
+            raise invalid(f"no decision available: {exc}") from exc
+        except ValueError as exc:
+            raise invalid(f"invalid decision: {exc}") from exc
+        chains = state.chain_count
         if isinstance(action, Stop):
-            if state.chain_count > 1:
-                event = "".join(SUCCESS if x < ps else FAILURE for x in row[:attempts])
-                raise InvalidStrategy(strategy.name, start, event,
-                                      _premature_stop(state.chain_count))
+            if chains > 1:
+                raise invalid(_premature_stop(chains))
             _check_edges(strategy, state.total_length, edges)
             return state
-        if row[attempts] < ps:
-            outcome = SUCCESS
-        else:
-            outcome = FAILURE
-            edges -= 2
+        if chains <= 1:
+            raise invalid("fusion attempted on a terminal configuration")
+        if attempts == len(row):
+            raise invalid(f"more than {attempts} attempts from a start of {start.vertex_count} "
+                          "vertices; every attempt removes a vertex")
+        success = row[attempts] < ps
         attempts += 1
-        state = strategy.step(state, action, outcome)
+        try:
+            state = strategy.step(state, action, SUCCESS if success else FAILURE)
+        except (ValueError, IndexError) as exc:
+            raise invalid(f"null fusion: {exc}") from exc
+        drop = vertices - state.vertex_count
+        if not (drop == 1 if success else 2 <= drop <= 4):
+            raise invalid(_bad_drop(drop))
+        vertices -= drop
+        if not success:
+            edges -= 2
 
 
 def simulate_run(

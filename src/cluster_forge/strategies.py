@@ -416,6 +416,11 @@ def _premature_stop(chains: int) -> str:
     return f"premature stop with {chains} chains"
 
 
+def _bad_drop(drop: int) -> str:
+    return (f"a step removed {drop} vertices; the fusion rule removes 1 on success, "
+            "2 to 4 on failure")
+
+
 def validate_strategy(strategy: Strategy | StatefulStrategy,
                       start: Configuration) -> ValidationResult:
     """Walk the event tree from ``start`` and check validity: a one-start

@@ -220,7 +220,7 @@ class TestOptimalTable:
         def no_enumeration(*args):
             raise AssertionError("a block was enumerated")
 
-        monkeypatch.setattr(exact, "_partitions_into", no_enumeration)
+        monkeypatch.setattr(exact, "_block_enumerator", no_enumeration)
         out = tmp_path / "t.tsv"
         code = main(["optimal-table", "--n", "30", "--max-entries", "5000", "--out", str(out)])
         captured = capsys.readouterr()
@@ -229,6 +229,10 @@ class TestOptimalTable:
         assert captured.err == (
             "cluster-forge: budget exceeded: table build for N=30 exceeded budget of 5000 "
             "entries at vertex-count level 30\n")
+        assert not out.exists()
+        # the patched enumerator is the one a build within budget calls
+        with pytest.raises(AssertionError, match="a block was enumerated"):
+            main(["optimal-table", "--n", "30", "--out", str(out)])
         assert not out.exists()
 
     def test_rational_ps_required(self, capsys, tmp_path):

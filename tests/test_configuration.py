@@ -15,6 +15,7 @@ from cluster_forge.configuration import (
     Fuse,
     IdentityConfiguration,
     InvalidFusionError,
+    _block_enumerator,
     canonical_key,
     enumerate_configurations,
     parse_key,
@@ -28,6 +29,31 @@ def partition_count_oracle(n: int) -> list[int]:
         for total in range(part, n + 1):
             counts[total] += counts[total - part]
     return counts
+
+
+def reference_partitions_into(total: int, parts: int, max_part: int) -> list:
+    """The partitions of ``total`` into exactly ``parts`` parts, each <=
+    max_part, as sorted (part, multiplicity) tuples: the plain recursion
+    whose order the storage layout was first defined by, smallest part
+    first, then its multiplicity, with all-equal parts last."""
+    out = []
+
+    def extend(prefix, total, parts, min_part):
+        for part in range(min_part, min(max_part, total // parts) + 1):
+            rest, rest_parts = total, parts
+            for mult in range(1, parts):
+                rest -= part
+                rest_parts -= 1
+                if rest_parts * (part + 1) <= rest <= rest_parts * max_part:
+                    extend(prefix + ((part, mult),), rest, rest_parts, part + 1)
+            if part * parts == total:
+                out.append(prefix + ((part, parts),))
+
+    if parts:
+        extend((), total, parts, 1)
+    elif not total:
+        out.append(())
+    return out
 
 
 def epr(n):
@@ -130,6 +156,19 @@ class TestEnumeration:
             assert config.vertex_count >= last_v
             last_v = config.vertex_count
             assert config.total_length <= 9
+
+    @pytest.mark.parametrize("max_part", range(1, 17))
+    def test_blocks_come_in_the_reference_order(self, max_part):
+        """One enumerator serves every block of a build and shares its
+        suffixes between them; each block holds the reference recursion's
+        partitions in its order, including the empty blocks of one chain
+        longer than a razor cap and of more parts than edges."""
+        block = _block_enumerator(max_part)
+        for total in range(17):
+            for parts in range(total + 2):
+                assert block(total, parts) == reference_partitions_into(total, parts, max_part)
+        if max_part < 16:
+            assert block(max_part + 1, 1) == []
 
     def test_dependencies_precede(self):
         order = {c: i for i, c in enumerate(enumerate_configurations(8))}

@@ -283,10 +283,13 @@ class TestQualityTable:
         def no_enumeration(*args):
             raise AssertionError("a block was enumerated")
 
-        monkeypatch.setattr(exact, "_partitions_into", no_enumeration)
+        monkeypatch.setattr(exact, "_block_enumerator", no_enumeration)
         with pytest.raises(TableBudgetExceeded) as err:
             build_quality_table(n, max_entries=budget)
         assert (err.value.n, err.value.vertex_level, err.value.budget) == (n, level, budget)
+        # the patched enumerator is the one a build within budget calls
+        with pytest.raises(AssertionError, match="a block was enumerated"):
+            build_quality_table(n, max_entries=budget + 10 ** 9)
 
     @pytest.mark.parametrize("n", [0, 6, 11])
     def test_a_budget_of_every_entry_is_enough(self, n):

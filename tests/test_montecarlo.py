@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cluster_forge import montecarlo
-from cluster_forge.configuration import STOP, Configuration, IdentityConfiguration, parse_key
+from cluster_forge.configuration import (
+    STOP,
+    SUCCESS,
+    Configuration,
+    IdentityConfiguration,
+    parse_key,
+)
 from cluster_forge.exact import build_quality_table, strategy_quality
 from cluster_forge.montecarlo import (
     TRIAL_CHUNK,
@@ -25,6 +31,7 @@ from cluster_forge.strategies import (
     Modesty,
     Strategy,
     TwoStage,
+    _bad_drop,
 )
 
 
@@ -65,30 +72,39 @@ class TestSimulateRun:
         fuse = Configuration.fuse
 
         def leaky_fuse(self, a, b, outcome):
-            # a success whose merged chain comes out one edge short
-            result = fuse(self, a, b, outcome)
-            if outcome == "S":
-                result = result.add(a + b, -1).add(a + b - 1)
-            return result
+            # a success whose merged chain comes out one edge short removes
+            # 2 vertices; a failure that merges the chains one edge short
+            # removes 2 vertices but only one edge
+            result = fuse(self, a, b, SUCCESS)
+            return result.add(a + b, -1).add(a + b - 1)
 
         monkeypatch.setattr(Configuration, "fuse", leaky_fuse)
-        with pytest.raises(RuntimeError, match="edge conservation"):
+        with pytest.raises(InvalidStrategy) as err:
             simulate_run(MODESTY, epr(6), 1.0, seed=3)
+        assert (err.value.event, err.value.message) == ("S", _bad_drop(2))
+        with pytest.raises(InvalidStrategy) as exact:
+            strategy_quality(MODESTY, epr(6))
+        assert str(err.value) == str(exact.value)
+        with pytest.raises(RuntimeError, match="edge conservation"):
+            simulate_run(MODESTY, epr(6), 0.0, seed=3)
 
     def test_broken_conservation_raises_in_identity_player(self, monkeypatch):
         fuse_at = IdentityConfiguration.fuse_at
 
         def leaky_fuse_at(self, i, j, outcome):
-            # a success whose merged chain comes out one edge short
+            # as in the anonymous player: every attempt merges the chains,
+            # one edge short
             i, j = min(i, j), max(i, j)
-            chains = list(fuse_at(self, i, j, outcome).chains)
-            if outcome == "S":
-                chains[i] -= 1
+            chains = list(fuse_at(self, i, j, SUCCESS).chains)
+            chains[i] -= 1
             return IdentityConfiguration(tuple(chains))
 
         monkeypatch.setattr(IdentityConfiguration, "fuse_at", leaky_fuse_at)
-        with pytest.raises(RuntimeError, match="edge conservation"):
+        with pytest.raises(InvalidStrategy) as err:
             simulate_run(STATIC, epr(8), 1.0, seed=3)
+        assert (err.value.event, err.value.message) == ("S", _bad_drop(2))
+        with pytest.raises(RuntimeError, match="edge conservation"):
+            simulate_run(STATIC, epr(8), 0.0, seed=3)
 
 
 class Quitter(Strategy):
@@ -105,6 +121,29 @@ class StopsBelowSixVertices(Strategy):
 
     def decide(self, config):
         return STOP if config.vertex_count < 6 else MODESTY.decide(config)
+
+
+class Inflater(Strategy):
+    """Smallest-first from four times the pairs it is given: its trials
+    need more uniforms than the start has vertices."""
+
+    name = "inflater"
+
+    def start(self, config):
+        return Configuration.epr_pairs(4 * config.total_length)
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+
+def test_a_trial_past_its_uniform_row_is_invalid():
+    # at ps = 1 the 8 pairs of the state take 7 attempts, the 2 pairs of
+    # the start have 4 vertices
+    with pytest.raises(InvalidStrategy) as err:
+        simulate_run(Inflater(), epr(2), 1.0, seed=0)
+    assert (err.value.start, err.value.event, err.value.message) == (
+        epr(2), "SSSS", "more than 4 attempts from a start of 4 vertices; every attempt "
+        "removes a vertex")
 
 
 class TestPrematureStop:

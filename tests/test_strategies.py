@@ -20,7 +20,9 @@ from cluster_forge.configuration import (
     enumerate_configurations,
     parse_key,
 )
+from cluster_forge import montecarlo
 from cluster_forge.exact import expected_attempts, strategy_quality
+from cluster_forge.montecarlo import estimate_quality
 from cluster_forge.strategies import (
     BUILTIN_STRATEGIES,
     GREED,
@@ -517,6 +519,32 @@ class TestValidationSweep:
         assert validate_strategy(strategy, start) == expected
         assert validate_strategy_sweep(strategy, [parse_key("1^1"), start]) == (start, expected)
         assert_evaluation_raises(strategy, start, expected)
+
+    @pytest.mark.parametrize("strategy, starts", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_the_scalar_player_rejects_what_the_evaluation_rejects(self, strategy, starts):
+        """Played along the event at which a start is rejected, the scalar
+        Monte Carlo player raises the evaluation's InvalidStrategy, with
+        the same event and message."""
+        for start in starts:
+            result = reference_validate(strategy, start)
+            if result.ok:
+                continue
+            # a uniform below ps = 1/2 makes an attempt succeed
+            row = [0.0 if outcome == SUCCESS else 0.75 for outcome in result.event]
+            row += [0.5] * (start.vertex_count - len(row))
+            with pytest.raises(InvalidStrategy) as err:
+                montecarlo._play(strategy, start, 0.5, row)
+            assert (err.value.start, err.value.event, err.value.message) == (
+                start, result.event, result.message)
+
+    @pytest.mark.parametrize("strategy", [
+        Fantasist(), Treadmill(), Grower(), LossySuccess(), MildFailure(), PairEatingSuccess(),
+    ], ids=lambda strategy: strategy.name)
+    def test_monte_carlo_names_the_broken_rule(self, strategy):
+        """A sampled trial that breaks a rule raises InvalidStrategy, not
+        an error of the uniform row, the fusion rule or the edge count."""
+        with pytest.raises(InvalidStrategy):
+            estimate_quality(strategy, Configuration.epr_pairs(4), 0.5, trials=20, seed=0)
 
     def test_broken_strategies_fail_deep_in_a_later_start(self):
         for strategy in (LateQuitter(), LateFantasist()):
