@@ -40,11 +40,12 @@ first broken one; :func:`validate_strategy_sweep` is that walk over many
 starts with one memo, so a subtree shared by starts is walked once
 (``cluster-forge validate`` walks 508 states of smallest-first for the
 508 configurations up to 14 edges, not 12,340). The scalar Monte Carlo
-player raises it at a premature stop. :class:`Modesty` and
-:class:`Greed` decide from the sorted ``items`` in O(1).
-:class:`TwoStage` remembers its inner strategy's fusion per block offset
-and lineup, and its stage-one memory update per block sizes, chain
-index and chains removed, since each depends on those alone.
+player enforces the same rules along each sampled trial and raises the
+same error. :class:`Modesty` and :class:`Greed` decide from the sorted
+``items`` in O(1). :class:`TwoStage` remembers its inner strategy's
+fusion per block offset and lineup, and its stage-one memory update per
+block sizes, chain index and chains removed, since each depends on
+those alone.
 """
 
 from __future__ import annotations
