@@ -85,6 +85,13 @@ def _check_least(*checks) -> None:
             raise CLIError(f"{flag} must be at least {least}, got {value}")
 
 
+def _check_seed(seed: int) -> None:
+    """Philox keys are 128-bit unsigned integers."""
+    _check_least(("--seed", seed, 0))
+    if seed >= 2 ** 128:
+        raise CLIError(f"--seed must be below 2**128, got {seed}")
+
+
 def _sizes(args, least: int) -> list[int]:
     """The single ``--n``, or the nonempty ``--n-min``..``--n-max`` sweep,
     no size below ``least``."""
@@ -271,6 +278,9 @@ def _cmd_razor(args) -> int:
 def _cmd_mc(args) -> int:
     ps = _parse_ps(args.ps)
     _check_least(("--n", args.n, 0), ("--trials", args.trials, 1), ("--threads", args.threads, 1))
+    if args.threshold is not None:
+        _check_least(("--threshold", args.threshold, 0))
+    _check_seed(args.seed)
     strategy = BUILTIN_STRATEGIES[args.strategy]
     report = estimate_quality(
         strategy,
@@ -293,6 +303,7 @@ def _cmd_mc(args) -> int:
 def _cmd_weave(args) -> int:
     ps = _as_float_ps(args.ps)
     _check_least(("--trials", args.trials, 0))
+    _check_seed(args.seed)
     try:
         params = WeaveParameters(n=args.n, a=args.a, ps=ps)
     except ValueError as exc:

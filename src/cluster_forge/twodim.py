@@ -11,6 +11,23 @@ For a > 1/ps the per-chain probability tends to one fast enough that the
 overall success probability does too, giving quadratic total resource
 use; for a < 1/ps it collapses to zero instead, with the threshold at
 ps = 1/a.
+
+The simulator reproduces the successes of
+``rng.binomial(m, ps, (trials, n))`` on a ``Philox(key=seed)`` generator
+bit for bit without drawing a binomial. In numpy's inversion regime
+(ps m <= 30 for ps <= 1/2, (1 - ps) m <= 30 above) each draw is decided
+by one uniform U through a loop that subtracts the probability masses
+from U until it falls below the next one. The masses do not depend on U
+and IEEE subtraction rounds monotonically, so the draw is a
+nondecreasing function of U: whether a chain gets its n successes is a
+threshold on U, found once per call by bisection over the 2^53 possible
+doubles with the loop rerun in Python, operation for operation. The
+trials then need only ``rng.random`` and one comparison per chain.
+Numpy's other sampler (BTPE) takes a varying number of uniforms per
+draw, and a draw whose loop passes numpy's bound restarts on a fresh
+uniform; there the simulator calls ``rng.binomial`` itself, for every
+chunk of trials in the first case and for the chunk holding such a
+uniform in the second.
 """
 
 from __future__ import annotations
@@ -132,17 +149,113 @@ class WeaveReport:
         return asdict(self)
 
 
+# Weave trials are drawn in chunks of this many values (8 MB of doubles),
+# or of one trial when n is larger, so memory does not grow with trials.
+_CHUNK_VALUES = 1 << 20
+
+# Philox doubles are j / 2**53 for 0 <= j < 2**53.
+_UNIFORM_GRID = 2 ** 53
+
+
+def _inversion_draw(m: int, p: float, u: float) -> int:
+    """Binomial(m, p) as numpy's ``random_binomial_inversion`` draws it
+    from the uniform ``u``, operation for operation (its first mass is
+    exp(m log1p(-p)), not (1 - p)^m), or m + 1 where numpy would restart
+    on a fresh uniform because the loop passed its bound."""
+    q = 1.0 - p
+    px = math.exp(m * math.log1p(-p))
+    bound = int(min(m, m * p + 10.0 * math.sqrt(m * p * q + 1)))
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return m + 1
+        u -= px
+        px = ((m - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _last_below(m: int, p: float, k: int) -> float:
+    """The largest uniform on the 2^53 grid whose inversion draw is below
+    k (k >= 1, so u = 0, which draws 0, is one). The draw is monotone in
+    u, so bisection finds it."""
+    lo, hi = 0, _UNIFORM_GRID
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _inversion_draw(m, p, mid / _UNIFORM_GRID) < k:
+            lo = mid
+        else:
+            hi = mid
+    return lo / _UNIFORM_GRID
+
+
+def _threshold_counter(m: int, n: int, ps: float):
+    """A function from a (rows, n) array of the generator's uniforms to
+    the number of rows in which every ``rng.binomial(m, ps)`` draw would
+    reach n, or to None if one of them would restart. None where numpy
+    samples by BTPE instead of inversion."""
+    if ps <= 0.5:
+        p, below = ps, n  # success: draw >= n, every u above the cut
+    else:
+        # numpy draws m - Inv(m, 1 - ps); success: Inv < m - n + 1,
+        # every u at or below the cut
+        p, below = 1.0 - ps, m - n + 1
+    if p * m > 30.0:
+        return None
+    cut = _last_below(m, p, below)
+    guard = _last_below(m, p, m + 1)
+
+    def count(u: np.ndarray) -> int | None:
+        if u.max() > guard:
+            return None
+        won = u > cut if ps <= 0.5 else u <= cut
+        return int(won.all(axis=1).sum())
+
+    return count
+
+
+def _weave_successes(rng: np.random.Generator, params: WeaveParameters, trials: int) -> int:
+    """``(rng.binomial(m, ps, (trials, n)) >= n).all(1).sum()``, drawn in
+    chunks, by threshold wherever numpy would draw by inversion."""
+    m, n = params.attempt_budget, params.n
+    counter = _threshold_counter(m, n, params.ps)
+    rows = max(1, _CHUNK_VALUES // n)
+    successes = 0
+    for start in range(0, trials, rows):
+        size = (min(rows, trials - start), n)
+        if counter is not None:
+            state = rng.bit_generator.state
+            hits = counter(rng.random(size))
+            if hits is not None:
+                successes += hits
+                continue
+            rng.bit_generator.state = state
+        counts = rng.binomial(m, params.ps, size=size)
+        successes += int((counts >= n).all(axis=1).sum())
+    return successes
+
+
 def simulate_weave(params: WeaveParameters, trials: int, seed: int) -> WeaveReport:
     """Monte Carlo of the per-chain counting model: each cross-chain
     draws Bernoulli(ps) attempts until n successes or the budget runs
-    out; a trial succeeds when every chain does."""
+    out; a trial succeeds when every chain does.
+
+    Stopping early never changes whether n successes fit in the budget,
+    so each chain is one Binomial(m, ps) draw, and the successes equal
+    ``(rng.binomial(m, ps, (trials, n)) >= n).all(1).sum()`` on
+    ``Philox(key=seed)`` bit for bit. Where numpy draws those by
+    inversion, one uniform per chain is compared with a threshold
+    instead: numpy's loop only subtracts from the uniform, and rounded
+    subtraction is monotone, so reaching n successes is a threshold
+    event on the uniform's 2^53 grid. A chunk in which some uniform
+    would make numpy restart is redrawn with ``rng.binomial`` from the
+    generator state before it, as is every chunk in the BTPE regime.
+    Chunks are taken from the one generator in order, so the count does
+    not depend on their size."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # stopping early never changes whether n successes fit in the budget,
-    # so each chain reduces to one binomial draw
-    counts = rng.binomial(params.attempt_budget, params.ps, size=(trials, params.n))
-    successes = int((counts >= params.n).all(axis=1).sum())
+    successes = _weave_successes(rng, params, trials)
     low, high = wilson_interval(successes, trials)
     return WeaveReport(
         n=params.n,

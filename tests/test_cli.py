@@ -377,11 +377,22 @@ class TestSmallSizes:
          "cluster side must be at least 1"),
         (["percolation-scan", "--n-list", "50", "--ps", "0.5", "--a-grid", "3,1"],
          "overhead factor must exceed 1"),
+        (["weave", "--n", "5", "--a", "3", "--ps", "0.5", "--trials", "10", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+        (["weave", "--n", "5", "--a", "3", "--ps", "0.5", "--trials", "10",
+          "--seed", str(2 ** 128)], f"--seed must be below 2**128, got {2 ** 128}"),
+        (["mc", "--strategy", "modesty", "--n", "4", "--trials", "10", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+        (["mc", "--strategy", "modesty", "--n", "4", "--trials", "10", "--seed", str(2 ** 128)],
+         f"--seed must be below 2**128, got {2 ** 128}"),
+        (["mc", "--strategy", "modesty", "--n", "4", "--trials", "10", "--seed", "1",
+          "--threshold", "-5"], "--threshold must be at least 0, got -5"),
     ], ids=["quality-n-min", "quality-step", "bounds-n-min", "bounds-n", "bounds-n-max",
             "razor-n", "razor-n-min", "razor-r-min", "validate-n", "optimal-table-max-entries",
             "quality-n-max", "quality-all-n-max", "razor-r-max-below-r-min", "razor-r-max",
             "weave-n", "weave-a", "weave-trials", "percolation-scan-n-list",
-            "percolation-scan-a-grid"])
+            "percolation-scan-a-grid", "weave-seed", "weave-seed-too-large", "mc-seed",
+            "mc-seed-too-large", "mc-threshold"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

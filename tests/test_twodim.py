@@ -1,8 +1,14 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cluster_forge import twodim
+from cluster_forge.cli import main
 from cluster_forge.twodim import (
     PercolationScan,
     WeaveParameters,
@@ -151,6 +157,138 @@ class TestSimulateWeave:
     def test_trial_validation(self):
         with pytest.raises(ValueError):
             simulate_weave(WeaveParameters(n=3, a=2, ps=0.5), 0, seed=1)
+
+
+def binomial_successes(params: WeaveParameters, trials: int, seed: int) -> int:
+    """The weave count straight from numpy's binomial sampler."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = rng.binomial(params.attempt_budget, params.ps, size=(trials, params.n))
+    return int((counts >= params.n).all(axis=1).sum())
+
+
+def injected_generator(u: float, seed: int = 5) -> np.random.Generator:
+    """Philox(key=seed) whose first uniform is u, followed by three small
+    ones and then the generator's own stream."""
+    bitgen = np.random.Philox(key=seed)
+    state = bitgen.state
+    state["buffer"] = np.array([int(u * 2 ** 53) << 11, 1 << 40, 1 << 41, 1 << 42],
+                               dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def uniforms_used(m: int, ps: float, u: float) -> int:
+    """How many uniforms one rng.binomial(m, ps) draw takes when the
+    first is u: 2 where numpy's inversion loop restarts."""
+    rng = injected_generator(u)
+    rng.binomial(m, ps)
+    return 1 + injected_generator(u).random(4)[1:].tolist().index(rng.random())
+
+
+class BinomialCounting(np.random.Generator):
+    binomial_calls = 0
+
+    def binomial(self, *args, **kwargs):
+        self.binomial_calls += 1
+        return super().binomial(*args, **kwargs)
+
+
+ORACLE_CASES = [
+    (5, 3, 0.3),  # p < 1/2
+    (20, 3, 0.5),  # p = 1/2 and p m == 30 exactly: the benchmark's weave step
+    (10, 2, 0.8),  # p > 1/2: numpy draws m - Inv(m, 1 - p)
+    (20, 3, 0.7),
+    (4, 2, 1.0),  # perfect gates
+    (3, 2, 1e-3),  # tiny ps
+    (1, 1.2, 0.5),  # m = 1
+    (20, 3, 0.02),  # numpy's bound 15 < n
+    (20, 3, 0.98),  # numpy's bound 15 < m - n + 1
+    (100, 3, 0.1),  # 0.1 * 300 rounds to 30.0: still inversion
+    (100, 3, 0.10000000000000002),  # the next double up: 30.000000000000007, BTPE
+    (50, 2, 0.6),  # 0.4 * 100 > 30: BTPE above 1/2
+]
+
+
+class TestWeaveSampler:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n, a, ps", ORACLE_CASES)
+    def test_count_equals_numpy_binomial(self, n, a, ps, seed):
+        params = WeaveParameters(n=n, a=a, ps=ps)
+        assert simulate_weave(params, 3000, seed).successes == \
+            binomial_successes(params, 3000, seed)
+
+    @pytest.mark.parametrize("m, p", [(15, 0.3), (60, 0.5), (20, 0.2), (60, 0.02), (2, 0.4),
+                                      (1000, 0.01)])
+    def test_inversion_loop_matches_numpy_draw_for_draw(self, m, p):
+        uniforms = np.random.Generator(np.random.Philox(key=11)).random(3000)
+        draws = np.random.Generator(np.random.Philox(key=11)).binomial(m, p, 3000)
+        assert [twodim._inversion_draw(m, p, u) for u in uniforms] == draws.tolist()
+
+    @pytest.mark.parametrize("n, a, ps, btpe", [
+        (20, 3, 0.5, False), (10, 2, 0.8, False), (4, 2, 1.0, False), (100, 3, 0.1, False),
+        (100, 3, 0.10000000000000002, True), (50, 2, 0.6, True),
+    ])
+    def test_binomial_runs_only_in_the_btpe_regime(self, n, a, ps, btpe):
+        rng = BinomialCounting(np.random.Philox(key=3))
+        twodim._weave_successes(rng, WeaveParameters(n=n, a=a, ps=ps), 2000)
+        assert (rng.binomial_calls > 0) == btpe
+
+    @pytest.mark.parametrize("n, a, ps", [(5, 3, 0.3), (20, 3, 0.5), (10, 2, 0.8)])
+    def test_the_cut_is_numpys_boundary(self, n, a, ps):
+        params = WeaveParameters(n=n, a=a, ps=ps)
+        m = params.attempt_budget
+        p, below = (ps, n) if ps <= 0.5 else (1.0 - ps, m - n + 1)
+        cut = twodim._last_below(m, p, below)
+        counter = twodim._threshold_counter(m, n, ps)
+        outcomes = set()
+        for u in (cut, cut + 2 ** -53):
+            won = int(injected_generator(u).binomial(m, ps) >= n)
+            assert counter(np.full((1, n), u)) == won
+            outcomes.add(won)
+        assert outcomes == {0, 1}
+
+    # where numpy's bound is below m, the masses it sums leave a gap
+    # below 1 in which its loop passes the bound and restarts
+    @pytest.mark.parametrize("n, a, ps", [(20, 3, 0.02), (20, 3, 0.98), (30, 3, 0.1)])
+    def test_a_restarting_uniform_falls_back_to_binomial(self, monkeypatch, n, a, ps):
+        params = WeaveParameters(n=n, a=a, ps=ps)
+        m = params.attempt_budget
+        p = ps if ps <= 0.5 else 1.0 - ps
+        restart = twodim._last_below(m, p, m + 1) + 2 ** -53
+        assert restart < 1
+        assert uniforms_used(m, ps, restart - 2 ** -53) == 1
+        assert uniforms_used(m, ps, restart) == 2
+        monkeypatch.setattr(twodim, "_CHUNK_VALUES", 7 * n)
+        counter = twodim._threshold_counter(m, n, ps)
+        assert counter(injected_generator(restart).random((7, n))) is None
+        rng, oracle = injected_generator(restart), injected_generator(restart)
+        counts = oracle.binomial(m, ps, size=(40, n))
+        assert twodim._weave_successes(rng, params, 40) == \
+            int((counts >= n).all(axis=1).sum())
+        # the restart took one more uniform, in both
+        assert np.array_equal(rng.random(8), oracle.random(8))
+
+    @pytest.mark.parametrize("n, a, ps", [(20, 3, 0.5), (10, 2, 0.8), (50, 2, 0.6)])
+    def test_chunking_leaves_the_count_unchanged(self, monkeypatch, n, a, ps):
+        params = WeaveParameters(n=n, a=a, ps=ps)
+        whole = simulate_weave(params, 500, seed=4)
+        monkeypatch.setattr(twodim, "_CHUNK_VALUES", 7 * n)
+        assert simulate_weave(params, 500, seed=4) == whole
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "benchmarks" / "references.json"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_benchmark_weave_outputs_are_pinned(capsys, seed):
+    """The benchmark's weave step at its recorded seeds, byte for byte."""
+    if not REFERENCES.is_file():
+        pytest.skip("benchmarks/references.json is absent")
+    expected = json.loads(REFERENCES.read_text())["seeded"][str(seed)]["weave"]
+    assert main(["weave", "--n", "20", "--a", "3", "--ps", "0.5", "--trials", "50000",
+                 "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
 class TestPercolationScan:
