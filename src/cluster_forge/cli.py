@@ -315,7 +315,10 @@ def _cmd_weave(args) -> int:
     except ValueError:
         hoeff = None
     if args.trials:
-        report = simulate_weave(params, args.trials, args.seed)
+        try:
+            report = simulate_weave(params, args.trials, args.seed)
+        except ValueError as exc:
+            raise CLIError(str(exc)) from None
         mc, lo, hi = report.fraction, report.wilson_low, report.wilson_high
     else:
         mc = lo = hi = None

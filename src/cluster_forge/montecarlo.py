@@ -307,28 +307,14 @@ def _chunk_stats(
     draws = _draws_bound(start)
     rows = _chunk_uniforms(seed, chunk, trials_in_chunk, draws)
     finals = _play_chunk(strategy, start, p, rows)
-    if finals is not None:
-        # Finals are integers and no partial sum reaches 2**53 (that needs
-        # trials * total_length**2 >= 2**53, far past a uniform block that
-        # fits in memory), so the int64 sums converted once equal the
-        # scalar loop's float sums.
-        successes = int((finals >= threshold).sum()) if threshold is not None else 0
-        return float(finals.sum()), float((finals * finals).sum()), successes
-    total = 0.0
-    total_sq = 0.0
-    successes = 0
-    for t in range(trials_in_chunk):
-        final = _play(strategy, start, p, rows[t]).total_length
-        total += final
-        total_sq += final * final
-        if threshold is not None and final >= threshold:
-            successes += 1
-    return total, total_sq, successes
-
-
-def _chunk_stats_args(args) -> tuple[int, tuple[float, float, int]]:
-    index, rest = args
-    return index, _chunk_stats(*rest)
+    if finals is None:
+        finals = np.array([_play(strategy, start, p, row).total_length for row in rows], np.int64)
+    # Finals are integers and no partial sum reaches 2**53 (that needs
+    # trials * total_length**2 >= 2**53, far past a uniform block that
+    # fits in memory), so the int64 sums converted once equal float sums
+    # taken trial by trial.
+    successes = int((finals >= threshold).sum()) if threshold is not None else 0
+    return float(finals.sum()), float((finals * finals).sum()), successes
 
 
 def estimate_quality(
@@ -352,23 +338,20 @@ def estimate_quality(
     if not 0 <= p <= 1:  # also rejects NaN
         raise ValueError(f"success probability must be in [0, 1], got {ps}")
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
-    jobs = []
-    for chunk in range(n_chunks):
-        in_chunk = min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK)
-        jobs.append((chunk, (strategy, start, p, seed, chunk, in_chunk, threshold)))
+    jobs = [(strategy, start, p, seed, chunk, min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK),
+             threshold) for chunk in range(n_chunks)]
 
     if processes > 1 and n_chunks > 1:
-        # a forked pool starts every worker up front
+        # a forked pool starts every worker up front; map keeps job order
         with ProcessPoolExecutor(max_workers=min(processes, n_chunks)) as pool:
-            parts = dict(pool.map(_chunk_stats_args, jobs))
-        ordered = [parts[c] for c in range(n_chunks)]
+            parts = list(pool.map(_chunk_stats, *zip(*jobs)))
     else:
-        ordered = [_chunk_stats(*rest) for _, rest in jobs]
+        parts = [_chunk_stats(*job) for job in jobs]
 
     total = 0.0
     total_sq = 0.0
     successes = 0
-    for part_total, part_sq, part_succ in ordered:
+    for part_total, part_sq, part_succ in parts:
         total += part_total
         total_sq += part_sq
         successes += part_succ

@@ -43,9 +43,10 @@ starts with one memo, so a subtree shared by starts is walked once
 player enforces the same rules along each sampled trial and raises the
 same error. :class:`Modesty` and :class:`Greed` decide from the sorted
 ``items`` in O(1). :class:`TwoStage` remembers its inner strategy's
-fusion per block offset and lineup, and its stage-one memory update per
-block sizes, chain index and chains removed, since each depends on
-those alone.
+fusion per block offset and lineup, since it depends on those alone. Its
+stage-one memory is only where the running block starts and how many
+chains it holds, so equal futures share one memo state and the memory
+update is a subtraction.
 """
 
 from __future__ import annotations
@@ -287,6 +288,18 @@ class TwoStage(StatefulStrategy):
     With ``block_size=8`` and the smallest-first inner strategy this is
     the feed-forward-minimizing strategy whose yield grows linearly in
     the input size.
+
+    The memory is ``("blocks", offset, size)`` in stage one: the running
+    block starts at chain ``offset`` and holds ``size >= 2`` chains, the
+    chains before it are finished blocks of at most one chain each, and
+    those after it are untouched. A step lowers ``size`` by the chains it
+    removed; below two, the next block starts at ``offset + size``. The
+    future depends on that alone, so two paths that leave the same lineup
+    and running block meet in one process state (``static`` walks 2,023
+    states to validate the 508 configurations up to 14 edges, and 165,266
+    for the quality sweep over 1 to 48 pairs). In stage two the memory is
+    ``("pairs", pos)``, with ``pos`` the chains already resolved this
+    round.
     """
 
     def __init__(self, block_size: int = 8, inner: Strategy | None = None, name: str | None = None):
@@ -299,41 +312,31 @@ class TwoStage(StatefulStrategy):
         # so its Fuse is remembered per (offset, block lineup); the dict
         # holds one entry per pair reached.
         self._block_fuses: dict[tuple[int, tuple[int, ...]], Fuse] = {}
-        # The block memory after a step, per (sizes, chain index, chains
-        # removed), shared so that a step allocates no memory tuple.
-        self._block_steps: dict[tuple, Hashable] = {}
-
-    # memory is ("blocks", sizes) during stage one, ("pairs", pos) in
-    # stage two; pos counts the chains already resolved this round.
 
     def initial_memory(self, chains: IdentityConfiguration) -> Hashable:
-        sizes = []
-        remaining = chains.chain_count
-        while remaining > 0:
-            take = min(self.block_size, remaining)
-            sizes.append(take)
-            remaining -= take
-        return ("blocks", tuple(sizes)) if max(sizes, default=0) >= 2 else _ROUND_START
+        return self._block_at(0, chains.chain_count)
+
+    def _block_at(self, offset: int, chain_count: int) -> Hashable:
+        """The memory whose running block starts at chain ``offset`` of
+        ``chain_count``; only the last block can be short, so stage two
+        starts once it holds fewer than two chains."""
+        size = min(self.block_size, chain_count - offset)
+        return ("blocks", offset, size) if size >= 2 else _ROUND_START
 
     def decide(self, chains: IdentityConfiguration, memory: Hashable) -> Action:
         lineup = chains.chains
         if len(lineup) <= 1:
             return STOP
-        kind, state = memory
-        if kind != "blocks":
-            return _fuse(state, state + 1)
-        offset = 0
-        for size in state:
-            if size >= 2:
-                # the decision depends on the block's lineup and offset alone
-                key = (offset, lineup[offset:offset + size])
-                fuse = self._block_fuses.get(key)
-                if fuse is None:
-                    fuse = self._block_fuses[key] = self._block_fuse(*key)
-                return fuse
-            offset += size
-        raise ValueError(f"{self.name}: block memory {state} has no block of two or more "
-                         f"chains, with chains {lineup}")
+        if memory[0] != "blocks":
+            pos = memory[1]
+            return _fuse(pos, pos + 1)
+        _, offset, size = memory
+        # the decision depends on the block's lineup and offset alone
+        key = (offset, lineup[offset:offset + size])
+        fuse = self._block_fuses.get(key)
+        if fuse is None:
+            fuse = self._block_fuses[key] = self._block_fuse(*key)
+        return fuse
 
     def _block_fuse(self, offset: int, block: tuple[int, ...]) -> Fuse:
         """The inner strategy's fusion inside ``block``, whose first chain
@@ -345,27 +348,16 @@ class TwoStage(StatefulStrategy):
         return _lowest_indices(block, action.a, action.b, offset)
 
     def next_memory(self, chains, memory, action, outcome, result) -> Hashable:
-        """One step's memory update: a lookup in stage one, a few
+        """One step's memory update: a subtraction in stage one, a few
         comparisons in stage two."""
-        kind, state = memory
-        if kind == "blocks":
-            # the block memory after a step depends on the block sizes, the
-            # chain index and the chains removed alone
-            removed = len(chains.chains) - len(result.chains)
-            key = (state, action.a, removed)
-            memory = self._block_steps.get(key)
-            if memory is None:
-                end = 0
-                for bi, size in enumerate(state):
-                    end += size
-                    if action.a < end:
-                        state = state[:bi] + (size - removed,) + state[bi + 1:]
-                        break
-                # stage two starts once no block holds two chains
-                memory = self._block_steps[key] = (
-                    ("blocks", state) if max(state, default=0) >= 2 else _ROUND_START)
-            return memory
-        pos = state
+        if memory[0] == "blocks":
+            # the step removed its chains from the running block
+            _, offset, size = memory
+            size -= len(chains.chains) - len(result.chains)
+            if size >= 2:
+                return ("blocks", offset, size)
+            return self._block_at(offset + size, len(result.chains))
+        pos = memory[1]
         x = chains.chains[action.a]
         y = chains.chains[action.b]
         if outcome == SUCCESS:

@@ -57,6 +57,8 @@ class WeaveParameters:
             raise ValueError("cluster side must be at least 1")
         if not self.a > 1:
             raise ValueError("overhead factor must exceed 1")
+        if self.a == math.inf:
+            raise ValueError("overhead factor must be finite")
         if not 0 < self.ps <= 1:
             raise ValueError("success probability must be in (0, 1]")
 
@@ -156,6 +158,8 @@ _CHUNK_VALUES = 1 << 20
 # Philox doubles are j / 2**53 for 0 <= j < 2**53.
 _UNIFORM_GRID = 2 ** 53
 
+_INT64_MAX = 2 ** 63 - 1
+
 
 def _inversion_draw(m: int, p: float, u: float) -> int:
     """Binomial(m, p) as numpy's ``random_binomial_inversion`` draws it
@@ -254,6 +258,9 @@ def simulate_weave(params: WeaveParameters, trials: int, seed: int) -> WeaveRepo
     not depend on their size."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if params.attempt_budget > _INT64_MAX:
+        # numpy's binomial takes an int64 count
+        raise ValueError("attempt budget a n must be at most 2**63 - 1 to simulate")
     rng = np.random.Generator(np.random.Philox(key=seed))
     successes = _weave_successes(rng, params, trials)
     low, high = wilson_interval(successes, trials)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from cluster_forge.exact import (
     cached_quality_table,
     clear_table_cache,
 )
+from cluster_forge.montecarlo import threshold_experiment
 
 
 STATIC_03_SWEEP = """\
@@ -50,6 +53,44 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "benchmarks" / "references.json"
+
+
+def benchmark_references() -> dict:
+    if not REFERENCES.is_file():
+        pytest.skip("benchmarks/references.json is absent")
+    return json.loads(REFERENCES.read_text())
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("step, argv", [
+    ("quality-static", ["quality", "--strategy", "static", "--n-max", "32"]),
+    ("validate", ["validate"]),
+])
+def test_benchmark_static_outputs_are_pinned(capsys, step, argv):
+    """The benchmark's deterministic steps that run ``static``, byte for
+    byte."""
+    expected = benchmark_references()["steps"][step]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_benchmark_seeded_static_outputs_are_pinned(capsys, seed):
+    """The benchmark's ``static`` Monte Carlo step and its threshold
+    experiment at the recorded seeds, byte for byte."""
+    expected = benchmark_references()["seeded"][str(seed)]
+    assert main(["mc", "--strategy", "static", "--n", "64", "--trials", "2048",
+                 "--seed", str(seed), "--threads", "1"]) == 0
+    assert sha256(capsys.readouterr().out) == expected["mc-static"]
+    report = threshold_experiment(8, Fraction(137, 2048), 1, block_size=8, trials=512,
+                                  seed=seed)
+    assert sha256(json.dumps(report.to_dict(), sort_keys=True)) == expected["threshold"]
 
 
 class TestQuality:
@@ -387,12 +428,20 @@ class TestSmallSizes:
          f"--seed must be below 2**128, got {2 ** 128}"),
         (["mc", "--strategy", "modesty", "--n", "4", "--trials", "10", "--seed", "1",
           "--threshold", "-5"], "--threshold must be at least 0, got -5"),
+        (["weave", "--n", "5", "--a", "inf", "--ps", "0.5"], "overhead factor must be finite"),
+        (["percolation-scan", "--n-list", "5", "--a", "inf", "--ps-grid", "0.5"],
+         "overhead factor must be finite"),
+        (["percolation-scan", "--n-list", "5", "--ps", "0.5", "--a-grid", "inf"],
+         "overhead factor must be finite"),
+        (["weave", "--n", "5", "--a", "1e300", "--ps", "0.5", "--trials", "10"],
+         "attempt budget a n must be at most 2**63 - 1 to simulate"),
     ], ids=["quality-n-min", "quality-step", "bounds-n-min", "bounds-n", "bounds-n-max",
             "razor-n", "razor-n-min", "razor-r-min", "validate-n", "optimal-table-max-entries",
             "quality-n-max", "quality-all-n-max", "razor-r-max-below-r-min", "razor-r-max",
             "weave-n", "weave-a", "weave-trials", "percolation-scan-n-list",
             "percolation-scan-a-grid", "weave-seed", "weave-seed-too-large", "mc-seed",
-            "mc-seed-too-large", "mc-threshold"])
+            "mc-seed-too-large", "mc-threshold", "weave-a-inf", "percolation-scan-a-inf",
+            "percolation-scan-a-grid-inf", "weave-budget-above-int64"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

@@ -401,6 +401,23 @@ class TestChunkEngine:
         assert peak < rows.nbytes // 3
 
 
+@pytest.mark.parametrize("threshold", [None, 9])
+def test_scalar_chunk_sums_equal_float_sums_trial_by_trial(threshold):
+    """A chunk played by the scalar player is summed in int64 like an
+    array-engine chunk; the sums equal the float sums of its trials."""
+    strategy, start = LargestFirstModesty(), parse_key("1^7,2^3,4^1")
+    args = (start, 0.5, 11, 1, 700)
+    rows = montecarlo._chunk_uniforms(11, 1, 700, montecarlo._draws_bound(start))
+    total = total_sq = 0.0
+    successes = 0
+    for row in rows:
+        final = montecarlo._play(strategy, start, 0.5, row).total_length
+        total += final
+        total_sq += final * final
+        successes += threshold is not None and final >= threshold
+    assert montecarlo._chunk_stats(strategy, *args, threshold) == (total, total_sq, successes)
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor, running every job in-process."""
 
@@ -415,8 +432,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):

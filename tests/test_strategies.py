@@ -94,11 +94,35 @@ def walk(strategy, chains, memory, outcomes):
 class TestStatic:
     def test_blocks_of_eight(self):
         chains = IdentityConfiguration.epr_pairs(16)
-        assert STATIC.initial_memory(chains) == ("blocks", (8, 8))
+        assert STATIC.initial_memory(chains) == ("blocks", 0, 8)
+        # once the first block is down to one chain, the second starts
+        # right after it and holds the next 8
+        chains, memory, _ = walk(STATIC, chains, ("blocks", 0, 8), [SUCCESS] * 7)
+        assert chains.chains == (8,) + (1,) * 8
+        assert memory == ("blocks", 1, 8)
 
     def test_short_final_block(self):
         chains = IdentityConfiguration.epr_pairs(11)
-        assert STATIC.initial_memory(chains) == ("blocks", (8, 3))
+        assert STATIC.initial_memory(chains) == ("blocks", 0, 8)
+        chains, memory, _ = walk(STATIC, chains, ("blocks", 0, 8), [SUCCESS] * 7)
+        assert memory == ("blocks", 1, 3)
+        # a final block of one chain goes straight to stage two
+        chains, memory, _ = walk(STATIC, IdentityConfiguration.epr_pairs(9),
+                                 ("blocks", 0, 8), [SUCCESS] * 7)
+        assert memory == ("pairs", 0)
+
+    def test_paths_to_one_lineup_meet_in_one_state(self):
+        # the memory keeps no trace of how the earlier blocks ended
+        strategy = TwoStage(block_size=2)
+        start = strategy.start(IdentityConfiguration.epr_pairs(6))
+        ends = []
+        for outcomes in ([SUCCESS, FAILURE], [FAILURE, SUCCESS]):
+            state = start
+            for outcome in outcomes:
+                state = strategy.step(state, strategy.choose(state), outcome)
+            ends.append(state)
+        assert ends[0] == ends[1] == ProcessState(IdentityConfiguration((2, 1, 1)),
+                                                  ("blocks", 1, 2))
 
     def test_stage_one_is_smallest_first_within_block(self):
         chains = IdentityConfiguration.epr_pairs(16)
@@ -155,29 +179,43 @@ class TestStatic:
             TwoStage(block_size=1)
 
     def test_stage_one_never_crosses_blocks(self):
-        # DFS the whole event tree at N=16; while block memory is live,
-        # every fusion must stay inside one block's current span
-        stack = [(IdentityConfiguration.epr_pairs(16), STATIC.initial_memory(IdentityConfiguration.epr_pairs(16)))]
+        # DFS the whole event tree from 19 pairs (blocks of 8, 8 and 3),
+        # carrying each chain's block of the start along the lineup.
+        # While block memory is live, every fusion stays inside one
+        # block, and the memory names the block's chains: finished
+        # blocks of at most one chain each before it, untouched chains
+        # after it.
+        n = 19
+        chains = IdentityConfiguration.epr_pairs(n)
+        stack = [(chains, STATIC.initial_memory(chains), tuple(i // 8 for i in range(n)))]
         seen = set()
         while stack:
-            chains, memory = stack.pop()
-            if (chains, memory) in seen:
+            chains, memory, labels = state = stack.pop()
+            if state in seen:
                 continue
-            seen.add((chains, memory))
+            seen.add(state)
             action = STATIC.decide(chains, memory)
             if action == STOP:
                 continue
             if memory[0] == "blocks":
-                spans = []
-                offset = 0
-                for size in memory[1]:
-                    spans.append(range(offset, offset + size))
-                    offset += size
-                assert any(action.a in span and action.b in span for span in spans)
+                assert labels[action.a] == labels[action.b]
+                _, offset, size = memory
+                block = labels[offset]
+                assert list(labels[:offset]) == sorted(set(labels[:offset]) & set(range(block)))
+                assert labels[offset:offset + size] == (block,) * size and size >= 2
+                assert labels[offset + size:] == tuple(i // 8 for i in range(8 * (block + 1), n))
+            else:
+                assert len(set(labels)) == len(labels)  # every block is down to one chain
             for outcome in (SUCCESS, FAILURE):
                 nxt = chains.fuse_at(action.a, action.b, outcome)
                 mem = STATIC.next_memory(chains, memory, action, outcome, nxt)
-                stack.append((nxt, mem))
+                i, j = sorted((action.a, action.b))
+                if outcome == SUCCESS:
+                    kept = [k for k in range(len(labels)) if k != j]
+                else:
+                    kept = [k for k in range(len(labels))
+                            if k not in (i, j) or chains.chains[k] > 1]
+                stack.append((nxt, mem, tuple(labels[k] for k in kept)))
 
 
 class Quitter(Strategy):
@@ -604,15 +642,12 @@ def test_a_bad_inner_action_fails_validation(inner, message):
 
 
 def assert_two_stage_errors_raise():
-    """A two-stage strategy whose inner strategy stops inside a block, or
-    whose block memory has no block to work on, raises ValueError; uses no
-    assert statement, so it also checks under -O."""
+    """A two-stage strategy whose inner strategy stops inside a block
+    raises ValueError; uses no assert statement, so it also checks under
+    -O."""
     with pytest.raises(ValueError, match=r"inner strategy stubborn returned Stop inside the "
                                          r"block \(1, 1, 1\)"):
-        TwoStage(3, Stubborn()).decide(IdentityConfiguration((1, 1, 1)), ("blocks", (3,)))
-    with pytest.raises(ValueError, match=r"two-stage-3-modesty: block memory \(1, 1\) has no "
-                                         r"block of two or more chains"):
-        TwoStage(3).decide(IdentityConfiguration((1, 1)), ("blocks", (1, 1)))
+        TwoStage(3, Stubborn()).decide(IdentityConfiguration((1, 1, 1)), ("blocks", 0, 3))
 
 
 def assert_pair_eating_success_is_rejected():
@@ -627,19 +662,19 @@ class TestTwoStageBlockDecisions:
         chains = IdentityConfiguration((1, 2, 3))
         smallest, largest = TwoStage(3, MODESTY), TwoStage(3, GREED)
         for _ in range(2):
-            assert smallest.decide(chains, ("blocks", (3,))) == Fuse(0, 1)
-            assert largest.decide(chains, ("blocks", (3,))) == Fuse(1, 2)
+            assert smallest.decide(chains, ("blocks", 0, 3)) == Fuse(0, 1)
+            assert largest.decide(chains, ("blocks", 0, 3)) == Fuse(1, 2)
 
     def test_a_remembered_lineup_is_moved_to_its_block(self):
         strategy = TwoStage(3)
-        assert strategy.decide(IdentityConfiguration((2, 1, 1)), ("blocks", (3,))) == Fuse(1, 2)
-        assert strategy.decide(IdentityConfiguration((4, 2, 1, 1)), ("blocks", (1, 3))) == Fuse(2, 3)
-        assert strategy.decide(IdentityConfiguration((2, 1, 1)), ("blocks", (3,))) == Fuse(1, 2)
+        assert strategy.decide(IdentityConfiguration((2, 1, 1)), ("blocks", 0, 3)) == Fuse(1, 2)
+        assert strategy.decide(IdentityConfiguration((4, 2, 1, 1)), ("blocks", 1, 3)) == Fuse(2, 3)
+        assert strategy.decide(IdentityConfiguration((2, 1, 1)), ("blocks", 0, 3)) == Fuse(1, 2)
 
-    def test_bad_inner_action_and_memory_raise(self):
+    def test_bad_inner_action_raises(self):
         assert_two_stage_errors_raise()
 
-    def test_bad_inner_action_and_memory_raise_under_python_O(self):
+    def test_bad_inner_action_raises_under_python_O(self):
         env = dict(os.environ)
         package_root = str(Path(sys.modules[TwoStage.__module__].__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -652,9 +687,11 @@ class TestTwoStageBlockDecisions:
 
 
 def reference_two_stage_step(strategy, chains, memory, action, outcome):
-    """One two-stage step by the plain rule: fuse the lineup as a list,
-    find the action's block by its sizes, rebuild the memory and go to
-    stage two once no block holds two chains. The oracle for
+    """One two-stage step by the plain rule: fuse the lineup as a list;
+    while the running block keeps two chains, it keeps its start and
+    holds the chains it has left; otherwise the next block starts right
+    after it and takes up to ``block_size`` of the chains that remain,
+    and stage two starts if that is fewer than two. The oracle for
     ``TwoStage.step``."""
     i, j = min(action.a, action.b), max(action.a, action.b)
     lineup = list(chains.chains)
@@ -665,15 +702,16 @@ def reference_two_stage_step(strategy, chains, memory, action, outcome):
         lineup[i] -= 1
         lineup[j] -= 1
         lineup = [k for k in lineup if k > 0]
-    kind, state = memory
-    if kind == "blocks":
-        sizes = list(state)
-        starts = [sum(sizes[:bi]) for bi in range(len(sizes))]
-        bi = max(b for b, start in enumerate(starts) if start <= action.a)
-        sizes[bi] -= len(chains.chains) - len(lineup)
-        memory = ("blocks", tuple(sizes)) if max(sizes) > 1 else ("pairs", 0)
+    if memory[0] == "blocks":
+        _, offset, size = memory
+        assert offset <= i < j < offset + size
+        left = size - (len(chains.chains) - len(lineup))
+        if left < 2:
+            offset += left
+            left = len(lineup[offset:offset + strategy.block_size])
+        memory = ("blocks", offset, left) if left > 1 else ("pairs", 0)
     else:
-        pos = state
+        pos = memory[1]
         if outcome == SUCCESS or (x == 1) != (y == 1):
             pos += 1
         memory = ("pairs", 0 if pos >= len(lineup) - 1 else pos)

@@ -44,6 +44,17 @@ class TestParameters:
         assert WeaveParameters(n=10, a=2.04, ps=0.5).attempt_budget == 20
         assert WeaveParameters(n=10, a=2.06, ps=0.5).attempt_budget == 21
 
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_overhead_factor_must_be_a_finite_number(self, a):
+        with pytest.raises(ValueError, match="overhead factor"):
+            WeaveParameters(n=5, a=a, ps=0.5)
+
+    def test_simulated_budget_must_fit_int64(self):
+        # 9.2e18 is below 2**63 - 1; 2.0**63 is its first double above
+        assert simulate_weave(WeaveParameters(n=1, a=9.2e18, ps=0.5), 3, 0).successes == 3
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1"):
+            simulate_weave(WeaveParameters(n=1, a=2.0 ** 63, ps=0.5), 3, 0)
+
 
 class TestSingleChain:
     def test_one_site(self):
