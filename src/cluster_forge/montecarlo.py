@@ -7,20 +7,33 @@ consumes row ``t % TRIAL_CHUNK`` of that chunk's uniform block. Every
 trial therefore has its own reproducible stream regardless of execution
 order, so parallel runs aggregate to bit-identical results.
 
-A chunk of the built-in shapes -- :class:`Modesty`, :class:`Greed`, and
-:class:`TwoStage` around either of them -- is played for all its trials
-at once on numpy arrays. Smallest- and largest-first fusion run on a
-``(trials, total_length + 1)`` count matrix; a two-stage run plays its
-blocks one after another as independent count-matrix runs, then its
-insistent-pairing rounds on a ``(trials, chains)`` length array. Each
-trial keeps its own attempt pointer and reads ``rows[t, attempts[t]]``,
-the uniform the scalar player reads at that step, so the finals, and
-the float sums built from them, are bit-identical to the scalar
-player's. Dispatch is on the exact type: every other strategy,
-subclasses included, runs one trial at a time on the scalar player
-:func:`_play`, which the tests keep as the oracle. It drives stateless
-and stateful strategies alike through their process interface
-(``start``, ``choose``, ``step``; see :mod:`cluster_forge.strategies`).
+A chunk of the built-in shapes -- :class:`Modesty`, :class:`Greed`,
+:class:`TwoStage` around either of them, and the optimal table's
+strategy (:meth:`~cluster_forge.exact.QualityTable.as_strategy`) from a
+start within the table's N -- is played for all its trials at once on
+numpy arrays. A count strategy is a fixed rule of the configuration, so
+each trial is a random walk on its finite event DAG. Before the chunks
+run, :func:`estimate_quality` explores that DAG breadth-first through
+the strategy's own ``choose`` and ``step`` (one per distinct block for a
+two-stage strategy) and numbers its states; a chunk then walks the
+table, one gather per attempt. The DAG grows fast with the start
+(smallest-first has 55 states from 12 pairs, 27,881 from 100), so
+exploration stops once the table would hold more than one state per 16
+trials of the run, which keeps a given-up exploration cheap next to the
+run that follows it (:func:`_state_budget`).
+Smallest- and largest-first fusion without a table run on a
+``(trials, total_length + 1)`` count matrix, and the optimal table's
+strategy on the scalar player. A two-stage run plays its blocks one
+after another as independent runs, then its insistent-pairing rounds on
+a ``(trials, chains)`` length array. Each trial keeps its own attempt
+pointer and reads ``rows[t, attempts[t]]``, the uniform the scalar
+player reads at that step, so the finals, and the float sums built from
+them, are bit-identical to the scalar player's. Dispatch is on the exact
+type: every other strategy, subclasses included, runs one trial at a
+time on the scalar player :func:`_play`, which the tests keep as the
+oracle. It drives stateless and stateful strategies alike through their
+process interface (``start``, ``choose``, ``step``; see
+:mod:`cluster_forge.strategies`).
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +54,7 @@ from .configuration import (
     Stop,
     canonical_key,
 )
+from .exact import _TableStrategy
 from .strategies import (
     MODESTY,
     Greed,
@@ -53,6 +68,20 @@ from .strategies import (
 )
 
 TRIAL_CHUNK = 4096
+
+# Philox keys are 128-bit unsigned integers, and a chunk's counter starts
+# at chunk << 128 below 2**256.
+_SEEDS = 2 ** 128
+
+
+def _check_run(ps, seed: int) -> float:
+    """``ps`` as a float, once it and ``seed`` are checked."""
+    p = float(ps)
+    if not 0 <= p <= 1:  # also rejects NaN
+        raise ValueError(f"success probability must be in [0, 1], got {ps}")
+    if not 0 <= seed < _SEEDS:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return p
 
 
 def _chunk_uniforms(seed: int, chunk: int, trials_in_chunk: int, draws: int) -> np.ndarray:
@@ -134,10 +163,16 @@ def simulate_run(
     seed: int,
     trial_index: int = 0,
 ) -> Configuration:
-    """Sample one trajectory and return the final configuration."""
+    """Sample one trajectory, the one trial ``trial_index`` of an
+    :func:`estimate_quality` run plays, and return the final
+    configuration."""
+    p = _check_run(ps, seed)
+    if not 0 <= trial_index < TRIAL_CHUNK * _SEEDS:
+        raise ValueError(f"trial_index must be in [0, {TRIAL_CHUNK} * 2**128), "
+                         f"got {trial_index}")
     chunk, offset = divmod(trial_index, TRIAL_CHUNK)
     rows = _chunk_uniforms(seed, chunk, offset + 1, _draws_bound(start))
-    return _play(strategy, start, float(ps), rows[offset]).to_configuration()
+    return _play(strategy, start, p, rows[offset]).to_configuration()
 
 
 @dataclass(frozen=True)
@@ -219,6 +254,142 @@ def _play_counts(
     return finals, failures
 
 
+def _state_budget(trials: int) -> int:
+    """Most states an event table may hold in a run of ``trials``. An
+    exploration given up at this size, at 4 to 9 us a state (mostly its
+    two fusions), costs less than a tenth of the count-matrix run that
+    then plays, at 6 us a trial or more from 32 pairs up; smaller starts
+    have small tables (570 states from 32 pairs under smallest-first)."""
+    return trials // 16
+
+
+class _EventTable(NamedTuple):
+    """A count strategy's event DAG from one start, state 0. ``succ[i]``
+    and ``fail[i]`` number the states after a successful and a failed
+    attempt at state ``i``; at a ``terminal`` state the strategy stops,
+    both point back to it, and ``final_length`` is its total length."""
+
+    succ: np.ndarray
+    fail: np.ndarray
+    final_length: np.ndarray
+    terminal: np.ndarray
+
+
+def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _EventTable | None:
+    """The event DAG of ``strategy`` from ``start``, explored breadth-first
+    through the strategy's own ``start``, ``choose`` and ``step``; None
+    once it would hold more than ``budget`` states, or at a state that
+    breaks a validity rule (see :func:`_play`), which the player that
+    runs without a table then reports or plays through."""
+    if budget < 1:
+        return None
+    first = strategy.start(start)
+    states, index = [first], {first: 0}
+    succ, fail, terminal = [], [], []
+    for i, state in enumerate(states):  # grows while it is read
+        try:
+            action = strategy.choose(state)
+        except (KeyError, ValueError):
+            return None
+        stop = isinstance(action, Stop)
+        if stop != (state.chain_count <= 1):
+            return None
+        terminal.append(stop)
+        if stop:
+            succ.append(i)
+            fail.append(i)
+            continue
+        for outcome, drops, targets in ((SUCCESS, (1,), succ), (FAILURE, (2, 3, 4), fail)):
+            try:
+                after = strategy.step(state, action, outcome)
+            except (ValueError, IndexError):
+                return None
+            if state.vertex_count - after.vertex_count not in drops:
+                return None
+            j = index.get(after)
+            if j is None:
+                if len(states) == budget:
+                    return None
+                j = index[after] = len(states)
+                states.append(after)
+            targets.append(j)
+    return _EventTable(np.array(succ, np.intp), np.array(fail, np.intp),
+                       np.array([state.total_length for state in states], np.int64),
+                       np.array(terminal))
+
+
+def _walk_table(
+    table: _EventTable, rows: np.ndarray, attempts: np.ndarray, p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every trial of a chunk walked through ``table`` from its state 0.
+
+    Trial t reads its next uniform at ``rows[t, attempts[t]]``, and
+    ``attempts`` is advanced in place. Returns each trial's final total
+    length and its number of failed attempts."""
+    succ, fail, final_length, terminal = table
+    trials, draws = rows.shape
+    finals = np.full(trials, final_length[0])
+    failures = np.zeros(trials, np.int64)
+    if terminal[0]:
+        return finals, failures
+    uniforms = rows.reshape(-1)
+    live = np.arange(trials)
+    at = live * draws + attempts  # flat index of each live trial's next uniform
+    state = np.zeros(trials, np.intp)
+    lost = np.zeros(trials, np.int64)
+    while live.size:
+        won = uniforms[at] < p
+        state = np.where(won, succ[state], fail[state])
+        at += 1
+        lost += ~won
+        done = terminal[state]
+        if done.any():
+            ended = live[done]
+            finals[ended] = final_length[state[done]]
+            failures[ended] = lost[done]
+            attempts[ended] = at[done] - ended * draws
+            keep = ~done
+            live, at, state, lost = live[keep], at[keep], state[keep], lost[keep]
+    return finals, failures
+
+
+def _play_block(
+    greedy: bool, start: Configuration, rows: np.ndarray, attempts: np.ndarray, p: float,
+    tables: dict,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-first fusion (largest-first with ``greedy``) from ``start``
+    in every trial of a chunk: a walk of the run's event table for
+    ``start`` if it has one, else the count matrix."""
+    table = tables.get(start)
+    if table is not None:
+        return _walk_table(table, rows, attempts, p)
+    return _play_counts(greedy, start.counts(), rows, attempts, p)
+
+
+def _blocks(strategy: TwoStage, start: Configuration) -> list[Configuration]:
+    """The stage-one blocks of ``start`` in lineup order."""
+    lineup = IdentityConfiguration.from_configuration(start).chains
+    size = strategy.block_size
+    return [Configuration.from_lengths(lineup[i:i + size]) for i in range(0, len(lineup), size)]
+
+
+def _event_tables(strategy, start: Configuration, budget: int) -> dict:
+    """The event tables within ``budget`` of the runs a chunk plays: one
+    for ``start`` under a count strategy, one per distinct block of a
+    two-stage strategy, keyed by the run's start; empty for a strategy
+    the chunks play otherwise."""
+    kind = type(strategy)
+    if kind is Modesty or kind is Greed or (
+            kind is _TableStrategy and start.total_length <= strategy.table.n):
+        explorer, starts = strategy, [start]
+    elif kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
+        explorer, starts = strategy.inner, dict.fromkeys(_blocks(strategy, start))
+    else:
+        return {}
+    tables = {run: _event_table(explorer, run, budget) for run in starts}
+    return {run: table for run, table in tables.items() if table is not None}
+
+
 def _compact(lengths: np.ndarray) -> np.ndarray:
     """Each row's nonzero lengths moved left in order, trailing columns
     that are zero in every row dropped."""
@@ -258,22 +429,20 @@ def _pairing_round(
 
 
 def _play_two_stage(
-    strategy: TwoStage, start: Configuration, rows: np.ndarray, p: float,
+    strategy: TwoStage, start: Configuration, rows: np.ndarray, p: float, tables: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every trial of a chunk under a two-stage strategy whose inner
     strategy is :class:`Modesty` or :class:`Greed`: the blocks in lineup
-    order, each an independent count-matrix run continuing its trials'
-    attempt pointers, then insistent-pairing rounds on the survivors."""
+    order, each an independent run continuing its trials' attempt
+    pointers, then insistent-pairing rounds on the survivors."""
     greedy = type(strategy.inner) is Greed
-    lineup = IdentityConfiguration.from_configuration(start).chains
-    size = strategy.block_size
+    blocks = _blocks(strategy, start)
     trials = len(rows)
     attempts = np.zeros(trials, np.int64)
     failures = np.zeros(trials, np.int64)
-    survivors = np.zeros((trials, -(-len(lineup) // size)), np.int64)
-    for i in range(survivors.shape[1]):
-        block = Configuration.from_lengths(lineup[i * size:(i + 1) * size]).counts()
-        survivors[:, i], lost = _play_counts(greedy, block, rows, attempts, p)
+    survivors = np.zeros((trials, len(blocks)), np.int64)
+    for i, block in enumerate(blocks):
+        survivors[:, i], lost = _play_block(greedy, block, rows, attempts, p, tables)
         failures += lost
     chains = _compact(survivors)
     while chains.shape[1] >= 2:
@@ -282,15 +451,22 @@ def _play_two_stage(
     return chains.sum(1), failures
 
 
-def _play_chunk(strategy, start: Configuration, p: float, rows: np.ndarray) -> np.ndarray | None:
-    """Final total length of every trial of a chunk, played on arrays,
-    or None when ``strategy`` is not one of the built-in shapes."""
+def _play_chunk(
+    strategy, start: Configuration, p: float, rows: np.ndarray, tables: dict | None = None,
+) -> np.ndarray | None:
+    """Final total length of every trial of a chunk, played on arrays with
+    the run's event ``tables`` (see :func:`_event_tables`), or None when
+    ``strategy`` is not one of the built-in shapes or the optimal table's
+    strategy without a table."""
+    tables = tables or {}
     kind = type(strategy)
     if kind is Modesty or kind is Greed:
-        finals, failures = _play_counts(
-            kind is Greed, start.counts(), rows, np.zeros(len(rows), np.int64), p)
+        finals, failures = _play_block(
+            kind is Greed, start, rows, np.zeros(len(rows), np.int64), p, tables)
     elif kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
-        finals, failures = _play_two_stage(strategy, start, rows, p)
+        finals, failures = _play_two_stage(strategy, start, rows, p, tables)
+    elif kind is _TableStrategy and start in tables:
+        finals, failures = _walk_table(tables[start], rows, np.zeros(len(rows), np.int64), p)
     else:
         return None
     expected = start.total_length - 2 * failures
@@ -302,11 +478,11 @@ def _play_chunk(strategy, start: Configuration, p: float, rows: np.ndarray) -> n
 
 def _chunk_stats(
     strategy, start: Configuration, p: float, seed: int, chunk: int,
-    trials_in_chunk: int, threshold: int | None,
+    trials_in_chunk: int, threshold: int | None, tables: dict | None = None,
 ) -> tuple[float, float, int]:
     draws = _draws_bound(start)
     rows = _chunk_uniforms(seed, chunk, trials_in_chunk, draws)
-    finals = _play_chunk(strategy, start, p, rows)
+    finals = _play_chunk(strategy, start, p, rows, tables)
     if finals is None:
         finals = np.array([_play(strategy, start, p, row).total_length for row in rows], np.int64)
     # Finals are integers and no partial sum reaches 2**53 (that needs
@@ -334,12 +510,13 @@ def estimate_quality(
         raise ValueError("need at least one trial")
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
-    p = float(ps)
-    if not 0 <= p <= 1:  # also rejects NaN
-        raise ValueError(f"success probability must be in [0, 1], got {ps}")
+    p = _check_run(ps, seed)
+    # built once per run and sent with every job, so no chunk or pool
+    # worker builds a table again
+    tables = _event_tables(strategy, start, _state_budget(trials))
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
     jobs = [(strategy, start, p, seed, chunk, min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK),
-             threshold) for chunk in range(n_chunks)]
+             threshold, tables) for chunk in range(n_chunks)]
 
     if processes > 1 and n_chunks > 1:
         # a forked pool starts every worker up front; map keeps job order

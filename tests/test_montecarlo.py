@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -325,11 +326,38 @@ def scalar_estimate(strategy, start, ps, trials, seed, threshold=None):
         return estimate_quality(strategy, start, ps, trials, seed, threshold)
 
 
+# A state budget no event table in these tests reaches.
+ALL_STATES = 2 ** 62
+PATHS = ["table", "count matrix"]
+
+
+@contextlib.contextmanager
+def on_path(path):
+    """Every smallest- or largest-first run of a chunk plays on ``path``:
+    an event table walk under a budget no table reaches, or the count
+    matrix under a budget of 0. The other engine fails if it is called;
+    yields a spy on the engine of ``path``."""
+    budget, engine, other = {"table": (ALL_STATES, "_walk_table", "_play_counts"),
+                             "count matrix": (0, "_play_counts", "_walk_table")}[path]
+
+    def refuse(*args):
+        raise AssertionError(f"{other} played on the {path} path")
+
+    spy = mock.Mock(wraps=getattr(montecarlo, engine))
+    with mock.patch.object(montecarlo, "_state_budget", lambda trials: budget), \
+            mock.patch.object(montecarlo, other, refuse), \
+            mock.patch.object(montecarlo, engine, spy):
+        yield spy
+
+
 PS_VALUES = [Fraction(0), Fraction(137, 2048), Fraction(1, 2), Fraction(1)]
 ps_values = st.sampled_from(PS_VALUES + [float(ps) for ps in PS_VALUES])
 starts = st.sampled_from([
     epr(12), parse_key("1^3,2^2,5^1"), Configuration.single_chain(9), Configuration(),
 ]) | st.lists(st.integers(1, 6), max_size=10).map(Configuration.from_lengths)
+
+
+OPTIMAL_10 = build_quality_table(10).as_strategy()
 
 
 class LargestFirstModesty(Modesty):
@@ -341,27 +369,84 @@ class LargestFirstModesty(Modesty):
 class TestChunkEngine:
     """The array engine against the scalar players."""
 
+    @pytest.mark.parametrize("path", PATHS)
     @settings(max_examples=60, deadline=None)
     @given(strategy=st.sampled_from([MODESTY, GREED]), start=starts, ps=ps_values,
            seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 300),
            threshold=st.none() | st.integers(0, 20))
-    def test_modesty_and_greed(self, strategy, start, ps, seed, trials, threshold):
+    def test_modesty_and_greed(self, path, strategy, start, ps, seed, trials, threshold):
         args = (strategy, start, ps, trials, seed, threshold)
-        assert estimate_quality(*args) == scalar_estimate(*args)
+        with on_path(path) as engine:
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert engine.called
 
+    @pytest.mark.parametrize("path", PATHS)
     @settings(max_examples=60, deadline=None)
     @given(block_size=st.sampled_from([2, 3, 5, 8]), inner=st.sampled_from([MODESTY, GREED]),
            start=starts | st.integers(0, 40).map(epr), ps=ps_values,
            seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 200))
     @example(block_size=2, inner=MODESTY, start=epr(80), ps=0.5, seed=1, trials=200)
-    def test_two_stage(self, block_size, inner, start, ps, seed, trials):
+    def test_two_stage(self, path, block_size, inner, start, ps, seed, trials):
         args = (TwoStage(block_size, inner), start, ps, trials, seed, start.total_length // 2)
-        assert estimate_quality(*args) == scalar_estimate(*args)
+        with on_path(path) as engine:
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert engine.called == (start.chain_count > 0)
 
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("strategy, n", [(MODESTY, 8), (GREED, 8), (STATIC, 19)])
-    def test_chunk_remainder(self, strategy, n):
+    def test_chunk_remainder(self, path, strategy, n):
         args = (strategy, epr(n), Fraction(1, 2), TRIAL_CHUNK + 257, 3, 4)
-        assert estimate_quality(*args) == scalar_estimate(*args)
+        with on_path(path) as engine:
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert engine.called
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.sampled_from([epr(5), parse_key("1^3,2^2,3^1"), Configuration.single_chain(10),
+                                  Configuration()])
+           | st.lists(st.integers(1, 4), max_size=6).map(Configuration.from_lengths)
+           .filter(lambda config: config.total_length <= 10),
+           ps=ps_values, seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 300),
+           threshold=st.none() | st.integers(0, 10))
+    def test_optimal_table(self, start, ps, seed, trials, threshold):
+        args = (OPTIMAL_10, start, ps, trials, seed, threshold)
+        with on_path("table") as walk:
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert walk.called
+
+    def test_optimal_table_beyond_its_n_plays_on_the_scalar_player(self):
+        assert montecarlo._event_tables(OPTIMAL_10, epr(11), ALL_STATES) == {}
+        with pytest.raises(InvalidStrategy, match="no decision available"):
+            estimate_quality(OPTIMAL_10, epr(11), 0.5, trials=100, seed=1)
+
+    def test_an_invalid_table_plays_on_the_scalar_player(self):
+        table = build_quality_table(8)
+        table.action_ids[table.rank(epr(4))] = table.actions.index(STOP)
+        strategy = table.as_strategy()
+        assert montecarlo._event_tables(strategy, epr(4), ALL_STATES) == {}
+        with pytest.raises(InvalidStrategy) as err:
+            estimate_quality(strategy, epr(4), 0.5, trials=100, seed=1)
+        assert (err.value.event, err.value.message) == ("", "premature stop with 4 chains")
+
+    @pytest.mark.parametrize("strategy, start, states", [
+        (MODESTY, epr(12), 55), (GREED, epr(12), 43), (STATIC, epr(64), 24),
+    ], ids=["modesty", "greed", "static"])
+    def test_event_table_sizes(self, strategy, start, states):
+        tables = montecarlo._event_tables(strategy, start, ALL_STATES)
+        assert [len(table.succ) for table in tables.values()] == [states]
+
+    def test_a_two_stage_run_has_one_table_per_distinct_block(self):
+        tables = montecarlo._event_tables(TwoStage(8, GREED), epr(20), ALL_STATES)
+        assert list(tables) == [epr(8), epr(4)]
+        for block, table in tables.items():
+            alone = montecarlo._event_tables(GREED, block, ALL_STATES)[block]
+            assert all((a == b).all() for a, b in zip(table, alone))
+
+    def test_exploration_stops_at_the_budget(self):
+        budget = montecarlo._state_budget(TRIAL_CHUNK)
+        assert budget == 256
+        with mock.patch.object(MODESTY, "choose", wraps=MODESTY.choose) as choose:
+            assert montecarlo._event_tables(MODESTY, epr(200), budget) == {}
+        assert 0 < choose.call_count <= budget
 
     @pytest.mark.parametrize("strategy", [LargestFirstModesty(),
                                           TwoStage(4, LargestFirstModesty())])
@@ -374,8 +459,12 @@ class TestChunkEngine:
 
     @pytest.mark.parametrize("strategy, engine", [
         (MODESTY, "_play_counts"), (GREED, "_play_counts"), (STATIC, "_pairing_round"),
+        (MODESTY, "_walk_table"), (GREED, "_walk_table"), (STATIC, "_walk_table"),
+        (OPTIMAL_10, "_walk_table"),
     ])
     def test_broken_conservation_raises(self, monkeypatch, strategy, engine):
+        monkeypatch.setattr(montecarlo, "_state_budget",
+                            lambda trials: 0 if engine == "_play_counts" else ALL_STATES)
         original = getattr(montecarlo, engine)
 
         def one_failure_too_many(*args):
@@ -385,7 +474,8 @@ class TestChunkEngine:
 
         monkeypatch.setattr(montecarlo, engine, one_failure_too_many)
         with pytest.raises(RuntimeError, match="edge conservation"):
-            estimate_quality(strategy, epr(16), 0.5, trials=50, seed=3)
+            estimate_quality(strategy, epr(5 if strategy is OPTIMAL_10 else 16), 0.5,
+                             trials=50, seed=3)
 
     def test_count_matrix_stays_within_the_uniform_block(self):
         start = epr(200)
@@ -447,11 +537,29 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
 
 
 class TestInputChecks:
+    @pytest.mark.parametrize("run", [estimate_quality, simulate_run], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("ps", [1.5, -0.5, float("nan"), Fraction(3, 2), float("inf")],
                              ids=repr)
-    def test_success_probability_outside_unit_interval_is_rejected(self, ps):
-        with pytest.raises(ValueError, match="success probability"):
-            estimate_quality(MODESTY, epr(4), ps, 10, 1)
+    def test_success_probability_outside_unit_interval_is_rejected(self, run, ps):
+        with pytest.raises(ValueError, match=r"success probability must be in \[0, 1\], got "):
+            run(MODESTY, epr(4), ps, 10, 1)
+
+    @pytest.mark.parametrize("trial_index", [-1, TRIAL_CHUNK * 2 ** 128])
+    def test_trial_index_outside_the_streams_is_rejected(self, trial_index):
+        with pytest.raises(ValueError, match="trial_index must be in"):
+            simulate_run(MODESTY, epr(4), 0.5, seed=1, trial_index=trial_index)
+        assert simulate_run(MODESTY, epr(4), 0.5, seed=1, trial_index=TRIAL_CHUNK * 2 ** 128 - 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    @pytest.mark.parametrize("run", [
+        lambda seed: estimate_quality(MODESTY, epr(4), 0.5, 10, seed),
+        lambda seed: simulate_run(MODESTY, epr(4), 0.5, seed),
+        lambda seed: threshold_experiment(8, Fraction(137, 2048), 1, 8, 10, seed),
+    ], ids=["estimate_quality", "simulate_run", "threshold_experiment"])
+    def test_seed_outside_the_philox_keys_is_rejected(self, run, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\), got "):
+            run(seed)
+        run(2 ** 128 - 1)
 
     @pytest.mark.parametrize("processes", [0, -3])
     def test_fewer_than_one_process_is_rejected(self, processes):
