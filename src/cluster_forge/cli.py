@@ -9,6 +9,7 @@ CLUSTER_FORGE_TABLE_DIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -540,9 +541,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every :func:`main` call of a process shares, built on
+    the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CLIError as exc:

@@ -3,9 +3,19 @@
 Randomness comes from the counter-based Philox generator. Trials are
 grouped into fixed chunks of :data:`TRIAL_CHUNK`; chunk ``c`` draws from
 the substream ``Philox(key=seed, counter=c << 128)``, and trial ``t``
-consumes row ``t % TRIAL_CHUNK`` of that chunk's uniform block. Every
-trial therefore has its own reproducible stream regardless of execution
-order, so parallel runs aggregate to bit-identical results.
+consumes row ``t % TRIAL_CHUNK`` of that chunk's block, one draw per
+vertex of the start. Every trial therefore has its own reproducible
+stream regardless of execution order, so parallel runs aggregate to
+bit-identical results.
+
+A draw is kept as one win bit, not as a uniform. ``Generator.random``
+would turn the raw 64-bit word w into the double ``(w >> 11) * 2**-53``,
+which a player only ever compares with ``p``; that comparison holds
+exactly when ``w < ceil(p * 2**53) << 11`` (:func:`_win_cut`). So the
+chunk reads its raw words with ``random_raw``, at most
+:data:`_WORD_BLOCK` at a time, and thresholds each block into a ``bool``
+matrix: one byte per draw instead of eight, and the same successes as
+the float comparison, bit for bit.
 
 A chunk of the built-in shapes -- :class:`Modesty`, :class:`Greed`,
 :class:`TwoStage` around either of them, and the optimal table's
@@ -26,7 +36,7 @@ Smallest- and largest-first fusion without a table run on a
 strategy on the scalar player. A two-stage run plays its blocks one
 after another as independent runs, then its insistent-pairing rounds on
 a ``(trials, chains)`` length array. Each trial keeps its own attempt
-pointer and reads ``rows[t, attempts[t]]``, the uniform the scalar
+pointer and reads ``wins[t, attempts[t]]``, the win bit the scalar
 player reads at that step, so the finals, and the float sums built from
 them, are bit-identical to the scalar player's. Dispatch is on the exact
 type: every other strategy, subclasses included, runs one trial at a
@@ -69,9 +79,17 @@ from .strategies import (
 
 TRIAL_CHUNK = 4096
 
+# Raw Philox words are drawn at most this many at a time (512 KB).
+_WORD_BLOCK = 1 << 16
+
 # Philox keys are 128-bit unsigned integers, and a chunk's counter starts
 # at chunk << 128 below 2**256.
 _SEEDS = 2 ** 128
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < _SEEDS:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
 
 
 def _check_run(ps, seed: int) -> float:
@@ -79,14 +97,54 @@ def _check_run(ps, seed: int) -> float:
     p = float(ps)
     if not 0 <= p <= 1:  # also rejects NaN
         raise ValueError(f"success probability must be in [0, 1], got {ps}")
-    if not 0 <= seed < _SEEDS:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    _check_seed(seed)
     return p
 
 
-def _chunk_uniforms(seed: int, chunk: int, trials_in_chunk: int, draws: int) -> np.ndarray:
-    bitgen = np.random.Philox(key=seed, counter=chunk << 128)
-    return np.random.Generator(bitgen).random((trials_in_chunk, draws))
+def _win_cut(p: float) -> int:
+    """The cut below which a raw word wins at success probability ``p``:
+    ``w < cut`` exactly when ``(w >> 11) * 2**-53 < p``. ``p * 2**53`` is
+    exact, and an integer is below a real exactly when it is below the
+    real's ceiling. At p = 1 the cut is 2**64, past every word."""
+    return math.ceil(p * 2 ** 53) << 11
+
+
+def _word_blocks(bitgen: np.random.Philox, count: int):
+    """The next ``count`` raw words of ``bitgen`` as ``(offset, block)``
+    pairs, blocks of at most :data:`_WORD_BLOCK` words, in stream order:
+    the words that ``Generator.random`` turns into doubles."""
+    for start in range(0, count, _WORD_BLOCK):
+        yield start, bitgen.random_raw(min(_WORD_BLOCK, count - start))
+
+
+def _fill_wins(bitgen: np.random.Philox, p: float, wins: np.ndarray) -> np.ndarray:
+    """``wins``, a contiguous bool array, set in order from the next
+    words of ``bitgen``: True where the attempt succeeds at ``p``."""
+    cut = _win_cut(p)
+    flat = wins.reshape(-1)
+    if cut == 2 ** 64:  # p = 1; nothing else reads the stream, so draw nothing
+        flat[:] = True
+        return wins
+    for start, words in _word_blocks(bitgen, flat.size):
+        np.less(words, np.uint64(cut), out=flat[start:start + words.size])
+    return wins
+
+
+def _chunk_stream(seed: int, chunk: int, skip: int = 0) -> np.random.Philox:
+    """Chunk ``chunk``'s stream past its first ``skip`` words. Philox makes
+    four words per counter step, so the counter starts past the whole
+    steps and the words left over are drawn and dropped."""
+    steps, words = divmod(skip, 4)
+    bitgen = np.random.Philox(key=seed, counter=(chunk << 128) + steps)
+    bitgen.random_raw(words)
+    return bitgen
+
+
+def _chunk_wins(seed: int, chunk: int, trials_in_chunk: int, draws: int, p: float) -> np.ndarray:
+    """The chunk's ``(trials_in_chunk, draws)`` win matrix: row t holds
+    trial t's attempts in order."""
+    return _fill_wins(_chunk_stream(seed, chunk), p,
+                      np.empty((trials_in_chunk, draws), bool))
 
 
 def _draws_bound(start: Configuration) -> int:
@@ -105,14 +163,14 @@ def _check_edges(strategy, left: int, expected: int) -> None:
         )
 
 
-def _play(strategy: Strategy | StatefulStrategy, start: Configuration, ps: float, row):
+def _play(strategy: Strategy | StatefulStrategy, start: Configuration, row):
     """One trial through the strategy's process interface, attempt i
-    succeeding when ``row[i] < ps``; returns the final process state.
+    succeeding when ``row[i]`` is true; returns the final process state.
 
     Each decision and step must obey the validity rules that the exact
     evaluation enforces, with its messages; the first one broken raises
     :class:`InvalidStrategy`, its event rebuilt from ``row``. A valid
-    trial never needs more than ``row`` holds, one uniform per vertex of
+    trial never needs more than ``row`` holds, one win bit per vertex of
     the start, since every attempt removes a vertex; a trial that does
     raises it too."""
     state = strategy.start(start)
@@ -121,7 +179,7 @@ def _play(strategy: Strategy | StatefulStrategy, start: Configuration, ps: float
     attempts = 0
 
     def invalid(message: str) -> InvalidStrategy:
-        event = "".join(SUCCESS if x < ps else FAILURE for x in row[:attempts])
+        event = "".join(SUCCESS if won else FAILURE for won in row[:attempts])
         return InvalidStrategy(strategy.name, start, event, message)
 
     while True:
@@ -142,7 +200,7 @@ def _play(strategy: Strategy | StatefulStrategy, start: Configuration, ps: float
         if attempts == len(row):
             raise invalid(f"more than {attempts} attempts from a start of {start.vertex_count} "
                           "vertices; every attempt removes a vertex")
-        success = row[attempts] < ps
+        success = row[attempts]
         attempts += 1
         try:
             state = strategy.step(state, action, SUCCESS if success else FAILURE)
@@ -171,8 +229,9 @@ def simulate_run(
         raise ValueError(f"trial_index must be in [0, {TRIAL_CHUNK} * 2**128), "
                          f"got {trial_index}")
     chunk, offset = divmod(trial_index, TRIAL_CHUNK)
-    rows = _chunk_uniforms(seed, chunk, offset + 1, _draws_bound(start))
-    return _play(strategy, start, p, rows[offset]).to_configuration()
+    draws = _draws_bound(start)
+    row = _fill_wins(_chunk_stream(seed, chunk, offset * draws), p, np.empty(draws, bool))
+    return _play(strategy, start, row).to_configuration()
 
 
 @dataclass(frozen=True)
@@ -201,15 +260,15 @@ class SimulationReport:
 
 
 def _play_counts(
-    greedy: bool, counts: dict[int, int], rows: np.ndarray, attempts: np.ndarray, p: float,
+    greedy: bool, counts: dict[int, int], wins: np.ndarray, attempts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-first fusion (largest-first with ``greedy``) from
     ``counts`` in every trial of a chunk at once.
 
-    Trial t reads its next uniform at ``rows[t, attempts[t]]``, and
+    Trial t reads its next win bit at ``wins[t, attempts[t]]``, and
     ``attempts`` is advanced in place. Returns each trial's final total
     length and its number of failed attempts."""
-    trials = len(rows)
+    trials = len(wins)
     total = sum(k * n for k, n in counts.items())
     chain_count = sum(counts.values())
     failures = np.zeros(trials, np.int64)
@@ -237,7 +296,7 @@ def _play_counts(
         a = base + sign * first
         b = base + sign * second
         at = attempts[live]
-        success = rows[live, at] < p
+        success = wins[live, at]
         attempts[live] = at + 1
         matrix[local, first] -= 1
         matrix[local, second] -= 1
@@ -319,26 +378,26 @@ def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _Even
 
 
 def _walk_table(
-    table: _EventTable, rows: np.ndarray, attempts: np.ndarray, p: float,
+    table: _EventTable, wins: np.ndarray, attempts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every trial of a chunk walked through ``table`` from its state 0.
 
-    Trial t reads its next uniform at ``rows[t, attempts[t]]``, and
+    Trial t reads its next win bit at ``wins[t, attempts[t]]``, and
     ``attempts`` is advanced in place. Returns each trial's final total
     length and its number of failed attempts."""
     succ, fail, final_length, terminal = table
-    trials, draws = rows.shape
+    trials, draws = wins.shape
     finals = np.full(trials, final_length[0])
     failures = np.zeros(trials, np.int64)
     if terminal[0]:
         return finals, failures
-    uniforms = rows.reshape(-1)
+    bits = wins.reshape(-1)
     live = np.arange(trials)
-    at = live * draws + attempts  # flat index of each live trial's next uniform
+    at = live * draws + attempts  # flat index of each live trial's next win bit
     state = np.zeros(trials, np.intp)
     lost = np.zeros(trials, np.int64)
     while live.size:
-        won = uniforms[at] < p
+        won = bits[at]
         state = np.where(won, succ[state], fail[state])
         at += 1
         lost += ~won
@@ -354,16 +413,15 @@ def _walk_table(
 
 
 def _play_block(
-    greedy: bool, start: Configuration, rows: np.ndarray, attempts: np.ndarray, p: float,
-    tables: dict,
+    greedy: bool, start: Configuration, wins: np.ndarray, attempts: np.ndarray, tables: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest-first fusion (largest-first with ``greedy``) from ``start``
     in every trial of a chunk: a walk of the run's event table for
     ``start`` if it has one, else the count matrix."""
     table = tables.get(start)
     if table is not None:
-        return _walk_table(table, rows, attempts, p)
-    return _play_counts(greedy, start.counts(), rows, attempts, p)
+        return _walk_table(table, wins, attempts)
+    return _play_counts(greedy, start.counts(), wins, attempts)
 
 
 def _blocks(strategy: TwoStage, start: Configuration) -> list[Configuration]:
@@ -399,7 +457,7 @@ def _compact(lengths: np.ndarray) -> np.ndarray:
 
 
 def _pairing_round(
-    lineup: np.ndarray, rows: np.ndarray, attempts: np.ndarray, p: float,
+    lineup: np.ndarray, wins: np.ndarray, attempts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One round of insistent pairwise fusion on a compacted
     (trials, chains) lineup: chains 2i and 2i+1 are retried until they
@@ -415,7 +473,7 @@ def _pairing_round(
         live = np.flatnonzero((x > 0) & (y > 0))
         while live.size:
             at = attempts[live]
-            success = rows[live, at] < p
+            success = wins[live, at]
             attempts[live] = at + 1
             xs, ys = x[live], y[live]
             x[live] = np.where(success, xs + ys, xs - 1)
@@ -429,7 +487,7 @@ def _pairing_round(
 
 
 def _play_two_stage(
-    strategy: TwoStage, start: Configuration, rows: np.ndarray, p: float, tables: dict,
+    strategy: TwoStage, start: Configuration, wins: np.ndarray, tables: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every trial of a chunk under a two-stage strategy whose inner
     strategy is :class:`Modesty` or :class:`Greed`: the blocks in lineup
@@ -437,36 +495,36 @@ def _play_two_stage(
     pointers, then insistent-pairing rounds on the survivors."""
     greedy = type(strategy.inner) is Greed
     blocks = _blocks(strategy, start)
-    trials = len(rows)
+    trials = len(wins)
     attempts = np.zeros(trials, np.int64)
     failures = np.zeros(trials, np.int64)
     survivors = np.zeros((trials, len(blocks)), np.int64)
     for i, block in enumerate(blocks):
-        survivors[:, i], lost = _play_block(greedy, block, rows, attempts, p, tables)
+        survivors[:, i], lost = _play_block(greedy, block, wins, attempts, tables)
         failures += lost
     chains = _compact(survivors)
     while chains.shape[1] >= 2:
-        chains, lost = _pairing_round(chains, rows, attempts, p)
+        chains, lost = _pairing_round(chains, wins, attempts)
         failures += lost
     return chains.sum(1), failures
 
 
 def _play_chunk(
-    strategy, start: Configuration, p: float, rows: np.ndarray, tables: dict | None = None,
+    strategy, start: Configuration, wins: np.ndarray, tables: dict | None = None,
 ) -> np.ndarray | None:
-    """Final total length of every trial of a chunk, played on arrays with
-    the run's event ``tables`` (see :func:`_event_tables`), or None when
-    ``strategy`` is not one of the built-in shapes or the optimal table's
-    strategy without a table."""
+    """Final total length of every trial of a chunk, played from its win
+    matrix on arrays with the run's event ``tables`` (see
+    :func:`_event_tables`), or None when ``strategy`` is not one of the
+    built-in shapes or the optimal table's strategy without a table."""
     tables = tables or {}
     kind = type(strategy)
     if kind is Modesty or kind is Greed:
         finals, failures = _play_block(
-            kind is Greed, start, rows, np.zeros(len(rows), np.int64), p, tables)
+            kind is Greed, start, wins, np.zeros(len(wins), np.int64), tables)
     elif kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
-        finals, failures = _play_two_stage(strategy, start, rows, p, tables)
+        finals, failures = _play_two_stage(strategy, start, wins, tables)
     elif kind is _TableStrategy and start in tables:
-        finals, failures = _walk_table(tables[start], rows, np.zeros(len(rows), np.int64), p)
+        finals, failures = _walk_table(tables[start], wins, np.zeros(len(wins), np.int64))
     else:
         return None
     expected = start.total_length - 2 * failures
@@ -480,13 +538,12 @@ def _chunk_stats(
     strategy, start: Configuration, p: float, seed: int, chunk: int,
     trials_in_chunk: int, threshold: int | None, tables: dict | None = None,
 ) -> tuple[float, float, int]:
-    draws = _draws_bound(start)
-    rows = _chunk_uniforms(seed, chunk, trials_in_chunk, draws)
-    finals = _play_chunk(strategy, start, p, rows, tables)
+    wins = _chunk_wins(seed, chunk, trials_in_chunk, _draws_bound(start), p)
+    finals = _play_chunk(strategy, start, wins, tables)
     if finals is None:
-        finals = np.array([_play(strategy, start, p, row).total_length for row in rows], np.int64)
+        finals = np.array([_play(strategy, start, row).total_length for row in wins], np.int64)
     # Finals are integers and no partial sum reaches 2**53 (that needs
-    # trials * total_length**2 >= 2**53, far past a uniform block that
+    # trials * total_length**2 >= 2**53, far past a win matrix that
     # fits in memory), so the int64 sums converted once equal float sums
     # taken trial by trial.
     successes = int((finals >= threshold).sum()) if threshold is not None else 0

@@ -22,7 +22,11 @@ and IEEE subtraction rounds monotonically, so the draw is a
 nondecreasing function of U: whether a chain gets its n successes is a
 threshold on U, found once per call by bisection over the 2^53 possible
 doubles with the loop rerun in Python, operation for operation. The
-trials then need only ``rng.random`` and one comparison per chain.
+trials then need one raw 64-bit word per chain and one integer
+comparison: ``rng.random`` would make U = (w >> 11) 2^-53 from the word
+w, so U above the grid point j 2^-53 is w > (j << 11) + 2047, exact up
+to j = 2^53 - 1, where no word is above. No uniform is ever formed, and
+the words are drawn in chunks of 2^16.
 Numpy's other sampler (BTPE) takes a varying number of uniforms per
 draw, and a draw whose loop passes numpy's bound restarts on a fresh
 uniform; there the simulator calls ``rng.binomial`` itself, for every
@@ -39,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special._ufuncs import _binom_sf
 
-from .montecarlo import wilson_interval
+from .montecarlo import _WORD_BLOCK, _check_seed, wilson_interval
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,12 @@ class WeaveReport:
         return asdict(self)
 
 
-# Weave trials are drawn in chunks of this many values (8 MB of doubles),
-# or of one trial when n is larger, so memory does not grow with trials.
-_CHUNK_VALUES = 1 << 20
+# Weave trials are drawn in chunks of this many raw words (512 KB), or of
+# one trial when n is larger, so memory does not grow with trials.
+_CHUNK_VALUES = _WORD_BLOCK
 
-# Philox doubles are j / 2**53 for 0 <= j < 2**53.
+# Philox doubles are j / 2**53 for 0 <= j < 2**53, from the words
+# j << 11 to (j << 11) + 2047.
 _UNIFORM_GRID = 2 ** 53
 
 _INT64_MAX = 2 ** 63 - 1
@@ -179,9 +184,9 @@ def _inversion_draw(m: int, p: float, u: float) -> int:
     return x
 
 
-def _last_below(m: int, p: float, k: int) -> float:
-    """The largest uniform on the 2^53 grid whose inversion draw is below
-    k (k >= 1, so u = 0, which draws 0, is one). The draw is monotone in
+def _last_below(m: int, p: float, k: int) -> int:
+    """The largest j whose uniform j / 2^53 has an inversion draw below k
+    (k >= 1, so j = 0, which draws 0, is one). The draw is monotone in
     u, so bisection finds it."""
     lo, hi = 0, _UNIFORM_GRID
     while hi - lo > 1:
@@ -190,11 +195,17 @@ def _last_below(m: int, p: float, k: int) -> float:
             lo = mid
         else:
             hi = mid
-    return lo / _UNIFORM_GRID
+    return lo
+
+
+def _last_word(j: int) -> int:
+    """The largest raw word whose uniform is at most j / 2^53: a word is
+    above that uniform exactly when it is above this one."""
+    return (j << 11) | 0x7FF
 
 
 def _threshold_counter(m: int, n: int, ps: float):
-    """A function from a (rows, n) array of the generator's uniforms to
+    """A function from a (rows, n) array of the generator's raw words to
     the number of rows in which every ``rng.binomial(m, ps)`` draw would
     reach n, or to None if one of them would restart. None where numpy
     samples by BTPE instead of inversion."""
@@ -206,13 +217,13 @@ def _threshold_counter(m: int, n: int, ps: float):
         p, below = 1.0 - ps, m - n + 1
     if p * m > 30.0:
         return None
-    cut = _last_below(m, p, below)
-    guard = _last_below(m, p, m + 1)
+    cut = np.uint64(_last_word(_last_below(m, p, below)))
+    guard = _last_word(_last_below(m, p, m + 1))
 
-    def count(u: np.ndarray) -> int | None:
-        if u.max() > guard:
+    def count(words: np.ndarray) -> int | None:
+        if int(words.max()) > guard:
             return None
-        won = u > cut if ps <= 0.5 else u <= cut
+        won = words > cut if ps <= 0.5 else words <= cut
         return int(won.all(axis=1).sum())
 
     return count
@@ -229,7 +240,7 @@ def _weave_successes(rng: np.random.Generator, params: WeaveParameters, trials: 
         size = (min(rows, trials - start), n)
         if counter is not None:
             state = rng.bit_generator.state
-            hits = counter(rng.random(size))
+            hits = counter(rng.bit_generator.random_raw(size))
             if hits is not None:
                 successes += hits
                 continue
@@ -249,15 +260,18 @@ def simulate_weave(params: WeaveParameters, trials: int, seed: int) -> WeaveRepo
     ``(rng.binomial(m, ps, (trials, n)) >= n).all(1).sum()`` on
     ``Philox(key=seed)`` bit for bit. Where numpy draws those by
     inversion, one uniform per chain is compared with a threshold
-    instead: numpy's loop only subtracts from the uniform, and rounded
-    subtraction is monotone, so reaching n successes is a threshold
-    event on the uniform's 2^53 grid. A chunk in which some uniform
+    instead, as an integer comparison of the raw word that numpy would
+    turn into that uniform: numpy's loop only subtracts from the
+    uniform, and rounded subtraction is monotone, so reaching n
+    successes is a threshold event on the uniform's 2^53 grid. A chunk
+    in which some uniform
     would make numpy restart is redrawn with ``rng.binomial`` from the
     generator state before it, as is every chunk in the BTPE regime.
     Chunks are taken from the one generator in order, so the count does
     not depend on their size."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_seed(seed)
     if params.attempt_budget > _INT64_MAX:
         # numpy's binomial takes an int64 count
         raise ValueError("attempt budget a n must be at most 2**63 - 1 to simulate")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -472,3 +474,57 @@ class TestSmallSizes:
         code, out = run(capsys, "razor", "--n", "0", "--r-max", "2")
         assert code == 0
         assert out.splitlines()[-1] == "0,2,0,0,0"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_process(argv):
+    """``argv`` run by the CLI in a new interpreter: exit code, stdout and
+    stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    env.pop("CLUSTER_FORGE_TABLE_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "cluster_forge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help, --version and bad flags
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_import_builds_no_parser(self):
+        code = "import cluster_forge.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert proc.stdout == "0\n"
+
+    def test_successive_calls_print_what_fresh_processes_print(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("CLUSTER_FORGE_TABLE_DIR", raising=False)
+        calls = [
+            ["weave", "--n", "4", "--a", "3", "--ps", "0.5", "--trials", "200", "--seed", "3"],
+            ["mc", "--strategy", "static", "--n", "9", "--trials", "300", "--seed", "1"],
+            ["mc", "--strategy", "bogus", "--n", "4", "--trials", "3", "--seed", "1"],
+            ["--help"],
+            ["mc", "--help"],
+        ]
+        main(["razor", "--n", "4", "--r-max", "2"])  # the parser has served a call
+        capsys.readouterr()
+        for argv in calls:
+            assert in_process(capsys, argv) == fresh_process(argv), argv
+
+    def test_help_is_the_built_parsers(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        main(["quality", "--strategy", "greed", "--n-max", "3"])
+        capsys.readouterr()
+        assert in_process(capsys, ["--help"]) == (0, build_parser().format_help(), "")
+        assert cli._parser() is cli._parser()

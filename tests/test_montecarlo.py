@@ -1,8 +1,10 @@
 import contextlib
+import math
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -451,7 +453,7 @@ class TestChunkEngine:
     @pytest.mark.parametrize("strategy", [LargestFirstModesty(),
                                           TwoStage(4, LargestFirstModesty())])
     def test_subclasses_use_the_scalar_players(self, strategy):
-        assert montecarlo._play_chunk(strategy, epr(6), 0.5, None) is None
+        assert montecarlo._play_chunk(strategy, epr(6), None) is None
         like_greed = TwoStage(4, GREED) if isinstance(strategy, TwoStage) else GREED
         ours = estimate_quality(strategy, epr(10), 0.5, trials=500, seed=8)
         greed = estimate_quality(like_greed, epr(10), 0.5, trials=500, seed=8)
@@ -477,18 +479,18 @@ class TestChunkEngine:
             estimate_quality(strategy, epr(5 if strategy is OPTIMAL_10 else 16), 0.5,
                              trials=50, seed=3)
 
-    def test_count_matrix_stays_within_the_uniform_block(self):
+    def test_count_matrix_stays_within_three_bytes_a_draw(self):
         start = epr(200)
-        rows = montecarlo._chunk_uniforms(5, 0, TRIAL_CHUNK, montecarlo._draws_bound(start))
+        wins = montecarlo._chunk_wins(5, 0, TRIAL_CHUNK, montecarlo._draws_bound(start), 0.5)
         tracemalloc.start()
         try:
-            montecarlo._play_chunk(MODESTY, start, 0.5, rows)
+            montecarlo._play_chunk(MODESTY, start, wins)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a one-byte count matrix and its temporaries; eight-byte counts
-        # alone would take half the bound
-        assert peak < rows.nbytes // 3
+        # a one-byte count matrix and its temporaries, under a third of
+        # eight bytes a draw; eight-byte counts alone would take half that
+        assert peak < 8 * wins.size // 3
 
 
 @pytest.mark.parametrize("threshold", [None, 9])
@@ -497,11 +499,11 @@ def test_scalar_chunk_sums_equal_float_sums_trial_by_trial(threshold):
     array-engine chunk; the sums equal the float sums of its trials."""
     strategy, start = LargestFirstModesty(), parse_key("1^7,2^3,4^1")
     args = (start, 0.5, 11, 1, 700)
-    rows = montecarlo._chunk_uniforms(11, 1, 700, montecarlo._draws_bound(start))
+    wins = montecarlo._chunk_wins(11, 1, 700, montecarlo._draws_bound(start), 0.5)
     total = total_sq = 0.0
     successes = 0
-    for row in rows:
-        final = montecarlo._play(strategy, start, 0.5, row).total_length
+    for row in wins:
+        final = montecarlo._play(strategy, start, row).total_length
         total += final
         total_sq += final * final
         successes += threshold is not None and final >= threshold
@@ -573,3 +575,78 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="success probability"):
             threshold_experiment(8, Fraction(137, 2048), 1, block_size=8, trials=10, seed=0,
                                  ps=1.5)
+
+
+def float_uniforms(seed: int, counter: int, count: int, skip: int = 0) -> np.ndarray:
+    """What ``Generator.random`` draws from ``Philox(key=seed,
+    counter=counter)``, past its first ``skip`` doubles."""
+    bitgen = np.random.Philox(key=seed, counter=counter)
+    return np.random.Generator(bitgen).random(skip + count)[skip:]
+
+
+def word_uniforms(words) -> np.ndarray:
+    return (np.asarray(words, np.uint64) >> np.uint64(11)) * 2.0 ** -53
+
+
+class TestWinBits:
+    """Raw Philox words thresholded by the integer cut decide every attempt
+    as the float uniform compared with p would."""
+
+    # 2**256 - 3 carries the counter past 2**256 inside the read
+    @pytest.mark.parametrize("counter", [0, 3 << 128, (2 ** 128 - 1) << 128, 2 ** 256 - 3])
+    @pytest.mark.parametrize("block", [1, 3, 5, 8, 1 << 16])
+    def test_word_blocks_are_the_generators_doubles(self, monkeypatch, counter, block):
+        monkeypatch.setattr(montecarlo, "_WORD_BLOCK", block)
+        blocks = list(montecarlo._word_blocks(np.random.Philox(key=9, counter=counter), 37))
+        assert [start for start, _ in blocks] == list(range(0, 37, block))
+        assert all(len(words) <= block for _, words in blocks)
+        words = np.concatenate([words for _, words in blocks])
+        assert np.array_equal(word_uniforms(words), float_uniforms(9, counter, 37))
+
+    # skips that end inside a Philox buffer of four words and on its edge
+    @pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 11, 4096 * 3 + 2])
+    @pytest.mark.parametrize("chunk", [0, 7, 2 ** 128 - 1])
+    def test_a_chunk_stream_skips_whole_words(self, chunk, skip):
+        bitgen = montecarlo._chunk_stream(4, chunk, skip)
+        assert np.array_equal(word_uniforms(bitgen.random_raw(10)),
+                              float_uniforms(4, chunk << 128, 10, skip))
+
+    @pytest.mark.parametrize("p", [0.0, 2.0 ** -60, 137 / 2048, 0.5, 0.9, 1 - 2 ** -53, 1.0])
+    @pytest.mark.parametrize("block", [5, 1 << 16])
+    def test_chunk_wins_are_the_float_comparisons(self, monkeypatch, p, block):
+        monkeypatch.setattr(montecarlo, "_WORD_BLOCK", block)
+        wins = montecarlo._chunk_wins(21, 3, 9, 13, p)
+        assert wins.dtype == bool and wins.shape == (9, 13)
+        assert np.array_equal(wins, float_uniforms(21, 3 << 128, 9 * 13).reshape(9, 13) < p)
+
+    @pytest.mark.parametrize("trial_index", [0, 5, TRIAL_CHUNK - 1, TRIAL_CHUNK * 2 ** 128 - 1])
+    def test_simulate_run_plays_its_own_row(self, trial_index):
+        start = epr(7)
+        chunk, offset = divmod(trial_index, TRIAL_CHUNK)
+        row = float_uniforms(13, chunk << 128, 14, offset * 14) < 0.5
+        played = montecarlo._play(MODESTY, start, row).to_configuration()
+        assert simulate_run(MODESTY, start, 0.5, 13, trial_index) == played
+
+    @given(p=st.floats(0, 1), word=st.integers(0, 2 ** 64 - 1), shift=st.integers(-4096, 4096))
+    @example(p=0.0, word=0, shift=0)
+    @example(p=1.0, word=2 ** 64 - 1, shift=-1)
+    @example(p=5e-324, word=0, shift=1)
+    @example(p=1 - 2 ** -53, word=2 ** 64 - 1, shift=-2048)
+    @example(p=math.nextafter(0.5, 0), word=2 ** 63 - 1, shift=-1)
+    @example(p=math.nextafter(0.5, 0), word=2 ** 63, shift=0)
+    def test_the_win_cut_decides_the_float_comparison(self, p, word, shift):
+        """For any p and word, and for words around the cut, the word wins
+        exactly when its double is below p; ``_fill_wins`` decides the
+        same on the generator's buffer."""
+        cut = montecarlo._win_cut(p)
+        near = min(max(cut + shift, 0), 2 ** 64 - 1)
+        words = [word, near, 2 ** 64 - 1, 0]
+        for w in words:
+            assert (w < cut) == ((w >> 11) * 2.0 ** -53 < p)
+        bitgen = np.random.Philox(key=1)
+        state = bitgen.state
+        state["buffer"] = np.array(words, np.uint64)
+        state["buffer_pos"] = 0
+        bitgen.state = state
+        wins = montecarlo._fill_wins(bitgen, p, np.empty(4, bool))
+        assert wins.tolist() == [bool(u < p) for u in word_uniforms(words)]

@@ -567,11 +567,10 @@ class TestValidationSweep:
             result = reference_validate(strategy, start)
             if result.ok:
                 continue
-            # a uniform below ps = 1/2 makes an attempt succeed
-            row = [0.0 if outcome == SUCCESS else 0.75 for outcome in result.event]
-            row += [0.5] * (start.vertex_count - len(row))
+            row = [outcome == SUCCESS for outcome in result.event]
+            row += [False] * (start.vertex_count - len(row))
             with pytest.raises(InvalidStrategy) as err:
-                montecarlo._play(strategy, start, 0.5, row)
+                montecarlo._play(strategy, start, row)
             assert (err.value.start, err.value.event, err.value.message) == (
                 start, result.event, result.message)
 

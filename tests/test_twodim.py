@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +170,13 @@ class TestSimulateWeave:
         with pytest.raises(ValueError):
             simulate_weave(WeaveParameters(n=3, a=2, ps=0.5), 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_the_philox_keys_is_rejected(self, seed):
+        params = WeaveParameters(n=4, a=3, ps=0.5)
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*128\), got {seed}$"):
+            simulate_weave(params, 10, seed)
+        assert simulate_weave(params, 10, 2 ** 128 - 1).trials == 10
+
 
 def binomial_successes(params: WeaveParameters, trials: int, seed: int) -> int:
     """The weave count straight from numpy's binomial sampler."""
@@ -177,24 +185,24 @@ def binomial_successes(params: WeaveParameters, trials: int, seed: int) -> int:
     return int((counts >= params.n).all(axis=1).sum())
 
 
-def injected_generator(u: float, seed: int = 5) -> np.random.Generator:
-    """Philox(key=seed) whose first uniform is u, followed by three small
-    ones and then the generator's own stream."""
+def injected_generator(j: int, seed: int = 5) -> np.random.Generator:
+    """Philox(key=seed) whose first uniform is j / 2^53, from the word
+    j << 11, followed by three small ones and then the generator's own
+    stream."""
     bitgen = np.random.Philox(key=seed)
     state = bitgen.state
-    state["buffer"] = np.array([int(u * 2 ** 53) << 11, 1 << 40, 1 << 41, 1 << 42],
-                               dtype=np.uint64)
+    state["buffer"] = np.array([j << 11, 1 << 40, 1 << 41, 1 << 42], dtype=np.uint64)
     state["buffer_pos"] = 0
     bitgen.state = state
     return np.random.Generator(bitgen)
 
 
-def uniforms_used(m: int, ps: float, u: float) -> int:
+def uniforms_used(m: int, ps: float, j: int) -> int:
     """How many uniforms one rng.binomial(m, ps) draw takes when the
-    first is u: 2 where numpy's inversion loop restarts."""
-    rng = injected_generator(u)
+    first is j / 2^53: 2 where numpy's inversion loop restarts."""
+    rng = injected_generator(j)
     rng.binomial(m, ps)
-    return 1 + injected_generator(u).random(4)[1:].tolist().index(rng.random())
+    return 1 + injected_generator(j).random(4)[1:].tolist().index(rng.random())
 
 
 class BinomialCounting(np.random.Generator):
@@ -253,11 +261,30 @@ class TestWeaveSampler:
         cut = twodim._last_below(m, p, below)
         counter = twodim._threshold_counter(m, n, ps)
         outcomes = set()
-        for u in (cut, cut + 2 ** -53):
-            won = int(injected_generator(u).binomial(m, ps) >= n)
-            assert counter(np.full((1, n), u)) == won
+        for j in (cut, cut + 1):
+            won = int(injected_generator(j).binomial(m, ps) >= n)
+            # the first and the last word that numpy turns into j / 2^53
+            for word in (j << 11, (j << 11) + 2047):
+                assert counter(np.full((1, n), word, np.uint64)) == won
             outcomes.add(won)
         assert outcomes == {0, 1}
+
+    # every uniform, 1 - 2^-53 included, draws below the count that
+    # decides, so the cut is the last grid point: no word is above it
+    @pytest.mark.parametrize("ps", [1e-20, 1 - 2 ** -53])
+    def test_a_cut_at_the_last_uniform(self, ps):
+        params = WeaveParameters(n=3, a=2, ps=ps)
+        m, n = params.attempt_budget, params.n
+        p, below = (ps, n) if ps <= 0.5 else (1.0 - ps, m - n + 1)
+        last = twodim._UNIFORM_GRID - 1
+        assert twodim._last_below(m, p, below) == twodim._last_below(m, p, m + 1) == last
+        assert twodim._last_word(last) == 2 ** 64 - 1
+        won = int(injected_generator(last).binomial(m, ps) >= n)
+        assert won == (ps > 0.5)
+        counter = twodim._threshold_counter(m, n, ps)
+        for word in (0, last << 11, 2 ** 64 - 1):
+            assert counter(np.full((1, n), word, np.uint64)) == won
+        assert simulate_weave(params, 3000, 2).successes == binomial_successes(params, 3000, 2)
 
     # where numpy's bound is below m, the masses it sums leave a gap
     # below 1 in which its loop passes the bound and restarts
@@ -266,19 +293,29 @@ class TestWeaveSampler:
         params = WeaveParameters(n=n, a=a, ps=ps)
         m = params.attempt_budget
         p = ps if ps <= 0.5 else 1.0 - ps
-        restart = twodim._last_below(m, p, m + 1) + 2 ** -53
-        assert restart < 1
-        assert uniforms_used(m, ps, restart - 2 ** -53) == 1
+        restart = twodim._last_below(m, p, m + 1) + 1
+        assert restart < twodim._UNIFORM_GRID
+        assert uniforms_used(m, ps, restart - 1) == 1
         assert uniforms_used(m, ps, restart) == 2
         monkeypatch.setattr(twodim, "_CHUNK_VALUES", 7 * n)
         counter = twodim._threshold_counter(m, n, ps)
-        assert counter(injected_generator(restart).random((7, n))) is None
+        assert counter(injected_generator(restart).bit_generator.random_raw((7, n))) is None
         rng, oracle = injected_generator(restart), injected_generator(restart)
         counts = oracle.binomial(m, ps, size=(40, n))
         assert twodim._weave_successes(rng, params, 40) == \
             int((counts >= n).all(axis=1).sum())
         # the restart took one more uniform, in both
         assert np.array_equal(rng.random(8), oracle.random(8))
+
+    def test_a_chunk_holds_at_most_a_megabyte(self):
+        """50,000 trials of 20 chains draw a million words, 2^16 at a time."""
+        tracemalloc.start()
+        try:
+            simulate_weave(WeaveParameters(n=20, a=3, ps=0.5), 50000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n, a, ps", [(20, 3, 0.5), (10, 2, 0.8), (50, 2, 0.6)])
     def test_chunking_leaves_the_count_unchanged(self, monkeypatch, n, a, ps):
