@@ -19,7 +19,7 @@ every process terminates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -314,7 +314,7 @@ def parse_key(key: str) -> Configuration:
     return config
 
 
-def _block_enumerator(max_part: int):
+def _block_enumerator(max_part: int, max_total: int | None = None):
     """``block(total, parts)``: the integer partitions of ``total`` into
     exactly ``parts`` parts, each <= max_part, as sorted (part,
     multiplicity) tuples, in storage order (see :func:`_blocks`).
@@ -325,8 +325,20 @@ def _block_enumerator(max_part: int):
     suffix is a partition of the rest into parts above ``part``. Every
     suffix list is built once, keyed by (total, parts, smallest part),
     and shared by every block and prefix that ends in it; the blocks
-    themselves are not kept. The memo lives as long as ``block``."""
+    themselves are not kept.
+
+    A suffix list of r edges in c parts ends only partitions of at most
+    ``max_total`` edges (``max_part`` by default) in at most 2 * max_total
+    - r + c parts and edges together: the parts in front of it add at most
+    max_total - r edges and no more parts than edges. So once ``block`` is
+    asked for a block of more vertices (``total + parts``), as a build
+    asks in storage order, the list is dropped; a later call for a smaller
+    block builds it again."""
+    n = max_part if max_total is None else max_total
     memo: dict[tuple[int, int, int], list[tuple[tuple[int, int], ...]]] = {}
+    # expiry[v]: the memo keys whose lists serve no block above v vertices
+    expiry: dict[int, list[tuple[int, int, int]]] = {}
+    level = 0  # the most vertices of a block asked for so far
 
     def extend(total: int, parts: int, smallest: int) -> list[tuple[tuple[int, int], ...]]:
         out: list[tuple[tuple[int, int], ...]] = []
@@ -342,6 +354,7 @@ def _block_enumerator(max_part: int):
                     suffixes = memo.get(key)
                     if suffixes is None:
                         suffixes = memo[key] = extend(*key)
+                        expiry.setdefault(2 * n - rest + rest_parts, []).append(key)
                     head = ((part, mult),)
                     out.extend([head + suffix for suffix in suffixes])
             if part * parts == total:  # all the parts are equal
@@ -349,6 +362,12 @@ def _block_enumerator(max_part: int):
         return out
 
     def block(total: int, parts: int) -> list[tuple[tuple[int, int], ...]]:
+        nonlocal level
+        # drop the lists that serve no block of this many vertices or more
+        for v in range(level, total + parts):
+            for key in expiry.pop(v, ()):
+                memo.pop(key, None)
+        level = max(level, total + parts)
         if parts:
             return extend(total, parts, 1)
         return [] if total else [()]  # zero parts only sum to zero
@@ -393,15 +412,18 @@ def _block_starts(max_total_length: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _partition_ranker(max_total_length: int):
-    """``(rank, keys, size)`` for the ``size`` configurations of at most
+    """``(rank, groups, size)`` for the ``size`` configurations of at most
     ``max_total_length`` edges, numbered by their position in
     :func:`enumerate_configurations`.
 
     ``rank(items)`` gives ``(position, vertex count)`` of the configuration
     with these ``(length, count)`` items and raises KeyError beyond
-    ``max_total_length`` edges. ``keys()`` yields ``(canonical key,
-    position, vertex count)`` for every configuration, in no set order,
-    each in O(1) steps.
+    ``max_total_length`` edges. ``groups()`` yields every configuration in
+    the order of its canonical key, one *group* at a time: the
+    configurations whose keys start with the same first item ``k^m``,
+    which are contiguous in that order, or the empty configuration alone.
+    A group is three lists in key order, ``(keys, positions, vertex
+    counts)``; its first key is ``k^m`` itself.
 
     Neither builds a dictionary over configurations. A position is the
     last position of the configuration's block (t edges in c chains, see
@@ -413,6 +435,13 @@ def _partition_ranker(max_total_length: int):
     (take k from each of the C' parts) and ``fewer[C][r]`` have more than
     m parts equal to k (the C' - j parts above k, for j > m copies, sum
     to r + (C' - j) * k). The terms of all items add up to the count.
+
+    The groups of one shortest length k share their tails: every
+    configuration whose lengths all exceed k, of at most n - k edges.
+    ``groups()`` builds them once per k, with the terms of their items, by
+    prepending shorter lengths, and sorts them by key; group ``k^m`` is
+    the tails of at most n - k*m edges, in that order. So it holds at most
+    the tails of k = 1, p(n - 1) configurations, and never the whole table.
     """
     n = max_total_length
     exactly = _exactly(n)
@@ -441,27 +470,51 @@ def _partition_ranker(max_total_length: int):
             raise KeyError(f"configuration '{Configuration(items)}' has more than {n} "
                            f"edges") from None
 
-    def keys() -> Iterator[tuple[str, int, int]]:
-        yield "", 0, 0
-        # configurations to extend by shorter lengths: (key, edges,
-        # chains, shortest length, the terms of their items)
-        stack = [("", 0, 0, n + 1, 0)]
+    def tails_above(k: int) -> list[tuple[str, int, int, int]]:
+        """``(tail, edges, chains, terms)`` of every configuration whose
+        lengths all exceed k, of at most n - k edges, sorted by tail: its
+        key after a comma, or "" for the empty configuration."""
+        room = n - k
+        found = [("", 0, 0, 0)]
+        # configurations to extend by shorter lengths, with their shortest
+        stack = [("", 0, 0, room + 1, 0)]
         while stack:
-            key, total, chains, shortest, after = stack.pop()
-            tail = "," + key if key else ""
-            for k in range(1, min(shortest, n - total + 1)):
-                rest = total - chains * k
+            tail, total, chains, shortest, after = stack.pop()
+            for j in range(k + 1, min(shortest, room - total + 1)):
+                rest = total - chains * j
                 base = after + fewer[chains][rest]
-                for m in range(1, (n - total) // k + 1):
+                for m in range(1, (room - total) // j + 1):
                     c = chains + m
-                    t = total + k * m
+                    t = total + j * m
                     here = base + exactly[c][rest]
-                    text = texts[k][m] + tail
-                    yield text, last[c][t] - here, t + c
-                    if k > 1:
-                        stack.append((text, t, c, k, here))
+                    text = "," + texts[j][m] + tail
+                    found.append((text, t, c, here))
+                    if j > k + 1:
+                        stack.append((text, t, c, j, here))
+        found.sort()
+        return found
 
-    return rank, keys, size
+    def groups() -> Iterator[tuple[list[str], list[int], list[int]]]:
+        yield [""], [0], [0]
+        # a digit sorts before "^", so the groups of "10^m" come before "1^m"
+        for k in sorted(range(1, n + 1), key=lambda k: f"{k}^"):
+            tails, totals, chains, afters = zip(*tails_above(k))
+            # the tails by edge count, in key order within each
+            by_total = sorted(range(len(tails)), key=totals.__getitem__)
+            for m in sorted(range(1, n // k + 1), key=str):
+                room = n - k * m
+                # start[t][c]: for a tail of t edges in c chains, the last
+                # position of the block with (k, m) in front, less the
+                # terms of (k, m)
+                start = [[last[c + m][t + k * m] - exactly[c + m][t - c * k] - fewer[c][t - c * k]
+                          for c in range(t // (k + 1) + 1)] for t in range(room + 1)]
+                picked = sorted(by_total[:bisect_right(by_total, room, key=totals.__getitem__)])
+                head, shift = texts[k][m], m * (k + 1)
+                yield ([head + tails[i] for i in picked],
+                       [start[totals[i]][chains[i]] - afters[i] for i in picked],
+                       [totals[i] + chains[i] + shift for i in picked])
+
+    return rank, groups, size
 
 
 def enumerate_configurations(max_total_length: int) -> Iterator[Configuration]:

@@ -33,10 +33,10 @@ chain cut to R edges, which also minimises attempts in the same pass.
 * Level-lazy enumeration. Count vectors come from one
   ``configuration._block_enumerator`` per build, one block of vertex and
   edge count at a time, in the order of :func:`enumerate_configurations`.
-  It builds each list of partition suffixes once and shares it between
-  blocks, and drops them all when the build returns. The DP keeps only
-  as many levels as the deepest drop, four for the table, and a budget
-  stops early.
+  It builds each list of partition suffixes once, shares it between
+  blocks, and drops it once the build passes the last vertex level that
+  can use it. The DP keeps only as many levels as the deepest drop, four
+  for the table, and a budget stops early.
 * Rank-indexed storage. Each configuration's entry sits at its rank,
   its position in that order, as one scaled value in a list and one
   index into a shared list of actions in an ``array('H')``. The build
@@ -44,7 +44,12 @@ chain cut to R edges, which also minimises attempts in the same pass.
   :class:`QualityTable` computes the rank from a count vector when asked
   (``configuration._partition_ranker``), and its quality, action and
   strategy read by rank. ``Fraction(I, q**V)`` is built only on demand,
-  and canonical key strings only where a table is saved or loaded.
+  and canonical key strings only where a table is saved or loaded. The
+  file holds the entries sorted by key, and :meth:`QualityTable.save` and
+  :meth:`QualityTable.load` go through them in that order one group at a
+  time: the keys that share a first item ``k^m``, at most p(n - 1) of
+  them (3,010 of 18,460 at N=28). Neither holds a line, key or tuple per
+  entry of the whole table.
 
 The read side is scaled the same way. :func:`strategy_quality`,
 :func:`expected_attempts` and :func:`strategy_quality_range` walk a
@@ -269,7 +274,7 @@ class QualityTable:
         self.values = values
         self.action_ids = action_ids
         self.actions = actions
-        self._rank, self._keys, _ = _partition_ranker(n)
+        self._rank, self._groups, _ = _partition_ranker(n)
         # q**V per vertex count V for an exact ps; None for a float ps
         self._scale = ([ps.denominator ** v for v in range(2 * n + 1)]
                        if isinstance(ps, Fraction) else None)
@@ -312,7 +317,10 @@ class QualityTable:
 
     def save(self, path) -> None:
         """Header ``N=<n> ps=<num>/<den>`` then one sorted line per entry:
-        ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible. Written to
+        ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible. The keys come
+        in order one group at a time (``configuration._partition_ranker``)
+        and each line is written as it is made, so no more than one
+        group's keys and no line list are held at once. Written to
         ``<path>.<pid>.part`` and renamed over ``path``, so ``path`` never
         holds a partial table; the temporary file does not outlive a failed
         write. A ``path`` that exists but is no regular file, such as
@@ -320,22 +328,12 @@ class QualityTable:
         it."""
         if self._scale is None:
             raise TypeError("only exact-rational tables are persisted")
-        texts = [format_action(action) for action in self.actions]
-        values, action_ids, scale = self.values, self.action_ids, self._scale
-        lines = []
-        for key, position, vertices in self._keys():
-            value, denominator = values[position], scale[vertices]
-            common = gcd(value, denominator)
-            lines.append(f"{key}\t{value // common}/{denominator // common}"
-                         f"\t{texts[action_ids[position]]}\n")
-        # a tab sorts before every key character, so this is key order
-        lines.sort()
         in_place = os.path.exists(path) and not os.path.isfile(path)
         partial = path if in_place else f"{os.fspath(path)}.{os.getpid()}.part"
         try:
             with open(partial, "w", encoding="ascii") as fh:
                 fh.write(f"N={self.n} ps={self.ps.numerator}/{self.ps.denominator}\n")
-                fh.writelines(lines)
+                fh.writelines(self._lines())
             if not in_place:
                 os.replace(partial, path)
         except BaseException:
@@ -343,12 +341,30 @@ class QualityTable:
                 os.remove(partial)
             raise
 
+    def _lines(self) -> Iterator[str]:
+        """The entry lines of :meth:`save`, each made as it is written. The
+        groups come in key order, and a tab sorts before every key
+        character, so the lines come out sorted."""
+        texts = [format_action(action) for action in self.actions]
+        values, action_ids, scale = self.values, self.action_ids, self._scale
+        for keys, positions, vertex_counts in self._groups():
+            for key, position, vertices in zip(keys, positions, vertex_counts):
+                value, denominator = values[position], scale[vertices]
+                common = gcd(value, denominator)
+                yield (f"{key}\t{value // common}/{denominator // common}"
+                       f"\t{texts[action_ids[position]]}\n")
+
     @classmethod
     def load(cls, path) -> "QualityTable":
         """Read a table written by :meth:`save`. Raises ValueError, naming
         ``path``, unless the header and every line parse and the file
-        holds every configuration of at most N edges exactly once, each
-        with a value that is a multiple of ``1/q**V``."""
+        holds every configuration of at most N edges exactly once, in key
+        order, each with a value that is a multiple of ``1/q**V``.
+
+        Reads in file order, one group of keys at a time
+        (``configuration._partition_ranker``): a line holds the group's
+        next key or, past missing ones, a later key of it or of a later
+        group. No map over the whole table is made."""
         # a byte that is not ASCII decodes to U+FFFD and fails as malformed
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             header = fh.readline()
@@ -361,8 +377,13 @@ class QualityTable:
                     raise ValueError
             except (KeyError, ValueError, ZeroDivisionError):
                 raise ValueError(f"{path}: malformed header {header!r}") from None
-            _, keys, size = _partition_ranker(n)
-            unread = {key: (position, vertices) for key, position, vertices in keys()}
+            _, key_groups, size = _partition_ranker(n)
+            groups = key_groups()
+            # the first key of each group, "" for the empty configuration's
+            heads = {""} | {f"{k}^{m}" for k in range(1, n + 1) for m in range(1, n // k + 1)}
+            keys, positions, vertex_counts = next(groups)
+            # the group's keys below cursor are read or missing
+            cursor = missed = 0
             scale = [ps.denominator ** v for v in range(2 * n + 1)]
             values: list = [None] * size
             action_ids = array("H", bytes(2 * size))
@@ -383,11 +404,25 @@ class QualityTable:
                         action = parse_action(text)
                 except ValueError:
                     raise ValueError(f"{path}: line {number} is malformed: {line!r}") from None
-                try:
-                    position, vertices = unread.pop(key)
-                except KeyError:
-                    raise ValueError(f"{path}: '{key}' is repeated or not the key of a "
-                                     f"configuration of at most N={n} edges") from None
+                i = cursor
+                if i == len(keys) or key != keys[i]:
+                    # not the next key: move on to the key's group if it
+                    # comes later (groups come in the order of their
+                    # heads), then look for the key from the cursor on
+                    head = key.partition(",")[0]
+                    while head > keys[0] and head in heads:
+                        missed += len(keys) - cursor
+                        keys, positions, vertex_counts = next(groups)
+                        cursor = 0
+                    try:
+                        i = keys.index(key, cursor)
+                    except ValueError:
+                        raise ValueError(f"{path}: line {number}: '{key}' is repeated or not "
+                                         f"the key of a configuration of at most N={n} edges, "
+                                         f"or is out of order") from None
+                    missed += i - cursor
+                cursor = i + 1
+                position, vertices = positions[i], vertex_counts[i]
                 if den < 1 or scale[vertices] % den:
                     raise ValueError(f"{path}: value {value} of '{key}' is not a multiple "
                                      f"of 1/{scale[vertices]}")
@@ -396,9 +431,14 @@ class QualityTable:
                     index = action_index[text] = len(actions)
                     actions.append(action)
                 action_ids[position] = index
-        if unread:
-            raise ValueError(f"{path}: {len(unread)} of the {size} entries for N={n} are "
-                             f"missing, such as '{next(iter(unread))}'")
+        missed += len(keys) - cursor + sum(len(group[0]) for group in groups)
+        if missed:
+            # the first key missing, from a second pass over the keys
+            skipped = next(key for group_keys, group_positions, _ in key_groups()
+                           for key, position in zip(group_keys, group_positions)
+                           if values[position] is None)
+            raise ValueError(f"{path}: {missed} of the {size} entries for N={n} are "
+                             f"missing, such as '{skipped}'")
         return cls(n, ps, values, action_ids, actions)
 
 
@@ -477,7 +517,7 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     # None once no successor can reach them
     quality: list = [{} for _ in range(2 * n + 1)]
     spent: list = [{} for _ in range(2 * n + 1)]
-    partitions = _block_enumerator(cap)
+    partitions = _block_enumerator(cap, n)
     level = -1
     for v, total in _blocks(n):
         # under a cap a one-chain block may be empty; it then stores nothing

@@ -16,6 +16,8 @@ from cluster_forge.configuration import (
     IdentityConfiguration,
     InvalidFusionError,
     _block_enumerator,
+    _blocks,
+    _partition_ranker,
     canonical_key,
     enumerate_configurations,
     parse_key,
@@ -170,12 +172,55 @@ class TestEnumeration:
         if max_part < 16:
             assert block(max_part + 1, 1) == []
 
+    @pytest.mark.parametrize("cap", [1, 3, 8, 12])
+    def test_blocks_of_a_build_in_storage_order(self, cap):
+        """A build asks for its blocks in storage order, with an edge bound
+        above the cap (the razor model); each suffix list is dropped once
+        the levels that can use it are passed."""
+        block = _block_enumerator(cap, 12)
+        for v, total in _blocks(12):
+            assert block(total, v - total) == reference_partitions_into(total, v - total, cap)
+
     def test_dependencies_precede(self):
         order = {c: i for i, c in enumerate(enumerate_configurations(8))}
         for config, position in order.items():
             for a, b in config.fusion_pairs():
                 for outcome in (SUCCESS, FAILURE):
                     assert order[config.fuse(a, b, outcome)] < position
+
+
+class TestKeyGroups:
+    """``_partition_ranker``'s ``groups()``: the table in key order, one
+    group of keys with the same first item at a time."""
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_every_configuration_once_in_key_order(self, n):
+        rank, groups, size = _partition_ranker(n)
+        keys, heads, largest = [], [], 0
+        for group_keys, positions, vertices in groups():
+            assert len(group_keys) == len(positions) == len(vertices) > 0
+            head = group_keys[0]
+            assert all(key.partition(",")[0] == head for key in group_keys)
+            heads.append(head)
+            largest = max(largest, len(group_keys))
+            for key, position, vertex_count in zip(group_keys, positions, vertices):
+                assert rank(parse_key(key).items) == (position, vertex_count), key
+            keys.extend(group_keys)
+        assert keys == sorted(set(keys))  # strictly ascending
+        assert len(keys) == size == sum(partition_count_oracle(n))
+        assert set(keys) == {canonical_key(config) for config in enumerate_configurations(n)}
+        assert len(set(heads)) == len(heads)
+        # the group 1^1 holds a chain of one edge in front of every
+        # partition of at most n - 1 edges into parts of at least 2
+        assert largest == (partition_count_oracle(n - 1)[-1] if n else 1)
+
+    def test_group_sizes_at_28(self):
+        _, groups, size = _partition_ranker(28)
+        sizes = {keys[0]: len(keys) for keys, _, _ in groups()}
+        assert sum(sizes.values()) == size == 18460
+        assert max(sizes.values()) == sizes["1^1"] == 3010
+        # a digit sorts before "^": the groups of 10 come before those of 1
+        assert list(sizes)[:3] == ["", "10^1", "10^2"]
 
 
 class TestCanonicalKey:

@@ -3,8 +3,11 @@ import fnmatch
 import itertools
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from cluster_forge.configuration import (
     Fuse,
     IdentityConfiguration,
     Stop,
+    canonical_key,
     enumerate_configurations,
     parse_key,
 )
@@ -50,6 +54,7 @@ from cluster_forge.strategies import (
     StatefulStrategy,
     Strategy,
     TwoStage,
+    format_action,
     validate_strategy,
 )
 
@@ -342,6 +347,59 @@ class TestQualityTable:
             tracemalloc.stop()
 
 
+# Writes (``write``) or loads (``load``) the table of N edges at PATH and
+# prints how far the write or the load raised the process's VmHWM, in MB;
+# "none" where the system reports no VmHWM.
+FILE_MEMORY_SCRIPT = """
+import sys
+from cluster_forge.exact import QualityTable, build_quality_table
+
+def peak_mb():
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh
+                        if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        return None
+
+mode, n, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+if mode == "write":
+    table = build_quality_table(n)
+    before = peak_mb()
+    table.save(path)
+else:
+    before = peak_mb()
+    QualityTable.load(path)
+print("none" if before is None else peak_mb() - before)
+"""
+
+# The N=36 table (99,133 entries) raises a fresh process's VmHWM by 3.3-3.5
+# MB to write and 6.7 MB to load, one group of keys at a time. Formatting
+# every line before writing, and a key map over the whole table while
+# loading, took 9.1-9.2 and 21.0-21.1 MB.
+FILE_MEMORY_N = 36
+WRITE_GROWTH_LIMIT_MB = 6
+LOAD_GROWTH_LIMIT_MB = 12
+
+
+class TestTableFileMemory:
+    def test_write_and_load_hold_one_group_at_a_time(self, tmp_path):
+        env = dict(os.environ)
+        package_root = str(Path(exact.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        path = tmp_path / "table.tsv"
+        growth = {}
+        for mode in ("write", "load"):
+            proc = subprocess.run([sys.executable, "-c", FILE_MEMORY_SCRIPT, mode,
+                                   str(FILE_MEMORY_N), str(path)],
+                                  env=env, capture_output=True, text=True, check=True, timeout=300)
+            growth[mode] = proc.stdout.split()[-1]
+        if "none" in growth.values():
+            pytest.skip("the system reports no VmHWM")
+        assert float(growth["write"]) < WRITE_GROWTH_LIMIT_MB
+        assert float(growth["load"]) < LOAD_GROWTH_LIMIT_MB
+
+
 def all_configurations(max_total):
     """Every configuration with at most ``max_total`` edges, from plain
     integer partitions with the largest part first."""
@@ -412,7 +470,7 @@ class TestRankedStorage:
         def no_keys():
             raise AssertionError("a key string was made")
 
-        monkeypatch.setattr(table, "_keys", no_keys)
+        monkeypatch.setattr(table, "_groups", no_keys)
         strategy = table.as_strategy("replay")
         assert strategy.name == "replay"
         assert strategy_quality(strategy, epr(10)) == table.quality(epr(10))
@@ -457,6 +515,40 @@ class TestRankedStorage:
             QualityTable.load(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048)], ids=str)
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 16])
+    def test_save_matches_a_sorting_writer(self, tmp_path, n, ps):
+        table = build_quality_table(n, ps)
+        path = tmp_path / "table.tsv"
+        table.save(path)
+        assert path.read_bytes() == sorting_writer(table)
+
+    @pytest.mark.parametrize("swap", ["groups", "lines"])
+    def test_load_rejects_keys_out_of_order(self, tmp_path, swap):
+        path = tmp_path / "table.tsv"
+        build_quality_table(8).save(path)
+        header, *lines = path.read_text().splitlines()
+        heads = [line.split("\t")[0].partition(",")[0] for line in lines]
+        if swap == "groups":
+            # the group 1^1 and the one after it
+            start = heads.index("1^1")
+            middle = start + heads.count("1^1")
+            stop = middle + heads.count(heads[middle])
+            lines[start:stop] = lines[middle:stop] + lines[start:middle]
+            # 1^1 is read after the later group
+            number = 2 + start + stop - middle
+        else:
+            # the second and third lines of the group 1^1
+            start = heads.index("1^1") + 1
+            assert heads[start + 1] == "1^1"
+            lines[start], lines[start + 1] = lines[start + 1], lines[start]
+            number = 2 + start + 1
+        key = lines[number - 2].split("\t")[0]
+        path.write_text("\n".join([header] + lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {number}: '{key}' is repeated or not the key")):
+            QualityTable.load(path)
+
     @pytest.mark.parametrize("header", ["", "N=8", "ps=1/2", "N=x ps=1/2", "N=8 ps=1/0",
                                         "N=8 ps=0/1", "N=8 ps=3/2", "N=-1 ps=1/2", "N=8 ps"])
     def test_load_rejects_a_malformed_header(self, tmp_path, header):
@@ -466,6 +558,15 @@ class TestRankedStorage:
         expected = f"{path}: malformed header {header + chr(10)!r}"
         with pytest.raises(ValueError, match=re.escape(expected)):
             QualityTable.load(path)
+
+
+def sorting_writer(table) -> bytes:
+    """The table file as :meth:`QualityTable.save` writes it, made the
+    plain way: a line per entry of ``items()``, all sorted at once."""
+    lines = sorted(f"{canonical_key(config)}\t{quality.numerator}/{quality.denominator}"
+                   f"\t{format_action(action)}\n" for config, quality, action in table.items())
+    header = f"N={table.n} ps={table.ps.numerator}/{table.ps.denominator}\n"
+    return (header + "".join(lines)).encode("ascii")
 
 
 def reference_quality(config, ps, memo):
