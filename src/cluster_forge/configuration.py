@@ -96,7 +96,7 @@ class Configuration(_Counts):
     __slots__ = ()
 
     def __new__(cls, items: tuple[tuple[int, int], ...] = ()) -> "Configuration":
-        items = tuple(items)
+        items = tuple(map(tuple, items))
         prev = vertices = 0
         for length, count in items:
             if length <= prev:
@@ -236,6 +236,7 @@ class IdentityConfiguration(_Lineup):
     __slots__ = ()
 
     def __new__(cls, chains: tuple[int, ...] = ()) -> "IdentityConfiguration":
+        chains = tuple(chains)
         if chains and min(chains) < 1:
             raise ValueError(f"chain lengths must be positive: {chains}")
         return _new(cls, (chains,))

@@ -68,6 +68,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Hashable, Iterator
 
@@ -86,7 +87,7 @@ from .configuration import (
     _partition_ranker,
     enumerate_configurations,
 )
-from .strategies import InvalidStrategy, StatefulStrategy, Strategy, _bad_drop, _premature_stop
+from .strategies import StatefulStrategy, Strategy, _advance, _Broken, _decide
 from .strategies import format_action, parse_action
 
 HALF = Fraction(1, 2)
@@ -136,72 +137,48 @@ def _evaluate(root: Hashable, strategy: Strategy | StatefulStrategy, memo: dict,
     with base ``q**v`` for attempts and 0 for quality; a stop holds
     ``total_length * q**v`` (quality) or 0 (attempts).
 
-    Each state it expands must obey the validity rules of
-    :mod:`cluster_forge.strategies`; the first broken one raises
-    :class:`InvalidStrategy`. So every walk ends, and a state in the memo
-    has a clean subtree: one ``memo`` serves every start of a sweep for
-    one strategy, ps and kind of value. Iterative and depth first, the
-    failure child first; that order decides which broken rule is reported.
+    Each state it expands goes through the validity gate of
+    :mod:`cluster_forge.strategies`; the first broken rule raises
+    :class:`~cluster_forge.strategies.InvalidStrategy`. So every walk
+    ends, and a state in the memo has a clean subtree: one ``memo`` serves
+    every start of a sweep for one strategy, ps and kind of value.
+    Iterative and depth first, the failure child first; that order
+    decides which broken rule is reported.
     """
-    choose, step = strategy.choose, strategy.step
     zero = 0 * scale[0]
     # (state, its vertex count, (success state, failure drop, failure
     # state) once its successors are pushed)
     stack: list[tuple[Hashable, int, tuple | None]] = [(root, root.vertex_count, None)]
-    while stack:
-        state, v, node = stack.pop()
-        if node is None:
-            if state in memo:
-                continue
-            try:
-                action = choose(state)
-            except KeyError as exc:
-                raise _invalid(strategy, root, stack, f"no decision available: {exc}") from exc
-            except ValueError as exc:
-                raise _invalid(strategy, root, stack, f"invalid decision: {exc}") from exc
-            chains = state.chain_count
-            if isinstance(action, Stop):
-                if chains > 1:
-                    raise _invalid(strategy, root, stack, _premature_stop(chains))
-                memo[state] = zero if attempts else state.total_length * scale[v]
-                continue
-            if chains <= 1:
-                raise _invalid(strategy, root, stack,
-                               "fusion attempted on a terminal configuration")
-            outcome = SUCCESS
-            try:
-                succ = step(state, action, SUCCESS)
-                drop = v - succ.vertex_count
-                if drop == 1:
-                    outcome = FAILURE
-                    fail = step(state, action, FAILURE)
-                    drop = v - fail.vertex_count
-            except (ValueError, IndexError) as exc:
-                raise _invalid(strategy, root, stack, f"null fusion: {exc}", outcome) from exc
-            # outcome is still SUCCESS when the success step removed drop != 1
-            if outcome == SUCCESS or not 2 <= drop <= 4:
-                raise _invalid(strategy, root, stack, _bad_drop(drop), outcome)
-            # a child already in the memo is skipped when popped, so
-            # each state is hashed once per parent, not twice
-            stack.append((state, v, (succ, drop, fail)))
-            stack.append((succ, v - 1, None))
-            stack.append((fail, v - drop, None))
-        else:
-            succ, drop, fail = node
-            base = scale[v] if attempts else zero
-            memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
+    try:
+        while stack:
+            state, v, node = stack.pop()
+            if node is None:
+                if state in memo:
+                    continue
+                action = _decide(strategy, state)
+                if isinstance(action, Stop):
+                    memo[state] = zero if attempts else state.total_length * scale[v]
+                    continue
+                succ, _ = _advance(strategy, state, action, SUCCESS, v)
+                fail, drop = _advance(strategy, state, action, FAILURE, v)
+                # a child already in the memo is skipped when popped, so
+                # each state is hashed once per parent, not twice
+                stack.append((state, v, (succ, drop, fail)))
+                stack.append((succ, v - 1, None))
+                stack.append((fail, v - drop, None))
+            else:
+                succ, drop, fail = node
+                base = scale[v] if attempts else zero
+                memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
+    except _Broken as exc:
+        # the state's ancestors are the post-order entries left on the
+        # stack; one whose success child still waits right above it was
+        # left by failure, expanded first
+        event = "".join(
+            FAILURE if i + 1 < len(stack) and stack[i + 1][2] is None else SUCCESS
+            for i, (_, _, node) in enumerate(stack) if node is not None)
+        raise exc.invalid(strategy, root, event) from exc.__cause__
     return memo[root]
-
-
-def _invalid(strategy, root, stack: list, message: str, outcome: str = "") -> InvalidStrategy:
-    """The error of a rule broken at the state :func:`_evaluate` expands
-    from ``root``, or at its step with ``outcome``. The state's ancestors
-    are the post-order entries left on ``stack``; one whose success child
-    still waits right above it was left by failure, expanded first."""
-    event = "".join(
-        FAILURE if i + 1 < len(stack) and stack[i + 1][2] is None else SUCCESS
-        for i, (_, _, node) in enumerate(stack) if node is not None)
-    return InvalidStrategy(strategy.name, root.to_configuration(), event + outcome, message)
 
 
 def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
@@ -361,10 +338,10 @@ class QualityTable:
         holds every configuration of at most N edges exactly once, in key
         order, each with a value that is a multiple of ``1/q**V``.
 
-        Reads in file order, one group of keys at a time
-        (``configuration._partition_ranker``): a line holds the group's
-        next key or, past missing ones, a later key of it or of a later
-        group. No map over the whole table is made."""
+        Reads in file order, in step with the keys in key order one group
+        at a time (``configuration._partition_ranker``): each line holds
+        the next key or, past missing ones, a later key. No map over the
+        whole table is made."""
         # a byte that is not ASCII decodes to U+FFFD and fails as malformed
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             header = fh.readline()
@@ -378,12 +355,9 @@ class QualityTable:
             except (KeyError, ValueError, ZeroDivisionError):
                 raise ValueError(f"{path}: malformed header {header!r}") from None
             _, key_groups, size = _partition_ranker(n)
-            groups = key_groups()
-            # the first key of each group, "" for the empty configuration's
-            heads = {""} | {f"{k}^{m}" for k in range(1, n + 1) for m in range(1, n // k + 1)}
-            keys, positions, vertex_counts = next(groups)
-            # the group's keys below cursor are read or missing
-            cursor = missed = 0
+            # (key, position, vertex count) of every configuration, in key order
+            stream = chain.from_iterable(zip(*group) for group in key_groups())
+            read, skipped = 0, None
             scale = [ps.denominator ** v for v in range(2 * n + 1)]
             values: list = [None] * size
             action_ids = array("H", bytes(2 * size))
@@ -404,25 +378,19 @@ class QualityTable:
                         action = parse_action(text)
                 except ValueError:
                     raise ValueError(f"{path}: line {number} is malformed: {line!r}") from None
-                i = cursor
-                if i == len(keys) or key != keys[i]:
-                    # not the next key: move on to the key's group if it
-                    # comes later (groups come in the order of their
-                    # heads), then look for the key from the cursor on
-                    head = key.partition(",")[0]
-                    while head > keys[0] and head in heads:
-                        missed += len(keys) - cursor
-                        keys, positions, vertex_counts = next(groups)
-                        cursor = 0
-                    try:
-                        i = keys.index(key, cursor)
-                    except ValueError:
-                        raise ValueError(f"{path}: line {number}: '{key}' is repeated or not "
-                                         f"the key of a configuration of at most N={n} edges, "
-                                         f"or is out of order") from None
-                    missed += i - cursor
-                cursor = i + 1
-                position, vertices = positions[i], vertex_counts[i]
+                # the keys that sort below the line's are missing from the file
+                for expected, position, vertices in stream:
+                    if expected >= key:
+                        break
+                    if skipped is None:
+                        skipped = expected
+                else:
+                    expected = None
+                if expected != key:
+                    raise ValueError(f"{path}: line {number}: '{key}' is repeated or not "
+                                     f"the key of a configuration of at most N={n} edges, "
+                                     f"or is out of order")
+                read += 1
                 if den < 1 or scale[vertices] % den:
                     raise ValueError(f"{path}: value {value} of '{key}' is not a multiple "
                                      f"of 1/{scale[vertices]}")
@@ -431,13 +399,10 @@ class QualityTable:
                     index = action_index[text] = len(actions)
                     actions.append(action)
                 action_ids[position] = index
-        missed += len(keys) - cursor + sum(len(group[0]) for group in groups)
-        if missed:
-            # the first key missing, from a second pass over the keys
-            skipped = next(key for group_keys, group_positions, _ in key_groups()
-                           for key, position in zip(group_keys, group_positions)
-                           if values[position] is None)
-            raise ValueError(f"{path}: {missed} of the {size} entries for N={n} are "
+        if read < size:
+            if skipped is None:
+                skipped = next(stream)[0]
+            raise ValueError(f"{path}: {size - read} of the {size} entries for N={n} are "
                              f"missing, such as '{skipped}'")
         return cls(n, ps, values, action_ids, actions)
 
@@ -653,7 +618,10 @@ def event_tree_oracle(
     """Enumerate every event string explicitly, with no memoization.
 
     Ground truth for the memoized expectation code, at exponential cost;
-    refuses starts longer than ``max_total_length`` edges.
+    refuses starts longer than ``max_total_length`` edges. Each state
+    passes the validity gate, so an invalid strategy raises
+    :class:`~cluster_forge.strategies.InvalidStrategy` as the exact
+    evaluation does.
     """
     _check_ps(ps)
     total = start.total_length
@@ -666,15 +634,24 @@ def event_tree_oracle(
     # (final configuration, probability, attempts) per event string
     leaves: list[tuple[Configuration, Fraction, int]] = []
 
-    def walk(state, prob: Fraction, depth: int) -> None:
-        action = strategy.choose(state)
-        if isinstance(action, Stop):
-            leaves.append((state.to_configuration(), prob, depth))
-            return
-        for outcome, weight in ((SUCCESS, ps), (FAILURE, pf)):
-            walk(strategy.step(state, action, outcome), prob * weight, depth + 1)
+    def walk(state, prob: Fraction, event: str) -> None:
+        # both children pass the validity gate before either is walked,
+        # failure first, so a broken rule is met where the exact
+        # evaluation meets it
+        try:
+            action = _decide(strategy, state)
+            if isinstance(action, Stop):
+                leaves.append((state.to_configuration(), prob, len(event)))
+                return
+            v = state.vertex_count
+            succ, _ = _advance(strategy, state, action, SUCCESS, v)
+            fail, _ = _advance(strategy, state, action, FAILURE, v)
+        except _Broken as exc:
+            raise exc.invalid(strategy, start, event) from exc.__cause__
+        walk(fail, prob * pf, event + FAILURE)
+        walk(succ, prob * ps, event + SUCCESS)
 
-    walk(strategy.start(start), Fraction(1), 0)
+    walk(strategy.start(start), Fraction(1), "")
     distribution: dict[Configuration, Fraction] = {}
     for final, prob, _ in leaves:
         distribution[final] = distribution.get(final, Fraction(0)) + prob

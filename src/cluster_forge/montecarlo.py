@@ -17,33 +17,31 @@ chunk reads its raw words with ``random_raw``, at most
 matrix: one byte per draw instead of eight, and the same successes as
 the float comparison, bit for bit.
 
-A chunk of the built-in shapes -- :class:`Modesty`, :class:`Greed`,
-:class:`TwoStage` around either of them, and the optimal table's
-strategy (:meth:`~cluster_forge.exact.QualityTable.as_strategy`) from a
-start within the table's N -- is played for all its trials at once on
-numpy arrays. A count strategy is a fixed rule of the configuration, so
-each trial is a random walk on its finite event DAG. Before the chunks
-run, :func:`estimate_quality` explores that DAG breadth-first through
-the strategy's own ``choose`` and ``step`` (one per distinct block for a
-two-stage strategy) and numbers its states; a chunk then walks the
-table, one gather per attempt. The DAG grows fast with the start
-(smallest-first has 55 states from 12 pairs, 27,881 from 100), so
+A chunk of the built-in shapes is played for all its trials at once on
+numpy arrays, by the plan :func:`_plan` makes from the strategy's exact
+type: runs of a count strategy, a fixed rule of the configuration, one
+after another from their own starts, then insistent-pairing rounds on
+their survivors. :class:`Modesty`, :class:`Greed` and the optimal
+table's strategy (:meth:`~cluster_forge.exact.QualityTable.as_strategy`)
+from a start within the table's N are plans of one run; a
+:class:`TwoStage` around Modesty or Greed runs its blocks. Before the
+chunks run, :func:`estimate_quality` explores each distinct run's event
+DAG breadth-first through the validity gate of
+:mod:`cluster_forge.strategies` and numbers its states; a chunk then
+walks the table, one gather per attempt. The DAG grows fast with the
+start (smallest-first has 55 states from 12 pairs, 27,881 from 100), so
 exploration stops once the table would hold more than one state per 16
 trials of the run, which keeps a given-up exploration cheap next to the
-run that follows it (:func:`_state_budget`).
-Smallest- and largest-first fusion without a table run on a
-``(trials, total_length + 1)`` count matrix, and the optimal table's
-strategy on the scalar player. A two-stage run plays its blocks one
-after another as independent runs, then its insistent-pairing rounds on
-a ``(trials, chains)`` length array. Each trial keeps its own attempt
-pointer and reads ``wins[t, attempts[t]]``, the win bit the scalar
-player reads at that step, so the finals, and the float sums built from
-them, are bit-identical to the scalar player's. Dispatch is on the exact
-type: every other strategy, subclasses included, runs one trial at a
-time on the scalar player :func:`_play`, which the tests keep as the
-oracle. It drives stateless and stateful strategies alike through their
-process interface (``start``, ``choose``, ``step``; see
-:mod:`cluster_forge.strategies`).
+run that follows it (:func:`_state_budget`). Smallest- and largest-first
+runs without a table play on a ``(trials, total_length + 1)`` count
+matrix; the optimal table's strategy has no such fallback. The pairing
+rounds play on a ``(trials, chains)`` length array. Each trial keeps its
+own attempt pointer and reads ``wins[t, attempts[t]]``, the win bit the
+scalar player reads at that step, so the finals, and the float sums
+built from them, are bit-identical to the scalar player's. Every other
+strategy, subclasses included, runs one trial at a time on the scalar
+player :func:`_play`, which the tests keep as the oracle. It drives
+stateless and stateful strategies alike through the validity gate.
 """
 
 from __future__ import annotations
@@ -68,13 +66,13 @@ from .exact import _TableStrategy
 from .strategies import (
     MODESTY,
     Greed,
-    InvalidStrategy,
     Modesty,
     StatefulStrategy,
     Strategy,
     TwoStage,
-    _bad_drop,
-    _premature_stop,
+    _advance,
+    _Broken,
+    _decide,
 )
 
 TRIAL_CHUNK = 4096
@@ -167,51 +165,34 @@ def _play(strategy: Strategy | StatefulStrategy, start: Configuration, row):
     """One trial through the strategy's process interface, attempt i
     succeeding when ``row[i]`` is true; returns the final process state.
 
-    Each decision and step must obey the validity rules that the exact
-    evaluation enforces, with its messages; the first one broken raises
-    :class:`InvalidStrategy`, its event rebuilt from ``row``. A valid
-    trial never needs more than ``row`` holds, one win bit per vertex of
-    the start, since every attempt removes a vertex; a trial that does
-    raises it too."""
+    Each decision and step passes the validity gate of
+    :mod:`cluster_forge.strategies`; the first broken rule raises
+    :class:`~cluster_forge.strategies.InvalidStrategy`, its event rebuilt
+    from ``row``. A valid trial never needs more than ``row`` holds, one
+    win bit per vertex of the start, since every attempt removes a
+    vertex; a trial that does raises it too."""
     state = strategy.start(start)
     vertices = state.vertex_count
     edges = start.total_length
     attempts = 0
-
-    def invalid(message: str) -> InvalidStrategy:
+    try:
+        while True:
+            action = _decide(strategy, state)
+            if isinstance(action, Stop):
+                _check_edges(strategy, state.total_length, edges)
+                return state
+            if attempts == len(row):
+                raise _Broken(f"more than {attempts} attempts from a start of "
+                              f"{start.vertex_count} vertices; every attempt removes a vertex")
+            outcome = SUCCESS if row[attempts] else FAILURE
+            state, drop = _advance(strategy, state, action, outcome, vertices)
+            attempts += 1
+            vertices -= drop
+            if outcome == FAILURE:
+                edges -= 2
+    except _Broken as exc:
         event = "".join(SUCCESS if won else FAILURE for won in row[:attempts])
-        return InvalidStrategy(strategy.name, start, event, message)
-
-    while True:
-        try:
-            action = strategy.choose(state)
-        except KeyError as exc:
-            raise invalid(f"no decision available: {exc}") from exc
-        except ValueError as exc:
-            raise invalid(f"invalid decision: {exc}") from exc
-        chains = state.chain_count
-        if isinstance(action, Stop):
-            if chains > 1:
-                raise invalid(_premature_stop(chains))
-            _check_edges(strategy, state.total_length, edges)
-            return state
-        if chains <= 1:
-            raise invalid("fusion attempted on a terminal configuration")
-        if attempts == len(row):
-            raise invalid(f"more than {attempts} attempts from a start of {start.vertex_count} "
-                          "vertices; every attempt removes a vertex")
-        success = row[attempts]
-        attempts += 1
-        try:
-            state = strategy.step(state, action, SUCCESS if success else FAILURE)
-        except (ValueError, IndexError) as exc:
-            raise invalid(f"null fusion: {exc}") from exc
-        drop = vertices - state.vertex_count
-        if not (drop == 1 if success else 2 <= drop <= 4):
-            raise invalid(_bad_drop(drop))
-        vertices -= drop
-        if not success:
-            edges -= 2
+        raise exc.invalid(strategy, start, event) from exc.__cause__
 
 
 def simulate_run(
@@ -336,42 +317,36 @@ class _EventTable(NamedTuple):
 
 def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _EventTable | None:
     """The event DAG of ``strategy`` from ``start``, explored breadth-first
-    through the strategy's own ``start``, ``choose`` and ``step``; None
+    through the validity gate of :mod:`cluster_forge.strategies`; None
     once it would hold more than ``budget`` states, or at a state that
-    breaks a validity rule (see :func:`_play`), which the player that
-    runs without a table then reports or plays through."""
+    breaks a validity rule, which the player that runs without a table
+    then reports or plays through."""
     if budget < 1:
         return None
     first = strategy.start(start)
     states, index = [first], {first: 0}
     succ, fail, terminal = [], [], []
-    for i, state in enumerate(states):  # grows while it is read
-        try:
-            action = strategy.choose(state)
-        except (KeyError, ValueError):
-            return None
-        stop = isinstance(action, Stop)
-        if stop != (state.chain_count <= 1):
-            return None
-        terminal.append(stop)
-        if stop:
-            succ.append(i)
-            fail.append(i)
-            continue
-        for outcome, drops, targets in ((SUCCESS, (1,), succ), (FAILURE, (2, 3, 4), fail)):
-            try:
-                after = strategy.step(state, action, outcome)
-            except (ValueError, IndexError):
-                return None
-            if state.vertex_count - after.vertex_count not in drops:
-                return None
-            j = index.get(after)
-            if j is None:
-                if len(states) == budget:
-                    return None
-                j = index[after] = len(states)
-                states.append(after)
-            targets.append(j)
+    try:
+        for i, state in enumerate(states):  # grows while it is read
+            action = _decide(strategy, state)
+            stop = isinstance(action, Stop)
+            terminal.append(stop)
+            if stop:
+                succ.append(i)
+                fail.append(i)
+                continue
+            v = state.vertex_count
+            for outcome, targets in ((SUCCESS, succ), (FAILURE, fail)):
+                after, _ = _advance(strategy, state, action, outcome, v)
+                j = index.get(after)
+                if j is None:
+                    if len(states) == budget:
+                        return None
+                    j = index[after] = len(states)
+                    states.append(after)
+                targets.append(j)
+    except _Broken:
+        return None
     return _EventTable(np.array(succ, np.intp), np.array(fail, np.intp),
                        np.array([state.total_length for state in states], np.int64),
                        np.array(terminal))
@@ -412,18 +387,6 @@ def _walk_table(
     return finals, failures
 
 
-def _play_block(
-    greedy: bool, start: Configuration, wins: np.ndarray, attempts: np.ndarray, tables: dict,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-first fusion (largest-first with ``greedy``) from ``start``
-    in every trial of a chunk: a walk of the run's event table for
-    ``start`` if it has one, else the count matrix."""
-    table = tables.get(start)
-    if table is not None:
-        return _walk_table(table, wins, attempts)
-    return _play_counts(greedy, start.counts(), wins, attempts)
-
-
 def _blocks(strategy: TwoStage, start: Configuration) -> list[Configuration]:
     """The stage-one blocks of ``start`` in lineup order."""
     lineup = IdentityConfiguration.from_configuration(start).chains
@@ -431,20 +394,31 @@ def _blocks(strategy: TwoStage, start: Configuration) -> list[Configuration]:
     return [Configuration.from_lengths(lineup[i:i + size]) for i in range(0, len(lineup), size)]
 
 
-def _event_tables(strategy, start: Configuration, budget: int) -> dict:
-    """The event tables within ``budget`` of the runs a chunk plays: one
-    for ``start`` under a count strategy, one per distinct block of a
-    two-stage strategy, keyed by the run's start; empty for a strategy
-    the chunks play otherwise."""
+def _plan(strategy, start: Configuration) -> tuple[Strategy, list, bool | None] | None:
+    """How a chunk plays ``strategy`` from ``start`` on arrays, or None
+    when the scalar player runs it: ``(explorer, runs, greedy)``, the
+    starts of the runs of ``explorer``, played one after another, and
+    the count matrix a run without an event table falls back on,
+    largest-first when ``greedy``, none when ``greedy`` is None."""
     kind = type(strategy)
-    if kind is Modesty or kind is Greed or (
-            kind is _TableStrategy and start.total_length <= strategy.table.n):
-        explorer, starts = strategy, [start]
-    elif kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
-        explorer, starts = strategy.inner, dict.fromkeys(_blocks(strategy, start))
-    else:
+    if kind is Modesty or kind is Greed:
+        return strategy, [start], kind is Greed
+    if kind is _TableStrategy and start.total_length <= strategy.table.n:
+        return strategy, [start], None
+    if kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
+        return strategy.inner, _blocks(strategy, start), type(strategy.inner) is Greed
+    return None
+
+
+def _event_tables(strategy, start: Configuration, budget: int) -> dict:
+    """The event tables within ``budget`` of the runs of the chunks' plan
+    (:func:`_plan`), keyed by the run's start; empty for a strategy the
+    scalar player runs."""
+    plan = _plan(strategy, start)
+    if plan is None:
         return {}
-    tables = {run: _event_table(explorer, run, budget) for run in starts}
+    explorer, runs, _ = plan
+    tables = {run: _event_table(explorer, run, budget) for run in dict.fromkeys(runs)}
     return {run: table for run, table in tables.items() if table is not None}
 
 
@@ -486,47 +460,37 @@ def _pairing_round(
     return _compact(out), failures
 
 
-def _play_two_stage(
-    strategy: TwoStage, start: Configuration, wins: np.ndarray, tables: dict,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every trial of a chunk under a two-stage strategy whose inner
-    strategy is :class:`Modesty` or :class:`Greed`: the blocks in lineup
-    order, each an independent run continuing its trials' attempt
-    pointers, then insistent-pairing rounds on the survivors."""
-    greedy = type(strategy.inner) is Greed
-    blocks = _blocks(strategy, start)
-    trials = len(wins)
-    attempts = np.zeros(trials, np.int64)
-    failures = np.zeros(trials, np.int64)
-    survivors = np.zeros((trials, len(blocks)), np.int64)
-    for i, block in enumerate(blocks):
-        survivors[:, i], lost = _play_block(greedy, block, wins, attempts, tables)
-        failures += lost
-    chains = _compact(survivors)
-    while chains.shape[1] >= 2:
-        chains, lost = _pairing_round(chains, wins, attempts)
-        failures += lost
-    return chains.sum(1), failures
-
-
 def _play_chunk(
     strategy, start: Configuration, wins: np.ndarray, tables: dict | None = None,
 ) -> np.ndarray | None:
     """Final total length of every trial of a chunk, played from its win
-    matrix on arrays with the run's event ``tables`` (see
-    :func:`_event_tables`), or None when ``strategy`` is not one of the
-    built-in shapes or the optimal table's strategy without a table."""
-    tables = tables or {}
-    kind = type(strategy)
-    if kind is Modesty or kind is Greed:
-        finals, failures = _play_block(
-            kind is Greed, start, wins, np.zeros(len(wins), np.int64), tables)
-    elif kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
-        finals, failures = _play_two_stage(strategy, start, wins, tables)
-    elif kind is _TableStrategy and start in tables:
-        finals, failures = _walk_table(tables[start], wins, np.zeros(len(wins), np.int64))
-    else:
+    matrix on arrays by the plan of :func:`_plan` with the run's event
+    ``tables`` (see :func:`_event_tables`), or None when the scalar player
+    runs it: no plan, or the optimal table's strategy without a table."""
+    plan = _plan(strategy, start)
+    if plan is None:
         return None
+    _, runs, greedy = plan
+    tables = tables or {}
+    trials = len(wins)
+    attempts = np.zeros(trials, np.int64)
+    failures = np.zeros(trials, np.int64)
+    survivors = np.zeros((trials, len(runs)), np.int64)
+    for i, run in enumerate(runs):
+        table = tables.get(run)
+        if table is not None:
+            survivors[:, i], lost = _walk_table(table, wins, attempts)
+        elif greedy is None:
+            return None
+        else:
+            survivors[:, i], lost = _play_counts(greedy, run.counts(), wins, attempts)
+        failures += lost
+    # one run leaves one column: nothing to compact, no round to play
+    chains = _compact(survivors) if len(runs) > 1 else survivors
+    while chains.shape[1] >= 2:
+        chains, lost = _pairing_round(chains, wins, attempts)
+        failures += lost
+    finals = chains.sum(1)
     expected = start.total_length - 2 * failures
     broken = np.flatnonzero(finals != expected)
     if broken.size:

@@ -34,19 +34,20 @@ valid by construction.
 Validity has rules local to a state: ``choose`` decides, a stop leaves
 at most one chain, a fusion needs two chains, a step does not raise, and
 each step removes the vertices the fusion rule removes (exactly 1 on
-``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. The exact
-evaluation enforces them and raises :class:`InvalidStrategy` at the
-first broken one; :func:`validate_strategy_sweep` is that walk over many
-starts with one memo, so a subtree shared by starts is walked once
-(``cluster-forge validate`` walks 508 states of smallest-first for the
-508 configurations up to 14 edges, not 12,340). The scalar Monte Carlo
-player enforces the same rules along each sampled trial and raises the
-same error. :class:`Modesty` and :class:`Greed` decide from the sorted
-``items`` in O(1). :class:`TwoStage` remembers its inner strategy's
-fusion per block offset and lineup, since it depends on those alone. Its
-stage-one memory is only where the running block starts and how many
-chains it holds, so equal futures share one memo state and the memory
-update is a subtraction.
+``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. Only this
+module checks them, in a gate of two calls, ``_decide`` and ``_advance``,
+that raise ``_Broken``. Each walker turns that into
+:class:`InvalidStrategy` at its own event string, and a Monte Carlo event
+table gives up. :func:`validate_strategy_sweep` is the exact evaluation
+over many starts with one memo, so a subtree shared by starts is walked
+once (``cluster-forge validate`` walks 508 states of smallest-first for
+the 508 configurations up to 14 edges, not 12,340). :class:`Modesty` and
+:class:`Greed` decide from the sorted ``items`` in O(1).
+:class:`TwoStage` remembers its inner strategy's fusion per block offset
+and lineup, since it depends on those alone. Its stage-one memory is
+only where the running block starts and how many chains it holds, so
+equal futures share one memo state and the memory update is a
+subtraction.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .configuration import (
     Configuration,
     Fuse,
     IdentityConfiguration,
+    Stop,
     _new,
     parse_key,
 )
@@ -405,13 +407,58 @@ class InvalidStrategy(ValueError):
         return type(self), (self.name, self.start, self.event, self.message)
 
 
-def _premature_stop(chains: int) -> str:
-    return f"premature stop with {chains} chains"
-
-
 def _bad_drop(drop: int) -> str:
     return (f"a step removed {drop} vertices; the fusion rule removes 1 on success, "
             "2 to 4 on failure")
+
+
+class _Broken(Exception):
+    """The validity rule ``message`` broken at a state, or with ``outcome``
+    at its step; the gate raises it and its walker catches it."""
+
+    def __init__(self, message: str, outcome: str = ""):
+        super().__init__(message)
+        self.message, self.outcome = message, outcome
+
+    def invalid(self, strategy, start, event: str) -> InvalidStrategy:
+        """The public error at the state ``event`` reaches from ``start``."""
+        return InvalidStrategy(strategy.name, start.to_configuration(), event + self.outcome,
+                               self.message)
+
+
+def _decide(strategy: Strategy | StatefulStrategy, state) -> Action:
+    """``strategy``'s action at ``state``, once it obeys the rules of a
+    decision: ``choose`` raises neither KeyError nor ValueError, a stop
+    leaves at most one chain, and a fusion has two chains to fuse."""
+    try:
+        action = strategy.choose(state)
+    except KeyError as exc:
+        raise _Broken(f"no decision available: {exc}") from exc
+    except ValueError as exc:
+        raise _Broken(f"invalid decision: {exc}") from exc
+    chains = state.chain_count
+    if isinstance(action, Stop):
+        if chains > 1:
+            raise _Broken(f"premature stop with {chains} chains")
+    elif chains <= 1:
+        raise _Broken("fusion attempted on a terminal configuration")
+    return action
+
+
+def _advance(strategy: Strategy | StatefulStrategy, state, action: Fuse, outcome: str,
+             vertices: int):
+    """``(after, drop)``: the state after ``action`` had ``outcome`` at
+    ``state`` of ``vertices`` vertices, and the vertices it removed, once
+    the step raises neither ValueError nor IndexError (a null fusion) and
+    removes 1 vertex on success, 2 to 4 on failure."""
+    try:
+        after = strategy.step(state, action, outcome)
+    except (ValueError, IndexError) as exc:
+        raise _Broken(f"null fusion: {exc}", outcome) from exc
+    drop = vertices - after.vertex_count
+    if not (drop == 1 if outcome == SUCCESS else 2 <= drop <= 4):
+        raise _Broken(_bad_drop(drop), outcome)
+    return after, drop
 
 
 def validate_strategy(strategy: Strategy | StatefulStrategy,

@@ -403,6 +403,17 @@ class TestConstructorsCheck:
             Configuration(((1, 2),), 4)
         assert Configuration(((1, 2), (3, 1))).vertex_count == 8
 
+    def test_an_identity_lineup_given_as_a_list_is_stored_as_a_tuple(self):
+        ident = IdentityConfiguration([1, 2])
+        assert ident.chains == (1, 2) and type(ident.chains) is tuple
+        assert hash(ident) == hash(IdentityConfiguration((1, 2)))
+
+    def test_items_given_as_lists_are_stored_as_tuples(self):
+        config = Configuration([[1, 2]])
+        assert config.items == ((1, 2),) and type(config.items[0]) is tuple
+        assert config == Configuration.epr_pairs(2)
+        assert config.fuse(1, 1, SUCCESS) == Configuration.single_chain(2)
+
     def test_anonymous_and_identity_views_differ(self):
         assert Configuration() != IdentityConfiguration()
         assert Configuration.epr_pairs(2) != IdentityConfiguration.epr_pairs(2)

@@ -21,7 +21,7 @@ from cluster_forge.configuration import (
     parse_key,
 )
 from cluster_forge import montecarlo
-from cluster_forge.exact import expected_attempts, strategy_quality
+from cluster_forge.exact import event_tree_oracle, expected_attempts, strategy_quality
 from cluster_forge.montecarlo import estimate_quality
 from cluster_forge.strategies import (
     BUILTIN_STRATEGIES,
@@ -355,10 +355,10 @@ def drop_message(drop):
 
 
 def assert_evaluation_raises(strategy, start, result):
-    """Exact quality and expected attempts from ``start`` raise
-    InvalidStrategy with the event and message of the rejected
-    ``result``."""
-    for evaluate in (strategy_quality, expected_attempts):
+    """Exact quality, expected attempts and the event-tree oracle from
+    ``start`` raise InvalidStrategy with the event and message of the
+    rejected ``result``."""
+    for evaluate in (strategy_quality, expected_attempts, event_tree_oracle):
         with pytest.raises(InvalidStrategy) as err:
             evaluate(strategy, start)
         assert (err.value.start, err.value.event, err.value.message) == (
@@ -526,14 +526,16 @@ class TestValidationSweep:
     @pytest.mark.parametrize("strategy, starts", SWEEP_CASES, ids=SWEEP_IDS)
     def test_sweep_equals_one_walk_per_start(self, strategy, starts):
         """The sweep's verdict is the first rejecting start's own, and
-        the exact evaluation from each start raises exactly when that
+        the exact evaluation and the event-tree oracle from each start (of
+        at most 12 edges, within the oracle's 14) raise exactly when that
         start is rejected, with the same event and message."""
         expected = (None, ValidationResult(True))
         for start in starts:
             result = reference_validate(strategy, start)
             assert validate_strategy(strategy, start) == result
             if result.ok:
-                strategy_quality(strategy, start)
+                assert event_tree_oracle(strategy, start).mean_length == strategy_quality(
+                    strategy, start)
             else:
                 assert_evaluation_raises(strategy, start, result)
                 if expected[1].ok:
@@ -557,6 +559,17 @@ class TestValidationSweep:
         assert validate_strategy(strategy, start) == expected
         assert validate_strategy_sweep(strategy, [parse_key("1^1"), start]) == (start, expected)
         assert_evaluation_raises(strategy, start, expected)
+
+    @pytest.mark.parametrize("strategy, start, event, message", [
+        (Treadmill(), "1^2", "F", drop_message(0)),
+        (Quitter(), "1^3", "", "premature stop with 3 chains"),
+    ], ids=["step-removes-no-vertex", "immediate-stop"])
+    def test_the_oracle_rejects_an_invalid_strategy(self, strategy, start, event, message):
+        """The oracle neither recurses without end on a step that removes
+        no vertex nor answers for a strategy that stops at once."""
+        with pytest.raises(InvalidStrategy) as err:
+            event_tree_oracle(strategy, parse_key(start))
+        assert (err.value.event, err.value.message) == (event, message)
 
     @pytest.mark.parametrize("strategy, starts", SWEEP_CASES, ids=SWEEP_IDS)
     def test_the_scalar_player_rejects_what_the_evaluation_rejects(self, strategy, starts):
@@ -650,10 +663,14 @@ def assert_two_stage_errors_raise():
 
 
 def assert_pair_eating_success_is_rejected():
-    """Exact evaluation raises at a success that also destroys a spare
-    pair; uses no assert statement, so it also checks under -O."""
-    with pytest.raises(InvalidStrategy, match=re.escape(f"{drop_message(3)} at 'S' from '1^3'")):
-        strategy_quality(PairEatingSuccess(), parse_key("1^3"))
+    """Exact evaluation, the event-tree oracle and the scalar Monte Carlo
+    player raise at a success that also destroys a spare pair; uses no
+    assert statement, so it also checks under -O."""
+    play = lambda strategy, start: montecarlo._play(strategy, start, [True] * 6)
+    for walker in (strategy_quality, event_tree_oracle, play):
+        with pytest.raises(InvalidStrategy,
+                           match=re.escape(f"{drop_message(3)} at 'S' from '1^3'")):
+            walker(PairEatingSuccess(), parse_key("1^3"))
 
 
 class TestTwoStageBlockDecisions:
