@@ -27,9 +27,10 @@ from a start within the table's N are plans of one run; a
 :class:`TwoStage` around Modesty or Greed runs its blocks. Before the
 chunks run, :func:`estimate_quality` explores each distinct run's event
 DAG breadth-first through the validity gate of
-:mod:`cluster_forge.strategies` and numbers its states; a chunk then
-walks the table, one gather per attempt. The DAG grows fast with the
-start (smallest-first has 55 states from 12 pairs, 27,881 from 100), so
+:mod:`cluster_forge.strategies`, numbers its states and doubles its
+one-attempt steps twice into a step table; a chunk then walks the table
+four attempts per gather. The DAG grows fast with the start
+(smallest-first has 55 states from 12 pairs, 27,881 from 100), so
 exploration stops once the table would hold more than one state per 16
 trials of the run, which keeps a given-up exploration cheap next to the
 run that follows it (:func:`_state_budget`). Smallest- and largest-first
@@ -47,7 +48,6 @@ stateless and stateful strategies alike through the validity gate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -299,20 +299,55 @@ def _state_budget(trials: int) -> int:
     exploration given up at this size, at 4 to 9 us a state (mostly its
     two fusions), costs less than a tenth of the count-matrix run that
     then plays, at 6 us a trial or more from 32 pairs up; smaller starts
-    have small tables (570 states from 32 pairs under smallest-first)."""
+    have small tables (570 states from 32 pairs under smallest-first).
+    A table that is kept also gets its step table, at about 0.6 us a
+    state (2.8 ms for the 4,582 states of smallest-first from 64 pairs),
+    under a tenth of its exploration."""
     return trials // 16
+
+
+# A walk reads four win bits as one little-endian uint32 of their bool
+# bytes, attempt i at bit 8i. Times this factor, bit 8i lands on bit
+# 24 + i and every cross term below bit 24 or at bit 32 and up, so the
+# product shifted right by 24 is the 4-bit step index, attempt i at bit i.
+_GATHER_BITS = np.uint32(1 << 24 | 1 << 17 | 1 << 10 | 1 << 3)
 
 
 class _EventTable(NamedTuple):
     """A count strategy's event DAG from one start, state 0. ``succ[i]``
     and ``fail[i]`` number the states after a successful and a failed
     attempt at state ``i``; at a ``terminal`` state the strategy stops,
-    both point back to it, and ``final_length`` is its total length."""
+    both point back to it, and ``final_length`` is its total length.
+    ``steps[16 * i + v]`` is four attempts from state ``i`` whose win
+    bits are the bits of ``v``, attempt j at bit j (:func:`_step_table`)."""
 
     succ: np.ndarray
     fail: np.ndarray
     final_length: np.ndarray
     terminal: np.ndarray
+    steps: np.ndarray
+
+
+def _step_table(succ: np.ndarray, fail: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """The 16 entries a state of the one-attempt table ``succ``/``fail``
+    has for the next four win bits: ``after << 6 | taken << 3 | lost``,
+    the state after the four attempts, how many of them were taken
+    before a terminal state was reached and how many of those failed.
+    Terminal states point back to themselves and take no attempt, so
+    two doublings of the one-attempt table, each a gather of the table
+    by itself, make it."""
+    n = len(succ)
+    after = np.stack([fail, succ], 1)  # (n, 2): column = the win bit
+    # taken << 3 | lost of one attempt: a failure at a live state loses it
+    counts = np.where(terminal[:, None], np.uint8(0), np.array([0b1001, 0b1000], np.uint8))
+    for _ in range(2):
+        # entry lo + hi * width: the first half by lo, then from there by hi
+        width = after.shape[1]
+        counts = (counts[:, None, :] + counts[after].transpose(0, 2, 1)).reshape(n, width * width)
+        after = after[after].transpose(0, 2, 1).reshape(n, width * width)
+    # the states numbered by the entries fit uint32 up to 2**26 states
+    kind = np.uint32 if n <= 1 << 26 else np.uint64
+    return (after.astype(kind) << 6 | counts).reshape(-1)
 
 
 def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _EventTable | None:
@@ -347,43 +382,58 @@ def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _Even
                 targets.append(j)
     except _Broken:
         return None
-    return _EventTable(np.array(succ, np.intp), np.array(fail, np.intp),
-                       np.array([state.total_length for state in states], np.int64),
-                       np.array(terminal))
+    succ, fail, terminal = np.array(succ, np.intp), np.array(fail, np.intp), np.array(terminal)
+    return _EventTable(succ, fail, np.array([state.total_length for state in states], np.int64),
+                       terminal, _step_table(succ, fail, terminal))
 
 
 def _walk_table(
     table: _EventTable, wins: np.ndarray, attempts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every trial of a chunk walked through ``table`` from its state 0.
+    """Every trial of a chunk walked through ``table`` from its state 0,
+    four attempts per gather of its step table.
 
-    Trial t reads its next win bit at ``wins[t, attempts[t]]``, and
-    ``attempts`` is advanced in place. Returns each trial's final total
-    length and its number of failed attempts."""
-    succ, fail, final_length, terminal = table
+    Trial t reads its next win bits from ``wins[t, attempts[t]]`` on,
+    and ``attempts`` is advanced in place. Returns each trial's final
+    total length and its number of failed attempts.
+
+    A state that is not terminal holds two chains or more, so four
+    vertices or more, and every attempt removes a vertex: a trial still
+    walked has four win bits or more left in its row. A trial that has
+    ended stays on its terminal state, which takes no attempt whatever
+    bits it reads, until at least half of the trials still walked have
+    ended; then the ended ones are recorded and dropped at once."""
+    final_length, terminal, steps = table.final_length, table.terminal, table.steps
     trials, draws = wins.shape
     finals = np.full(trials, final_length[0])
     failures = np.zeros(trials, np.int64)
     if terminal[0]:
         return finals, failures
+    # words[j]: the win bits j to j + 3, one per byte
     bits = wins.reshape(-1)
+    words = np.ndarray((bits.size - 3,), "<u4", bits, 0, (1,))
     live = np.arange(trials)
     at = live * draws + attempts  # flat index of each live trial's next win bit
-    state = np.zeros(trials, np.intp)
+    state = np.zeros(trials, steps.dtype)
     lost = np.zeros(trials, np.int64)
     while live.size:
-        won = bits[at]
-        state = np.where(won, succ[state], fail[state])
-        at += 1
-        lost += ~won
+        # only the chunk's last trial, once it has ended, can need the clip
+        word = words[np.minimum(at, words.size - 1)]
+        word *= _GATHER_BITS
+        word >>= 24
+        entry = steps[state << 4 | word]
+        state = entry >> 6
+        at += (entry >> 3) & 7
+        lost += entry & 7
         done = terminal[state]
-        if done.any():
-            ended = live[done]
-            finals[ended] = final_length[state[done]]
-            failures[ended] = lost[done]
-            attempts[ended] = at[done] - ended * draws
-            keep = ~done
-            live, at, state, lost = live[keep], at[keep], state[keep], lost[keep]
+        if 2 * np.count_nonzero(done) < live.size:
+            continue
+        ended = live[done]
+        finals[ended] = final_length[state[done]]
+        failures[ended] = lost[done]
+        attempts[ended] = at[done] - ended * draws
+        keep = ~done
+        live, at, state, lost = live[keep], at[keep], state[keep], lost[keep]
     return finals, failures
 
 
@@ -532,17 +582,21 @@ def estimate_quality(
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     p = _check_run(ps, seed)
-    # built once per run and sent with every job, so no chunk or pool
-    # worker builds a table again
+    # built once per run, so no chunk or pool worker builds a table again
     tables = _event_tables(strategy, start, _state_budget(trials))
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
     jobs = [(strategy, start, p, seed, chunk, min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK),
              threshold, tables) for chunk in range(n_chunks)]
 
     if processes > 1 and n_chunks > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(processes, n_chunks)
         # a forked pool starts every worker up front; map keeps job order
-        with ProcessPoolExecutor(max_workers=min(processes, n_chunks)) as pool:
-            parts = list(pool.map(_chunk_stats, *zip(*jobs)))
+        # and pickles each batch of jobs as one call, so the tables they
+        # share are pickled once a batch, and there is one batch a worker
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_chunk_stats, *zip(*jobs), chunksize=-(-n_chunks // workers)))
     else:
         parts = [_chunk_stats(*job) for job in jobs]
 

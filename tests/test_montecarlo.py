@@ -1,7 +1,11 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -493,6 +497,137 @@ class TestChunkEngine:
         assert peak < 8 * wins.size // 3
 
 
+def four_single_steps(table, state, bits):
+    """Four attempts from ``state`` through the one-attempt table, attempt
+    i won when bit i of ``bits`` is set: the state after them, and the
+    attempts taken and lost before a terminal state was reached."""
+    taken = lost = 0
+    for i in range(4):
+        if table.terminal[state]:
+            break
+        won = bits >> i & 1
+        state = int((table.succ if won else table.fail)[state])
+        taken += 1
+        lost += not won
+    return state, taken, lost
+
+
+def assert_steps_are_four_single_steps(table):
+    for state in range(len(table.succ)):
+        for bits in range(16):
+            entry = int(table.steps[16 * state + bits])
+            assert (entry >> 6, entry >> 3 & 7, entry & 7) == \
+                four_single_steps(table, state, bits), (state, bits)
+
+
+class ReadRow:
+    """A win row that counts the bits the scalar player reads of it, and
+    how many of them lose."""
+
+    def __init__(self, row):
+        self.row, self.reads, self.losses = row, 0, 0
+
+    def __len__(self):
+        return len(self.row)
+
+    def __getitem__(self, i):
+        assert i == self.reads  # each bit once, in order
+        self.reads += 1
+        self.losses += not self.row[i]
+        return self.row[i]
+
+
+class TestStepTables:
+    """A table walk takes four attempts per gather of its step table; each
+    step is four single steps, and each walk is the scalar player's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=st.sampled_from([MODESTY, GREED]), start=starts)
+    def test_smallest_and_largest_first(self, strategy, start):
+        for table in montecarlo._event_tables(strategy, start, ALL_STATES).values():
+            assert_steps_are_four_single_steps(table)
+
+    @pytest.mark.parametrize("strategy, start", [
+        (OPTIMAL_10, epr(5)), (OPTIMAL_10, parse_key("1^3,2^2,3^1")),
+        (TwoStage(3, GREED), epr(20)), (TwoStage(5, MODESTY), epr(23)), (STATIC, epr(64)),
+    ], ids=["optimal-1^5", "optimal-mixed", "two-stage-3", "two-stage-5", "static"])
+    def test_optimal_table_and_two_stage_blocks(self, strategy, start):
+        tables = montecarlo._event_tables(strategy, start, ALL_STATES)
+        assert tables
+        for table in tables.values():
+            assert_steps_are_four_single_steps(table)
+
+    @pytest.mark.parametrize("ps", [0.0, 137 / 2048, 0.5, 1.0])
+    @pytest.mark.parametrize("strategy", [MODESTY, GREED, OPTIMAL_10],
+                             ids=["modesty", "greed", "optimal"])
+    @pytest.mark.parametrize("start", [
+        epr(2), Configuration.from_lengths([1, 2, 3]), parse_key("1^3,2^2,3^1"), epr(5),
+    ], ids=["1^2", "1,2,3", "mixed", "1^5"])
+    def test_walks_resume_at_every_bit_offset(self, start, strategy, ps):
+        # Row t resumes at bit t % 8 and holds one bit a vertex past it,
+        # so rows are not a whole number of bytes or words long, and the
+        # last trial's walk can read up to the chunk's last bit (from 1^2
+        # its one step reads its whole row).
+        table = montecarlo._event_table(strategy, start, ALL_STATES)
+        trials = 8 * 7 + 3
+        draws = start.vertex_count + 7
+        wins = montecarlo._chunk_wins(41, 2, trials, draws, ps)
+        offsets = np.arange(trials) % 8
+        offsets[-1] = 7
+        attempts = offsets.copy()
+        finals, failures = montecarlo._walk_table(table, wins, attempts)
+        for t, row in enumerate(wins):
+            read = ReadRow(row[offsets[t]:offsets[t] + start.vertex_count])
+            final = montecarlo._play(strategy, start, read).total_length
+            assert (finals[t], failures[t], attempts[t]) == (
+                final, read.losses, offsets[t] + read.reads), t
+
+    @pytest.mark.parametrize("block_size", [3, 5])
+    def test_two_stage_blocks_resume_at_every_bit_offset(self, block_size):
+        offsets = set()
+        walk = montecarlo._walk_table
+
+        def spy(table, wins, attempts):
+            offsets.update((attempts % 8).tolist())
+            return walk(table, wins, attempts)
+
+        args = (TwoStage(block_size, GREED), epr(37), 0.5, 600, 5, 12)
+        with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES), \
+                mock.patch.object(montecarlo, "_walk_table", spy):
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert offsets == set(range(8))
+
+    @pytest.mark.parametrize("trials", [1, TRIAL_CHUNK + 257])
+    @pytest.mark.parametrize("strategy, start", [
+        (MODESTY, epr(13)), (GREED, parse_key("1^5,2^1,4^1")), (OPTIMAL_10, epr(5)),
+        (TwoStage(3, MODESTY), epr(11)),
+    ], ids=["modesty", "greed", "optimal", "two-stage"])
+    def test_one_trial_and_a_chunk_remainder(self, strategy, start, trials):
+        args = (strategy, start, Fraction(1, 2), trials, 17, 5)
+        with on_path("table") as walk:
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert walk.called
+
+    def test_step_tables_stay_small(self):
+        # smallest-first from 64 pairs: 4,582 states
+        montecarlo._event_tables(MODESTY, epr(8), ALL_STATES)  # warm the strategy
+        tracemalloc.start()
+        try:
+            tables = montecarlo._event_tables(MODESTY, epr(64), ALL_STATES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = tables[epr(64)]
+        states = len(table.succ)
+        assert states == 4582
+        # 16 four-byte entries a state
+        assert table.steps.nbytes <= 100 * states
+        # Exploring and doubling peak at about 620 B a state, mostly the
+        # explored configurations; building 256 entries a state (eight
+        # attempts a gather) alone would take about 6 KB a state.
+        assert peak < 1000 * states
+
+
 @pytest.mark.parametrize("threshold", [None, 9])
 def test_scalar_chunk_sums_equal_float_sums_trial_by_trial(threshold):
     """A chunk played by the scalar player is summed in int64 like an
@@ -514,6 +649,7 @@ class RecordingPool:
     """Stands in for ProcessPoolExecutor, running every job in-process."""
 
     sizes: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -524,18 +660,41 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *iterables)
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
     args = (MODESTY, epr(6), 0.5, TRIAL_CHUNK + 904, 9)
     wide = estimate_quality(*args, processes=64)
     narrow = estimate_quality(*args, processes=1)
     assert RecordingPool.sizes == [2]
     assert wide == narrow
+
+
+def test_each_worker_gets_one_batch_of_chunks(monkeypatch):
+    # one batch a worker is pickled once, with the tables its jobs share
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "chunksizes", [])
+    args = (GREED, epr(10), 0.5, 4 * TRIAL_CHUNK + 1, 12)
+    pooled = [estimate_quality(*args, processes=processes) for processes in (2, 3, 5)]
+    assert RecordingPool.sizes == [2, 3, 5]
+    assert RecordingPool.chunksizes == [3, 2, 1]
+    assert pooled == [estimate_quality(*args, processes=1)] * 3
+
+
+def test_the_pool_module_is_imported_only_for_a_pool():
+    code = ("import sys; import cluster_forge.cli; "
+            "assert 'concurrent.futures.process' not in sys.modules; "
+            "assert 'multiprocessing' not in sys.modules")
+    package_root = str(Path(montecarlo.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": package_root},
+                   check=True, timeout=120)
 
 
 class TestInputChecks:
