@@ -9,6 +9,7 @@ CLUSTER_FORGE_TABLE_DIR.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -86,6 +87,16 @@ def _check_least(*checks) -> None:
             raise CLIError(f"{flag} must be at least {least}, got {value}")
 
 
+@contextlib.contextmanager
+def _naming(what: str):
+    """An OSError inside becomes a CLIError that names ``what``: the path
+    the user gave, not a temporary file made for it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CLIError(f"{what}: {exc.strerror or exc}") from None
+
+
 def _check_seed(seed: int) -> None:
     """Philox keys are 128-bit unsigned integers."""
     _check_least(("--seed", seed, 0))
@@ -118,7 +129,7 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
+        with _naming(f"cannot write {path}"), open(path, "w", encoding="ascii") as fh:
             fh.write(text)
 
 
@@ -142,41 +153,49 @@ _file_tables: dict[str, QualityTable] = {}
 
 
 def _table_for(n: int, ps) -> QualityTable:
-    """Table covering total length n, via the exact-engine cache and the
-    CLUSTER_FORGE_TABLE_DIR file cache when set; each file is read at
-    most once per process, and one that does not parse or whose header
-    disagrees with its name raises CorruptTable."""
+    """Table covering total length n, via the exact-engine cache and, for
+    an exact ps, the CLUSTER_FORGE_TABLE_DIR file cache when set; a table
+    directory that cannot be listed, read or written raises CLIError."""
     table_dir = os.environ.get("CLUSTER_FORGE_TABLE_DIR")
     if table_dir and isinstance(ps, Fraction):
-        suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
-        candidates = []
-        for name in os.listdir(table_dir):
-            if name.startswith("table-n") and name.endswith(suffix):
-                try:
-                    file_n = int(name[len("table-n"):].split("-")[0])
-                except ValueError:
-                    continue
-                if file_n >= n:
-                    candidates.append((file_n, name))
-        if candidates:
-            candidates.sort()
-            file_n, name = candidates[0]
-            path = os.path.join(table_dir, name)
-            if path not in _file_tables:
-                try:
-                    table = QualityTable.load(path)
-                except ValueError as exc:
-                    raise CorruptTable(exc) from None
-                if (table.n, table.ps) != (file_n, ps):
-                    raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
-                                       f"the file name N={file_n} ps={ps}")
-                _file_tables[path] = table
-            return _file_tables[path]
-        table = cached_quality_table(n, ps)
-        # the cache may answer with a larger table; name the file by its size
-        table.save(os.path.join(table_dir, f"table-n{table.n}{suffix}"))
-        return table
+        with _naming(f"table directory {table_dir}"):
+            return _file_table(table_dir, n, ps)
     return cached_quality_table(n, ps)
+
+
+def _file_table(table_dir: str, n: int, ps: Fraction) -> QualityTable:
+    """The smallest table in ``table_dir`` covering n, else one built and
+    saved there; each file is read at most once per process, and one
+    that does not parse or whose header disagrees with its name raises
+    CorruptTable."""
+    suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
+    candidates = []
+    for name in os.listdir(table_dir):
+        if name.startswith("table-n") and name.endswith(suffix):
+            try:
+                file_n = int(name[len("table-n"):].split("-")[0])
+            except ValueError:
+                continue
+            if file_n >= n:
+                candidates.append((file_n, name))
+    if candidates:
+        candidates.sort()
+        file_n, name = candidates[0]
+        path = os.path.join(table_dir, name)
+        if path not in _file_tables:
+            try:
+                table = QualityTable.load(path)
+            except ValueError as exc:
+                raise CorruptTable(exc) from None
+            if (table.n, table.ps) != (file_n, ps):
+                raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
+                                   f"the file name N={file_n} ps={ps}")
+            _file_tables[path] = table
+        return _file_tables[path]
+    table = cached_quality_table(n, ps)
+    # the cache may answer with a larger table; name the file by its size
+    table.save(os.path.join(table_dir, f"table-n{table.n}{suffix}"))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +254,16 @@ def _cmd_optimal_table(args) -> int:
     if args.max_entries is not None:
         _check_least(("--max-entries", args.max_entries, 0))
     table = build_quality_table(args.n, ps, max_entries=args.max_entries)
-    table.save(args.out)
+    with _naming(f"cannot write {args.out}"):
+        table.save(args.out)
     print(f"wrote {len(table)} entries for N={args.n} to {args.out}")
     return 0
 
 
 def _cmd_bounds(args) -> int:
     ns = _sizes(args, 1)
+    if args.exact_max is not None:
+        _check_least(("--exact-max", args.exact_max, 0))
     exact_max = args.exact_max if args.exact_max is not None else 30
     table_n = min(max(ns), exact_max)
     table = _table_for(table_n, HALF) if table_n >= 1 else None

@@ -51,15 +51,15 @@ chain cut to R edges, which also minimises attempts in the same pass.
   them (3,010 of 18,460 at N=28). Neither holds a line, key or tuple per
   entry of the whole table.
 
-The read side is scaled the same way. :func:`strategy_quality`,
-:func:`expected_attempts` and :func:`strategy_quality_range` walk a
-strategy's event DAG through its process interface (see
-:mod:`cluster_forge.strategies`) with a memo of ints ``value * q**V``,
-one ``Fraction(I, q**V)`` per answer, and the same q = 1 float path.
-Scaled values depend only on the state, so
-:func:`strategy_quality_range` shares one memo over a whole sweep of
-starts; the memo is dropped when the sweep returns. The same walk
-enforces the validity rules, so no answer comes from an invalid strategy.
+The read side is scaled the same way. One explorer, :func:`_explore`,
+walks a strategy's event DAG through the validity gate of
+:mod:`cluster_forge.strategies` and yields each new state once, in
+post-order, to one of three consumers: :func:`_sweep` (under
+:func:`strategy_quality`, :func:`expected_attempts` and
+:func:`strategy_quality_range`) fills a memo of ints ``value * q**V``
+shared by a sweep's starts, with one ``Fraction(I, q**V)`` per answer and
+the same q = 1 float path; ``validate_strategy_sweep`` fills a set; a
+Monte Carlo event table numbers the states.
 """
 
 from __future__ import annotations
@@ -126,50 +126,47 @@ def _scaling(ps, vmax: int):
     return exact, p, scale, fail_factor
 
 
-def _evaluate(root: Hashable, strategy: Strategy | StatefulStrategy, memo: dict, p, scale,
-              fail_factor, attempts: bool = False):
-    """Memoized, integer-scaled expectation over ``strategy``'s event DAG
-    from the process state ``root``. A state of v vertices stores
-    ``I = value * q**v``, so
+def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen,
+             budget: int | None = None):
+    """The states of ``strategy``'s event DAG from the process state
+    ``root`` that are not in ``seen``, each once, in post-order, as
+    ``(state, vertices, node)``: ``node`` is None at a stop, else
+    ``(success state, failure drop, failure state)``. The consumer puts
+    each state into ``seen`` before it asks for the next.
 
-        I = (base + p * I(success)) + (q - p) * q**(drop - 1) * I(failure)
-
-    with base ``q**v`` for attempts and 0 for quality; a stop holds
-    ``total_length * q**v`` (quality) or 0 (attempts).
-
-    Each state it expands goes through the validity gate of
+    Each decided state passes the validity gate of
     :mod:`cluster_forge.strategies`; the first broken rule raises
-    :class:`~cluster_forge.strategies.InvalidStrategy`. So every walk
-    ends, and a state in the memo has a clean subtree: one ``memo`` serves
-    every start of a sweep for one strategy, ps and kind of value.
-    Iterative and depth first, the failure child first; that order
-    decides which broken rule is reported.
+    :class:`~cluster_forge.strategies.InvalidStrategy`, so a state in
+    ``seen`` has a clean subtree. Depth first, the failure child first;
+    that order decides which broken rule is reported. After ``budget``
+    decisions it stops; the root comes last, so a cut exploration never
+    yields it.
     """
-    zero = 0 * scale[0]
-    # (state, its vertex count, (success state, failure drop, failure
-    # state) once its successors are pushed)
+    decided = 0
+    # (state, its vertex count, its node once its successors are pushed)
     stack: list[tuple[Hashable, int, tuple | None]] = [(root, root.vertex_count, None)]
     try:
         while stack:
             state, v, node = stack.pop()
-            if node is None:
-                if state in memo:
-                    continue
-                action = _decide(strategy, state)
-                if isinstance(action, Stop):
-                    memo[state] = zero if attempts else state.total_length * scale[v]
-                    continue
-                succ, _ = _advance(strategy, state, action, SUCCESS, v)
-                fail, drop = _advance(strategy, state, action, FAILURE, v)
-                # a child already in the memo is skipped when popped, so
-                # each state is hashed once per parent, not twice
-                stack.append((state, v, (succ, drop, fail)))
-                stack.append((succ, v - 1, None))
-                stack.append((fail, v - drop, None))
-            else:
-                succ, drop, fail = node
-                base = scale[v] if attempts else zero
-                memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
+            if node is not None:
+                yield state, v, node
+                continue
+            if state in seen:
+                continue
+            if decided == budget:
+                return
+            decided += 1
+            action = _decide(strategy, state)
+            if isinstance(action, Stop):
+                yield state, v, None
+                continue
+            succ, _ = _advance(strategy, state, action, SUCCESS, v)
+            fail, drop = _advance(strategy, state, action, FAILURE, v)
+            # a child already seen is skipped when popped, so each state
+            # is hashed once per parent, not twice
+            stack.append((state, v, (succ, drop, fail)))
+            stack.append((succ, v - 1, None))
+            stack.append((fail, v - drop, None))
     except _Broken as exc:
         # the state's ancestors are the post-order entries left on the
         # stack; one whose success child still waits right above it was
@@ -178,20 +175,29 @@ def _evaluate(root: Hashable, strategy: Strategy | StatefulStrategy, memo: dict,
             FAILURE if i + 1 < len(stack) and stack[i + 1][2] is None else SUCCESS
             for i, (_, _, node) in enumerate(stack) if node is not None)
         raise exc.invalid(strategy, root, event) from exc.__cause__
-    return memo[root]
 
 
 def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
-    """Quality (or expected attempts) of ``strategy`` from each start,
-    all sharing one memo of scaled values, which is dropped on return."""
+    """Quality (or expected attempts) of ``strategy`` from each start, all
+    sharing one memo, dropped on return, of ``I = value * q**v`` at v
+    vertices: at a stop the total length (quality) or 0 (attempts) times
+    ``q**v``, else ``base + p * I(success) + (q - p) * q**(drop - 1) *
+    I(failure)``, base ``q**v`` for attempts and 0 for quality."""
     _check_ps(ps)
     states = [strategy.start(start) for start in starts]
     exact, p, scale, fail_factor = _scaling(ps, max((s.vertex_count for s in states), default=0))
+    zero = 0 * scale[0]
     memo: dict = {}
     answers = []
-    for state in states:
-        value = _evaluate(state, strategy, memo, p, scale, fail_factor, attempts)
-        answers.append(Fraction(value, scale[state.vertex_count]) if exact else value)
+    for root in states:
+        for state, v, node in _explore(strategy, root, memo):
+            if node is None:
+                memo[state] = zero if attempts else state.total_length * scale[v]
+            else:
+                succ, drop, fail = node
+                base = scale[v] if attempts else zero
+                memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
+        answers.append(Fraction(memo[root], scale[root.vertex_count]) if exact else memo[root])
     return answers
 
 

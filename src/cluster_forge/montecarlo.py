@@ -26,11 +26,12 @@ table's strategy (:meth:`~cluster_forge.exact.QualityTable.as_strategy`)
 from a start within the table's N are plans of one run; a
 :class:`TwoStage` around Modesty or Greed runs its blocks. Before the
 chunks run, :func:`estimate_quality` explores each distinct run's event
-DAG breadth-first through the validity gate of
-:mod:`cluster_forge.strategies`, numbers its states and doubles its
-one-attempt steps twice into a step table; a chunk then walks the table
-four attempts per gather. The DAG grows fast with the start
-(smallest-first has 55 states from 12 pairs, 27,881 from 100), so
+DAG with the exact evaluation's explorer
+(:func:`cluster_forge.exact._explore`, depth first through the validity
+gate), numbers its states and doubles its one-attempt steps twice into a
+step table; a chunk then walks the table four attempts per gather. The
+DAG grows fast with the start (smallest-first has 55 states from 12
+pairs, 27,881 from 100), so
 exploration stops once the table would hold more than one state per 16
 trials of the run, which keeps a given-up exploration cheap next to the
 run that follows it (:func:`_state_budget`). Smallest- and largest-first
@@ -62,10 +63,11 @@ from .configuration import (
     Stop,
     canonical_key,
 )
-from .exact import _TableStrategy
+from .exact import _explore, _TableStrategy
 from .strategies import (
     MODESTY,
     Greed,
+    InvalidStrategy,
     Modesty,
     StatefulStrategy,
     Strategy,
@@ -351,40 +353,28 @@ def _step_table(succ: np.ndarray, fail: np.ndarray, terminal: np.ndarray) -> np.
 
 
 def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _EventTable | None:
-    """The event DAG of ``strategy`` from ``start``, explored breadth-first
-    through the validity gate of :mod:`cluster_forge.strategies`; None
-    once it would hold more than ``budget`` states, or at a state that
-    breaks a validity rule, which the player that runs without a table
-    then reports or plays through."""
-    if budget < 1:
-        return None
-    first = strategy.start(start)
-    states, index = [first], {first: 0}
-    succ, fail, terminal = [], [], []
+    """The event DAG of ``strategy`` from ``start``, numbered in the
+    post-order of :func:`~cluster_forge.exact._explore` and then reversed,
+    so that the start is state 0. None once it would hold more than
+    ``budget`` states, or at a state that breaks a validity rule, which
+    the player that runs without a table then reports or plays through."""
+    root = strategy.start(start)
+    number: dict = {}
+    succ, fail = [], []
     try:
-        for i, state in enumerate(states):  # grows while it is read
-            action = _decide(strategy, state)
-            stop = isinstance(action, Stop)
-            terminal.append(stop)
-            if stop:
-                succ.append(i)
-                fail.append(i)
-                continue
-            v = state.vertex_count
-            for outcome, targets in ((SUCCESS, succ), (FAILURE, fail)):
-                after, _ = _advance(strategy, state, action, outcome, v)
-                j = index.get(after)
-                if j is None:
-                    if len(states) == budget:
-                        return None
-                    j = index[after] = len(states)
-                    states.append(after)
-                targets.append(j)
-    except _Broken:
+        for state, _, node in _explore(strategy, root, number, budget):
+            i = number[state] = len(number)  # a stop points back to itself
+            succ.append(i if node is None else number[node[0]])
+            fail.append(i if node is None else number[node[2]])
+    except InvalidStrategy:
         return None
-    succ, fail, terminal = np.array(succ, np.intp), np.array(fail, np.intp), np.array(terminal)
-    return _EventTable(succ, fail, np.array([state.total_length for state in states], np.int64),
-                       terminal, _step_table(succ, fail, terminal))
+    if root not in number:  # the budget cut the exploration short
+        return None
+    last = len(number) - 1  # post-order number i becomes state last - i
+    succ, fail = last - np.array(succ[::-1], np.intp), last - np.array(fail[::-1], np.intp)
+    terminal = succ == np.arange(last + 1)
+    final_length = np.array([state.total_length for state in reversed(number)], np.int64)
+    return _EventTable(succ, fail, final_length, terminal, _step_table(succ, fail, terminal))
 
 
 def _walk_table(

@@ -36,13 +36,14 @@ at most one chain, a fusion needs two chains, a step does not raise, and
 each step removes the vertices the fusion rule removes (exactly 1 on
 ``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. Only this
 module checks them, in a gate of two calls, ``_decide`` and ``_advance``,
-that raise ``_Broken``. Each walker turns that into
-:class:`InvalidStrategy` at its own event string, and a Monte Carlo event
-table gives up. :func:`validate_strategy_sweep` is the exact evaluation
-over many starts with one memo, so a subtree shared by starts is walked
-once (``cluster-forge validate`` walks 508 states of smallest-first for
-the 508 configurations up to 14 edges, not 12,340). :class:`Modesty` and
-:class:`Greed` decide from the sorted ``items`` in O(1).
+that raise ``_Broken``. Three walkers call it, each turning that into
+:class:`InvalidStrategy` at its own event string: the oracle, the scalar
+Monte Carlo player and the event-DAG explorer ``exact._explore``. The
+explorer serves the exact evaluation, the Monte Carlo event tables
+(which give up instead) and :func:`validate_strategy_sweep`, whose
+starts share one set of explored states (``cluster-forge validate``
+walks 508 states of smallest-first for the 508 configurations up to 14
+edges, not 12,340). :class:`Modesty` and :class:`Greed` decide from the sorted ``items`` in O(1).
 :class:`TwoStage` remembers its inner strategy's fusion per block offset
 and lineup, since it depends on those alone. Its stage-one memory is
 only where the running block starts and how many chains it holds, so
@@ -53,7 +54,6 @@ subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Hashable, Mapping, NamedTuple
 
@@ -470,17 +470,20 @@ def validate_strategy(strategy: Strategy | StatefulStrategy,
 
 def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
                             starts) -> tuple[Configuration | None, ValidationResult]:
-    """Check validity from each start in turn: the exact evaluation over
-    ``starts`` with one shared memo, its values discarded (ps = 1 keeps
-    them small). Returns the first start that breaks a rule, as a
-    :class:`Configuration`, with its error's event and message, or
-    ``(None, ValidationResult(True))``. A state in the memo obeyed every
-    rule, and so did each state below it, so each start's verdict, event
-    and message are those of its own :func:`validate_strategy` call."""
-    from .exact import _sweep  # exact imports this module
+    """Check validity from each start in turn by exploring the event DAG
+    (``exact._explore``) with one set of explored states. Returns the
+    first start that breaks a rule, as a :class:`Configuration`, with its
+    error's event and message, or ``(None, ValidationResult(True))``. A
+    state in the set obeyed every rule, and so did each state below it,
+    so each start's verdict, event and message are those of its own
+    :func:`validate_strategy` call."""
+    from .exact import _explore  # exact imports this module
 
+    seen: set = set()
     try:
-        _sweep(strategy, starts, Fraction(1))
+        for start in starts:
+            for state, _, _ in _explore(strategy, strategy.start(start), seen):
+                seen.add(state)
     except InvalidStrategy as exc:
         return exc.start, ValidationResult(False, exc.event, exc.message)
     return None, ValidationResult(True)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -373,6 +374,35 @@ class TestFlagsAndCaches:
         assert captured.err.startswith(f"cluster-forge: corrupt table: {path}: ")
         assert captured.err.endswith(f"{message}\n") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, table_dir, message", [
+        (["quality", "--strategy", "modesty", "--n-max", "3", "--out", "{missing}/x.csv"], None,
+         "cannot write {missing}/x.csv"),
+        (["quality", "--strategy", "greed", "--n-max", "3", "--format", "json",
+          "--out", "{missing}/x.json"], None, "cannot write {missing}/x.json"),
+        (["optimal-table", "--n", "3", "--out", "{missing}/x.tsv"], None,
+         "cannot write {missing}/x.tsv"),
+        (["quality", "--strategy", "optimal", "--n-max", "3"], "{missing}",
+         "table directory {missing}"),
+        (["bounds", "--n-max", "3"], "{missing}", "table directory {missing}"),
+    ], ids=["quality-out", "quality-json-out", "optimal-table-out", "quality-table-dir",
+            "bounds-table-dir"])
+    def test_a_missing_directory_exits_one_with_one_error_line(self, capsys, tmp_path,
+                                                                 monkeypatch, argv, table_dir,
+                                                                 message):
+        """A path in a directory that does not exist is one error line naming
+        the path the user gave, and exit code 1, not a traceback."""
+        missing = tmp_path / "missing"
+        if table_dir is not None:
+            monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", table_dir.format(missing=missing))
+            monkeypatch.setattr(cli, "_file_tables", {})
+        code = main([arg.format(missing=missing) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"cluster-forge: error: {message.format(missing=missing)}: "
+                                f"{os.strerror(errno.ENOENT)}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_validate_runs_clean(self, capsys):
         code, out = run(capsys, "validate", "--n", "8")
         assert code == 0
@@ -437,13 +467,15 @@ class TestSmallSizes:
          "overhead factor must be finite"),
         (["weave", "--n", "5", "--a", "1e300", "--ps", "0.5", "--trials", "10"],
          "attempt budget a n must be at most 2**63 - 1 to simulate"),
+        (["bounds", "--n-max", "10", "--exact-max", "-3"],
+         "--exact-max must be at least 0, got -3"),
     ], ids=["quality-n-min", "quality-step", "bounds-n-min", "bounds-n", "bounds-n-max",
             "razor-n", "razor-n-min", "razor-r-min", "validate-n", "optimal-table-max-entries",
             "quality-n-max", "quality-all-n-max", "razor-r-max-below-r-min", "razor-r-max",
             "weave-n", "weave-a", "weave-trials", "percolation-scan-n-list",
             "percolation-scan-a-grid", "weave-seed", "weave-seed-too-large", "mc-seed",
             "mc-seed-too-large", "mc-threshold", "weave-a-inf", "percolation-scan-a-inf",
-            "percolation-scan-a-grid-inf", "weave-budget-above-int64"])
+            "percolation-scan-a-grid-inf", "weave-budget-above-int64", "bounds-exact-max"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

@@ -31,7 +31,7 @@ from cluster_forge.exact import (
     QualityTable,
     TableBudgetExceeded,
     _count_codes,
-    _evaluate,
+    _explore,
     _optimize,
     _scaling,
     _sweep,
@@ -804,17 +804,33 @@ class TestIntegerScaledReadSide:
     @pytest.mark.parametrize("ps, stored", [(Fraction(137, 2048), int), (137 / 2048, float)],
                              ids=repr)
     @pytest.mark.parametrize("strategy", [MODESTY, STATIC], ids=lambda s: s.name)
-    def test_memo_holds_scaled_values_and_answers_keep_the_type_of_ps(self, strategy, ps, stored):
+    def test_memo_holds_scaled_values_and_answers_keep_the_type_of_ps(
+            self, strategy, ps, stored, monkeypatch):
         starts = [epr(n) for n in range(1, 11)]
-        states = [strategy.start(start) for start in starts]
-        _, p, scale, fail_factor = _scaling(ps, 20)
+        roots = [strategy.start(start) for start in starts]
+        explored = set()
+        for root in roots:
+            for state, _, _ in _explore(strategy, root, explored):
+                explored.add(state)
+        _, _, scale, _ = _scaling(ps, 20)
+        # the memo _sweep hands the explorer, once per start
+        memos = []
+
+        def explore(strategy, root, seen, budget=None):
+            memos.append(seen)
+            return _explore(strategy, root, seen, budget)
+
+        monkeypatch.setattr(exact, "_explore", explore)
         for attempts in (False, True):
-            memo = {}
-            for state in states:
-                _evaluate(state, strategy, memo, p, scale, fail_factor, attempts)
-            assert memo and all(type(value) is stored for value in memo.values())
+            memos.clear()
             answers = _sweep(strategy, starts, ps, attempts)
+            memo = memos[0]
+            assert len(memos) == len(starts) and all(seen is memo for seen in memos)
+            assert memo.keys() == explored
+            assert all(type(value) is stored for value in memo.values())
             assert all(type(answer) is type(ps) for answer in answers)
+            for root, answer in zip(roots, answers):
+                assert memo[root] == answer * scale[root.vertex_count]
 
     def test_range_rejects_bad_ps(self):
         with pytest.raises(ValueError):

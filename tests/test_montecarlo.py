@@ -435,10 +435,15 @@ class TestChunkEngine:
 
     @pytest.mark.parametrize("strategy, start, states", [
         (MODESTY, epr(12), 55), (GREED, epr(12), 43), (STATIC, epr(64), 24),
-    ], ids=["modesty", "greed", "static"])
+        (OPTIMAL_10, epr(5), 9), (TwoStage(3, GREED), epr(9), 4),
+    ], ids=["modesty", "greed", "static", "optimal", "two-stage"])
     def test_event_table_sizes(self, strategy, start, states):
         tables = montecarlo._event_tables(strategy, start, ALL_STATES)
         assert [len(table.succ) for table in tables.values()] == [states]
+        # a table of exactly the budget is kept, one state more is not
+        tables = montecarlo._event_tables(strategy, start, states)
+        assert [len(table.succ) for table in tables.values()] == [states]
+        assert montecarlo._event_tables(strategy, start, states - 1) == {}
 
     def test_a_two_stage_run_has_one_table_per_distinct_block(self):
         tables = montecarlo._event_tables(TwoStage(8, GREED), epr(20), ALL_STATES)

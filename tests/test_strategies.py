@@ -664,13 +664,21 @@ def assert_two_stage_errors_raise():
 
 def assert_pair_eating_success_is_rejected():
     """Exact evaluation, the event-tree oracle and the scalar Monte Carlo
-    player raise at a success that also destroys a spare pair; uses no
-    assert statement, so it also checks under -O."""
+    player raise at a success that also destroys a spare pair, validation
+    rejects it and no Monte Carlo event table is made; uses no assert
+    statement, so it also checks under -O."""
+    start = parse_key("1^3")
     play = lambda strategy, start: montecarlo._play(strategy, start, [True] * 6)
     for walker in (strategy_quality, event_tree_oracle, play):
         with pytest.raises(InvalidStrategy,
                            match=re.escape(f"{drop_message(3)} at 'S' from '1^3'")):
-            walker(PairEatingSuccess(), parse_key("1^3"))
+            walker(PairEatingSuccess(), start)
+    result = validate_strategy(PairEatingSuccess(), start)
+    if result != ValidationResult(False, "S", drop_message(3)):
+        raise AssertionError(f"validation gave {result}")
+    table = montecarlo._event_table(PairEatingSuccess(), start, 2 ** 62)
+    if table is not None:
+        raise AssertionError(f"an event table of {len(table.succ)} states was made")
 
 
 class TestTwoStageBlockDecisions:
