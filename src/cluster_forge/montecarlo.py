@@ -17,33 +17,32 @@ chunk reads its raw words with ``random_raw``, at most
 matrix: one byte per draw instead of eight, and the same successes as
 the float comparison, bit for bit.
 
-A chunk of the built-in shapes is played for all its trials at once on
-numpy arrays, by the plan :func:`_plan` makes from the strategy's exact
-type: runs of a count strategy, a fixed rule of the configuration, one
-after another from their own starts, then insistent-pairing rounds on
-their survivors. :class:`Modesty`, :class:`Greed` and the optimal
-table's strategy (:meth:`~cluster_forge.exact.QualityTable.as_strategy`)
-from a start within the table's N are plans of one run; a
-:class:`TwoStage` around Modesty or Greed runs its blocks. Before the
-chunks run, :func:`estimate_quality` explores each distinct run's event
-DAG with the exact evaluation's explorer
+A chunk plays all its trials at once on numpy arrays, by the plan
+:func:`_plan` makes: runs of a strategy, one after another from their
+own starts, then insistent-pairing rounds on their survivors. The plan
+looks at a strategy's type only where an engine depends on it: a
+:class:`TwoStage` around exactly :class:`Modesty` or :class:`Greed`
+runs its blocks, and runs of those two types have a count-matrix
+fallback. Every other strategy, whatever its class, is one run of
+itself. Before the chunks run, :func:`estimate_quality` explores each
+distinct run's event DAG with the exact evaluation's explorer
 (:func:`cluster_forge.exact._explore`, depth first through the validity
 gate), numbers its states and doubles its one-attempt steps twice into a
 step table; a chunk then walks the table four attempts per gather. The
 DAG grows fast with the start (smallest-first has 55 states from 12
-pairs, 27,881 from 100), so
-exploration stops once the table would hold more than one state per 16
-trials of the run, which keeps a given-up exploration cheap next to the
-run that follows it (:func:`_state_budget`). Smallest- and largest-first
-runs without a table play on a ``(trials, total_length + 1)`` count
-matrix; the optimal table's strategy has no such fallback. The pairing
-rounds play on a ``(trials, chains)`` length array. Each trial keeps its
-own attempt pointer and reads ``wins[t, attempts[t]]``, the win bit the
-scalar player reads at that step, so the finals, and the float sums
-built from them, are bit-identical to the scalar player's. Every other
-strategy, subclasses included, runs one trial at a time on the scalar
-player :func:`_play`, which the tests keep as the oracle. It drives
-stateless and stateful strategies alike through the validity gate.
+pairs, 27,881 from 100), so exploration stops once the table would hold
+more than one state per 16 trials of the run, which keeps a given-up
+exploration cheap next to the run that follows it
+(:func:`_state_budget`). A run without a table plays smallest- or
+largest-first on a ``(trials, total_length + 1)`` count matrix; any
+other strategy then plays its whole chunk one trial at a time on the
+scalar player :func:`_play`, which the tests keep as the oracle and
+which drives stateless and stateful strategies alike through the
+validity gate. The pairing rounds play on a ``(trials, chains)`` length
+array. Each trial keeps its own attempt pointer and reads ``wins[t,
+attempts[t]]``, the win bit the scalar player reads at that step, so
+the finals, and the float sums built from them, are bit-identical to
+the scalar player's.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .configuration import (
     Stop,
     canonical_key,
 )
-from .exact import _explore, _TableStrategy
+from .exact import _explore
 from .strategies import (
     MODESTY,
     Greed,
@@ -298,13 +297,16 @@ def _play_counts(
 
 def _state_budget(trials: int) -> int:
     """Most states an event table may hold in a run of ``trials``. An
-    exploration given up at this size, at 4 to 9 us a state (mostly its
-    two fusions), costs less than a tenth of the count-matrix run that
-    then plays, at 6 us a trial or more from 32 pairs up; smaller starts
-    have small tables (570 states from 32 pairs under smallest-first).
-    A table that is kept also gets its step table, at about 0.6 us a
-    state (2.8 ms for the 4,582 states of smallest-first from 64 pairs),
-    under a tenth of its exploration."""
+    exploration given up at this size costs 4 to 9 us a state (mostly
+    its two fusions), so at most about half a microsecond a trial. The
+    run that then plays costs far more: the count matrix 6 us a trial
+    or more from 32 pairs up, and the scalar player, the fallback of
+    every other strategy, about 50 us a trial from 12 pairs and more
+    from larger starts, so a given-up exploration adds about 1 % to it.
+    Smaller starts have small tables (570 states from 32 pairs under
+    smallest-first). A table that is kept also gets its step table, at
+    about 0.6 us a state (2.8 ms for the 4,582 states of smallest-first
+    from 64 pairs), under a tenth of its exploration."""
     return trials // 16
 
 
@@ -316,7 +318,7 @@ _GATHER_BITS = np.uint32(1 << 24 | 1 << 17 | 1 << 10 | 1 << 3)
 
 
 class _EventTable(NamedTuple):
-    """A count strategy's event DAG from one start, state 0. ``succ[i]``
+    """A strategy's event DAG from one start, state 0. ``succ[i]``
     and ``fail[i]`` number the states after a successful and a failed
     attempt at state ``i``; at a ``terminal`` state the strategy stops,
     both point back to it, and ``final_length`` is its total length.
@@ -352,13 +354,20 @@ def _step_table(succ: np.ndarray, fail: np.ndarray, terminal: np.ndarray) -> np.
     return (after.astype(kind) << 6 | counts).reshape(-1)
 
 
-def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _EventTable | None:
+def _event_table(strategy: Strategy | StatefulStrategy, start: Configuration,
+                 budget: int) -> _EventTable | None:
     """The event DAG of ``strategy`` from ``start``, numbered in the
     post-order of :func:`~cluster_forge.exact._explore` and then reversed,
     so that the start is state 0. None once it would hold more than
-    ``budget`` states, or at a state that breaks a validity rule, which
-    the player that runs without a table then reports or plays through."""
+    ``budget`` states, or when a walk could need more win bits than a
+    trial's row holds (the start's process state has more vertices than
+    the start). None too at a state that breaks a validity rule or
+    cannot be hashed; the scalar player, which runs without a table,
+    then raises what it raises, or plays through if no trial reaches
+    that state."""
     root = strategy.start(start)
+    if root.vertex_count > _draws_bound(start):
+        return None
     number: dict = {}
     succ, fail = [], []
     try:
@@ -366,7 +375,7 @@ def _event_table(strategy: Strategy, start: Configuration, budget: int) -> _Even
             i = number[state] = len(number)  # a stop points back to itself
             succ.append(i if node is None else number[node[0]])
             fail.append(i if node is None else number[node[2]])
-    except InvalidStrategy:
+    except (InvalidStrategy, TypeError):  # TypeError: an unhashable state
         return None
     if root not in number:  # the budget cut the exploration short
         return None
@@ -434,30 +443,26 @@ def _blocks(strategy: TwoStage, start: Configuration) -> list[Configuration]:
     return [Configuration.from_lengths(lineup[i:i + size]) for i in range(0, len(lineup), size)]
 
 
-def _plan(strategy, start: Configuration) -> tuple[Strategy, list, bool | None] | None:
-    """How a chunk plays ``strategy`` from ``start`` on arrays, or None
-    when the scalar player runs it: ``(explorer, runs, greedy)``, the
-    starts of the runs of ``explorer``, played one after another, and
-    the count matrix a run without an event table falls back on,
-    largest-first when ``greedy``, none when ``greedy`` is None."""
+def _plan(strategy, start: Configuration) -> tuple[Strategy | StatefulStrategy, list, bool | None]:
+    """How a chunk plays ``strategy`` from ``start``: ``(explorer, runs,
+    greedy)``, the starts of the runs of ``explorer``, played one after
+    another, each on its event table, and the count matrix a run without
+    a table falls back on, largest-first when ``greedy``, none when
+    ``greedy`` is None. The type decides only what an engine depends on:
+    a :class:`TwoStage` around exactly :class:`Modesty` or :class:`Greed`
+    runs its blocks, and those two types have the count matrix. Every
+    other strategy, subclasses included, is one run of itself."""
+    runs = [start]
+    if type(strategy) is TwoStage and type(strategy.inner) in (Modesty, Greed):
+        strategy, runs = strategy.inner, _blocks(strategy, start)
     kind = type(strategy)
-    if kind is Modesty or kind is Greed:
-        return strategy, [start], kind is Greed
-    if kind is _TableStrategy and start.total_length <= strategy.table.n:
-        return strategy, [start], None
-    if kind is TwoStage and type(strategy.inner) in (Modesty, Greed):
-        return strategy.inner, _blocks(strategy, start), type(strategy.inner) is Greed
-    return None
+    return strategy, runs, kind is Greed if kind in (Modesty, Greed) else None
 
 
 def _event_tables(strategy, start: Configuration, budget: int) -> dict:
     """The event tables within ``budget`` of the runs of the chunks' plan
-    (:func:`_plan`), keyed by the run's start; empty for a strategy the
-    scalar player runs."""
-    plan = _plan(strategy, start)
-    if plan is None:
-        return {}
-    explorer, runs, _ = plan
+    (:func:`_plan`), keyed by the run's start."""
+    explorer, runs, _ = _plan(strategy, start)
     tables = {run: _event_table(explorer, run, budget) for run in dict.fromkeys(runs)}
     return {run: table for run, table in tables.items() if table is not None}
 
@@ -506,11 +511,8 @@ def _play_chunk(
     """Final total length of every trial of a chunk, played from its win
     matrix on arrays by the plan of :func:`_plan` with the run's event
     ``tables`` (see :func:`_event_tables`), or None when the scalar player
-    runs it: no plan, or the optimal table's strategy without a table."""
-    plan = _plan(strategy, start)
-    if plan is None:
-        return None
-    _, runs, greedy = plan
+    runs it: a run with neither a table nor a count matrix."""
+    _, runs, greedy = _plan(strategy, start)
     tables = tables or {}
     trials = len(wins)
     attempts = np.zeros(trials, np.int64)

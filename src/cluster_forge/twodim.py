@@ -63,6 +63,8 @@ class WeaveParameters:
             raise ValueError("overhead factor must exceed 1")
         if self.a == math.inf:
             raise ValueError("overhead factor must be finite")
+        if not math.isfinite(self.a * self.n):
+            raise ValueError("cross-chain length a n must be finite")
         if not 0 < self.ps <= 1:
             raise ValueError("success probability must be in (0, 1]")
 

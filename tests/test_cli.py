@@ -465,6 +465,10 @@ class TestSmallSizes:
          "overhead factor must be finite"),
         (["percolation-scan", "--n-list", "5", "--ps", "0.5", "--a-grid", "inf"],
          "overhead factor must be finite"),
+        (["weave", "--n", "2", "--a", "1e308", "--ps", "0.5"],
+         "cross-chain length a n must be finite"),
+        (["percolation-scan", "--n-list", "2", "--a", "1e308", "--ps-grid", "0.5"],
+         "cross-chain length a n must be finite"),
         (["weave", "--n", "5", "--a", "1e300", "--ps", "0.5", "--trials", "10"],
          "attempt budget a n must be at most 2**63 - 1 to simulate"),
         (["bounds", "--n-max", "10", "--exact-max", "-3"],
@@ -475,7 +479,8 @@ class TestSmallSizes:
             "weave-n", "weave-a", "weave-trials", "percolation-scan-n-list",
             "percolation-scan-a-grid", "weave-seed", "weave-seed-too-large", "mc-seed",
             "mc-seed-too-large", "mc-threshold", "weave-a-inf", "percolation-scan-a-inf",
-            "percolation-scan-a-grid-inf", "weave-budget-above-int64", "bounds-exact-max"])
+            "percolation-scan-a-grid-inf", "weave-a-n-overflows",
+            "percolation-scan-a-n-overflows", "weave-budget-above-int64", "bounds-exact-max"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

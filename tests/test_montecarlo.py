@@ -18,6 +18,7 @@ from cluster_forge.configuration import (
     SUCCESS,
     Configuration,
     IdentityConfiguration,
+    canonical_key,
     parse_key,
 )
 from cluster_forge.exact import build_quality_table, strategy_quality
@@ -34,8 +35,11 @@ from cluster_forge.strategies import (
     MODESTY,
     STATIC,
     Greed,
+    IdentityAdapter,
     InvalidStrategy,
+    LookupStrategy,
     Modesty,
+    StatefulStrategy,
     Strategy,
     TwoStage,
     _bad_drop,
@@ -372,6 +376,32 @@ class LargestFirstModesty(Modesty):
     decide = Greed.decide
 
 
+class RenamedTwoStage(TwoStage):
+    """A TwoStage subclass: one run of itself, not a run per block."""
+
+
+LOOKUP_8 = LookupStrategy({canonical_key(config): action
+                           for config, _, action in build_quality_table(8).items()}, "lookup-8")
+
+
+class ListMemory(StatefulStrategy):
+    """Smallest-first in the identity picture with a list as its memory,
+    which breaks the hashable contract: no event table can be made of
+    it, and the scalar player plays it all the same."""
+
+    name = "list-memory"
+    adapter = IdentityAdapter(MODESTY)
+
+    def initial_memory(self, chains):
+        return []
+
+    def decide(self, chains, memory):
+        return self.adapter.decide(chains, None)
+
+    def next_memory(self, chains, memory, action, outcome, result):
+        return memory + [outcome]
+
+
 class TestChunkEngine:
     """The array engine against the scalar players."""
 
@@ -436,7 +466,8 @@ class TestChunkEngine:
     @pytest.mark.parametrize("strategy, start, states", [
         (MODESTY, epr(12), 55), (GREED, epr(12), 43), (STATIC, epr(64), 24),
         (OPTIMAL_10, epr(5), 9), (TwoStage(3, GREED), epr(9), 4),
-    ], ids=["modesty", "greed", "static", "optimal", "two-stage"])
+        (IdentityAdapter(MODESTY), epr(12), 63),
+    ], ids=["modesty", "greed", "static", "optimal", "two-stage", "identity-adapter"])
     def test_event_table_sizes(self, strategy, start, states):
         tables = montecarlo._event_tables(strategy, start, ALL_STATES)
         assert [len(table.succ) for table in tables.values()] == [states]
@@ -459,14 +490,54 @@ class TestChunkEngine:
             assert montecarlo._event_tables(MODESTY, epr(200), budget) == {}
         assert 0 < choose.call_count <= budget
 
-    @pytest.mark.parametrize("strategy", [LargestFirstModesty(),
-                                          TwoStage(4, LargestFirstModesty())])
-    def test_subclasses_use_the_scalar_players(self, strategy):
-        assert montecarlo._play_chunk(strategy, epr(6), None) is None
-        like_greed = TwoStage(4, GREED) if isinstance(strategy, TwoStage) else GREED
-        ours = estimate_quality(strategy, epr(10), 0.5, trials=500, seed=8)
-        greed = estimate_quality(like_greed, epr(10), 0.5, trials=500, seed=8)
-        assert (ours.mean, ours.stderr) == (greed.mean, greed.stderr)
+    @pytest.mark.parametrize("strategy, like_greed", [
+        (LargestFirstModesty(), GREED), (TwoStage(4, LargestFirstModesty()), TwoStage(4, GREED)),
+    ], ids=["subclass", "two-stage-of-subclass"])
+    def test_subclasses_walk_their_own_tables(self, strategy, like_greed):
+        """A subclass of Modesty is never mistaken for Modesty: it walks
+        its own event table, and without one it plays on the scalar
+        player, never on Modesty's count matrix."""
+        args = (epr(10), 0.5, 500, 8, 10)
+        greed = estimate_quality(like_greed, *args)
+        for path in PATHS:
+            with on_path(path) as engine:
+                ours = estimate_quality(strategy, *args)
+            assert engine.called == (path == "table")
+            assert (ours.mean, ours.stderr, ours.success_count) == (
+                greed.mean, greed.stderr, greed.success_count)
+        wins = montecarlo._chunk_wins(8, 0, 500, montecarlo._draws_bound(epr(10)), 0.5)
+        assert montecarlo._play_chunk(strategy, epr(10), wins) is None
+
+    @pytest.mark.parametrize("strategy, start", [
+        (IdentityAdapter(MODESTY), epr(12)), (LOOKUP_8, epr(8)),
+        (RenamedTwoStage(3, GREED), epr(9)),
+    ], ids=["identity-adapter", "lookup", "two-stage-subclass"])
+    def test_any_strategy_walks_its_table(self, strategy, start):
+        args = (strategy, start, 0.5, TRIAL_CHUNK + 100, 5, start.total_length // 2)
+        expected = scalar_estimate(*args)
+        assert list(montecarlo._event_tables(strategy, start, ALL_STATES)) == [start]
+        with on_path("table") as walk:
+            assert estimate_quality(*args) == expected
+            assert walk.called
+            assert estimate_quality(*args, processes=2) == expected
+
+    def test_a_start_state_past_the_win_row_has_no_table(self):
+        assert montecarlo._event_tables(Inflater(), epr(2), ALL_STATES) == {}
+        with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES), \
+                pytest.raises(InvalidStrategy) as err:
+            estimate_quality(Inflater(), epr(2), 1.0, trials=10, seed=0)
+        assert (err.value.start, err.value.event, err.value.message) == (
+            epr(2), "SSSS", "more than 4 attempts from a start of 4 vertices; every attempt "
+            "removes a vertex")
+
+    def test_unhashable_states_play_on_the_scalar_player(self):
+        assert montecarlo._event_tables(ListMemory(), epr(12), ALL_STATES) == {}
+        args = (epr(12), 0.5, 300, 4, 8)
+        with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES):
+            ours = estimate_quality(ListMemory(), *args)
+        modesty = estimate_quality(MODESTY, *args)
+        assert (ours.mean, ours.stderr, ours.success_count) == (
+            modesty.mean, modesty.stderr, modesty.success_count)
 
     @pytest.mark.parametrize("strategy, engine", [
         (MODESTY, "_play_counts"), (GREED, "_play_counts"), (STATIC, "_pairing_round"),

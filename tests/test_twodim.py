@@ -50,6 +50,12 @@ class TestParameters:
         with pytest.raises(ValueError, match="overhead factor"):
             WeaveParameters(n=5, a=a, ps=0.5)
 
+    def test_cross_chain_length_must_be_finite(self):
+        # 1e308 is finite, twice it is not
+        with pytest.raises(ValueError, match="cross-chain length a n must be finite"):
+            WeaveParameters(n=2, a=1e308, ps=0.5)
+        assert WeaveParameters(n=1, a=1e308, ps=0.5).attempt_budget == int(1e308)
+
     def test_simulated_budget_must_fit_int64(self):
         # 9.2e18 is below 2**63 - 1; 2.0**63 is its first double above
         assert simulate_weave(WeaveParameters(n=1, a=9.2e18, ps=0.5), 3, 0).successes == 3
