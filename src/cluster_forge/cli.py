@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid flags or values, 2 table budget
 exceeded, 3 internal certificate failure (LP duality, oracle mismatch,
 or a failed validation run) or a corrupt table in
-CLUSTER_FORGE_TABLE_DIR.
+CLUSTER_FORGE_TABLE_DIR, which the table store of cluster_forge.exact
+reads and writes for an exact ps.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .configuration import (
 )
 from .exact import (
     HALF,
+    CorruptTable,
     QualityTable,
     TableBudgetExceeded,
     build_quality_table,
@@ -50,11 +52,6 @@ from .twodim import (
 
 class CLIError(Exception):
     """Invalid flag values; maps to exit code 1."""
-
-
-class CorruptTable(Exception):
-    """A cached table file that does not parse or whose header disagrees
-    with its name; maps to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,56 +143,14 @@ def _emit_json(path, subcommand, payload) -> None:
     _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-# Tables read from CLUSTER_FORGE_TABLE_DIR, by file path, kept for the rest
-# of the process. They stay out of the exact-engine cache, which answers
-# library calls only from tables built in this process.
-_file_tables: dict[str, QualityTable] = {}
-
-
 def _table_for(n: int, ps) -> QualityTable:
-    """Table covering total length n, via the exact-engine cache and, for
-    an exact ps, the CLUSTER_FORGE_TABLE_DIR file cache when set; a table
-    directory that cannot be listed, read or written raises CLIError."""
+    """Table covering total length n from the exact table store, which gets
+    CLUSTER_FORGE_TABLE_DIR for an exact ps; an OSError there is a CLIError."""
     table_dir = os.environ.get("CLUSTER_FORGE_TABLE_DIR")
     if table_dir and isinstance(ps, Fraction):
         with _naming(f"table directory {table_dir}"):
-            return _file_table(table_dir, n, ps)
+            return cached_quality_table(n, ps, table_dir)
     return cached_quality_table(n, ps)
-
-
-def _file_table(table_dir: str, n: int, ps: Fraction) -> QualityTable:
-    """The smallest table in ``table_dir`` covering n, else one built and
-    saved there; each file is read at most once per process, and one
-    that does not parse or whose header disagrees with its name raises
-    CorruptTable."""
-    suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
-    candidates = []
-    for name in os.listdir(table_dir):
-        if name.startswith("table-n") and name.endswith(suffix):
-            try:
-                file_n = int(name[len("table-n"):].split("-")[0])
-            except ValueError:
-                continue
-            if file_n >= n:
-                candidates.append((file_n, name))
-    if candidates:
-        candidates.sort()
-        file_n, name = candidates[0]
-        path = os.path.join(table_dir, name)
-        if path not in _file_tables:
-            try:
-                table = QualityTable.load(path)
-            except ValueError as exc:
-                raise CorruptTable(exc) from None
-            if (table.n, table.ps) != (file_n, ps):
-                raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
-                                   f"the file name N={file_n} ps={ps}")
-            _file_tables[path] = table
-        return _file_tables[path]
-    table = cached_quality_table(n, ps)
-    # the cache may answer with a larger table; name the file by its size
-    table.save(os.path.join(table_dir, f"table-n{table.n}{suffix}"))
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,11 @@ post-order, to one of three consumers: :func:`_sweep` (under
 shared by a sweep's starts, with one ``Fraction(I, q**V)`` per answer and
 the same q = 1 float path; ``validate_strategy_sweep`` fills a set; a
 Monte Carlo event table numbers the states.
+
+One store, :func:`cached_quality_table`, keeps the largest table read or
+built per table directory (or none), type of ``ps`` and ``ps``; past it,
+a request builds, or with a directory reads the smallest file there that
+covers it, else saves there what a request without a directory gets.
 """
 
 from __future__ import annotations
@@ -561,21 +566,60 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
     return QualityTable(n, ps, values, action_ids, actions)
 
 
-_table_cache: dict[tuple[int, type, object], QualityTable] = {}
+class CorruptTable(Exception):
+    """A table file in a table directory that does not parse or whose
+    header disagrees with its name."""
 
 
-def cached_quality_table(n: int, ps=HALF) -> QualityTable:
-    """Reuse (or build and cache) a table covering total length ``n``.
+# The table store, by (table directory or None, type(ps), ps): the type keeps
+# a float table from answering an exact request (0.5 == Fraction(1, 2)), the
+# directory a table read from it from answering a call that names none.
+_table_cache: dict[tuple[str | None, type, object], QualityTable] = {}
 
-    A previously built table for a larger bound is reused directly. The
-    type of ``ps`` is part of the key: ``0.5 == Fraction(1, 2)``, but a
-    float table must never answer an exact request.
-    """
-    for (cached_n, cached_type, cached_ps), table in _table_cache.items():
-        if cached_type is type(ps) and cached_ps == ps and cached_n >= n:
-            return table
-    table = build_quality_table(n, ps)
-    _table_cache[(n, type(ps), ps)] = table
+
+def cached_quality_table(n: int, ps=HALF, table_dir: str | None = None) -> QualityTable:
+    """The store's table covering total length ``n``, else one built, or
+    with ``table_dir`` (an exact ``ps`` only) read or saved there, and
+    kept. A configuration's value and action do not depend on N."""
+    key = (table_dir, type(ps), ps)
+    table = _table_cache.get(key)
+    if table is None or table.n < n:
+        table = _table_cache[key] = (build_quality_table(n, ps) if table_dir is None
+                                     else _directory_table(table_dir, n, ps))
+    return table
+
+
+def _directory_table(table_dir: str, n: int, ps: Fraction) -> QualityTable:
+    """The smallest ``table-n<N>-ps<p>-<q>.tsv`` in ``table_dir`` covering
+    n, else the store's table without a directory, which may be larger,
+    saved there under its own N. A file that does not parse or whose
+    header disagrees with its name raises :class:`CorruptTable`."""
+    if not isinstance(ps, Fraction):
+        raise TypeError("only exact-rational tables are persisted")
+    suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
+    candidates = []
+    for name in os.listdir(table_dir):
+        if name.startswith("table-n") and name.endswith(suffix):
+            try:
+                file_n = int(name[len("table-n"):].split("-")[0])
+            except ValueError:
+                continue
+            if file_n >= n:
+                candidates.append((file_n, name))
+    if not candidates:
+        table = cached_quality_table(n, ps)
+        # the store may answer with a larger table; name the file by its size
+        table.save(os.path.join(table_dir, f"table-n{table.n}{suffix}"))
+        return table
+    file_n, name = min(candidates)
+    path = os.path.join(table_dir, name)
+    try:
+        table = QualityTable.load(path)
+    except ValueError as exc:
+        raise CorruptTable(exc) from None
+    if (table.n, table.ps) != (file_n, ps):
+        raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
+                           f"the file name N={file_n} ps={ps}")
     return table
 
 

@@ -21,10 +21,11 @@ A chunk plays all its trials at once on numpy arrays, by the plan
 :func:`_plan` makes: runs of a strategy, one after another from their
 own starts, then insistent-pairing rounds on their survivors. The plan
 looks at a strategy's type only where an engine depends on it: a
-:class:`TwoStage` around exactly :class:`Modesty` or :class:`Greed`
-runs its blocks, and runs of those two types have a count-matrix
-fallback. Every other strategy, whatever its class, is one run of
-itself. Before the chunks run, :func:`estimate_quality` explores each
+:class:`TwoStage` whose inner strategy keeps :class:`Strategy`'s own
+``start``, ``choose`` and ``step`` runs its blocks, and runs of exactly
+:class:`Modesty` or :class:`Greed` have a count-matrix fallback. Every
+other strategy is one run of itself. Before the chunks run,
+:func:`estimate_quality` explores each
 distinct run's event DAG with the exact evaluation's explorer
 (:func:`cluster_forge.exact._explore`, depth first through the validity
 gate), numbers its states and doubles its one-attempt steps twice into a
@@ -58,7 +59,6 @@ from .configuration import (
     FAILURE,
     SUCCESS,
     Configuration,
-    IdentityConfiguration,
     Stop,
     canonical_key,
 )
@@ -436,25 +436,21 @@ def _walk_table(
     return finals, failures
 
 
-def _blocks(strategy: TwoStage, start: Configuration) -> list[Configuration]:
-    """The stage-one blocks of ``start`` in lineup order."""
-    lineup = IdentityConfiguration.from_configuration(start).chains
-    size = strategy.block_size
-    return [Configuration.from_lengths(lineup[i:i + size]) for i in range(0, len(lineup), size)]
-
-
 def _plan(strategy, start: Configuration) -> tuple[Strategy | StatefulStrategy, list, bool | None]:
     """How a chunk plays ``strategy`` from ``start``: ``(explorer, runs,
     greedy)``, the starts of the runs of ``explorer``, played one after
     another, each on its event table, and the count matrix a run without
     a table falls back on, largest-first when ``greedy``, none when
-    ``greedy`` is None. The type decides only what an engine depends on:
-    a :class:`TwoStage` around exactly :class:`Modesty` or :class:`Greed`
-    runs its blocks, and those two types have the count matrix. Every
-    other strategy, subclasses included, is one run of itself."""
+    ``greedy`` is None. A :class:`TwoStage` runs its blocks when its
+    inner strategy keeps :class:`Strategy`'s own ``start``, ``choose`` and
+    ``step``: its process is then its decisions under the fusion rule, as
+    in a block. Exactly :class:`Modesty` and :class:`Greed` have the count
+    matrix. Every other strategy is one run of itself."""
     runs = [start]
-    if type(strategy) is TwoStage and type(strategy.inner) in (Modesty, Greed):
-        strategy, runs = strategy.inner, _blocks(strategy, start)
+    if type(strategy) is TwoStage and all(
+            getattr(type(strategy.inner), name, None) is getattr(Strategy, name)
+            for name in ("start", "choose", "step")):
+        strategy, runs = strategy.inner, strategy.blocks(start)
     kind = type(strategy)
     return strategy, runs, kind is Greed if kind in (Modesty, Greed) else None
 

@@ -349,26 +349,26 @@ class TwoStage(StatefulStrategy):
                              f"{action!r} inside the block {block}")
         return _lowest_indices(block, action.a, action.b, offset)
 
+    def blocks(self, config: Configuration) -> list[Configuration]:
+        """The stage-one blocks of ``config``'s ascending lineup, in order."""
+        lineup = IdentityConfiguration.from_configuration(config).chains
+        size = self.block_size
+        return [Configuration.from_lengths(lineup[i:i + size]) for i in range(0, len(lineup), size)]
+
     def next_memory(self, chains, memory, action, outcome, result) -> Hashable:
-        """One step's memory update: a subtraction in stage one, a few
-        comparisons in stage two."""
+        """One step's memory update from the chains it removed: the
+        running block loses them in stage one. In stage two the pair is
+        resolved when one chain went (a merge, or one partner destroyed),
+        retried when none did, and replaced by the next pair, which slides
+        into ``pos``, when both did."""
+        removed = len(chains.chains) - len(result.chains)
         if memory[0] == "blocks":
-            # the step removed its chains from the running block
             _, offset, size = memory
-            size -= len(chains.chains) - len(result.chains)
+            size -= removed
             if size >= 2:
                 return ("blocks", offset, size)
             return self._block_at(offset + size, len(result.chains))
-        pos = memory[1]
-        x = chains.chains[action.a]
-        y = chains.chains[action.b]
-        if outcome == SUCCESS:
-            pos += 1
-        elif x == 1 and y == 1:
-            pass  # pair annihilated; the next pair slides into pos
-        elif x == 1 or y == 1:
-            pos += 1  # survivor is resolved for this round
-        # else: both partners survive, insist on the same pair
+        pos = memory[1] + (removed == 1)
         if pos >= len(result.chains) - 1:
             pos = 0  # round over; survivors renumbered in order
         return ("pairs", pos)

@@ -285,6 +285,19 @@ class TestOptimalTable:
         assert code == 1
 
 
+def spy_loads(monkeypatch) -> list:
+    """The paths ``QualityTable.load`` reads from now on, in order."""
+    loads = []
+    load = QualityTable.load.__func__
+
+    def counting_load(cls, path):
+        loads.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(QualityTable, "load", classmethod(counting_load))
+    return loads
+
+
 class TestFlagsAndCaches:
     def test_bad_flag_value_exits_one(self, capsys):
         assert main(["quality", "--strategy", "modesty", "--n-max", "4", "--ps", "0"]) == 1
@@ -311,22 +324,21 @@ class TestFlagsAndCaches:
         clear_table_cache()
         expected = cached_quality_table(12).quality(Configuration.epr_pairs(12))
         monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
-        monkeypatch.setattr(cli, "_file_tables", {})
         assert run(capsys, "quality", "--strategy", "optimal", "--n-max", "6")[0] == 0
         assert os.listdir(tmp_path) == ["table-n12-ps1-2.tsv"]
         assert (tmp_path / "table-n12-ps1-2.tsv").read_text().startswith("N=12 ps=1/2\n")
         # a later process asking for up to 12 edges loads that file
         clear_table_cache()
-        monkeypatch.setattr(cli, "_file_tables", {})
 
         def no_build(*args, **kwargs):
             raise AssertionError("built a table that a file holds")
 
         monkeypatch.setattr(exact, "build_quality_table", no_build)
+        loads = spy_loads(monkeypatch)
         code, out = run(capsys, "quality", "--strategy", "optimal", "--n-min", "7", "--n-max", "12")
         assert code == 0
         assert out.splitlines()[-1] == f"12,{expected}"
-        assert list(cli._file_tables) == [str(tmp_path / "table-n12-ps1-2.tsv")]
+        assert loads == [str(tmp_path / "table-n12-ps1-2.tsv")]
 
     def test_each_table_file_is_read_once(self, capsys, tmp_path, monkeypatch):
         steps = [("quality", "--strategy", "all", "--n-max", "10"), ("bounds", "--n-max", "10")]
@@ -335,19 +347,53 @@ class TestFlagsAndCaches:
         clear_table_cache()
         build_quality_table(10).save(tmp_path / "table-n10-ps1-2.tsv")
         monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
-        monkeypatch.setattr(cli, "_file_tables", {})
-        loads = []
-        load = QualityTable.load.__func__
-
-        def counting_load(cls, path):
-            loads.append(path)
-            return load(cls, path)
-
-        monkeypatch.setattr(QualityTable, "load", classmethod(counting_load))
+        loads = spy_loads(monkeypatch)
         assert [run(capsys, *argv) for argv in steps] == built
         assert loads == [str(tmp_path / "table-n10-ps1-2.tsv")]
         # a file-loaded table never answers a library call
-        assert exact._table_cache == {}
+        builds = []
+        build = exact.build_quality_table
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "build_quality_table", counting_build)
+        assert cached_quality_table(10).n == 10
+        assert builds == [(10, HALF)]
+
+    def test_one_key_holds_only_its_largest_table(self, capsys, tmp_path, monkeypatch):
+        clear_table_cache()
+        for n in (6, 12):
+            build_quality_table(n).save(tmp_path / f"table-n{n}-ps1-2.tsv")
+        monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
+        loads = spy_loads(monkeypatch)
+        code, large = run(capsys, "quality", "--strategy", "optimal", "--n-max", "12")
+        assert code == 0
+        # the N=12 table covers the smaller request; the N=6 file is not read
+        assert run(capsys, "quality", "--strategy", "optimal", "--n-max", "6") == (
+            0, "\n".join(large.splitlines()[:8]) + "\n")
+        assert loads == [str(tmp_path / "table-n12-ps1-2.tsv")]
+        assert [table.n for table in exact._table_cache.values()] == [12]
+
+    def test_a_float_ps_never_lists_or_reads_the_table_directory(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        build_quality_table(8).save(tmp_path / "table-n8-ps1-2.tsv")
+        monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
+        listed = []
+        listdir = os.listdir
+
+        def counting_listdir(path=None):
+            listed.append(path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        loads = spy_loads(monkeypatch)
+        code, out = run(capsys, "quality", "--strategy", "optimal", "--ps", "0.5", "--n-max", "8")
+        assert code == 0
+        assert out.splitlines()[-1] == f"8,{float(Fraction(649, 256))!r}"
+        assert listed == [] and loads == []
+        assert listdir(tmp_path) == ["table-n8-ps1-2.tsv"]
 
     @pytest.mark.parametrize("name, ps, damage, message", [
         ("table-n8-ps1-2.tsv", HALF, lambda text: text[:text.index("\t", 300) + 2],
@@ -366,7 +412,6 @@ class TestFlagsAndCaches:
         build_quality_table(8, ps).save(path)
         path.write_text(damage(path.read_text()))
         monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
-        monkeypatch.setattr(cli, "_file_tables", {})
         code = main(["quality", "--strategy", "optimal", "--n-max", "8"])
         captured = capsys.readouterr()
         assert code == 3
@@ -394,7 +439,7 @@ class TestFlagsAndCaches:
         missing = tmp_path / "missing"
         if table_dir is not None:
             monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", table_dir.format(missing=missing))
-            monkeypatch.setattr(cli, "_file_tables", {})
+            clear_table_cache()
         code = main([arg.format(missing=missing) for arg in argv])
         captured = capsys.readouterr()
         assert code == 1

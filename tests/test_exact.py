@@ -318,6 +318,18 @@ class TestQualityTable:
         assert cached_quality_table(4) is big
         clear_table_cache()
 
+    def test_cache_keeps_only_the_largest_table_of_a_key(self):
+        clear_table_cache()
+        try:
+            small = cached_quality_table(10)
+            large = cached_quality_table(28)
+            assert large.n == 28
+            assert list(exact._table_cache.values()) == [large]
+            assert cached_quality_table(10) is large
+            assert large.quality(epr(10)) == small.quality(epr(10))
+        finally:
+            clear_table_cache()
+
     def test_cache_keeps_float_and_exact_tables_apart(self):
         # 0.5 == Fraction(1, 2), so a cache keyed on the value alone would
         # answer the exact request from the float table

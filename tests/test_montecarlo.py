@@ -521,6 +521,40 @@ class TestChunkEngine:
             assert walk.called
             assert estimate_quality(*args, processes=2) == expected
 
+    @pytest.mark.parametrize("strategy, start, blocks", [
+        (TwoStage(8, OPTIMAL_10), epr(20), [epr(8), epr(4)]),
+        (TwoStage(3, LOOKUP_8), epr(10), [epr(3), epr(1)]),
+    ], ids=["optimal", "lookup"])
+    def test_a_plain_inner_strategy_walks_its_block_tables(self, strategy, start, blocks):
+        """A two-stage strategy whose inner strategy keeps Strategy's own
+        process plays one run of it per block, whatever its class."""
+        args = (strategy, start, 0.5, TRIAL_CHUNK + 100, 5, start.total_length // 2)
+        expected = scalar_estimate(*args)
+        assert list(montecarlo._event_tables(strategy, start, ALL_STATES)) == blocks
+        with on_path("table") as walk:
+            assert estimate_quality(*args) == expected
+            assert walk.called
+            assert estimate_quality(*args, processes=2) == expected
+
+    def test_an_inner_strategy_with_its_own_process_is_one_run(self):
+        """Inflater starts from more pairs than it is given, so its runs
+        are not the blocks TwoStage plays: the two-stage strategy is one
+        run of itself, and plays like TwoStage(4, MODESTY)."""
+        strategy = TwoStage(4, Inflater())
+        assert montecarlo._plan(strategy, epr(10)) == (strategy, [epr(10)], None)
+        assert list(montecarlo._event_tables(strategy, epr(10), ALL_STATES)) == [epr(10)]
+        args = (epr(10), 0.5, 500, 8, 10)
+        ours, modesty = estimate_quality(strategy, *args), estimate_quality(TwoStage(4), *args)
+        assert (ours.mean, ours.stderr, ours.success_count) == (
+            modesty.mean, modesty.stderr, modesty.success_count)
+
+    def test_blocks_without_tables_or_count_matrix_play_on_the_scalar_player(self):
+        strategy = TwoStage(3, LOOKUP_8)
+        tables = montecarlo._event_tables(strategy, epr(10), 0)
+        assert tables == {}
+        wins = montecarlo._chunk_wins(8, 0, 500, montecarlo._draws_bound(epr(10)), 0.5)
+        assert montecarlo._play_chunk(strategy, epr(10), wins, tables) is None
+
     def test_a_start_state_past_the_win_row_has_no_table(self):
         assert montecarlo._event_tables(Inflater(), epr(2), ALL_STATES) == {}
         with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES), \
