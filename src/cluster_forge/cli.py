@@ -321,18 +321,27 @@ def _parse_number_list(text: str, cast):
         raise CLIError(f"cannot parse list '{text}': {exc}") from None
 
 
+def _scan_list(text: str, flag: str, cast=float) -> list:
+    """The values of a percolation-scan list flag; an empty list is an
+    error naming the flag."""
+    values = _parse_number_list(text, cast)
+    if not values:
+        raise CLIError(f"{flag} must list at least one value, got '{text}'")
+    return values
+
+
 def _cmd_percolation_scan(args) -> int:
-    n_values = _parse_number_list(args.n_list, int)
+    n_values = _scan_list(args.n_list, "--n-list", int)
     if (args.a is None) == (args.ps is None):
         raise CLIError("fix exactly one of --a and --ps")
     if args.a is not None:
-        if not args.ps_grid:
+        if args.ps_grid is None:
             raise CLIError("--a requires --ps-grid")
-        grid = {"a": args.a, "ps_values": _parse_number_list(args.ps_grid, float)}
+        grid = {"a": args.a, "ps_values": _scan_list(args.ps_grid, "--ps-grid")}
     else:
-        if not args.a_grid:
+        if args.a_grid is None:
             raise CLIError("--ps requires --a-grid")
-        grid = {"ps": _as_float_ps(args.ps), "a_values": _parse_number_list(args.a_grid, float)}
+        grid = {"ps": _as_float_ps(args.ps), "a_values": _scan_list(args.a_grid, "--a-grid")}
     try:
         scan = percolation_scan(n_values, **grid)
     except ValueError as exc:

@@ -65,12 +65,23 @@ One store, :func:`cached_quality_table`, keeps the largest table read or
 built per table directory (or none), type of ``ps`` and ``ps``; past it,
 a request builds, or with a directory reads the smallest file there that
 covers it, else saves there what a request without a directory gets.
+
+The bulk builders (:func:`_sweep`, ``validate_strategy_sweep``,
+:func:`_optimize`, :meth:`QualityTable.load` and :meth:`QualityTable.save`,
+:func:`event_tree_oracle` and the Monte Carlo event table) run with
+CPython's cyclic collector paused (:func:`_collector_paused`). What they
+allocate, tuples, ints, Fractions and dicts, is acyclic and freed by
+reference counting, yet a full collection would walk every tracked
+object in the process; the collector's prior state, on or off, is
+restored on return and on raise.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -131,6 +142,25 @@ def _scaling(ps, vmax: int):
     return exact, p, scale, fail_factor
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector and restore it on exit, also on raise; a
+    no-op when it is already off, so calls nest. As a decorator,
+    ``@_collector_paused()``, it covers the whole call: the builder's
+    locals, such as a memo, are freed by reference counting before the
+    collector resumes, so the collection that follows has nothing of
+    theirs to walk. Never used inside a generator, whose suspension or
+    abandonment would leave the collector off for its caller."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen,
              budget: int | None = None):
     """The states of ``strategy``'s event DAG from the process state
@@ -182,6 +212,7 @@ def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen,
         raise exc.invalid(strategy, root, event) from exc.__cause__
 
 
+@_collector_paused()
 def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
     """Quality (or expected attempts) of ``strategy`` from each start, all
     sharing one memo, dropped on return, of ``I = value * q**v`` at v
@@ -303,6 +334,7 @@ class QualityTable:
         configuration beyond ``n`` edges raises KeyError."""
         return _TableStrategy(self, name)
 
+    @_collector_paused()
     def save(self, path) -> None:
         """Header ``N=<n> ps=<num>/<den>`` then one sorted line per entry:
         ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible. The keys come
@@ -343,6 +375,7 @@ class QualityTable:
                        f"\t{texts[action_ids[position]]}\n")
 
     @classmethod
+    @_collector_paused()
     def load(cls, path) -> "QualityTable":
         """Read a table written by :meth:`save`. Raises ValueError, naming
         ``path``, unless the header and every line parse and the file
@@ -451,6 +484,7 @@ def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[lis
     return w, success, failure
 
 
+@_collector_paused()
 def _optimize(n: int, ps, cap: int, attempts: bool = False):
     """The count-code optimiser: :func:`build_quality_table` runs it with
     ``cap = n`` and :func:`cluster_forge.bounds.razor_quality` with ``cap =
@@ -573,15 +607,17 @@ class CorruptTable(Exception):
 
 # The table store, by (table directory or None, type(ps), ps): the type keeps
 # a float table from answering an exact request (0.5 == Fraction(1, 2)), the
-# directory a table read from it from answering a call that names none.
+# directory a table read from it from answering a call that names none. A
+# directory is keyed by its real path, so each spelling of it shares a key.
 _table_cache: dict[tuple[str | None, type, object], QualityTable] = {}
 
 
 def cached_quality_table(n: int, ps=HALF, table_dir: str | None = None) -> QualityTable:
     """The store's table covering total length ``n``, else one built, or
     with ``table_dir`` (an exact ``ps`` only) read or saved there, and
-    kept. A configuration's value and action do not depend on N."""
-    key = (table_dir, type(ps), ps)
+    kept. A configuration's value and action do not depend on N. Paths
+    in errors are joined to ``table_dir`` as given."""
+    key = (None if table_dir is None else os.path.realpath(table_dir), type(ps), ps)
     table = _table_cache.get(key)
     if table is None or table.n < n:
         table = _table_cache[key] = (build_quality_table(n, ps) if table_dir is None
@@ -659,6 +695,7 @@ class OracleResult:
         return sum(self.distribution.values(), Fraction(0))
 
 
+@_collector_paused()
 def event_tree_oracle(
     strategy: Strategy | StatefulStrategy,
     start: Configuration | IdentityConfiguration,

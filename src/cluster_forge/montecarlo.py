@@ -62,7 +62,7 @@ from .configuration import (
     Stop,
     canonical_key,
 )
-from .exact import _explore
+from .exact import _collector_paused, _explore
 from .strategies import (
     MODESTY,
     Greed,
@@ -354,6 +354,7 @@ def _step_table(succ: np.ndarray, fail: np.ndarray, terminal: np.ndarray) -> np.
     return (after.astype(kind) << 6 | counts).reshape(-1)
 
 
+@_collector_paused()
 def _event_table(strategy: Strategy | StatefulStrategy, start: Configuration,
                  budget: int) -> _EventTable | None:
     """The event DAG of ``strategy`` from ``start``, numbered in the

@@ -477,13 +477,16 @@ def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
     state in the set obeyed every rule, and so did each state below it,
     so each start's verdict, event and message are those of its own
     :func:`validate_strategy` call."""
-    from .exact import _explore  # exact imports this module
+    from .exact import _collector_paused, _explore  # exact imports this module
 
     seen: set = set()
-    try:
-        for start in starts:
-            for state, _, _ in _explore(strategy, strategy.start(start), seen):
-                seen.add(state)
-    except InvalidStrategy as exc:
-        return exc.start, ValidationResult(False, exc.event, exc.message)
+    with _collector_paused():
+        try:
+            for start in starts:
+                for state, _, _ in _explore(strategy, strategy.start(start), seen):
+                    seen.add(state)
+        except InvalidStrategy as exc:
+            return exc.start, ValidationResult(False, exc.event, exc.message)
+        finally:
+            seen.clear()  # freed while the collector is paused
     return None, ValidationResult(True)

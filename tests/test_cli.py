@@ -518,6 +518,16 @@ class TestSmallSizes:
          "attempt budget a n must be at most 2**63 - 1 to simulate"),
         (["bounds", "--n-max", "10", "--exact-max", "-3"],
          "--exact-max must be at least 0, got -3"),
+        (["percolation-scan", "--n-list", "5", "--a", "2", "--ps-grid", ""],
+         "--ps-grid must list at least one value, got ''"),
+        (["percolation-scan", "--n-list", "5", "--a", "2", "--ps-grid", ","],
+         "--ps-grid must list at least one value, got ','"),
+        (["percolation-scan", "--n-list", "5", "--ps", "0.5", "--a-grid", ""],
+         "--a-grid must list at least one value, got ''"),
+        (["percolation-scan", "--n-list", "5", "--ps", "0.5", "--a-grid", ","],
+         "--a-grid must list at least one value, got ','"),
+        (["percolation-scan", "--n-list", ",", "--a", "2", "--ps-grid", "0.5"],
+         "--n-list must list at least one value, got ','"),
     ], ids=["quality-n-min", "quality-step", "bounds-n-min", "bounds-n", "bounds-n-max",
             "razor-n", "razor-n-min", "razor-r-min", "validate-n", "optimal-table-max-entries",
             "quality-n-max", "quality-all-n-max", "razor-r-max-below-r-min", "razor-r-max",
@@ -525,7 +535,10 @@ class TestSmallSizes:
             "percolation-scan-a-grid", "weave-seed", "weave-seed-too-large", "mc-seed",
             "mc-seed-too-large", "mc-threshold", "weave-a-inf", "percolation-scan-a-inf",
             "percolation-scan-a-grid-inf", "weave-a-n-overflows",
-            "percolation-scan-a-n-overflows", "weave-budget-above-int64", "bounds-exact-max"])
+            "percolation-scan-a-n-overflows", "weave-budget-above-int64", "bounds-exact-max",
+            "percolation-scan-ps-grid-empty", "percolation-scan-ps-grid-comma",
+            "percolation-scan-a-grid-empty", "percolation-scan-a-grid-comma",
+            "percolation-scan-n-list-comma"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

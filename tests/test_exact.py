@@ -1,5 +1,6 @@
 import errno
 import fnmatch
+import gc
 import itertools
 import os
 import re
@@ -28,6 +29,7 @@ from cluster_forge.configuration import (
 )
 from cluster_forge.exact import (
     HALF,
+    CorruptTable,
     QualityTable,
     TableBudgetExceeded,
     _count_codes,
@@ -51,6 +53,7 @@ from cluster_forge.strategies import (
     MODESTY,
     STATIC,
     IdentityAdapter,
+    InvalidStrategy,
     StatefulStrategy,
     Strategy,
     TwoStage,
@@ -340,6 +343,39 @@ class TestQualityTable:
             assert isinstance(value, Fraction)
             assert value == Fraction(649, 256)
             assert isinstance(optimal_quality(epr(8), 0.5), float)
+        finally:
+            clear_table_cache()
+
+    def test_each_spelling_of_a_directory_is_one_key(self, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        build_quality_table(10).save(tmp_path / "d" / "table-n10-ps1-2.tsv")
+        monkeypatch.chdir(tmp_path)
+        loads = []
+        load = QualityTable.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(QualityTable, "load", classmethod(counting_load))
+        clear_table_cache()
+        try:
+            tables = [cached_quality_table(8, HALF, table_dir)
+                      for table_dir in ("d", "d/", "./d", str(tmp_path / "d"))]
+            assert len(exact._table_cache) == 1
+        finally:
+            clear_table_cache()
+        assert loads == [os.path.join("d", "table-n10-ps1-2.tsv")]
+        assert all(table is tables[0] for table in tables)
+
+    def test_a_directory_error_names_the_path_as_given(self, tmp_path, monkeypatch):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "table-n8-ps1-2.tsv").write_text("junk\n")
+        monkeypatch.chdir(tmp_path)
+        clear_table_cache()
+        try:
+            with pytest.raises(CorruptTable, match=r"^\./d/table-n8-ps1-2\.tsv: malformed header"):
+                cached_quality_table(8, HALF, "./d")
         finally:
             clear_table_cache()
 
@@ -871,3 +907,103 @@ class TestBothStateKindsThroughOneWalker:
             assert event_tree_oracle(adapter, start, ps) == event_tree_oracle(strategy, start, ps)
             result = validate_strategy(strategy, start)
             assert result.ok and validate_strategy(adapter, start) == result
+
+
+class StopsBelowSixVertices(Strategy):
+    """Smallest-first until fewer than six vertices are left, then stops:
+    from four pairs, invalid a few attempts into the walk."""
+
+    name = "stops-below-six"
+
+    def decide(self, config):
+        return STOP if config.vertex_count < 6 else MODESTY.decide(config)
+
+
+class NestedSweep(Strategy):
+    """Smallest-first that runs a sweep of its own at each decision, one
+    paused builder inside another, and records whether the collector was
+    off after each inner call."""
+
+    name = "nested-sweep"
+
+    def __init__(self):
+        self.paused: list[bool] = []
+
+    def decide(self, config):
+        strategy_quality(MODESTY, epr(2))
+        self.paused.append(not gc.isenabled())
+        return MODESTY.decide(config)
+
+
+def saved_table(path, damaged: bool = False):
+    """``path`` after an N=8 table is saved there, cut inside line 19 if
+    ``damaged``."""
+    build_quality_table(8).save(path)
+    if damaged:
+        text = path.read_text()
+        path.write_text(text[:text.index("\t", 300) + 2])
+    return path
+
+
+class TestCollectorPaused:
+    """The bulk builders run with the cyclic collector paused
+    (``exact._collector_paused``) and leave it as they found it, on
+    return and on raise."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: strategy_quality_range(STATIC, range(1, 33)),
+        lambda: build_quality_table(20),
+        lambda: event_tree_oracle(MODESTY, epr(12)),
+    ], ids=["static-sweep", "table-build", "oracle"])
+    def test_no_collection_runs_inside_a_builder(self, gc_collections, build):
+        with gc_collections() as generations:
+            build()
+        assert generations == []
+
+    def test_no_collection_runs_inside_a_table_save_or_load(self, gc_collections, tmp_path):
+        table = build_quality_table(20)
+        path = tmp_path / "table.tsv"
+        with gc_collections() as generations:
+            table.save(path)
+        assert generations == []
+        with gc_collections() as generations:
+            loaded = QualityTable.load(path)
+        assert generations == []
+        assert loaded.values == table.values
+
+    @pytest.mark.parametrize("call", [
+        lambda tmp_path: strategy_quality_range(STATIC, range(1, 9)),
+        lambda tmp_path: build_quality_table(8),
+        lambda tmp_path: build_quality_table(8).save(tmp_path / "table.tsv"),
+        lambda tmp_path: QualityTable.load(saved_table(tmp_path / "t.tsv")),
+        lambda tmp_path: event_tree_oracle(GREED, epr(6)),
+    ], ids=["sweep", "table-build", "save", "load", "oracle"])
+    def test_the_collector_state_is_restored_on_return(self, collector_state, tmp_path, call):
+        call(tmp_path)
+        assert gc.isenabled() is collector_state
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda tmp_path: strategy_quality(StopsBelowSixVertices(), epr(4)), InvalidStrategy),
+        (lambda tmp_path: event_tree_oracle(StopsBelowSixVertices(), epr(4)), InvalidStrategy),
+        (lambda tmp_path: QualityTable.load(saved_table(tmp_path / "t.tsv", damaged=True)), ValueError),
+        (lambda tmp_path: build_quality_table(0.5).save(tmp_path / "t.tsv"), TypeError),
+        (lambda tmp_path: build_quality_table(4, Fraction(0)), ValueError),
+    ], ids=["sweep-invalid", "oracle-invalid", "load-damaged", "save-float", "build-bad-ps"])
+    def test_the_collector_state_is_restored_on_raise(self, collector_state, tmp_path, call,
+                                                      error):
+        with pytest.raises(error):
+            call(tmp_path)
+        assert gc.isenabled() is collector_state
+
+    def test_a_nested_builder_keeps_the_outer_pause(self, collector_state):
+        strategy = NestedSweep()
+        assert strategy_quality(strategy, epr(4)) == strategy_quality(MODESTY, epr(4))
+        assert strategy.paused and all(strategy.paused)
+        assert gc.isenabled() is collector_state
+
+    def test_an_abandoned_explorer_leaves_the_collector_alone(self, collector_state):
+        explorer = _explore(MODESTY, MODESTY.start(epr(6)), set())
+        next(explorer)
+        assert gc.isenabled() is collector_state
+        explorer.close()
+        assert gc.isenabled() is collector_state

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import math
 import os
 import subprocess
@@ -919,3 +920,26 @@ class TestWinBits:
         bitgen.state = state
         wins = montecarlo._fill_wins(bitgen, p, np.empty(4, bool))
         assert wins.tolist() == [bool(u < p) for u in word_uniforms(words)]
+
+
+class TestEventTablePausesTheCollector:
+    """``montecarlo._event_table`` explores with the cyclic collector
+    paused and leaves it as it found it (``exact._collector_paused``),
+    also where it gives no table."""
+
+    def test_no_collection_runs_inside_an_exploration(self, gc_collections):
+        with gc_collections() as generations:
+            table = montecarlo._event_table(MODESTY, epr(64), ALL_STATES)
+        assert generations == []
+        assert len(table.succ) == 4582
+
+    @pytest.mark.parametrize("strategy, start, budget, made", [
+        (MODESTY, epr(64), ALL_STATES, True),
+        (MODESTY, epr(64), 100, False),
+        (ListMemory(), epr(12), ALL_STATES, False),
+        (StopsBelowSixVertices(), epr(8), ALL_STATES, False),
+    ], ids=["whole", "budget", "unhashable", "invalid"])
+    def test_the_collector_state_is_restored(self, collector_state, strategy, start, budget,
+                                             made):
+        assert (montecarlo._event_table(strategy, start, budget) is not None) is made
+        assert gc.isenabled() is collector_state

@@ -1,3 +1,4 @@
+import gc
 import os
 import pickle
 import re
@@ -769,3 +770,21 @@ def test_two_stage_step_equals_the_plain_rule(block_size, inner, lengths, outcom
         assert type(after.chains) is IdentityConfiguration
         assert strategy.next_memory(*state, action, outcome, after.chains) == memory
         state = after
+
+
+class TestSweepPausesTheCollector:
+    """``validate_strategy_sweep`` explores with the cyclic collector
+    paused and leaves it as it found it (``exact._collector_paused``)."""
+
+    def test_no_collection_runs_inside_the_sweep(self, gc_collections):
+        starts = [Configuration.epr_pairs(n) for n in range(1, 33)]
+        with gc_collections() as generations:
+            assert validate_strategy_sweep(STATIC, starts) == (None, ValidationResult(True))
+        assert generations == []
+
+    @pytest.mark.parametrize("strategy, ok", [(GREED, True), (LateQuitter(), False)],
+                             ids=["valid", "invalid-mid-walk"])
+    def test_the_collector_state_is_restored(self, collector_state, strategy, ok):
+        start, result = validate_strategy_sweep(strategy, PAIR_STARTS)
+        assert result.ok is ok and (start is None) is ok
+        assert gc.isenabled() is collector_state
