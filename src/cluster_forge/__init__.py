@@ -30,7 +30,6 @@ from .strategies import (
     StatefulStrategy,
     Strategy,
     TwoStage,
-    ValidationResult,
     validate_strategy,
     validate_strategy_sweep,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "Configuration", "IdentityConfiguration", "InvalidFusionError",
     "canonical_key", "parse_key", "enumerate_configurations",
     "Strategy", "StatefulStrategy", "Greed", "Modesty", "TwoStage",
-    "IdentityAdapter", "InvalidStrategy", "LookupStrategy", "ValidationResult",
+    "IdentityAdapter", "InvalidStrategy", "LookupStrategy",
     "GREED", "MODESTY", "STATIC", "BUILTIN_STRATEGIES", "validate_strategy",
     "validate_strategy_sweep",
     "HALF", "QualityTable", "TableBudgetExceeded", "OracleResult",

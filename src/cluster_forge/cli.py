@@ -14,6 +14,7 @@ import contextlib
 import functools
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -379,8 +380,8 @@ def _cmd_validate(args) -> int:
               file=sys.stderr)
     configs = list(enumerate_configurations(min(size, 14)))
     for name, strategy in BUILTIN_STRATEGIES.items():
-        config, result = validate_strategy_sweep(strategy, configs)
-        bad = None if result.ok else f"{config}: {result.message} at '{result.event}'"
+        error = validate_strategy_sweep(strategy, configs)
+        bad = None if error is None else f"{error.start}: {error.message} at '{error.event}'"
         check(f"validity of {name} on all configurations up to {min(size, 14)} edges",
               bad is None, bad or "")
 
@@ -553,6 +554,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes the pipe early ends the command quietly, as
+        # it ends other filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

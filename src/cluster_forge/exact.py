@@ -38,9 +38,11 @@ chain cut to R edges, which also minimises attempts in the same pass.
   can use it. The DP keeps only as many levels as the deepest drop, four
   for the table, and a budget stops early.
 * Rank-indexed storage. Each configuration's entry sits at its rank,
-  its position in that order, as one scaled value in a list and one
-  index into a shared list of actions in an ``array('H')``. The build
-  makes no configuration object, key string or Fraction: a
+  its position in that order, as one scaled value in a list and, in an
+  ``array('H')``, one index into :func:`_table_actions`, the actions a
+  table of at most N edges can hold: a function of N alone, so a table
+  stores no action list and a load accepts no other action text. The
+  build makes no configuration object, key string or Fraction: a
   :class:`QualityTable` computes the rank from a count vector when asked
   (``configuration._partition_ranker``), and its quality, action and
   strategy read by rank. ``Fraction(I, q**V)`` is built only on demand,
@@ -84,6 +86,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd
 from typing import Hashable, Iterator
@@ -104,7 +107,6 @@ from .configuration import (
     enumerate_configurations,
 )
 from .strategies import StatefulStrategy, Strategy, _advance, _Broken, _decide
-from .strategies import format_action, parse_action
 
 HALF = Fraction(1, 2)
 
@@ -269,6 +271,21 @@ def expected_attempts(
     return _sweep(strategy, [start], ps, attempts=True)[0]
 
 
+@cache
+def _table_actions(n: int) -> tuple[Action, ...]:
+    """Every action a table of at most ``n`` edges can hold, in the order
+    of :func:`_optimize`'s pair rows: ``STOP``, then ``Fuse(a, b)`` for
+    ``a <= b`` with ``a + b <= n``, by a and then b."""
+    return (STOP, *(Fuse(a, b) for a in range(1, n // 2 + 1) for b in range(a, n - a + 1)))
+
+
+def format_action(action: Action) -> str:
+    """An action's text in a table file: ``a,b`` or ``stop``."""
+    if isinstance(action, Fuse):
+        return f"{action.a},{action.b}"
+    return "stop"
+
+
 class QualityTable:
     """Optimal quality and an optimal action for every configuration with
     at most ``n`` edges, stored by rank.
@@ -280,19 +297,20 @@ class QualityTable:
     dictionary over entries. ``values[r]`` is the scaled int ``I = quality * q**V``
     for ``ps = p/q`` and a configuration of V vertices, or the quality
     itself for a float ``ps``. The action is ``actions[action_ids[r]]``,
-    a small index into one shared list of ``Fuse``/``STOP`` objects.
+    a small index into ``actions = _table_actions(n)``, the ``Fuse`` and
+    ``STOP`` objects every table of ``n`` edges shares.
     :meth:`quality` builds ``Fraction(I, q**V)`` only when asked, and
     :meth:`as_strategy` decides by rank too: canonical key strings are
     made only where a table crosses the file boundary, by :meth:`save`
     and :meth:`load`.
     """
 
-    def __init__(self, n: int, ps, values: list, action_ids: array, actions: list[Action]):
+    def __init__(self, n: int, ps, values: list, action_ids: array):
         self.n = n
         self.ps = ps
         self.values = values
         self.action_ids = action_ids
-        self.actions = actions
+        self.actions = _table_actions(n)
         self._rank, self._groups, _ = _partition_ranker(n)
         # q**V per vertex count V for an exact ps; None for a float ps
         self._scale = ([ps.denominator ** v for v in range(2 * n + 1)]
@@ -302,8 +320,8 @@ class QualityTable:
         return len(self.values)
 
     def __reduce__(self):
-        # the ranker's closures are rebuilt, not pickled
-        return type(self), (self.n, self.ps, self.values, self.action_ids, self.actions)
+        # the ranker's closures and the actions are rebuilt, not pickled
+        return type(self), (self.n, self.ps, self.values, self.action_ids)
 
     def __contains__(self, config: Configuration) -> bool:
         return config.total_length <= self.n
@@ -378,9 +396,11 @@ class QualityTable:
     @_collector_paused()
     def load(cls, path) -> "QualityTable":
         """Read a table written by :meth:`save`. Raises ValueError, naming
-        ``path``, unless the header and every line parse and the file
-        holds every configuration of at most N edges exactly once, in key
-        order, each with a value that is a multiple of ``1/q**V``.
+        ``path``, unless the header and every line parse, each action text
+        is that of an action a table of N edges can hold
+        (:func:`_table_actions`), and the file holds every configuration
+        of at most N edges exactly once, in key order, each with a value
+        that is a multiple of ``1/q**V``.
 
         Reads in file order, in step with the keys in key order one group
         at a time (``configuration._partition_ranker``): each line holds
@@ -405,10 +425,8 @@ class QualityTable:
             scale = [ps.denominator ** v for v in range(2 * n + 1)]
             values: list = [None] * size
             action_ids = array("H", bytes(2 * size))
-            # a table holds few distinct actions: parse each text once and
-            # share the frozen action objects
-            actions: list[Action] = []
-            action_index: dict[str, int] = {}
+            index_of = {format_action(action): index
+                        for index, action in enumerate(_table_actions(n))}
             for number, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
@@ -417,10 +435,8 @@ class QualityTable:
                     key, value, text = line.split("\t")
                     num, _, den = value.partition("/")
                     num, den = int(num), int(den)
-                    index = action_index.get(text)
-                    if index is None:
-                        action = parse_action(text)
-                except ValueError:
+                    index = index_of[text]
+                except (KeyError, ValueError):
                     raise ValueError(f"{path}: line {number} is malformed: {line!r}") from None
                 # the keys that sort below the line's are missing from the file
                 for expected, position, vertices in stream:
@@ -439,16 +455,13 @@ class QualityTable:
                     raise ValueError(f"{path}: value {value} of '{key}' is not a multiple "
                                      f"of 1/{scale[vertices]}")
                 values[position] = num * (scale[vertices] // den)
-                if index is None:
-                    index = action_index[text] = len(actions)
-                    actions.append(action)
                 action_ids[position] = index
         if read < size:
             if skipped is None:
                 skipped = next(stream)[0]
             raise ValueError(f"{path}: {size - read} of the {size} entries for N={n} are "
                              f"missing, such as '{skipped}'")
-        return cls(n, ps, values, action_ids, actions)
+        return cls(n, ps, values, action_ids)
 
 
 class _TableStrategy(Strategy):
@@ -492,9 +505,9 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
 
     Works up through the configurations of at most ``n`` edges and chains
     of at most ``cap`` edges in storage order, so both successors of
-    every fusion are known. Returns ``(values, action_ids, actions,
-    costs, starts)``: by position, the maximal scaled quality, the index
-    into ``actions`` of the smallest maximizing pair, and, with
+    every fusion are known. Returns ``(values, action_ids, costs,
+    starts)``: by position, the maximal scaled quality, the index into
+    ``_table_actions(n)`` of the smallest maximizing pair, and, with
     ``attempts``, the minimal scaled expected attempts (else an empty
     list); and ``starts[m]``, the quality and (with ``attempts``, else
     None) the attempts from the start of m pairs for m <= n, decoded: a
@@ -503,18 +516,17 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     _check_ps(ps)
     exact, p, scale, fail_factor = _scaling(ps, 2 * n)
     w, success, failure = _count_codes(n, cap)
-    # rows[a][b], a <= b: (success shift, p * q**cut, success drop 1 + cut,
-    # failure shift, failure factor, failure drop, action index), where the
-    # cap cuts a + b - min(a + b, cap) edges from the merged chain
-    actions: list[Action] = [STOP]
-    rows: list[list] = [[]]
-    for a in range(1, cap + 1):
-        rows.append([None] * (cap + 1))
-        for b in range(a, min(cap, n - a) + 1):
+    # rows[a][b], a <= b <= cap: (success shift, p * q**cut, success drop
+    # 1 + cut, failure shift, failure factor, failure drop, action index),
+    # where the cap cuts a + b - min(a + b, cap) edges from the merged chain
+    # and the action index is the pair's position in _table_actions(n)
+    rows = [[None] * (cap + 1) for _ in range(cap + 1)]
+    for index, fuse in enumerate(_table_actions(n)[1:], 1):
+        a, b = fuse.a, fuse.b
+        if b <= cap:
             cut, drop = a + b - min(a + b, cap), 2 + (a == 1) + (b == 1)
             rows[a][b] = (success[a][b], p * scale[cut], 1 + cut,
-                          failure[a][b], fail_factor[drop], drop, len(actions))
-            actions.append(Fuse(a, b))
+                          failure[a][b], fail_factor[drop], drop, index)
     # keep as many levels as the deepest drop: 4 for a failure, 1 + cut
     # for a success, and the largest cut is min(2 cap, n) - cap
     depth = max(4, 1 + max(min(2 * cap, n) - cap, 0))
@@ -570,7 +582,7 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
                 costs.append(least)
     # the start of m pairs has 2m vertices
     decode = (lambda x, m: Fraction(x, scale[2 * m])) if exact else (lambda x, m: x)
-    return values, action_ids, actions, costs, [
+    return values, action_ids, costs, [
         (decode(values[i], m), decode(costs[i], m) if attempts else None)
         for m, i in enumerate(starts)]
 
@@ -596,8 +608,8 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
         for v, _, _, stop in _block_starts(n):
             if stop > max_entries:
                 raise TableBudgetExceeded(n, v, max_entries)
-    values, action_ids, actions, _, _ = _optimize(n, ps, n)
-    return QualityTable(n, ps, values, action_ids, actions)
+    values, action_ids, _, _ = _optimize(n, ps, n)
+    return QualityTable(n, ps, values, action_ids)
 
 
 class CorruptTable(Exception):

@@ -53,7 +53,6 @@ subtraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Hashable, Mapping, NamedTuple
 
@@ -148,24 +147,6 @@ class LookupStrategy(Strategy):
             return self.table[config]
         except KeyError:
             raise KeyError(f"lookup table has no entry for configuration '{config}'") from None
-
-
-def format_action(action: Action) -> str:
-    if isinstance(action, Fuse):
-        return f"{action.a},{action.b}"
-    return "stop"
-
-
-def parse_action(text: str) -> Action:
-    """Inverse of :func:`format_action`: ``stop`` or ``a,b`` in plain digits
-    with ``1 <= a <= b``; any other text raises ValueError."""
-    if text == "stop":
-        return STOP
-    a, _, b = text.partition(",")
-    action = Fuse(int(a), int(b))
-    if action.a < 1 or format_action(action) != text:
-        raise ValueError(f"not the text of an action: {text!r}")
-    return action
 
 
 class ProcessState(NamedTuple):
@@ -388,13 +369,6 @@ BUILTIN_STRATEGIES: dict[str, Strategy | StatefulStrategy] = {
 }
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    event: str | None = None
-    message: str | None = None
-
-
 class InvalidStrategy(ValueError):
     """``message`` names the validity rule a strategy broke at the state
     that the outcome string ``event`` reaches from ``start``."""
@@ -462,21 +436,20 @@ def _advance(strategy: Strategy | StatefulStrategy, state, action: Fuse, outcome
 
 
 def validate_strategy(strategy: Strategy | StatefulStrategy,
-                      start: Configuration) -> ValidationResult:
+                      start: Configuration) -> InvalidStrategy | None:
     """Walk the event tree from ``start`` and check validity: a one-start
     :func:`validate_strategy_sweep`."""
-    return validate_strategy_sweep(strategy, [start])[1]
+    return validate_strategy_sweep(strategy, [start])
 
 
 def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
-                            starts) -> tuple[Configuration | None, ValidationResult]:
+                            starts) -> InvalidStrategy | None:
     """Check validity from each start in turn by exploring the event DAG
     (``exact._explore``) with one set of explored states. Returns the
-    first start that breaks a rule, as a :class:`Configuration`, with its
-    error's event and message, or ``(None, ValidationResult(True))``. A
-    state in the set obeyed every rule, and so did each state below it,
-    so each start's verdict, event and message are those of its own
-    :func:`validate_strategy` call."""
+    :class:`InvalidStrategy` of the first start that breaks a rule, or
+    None. A state in the set obeyed every rule, and so did each state
+    below it, so each start's error has the start, event and message of
+    its own :func:`validate_strategy` call."""
     from .exact import _collector_paused, _explore  # exact imports this module
 
     seen: set = set()
@@ -486,7 +459,9 @@ def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
                 for state, _, _ in _explore(strategy, strategy.start(start), seen):
                     seen.add(state)
         except InvalidStrategy as exc:
-            return exc.start, ValidationResult(False, exc.event, exc.message)
+            return exc
         finally:
-            seen.clear()  # freed while the collector is paused
-    return None, ValidationResult(True)
+            # freed while the collector is paused; the returned error's
+            # traceback holds this frame
+            seen.clear()
+    return None

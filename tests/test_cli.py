@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -71,16 +72,38 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("step, argv", [
-    ("quality-static", ["quality", "--strategy", "static", "--n-max", "32"]),
-    ("validate", ["validate"]),
-])
-def test_benchmark_static_outputs_are_pinned(capsys, step, argv):
-    """The benchmark's deterministic steps that run ``static``, byte for
-    byte."""
-    expected = benchmark_references()["steps"][step]
-    assert main(argv) == 0
-    assert sha256(capsys.readouterr().out) == expected
+# The benchmark's steps that no seed changes: (name, argv, exit code)
+UNSEEDED_STEPS = [
+    ("optimal-table-n28", ["optimal-table", "--n", "28", "--ps", "1/2",
+                           "--out", "table-n28-ps1-2.tsv"], 0),
+    ("optimal-table-budget", ["optimal-table", "--n", "30", "--max-entries", "5000",
+                              "--out", "over-budget.tsv"], 2),
+    ("quality-optimal-float", ["quality", "--strategy", "optimal", "--ps", "0.5",
+                               "--n-max", "24"], 0),
+    ("quality-all", ["quality", "--strategy", "all", "--n-max", "28"], 0),
+    ("quality-static", ["quality", "--strategy", "static", "--n-max", "32"], 0),
+    ("bounds", ["bounds", "--n-max", "28"], 0),
+    ("razor", ["razor", "--n", "24", "--r-max", "5"], 0),
+    ("validate", ["validate"], 0),
+    ("percolation-scan", ["percolation-scan", "--n-list", "50,100,200,400,800", "--a", "2",
+                          "--ps-grid", "0.40,0.45,0.48,0.52,0.55,0.60"], 0),
+]
+
+
+@pytest.mark.parametrize("step, argv, code", UNSEEDED_STEPS,
+                         ids=[step for step, _, _ in UNSEEDED_STEPS])
+def test_benchmark_unseeded_outputs_are_pinned(capsys, tmp_path, monkeypatch, step, argv, code):
+    """The benchmark's steps that no seed changes, byte for byte and with
+    their exit codes, and the files they write: only the N=28 table."""
+    references = benchmark_references()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CLUSTER_FORGE_TABLE_DIR", raising=False)
+    assert main(argv) == code
+    assert sha256(capsys.readouterr().out) == references["steps"][step]
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in os.listdir(tmp_path)}
+    assert written == {name: references["files"][name]["sha256"]
+                       for name in argv if name in references["files"]}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -395,24 +418,29 @@ class TestFlagsAndCaches:
         assert listed == [] and loads == []
         assert listdir(tmp_path) == ["table-n8-ps1-2.tsv"]
 
-    @pytest.mark.parametrize("name, ps, damage, message", [
-        ("table-n8-ps1-2.tsv", HALF, lambda text: text[:text.index("\t", 300) + 2],
+    @pytest.mark.parametrize("n, name, ps, damage, message", [
+        (8, "table-n8-ps1-2.tsv", HALF, lambda text: text[:text.index("\t", 300) + 2],
          "line 19 is malformed: '1^2,2^1\\t9'"),
-        ("table-n30-ps1-2.tsv", HALF, lambda text: text,
+        (8, "table-n30-ps1-2.tsv", HALF, lambda text: text,
          "header says N=8 ps=1/2, the file name N=30 ps=1/2"),
-        ("table-n8-ps1-2.tsv", Fraction(1, 3), lambda text: text,
+        (8, "table-n8-ps1-2.tsv", Fraction(1, 3), lambda text: text,
          "header says N=8 ps=1/3, the file name N=8 ps=1/2"),
-    ], ids=["truncated", "mislabelled-n", "mislabelled-ps"])
-    def test_a_corrupt_cached_table_exits_3(self, capsys, tmp_path, monkeypatch, name, ps,
+        # 6,6 fuses 12 edges, which no table of 10 edges holds
+        (10, "table-n10-ps1-2.tsv", HALF,
+         lambda text: text.replace("\n1^4\t13/8\t1,1\n", "\n1^4\t13/8\t6,6\n"),
+         "line 72 is malformed: '1^4\\t13/8\\t6,6'"),
+    ], ids=["truncated", "mislabelled-n", "mislabelled-ps", "action-beyond-n"])
+    def test_a_corrupt_cached_table_exits_3(self, capsys, tmp_path, monkeypatch, n, name, ps,
                                             damage, message):
-        """A cached table that does not parse, or whose header disagrees with
-        its file name, is one error line and exit code 3, not a traceback."""
+        """A cached table that does not parse, holds an action that no table
+        of its N edges holds, or whose header disagrees with its file
+        name, is one error line and exit code 3, not a traceback."""
         clear_table_cache()
         path = tmp_path / name
-        build_quality_table(8, ps).save(path)
+        build_quality_table(n, ps).save(path)
         path.write_text(damage(path.read_text()))
         monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
-        code = main(["quality", "--strategy", "optimal", "--n-max", "8"])
+        code = main(["quality", "--strategy", "optimal", "--n-max", str(n)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -582,6 +610,23 @@ def fresh_process(argv):
     proc = subprocess.run([sys.executable, "-m", "cluster_forge.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_ends_the_command_quietly(unbuffered):
+    """A reader that closes the pipe at once ends the command by SIGPIPE,
+    as it ends other filters, with nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("CLUSTER_FORGE_TABLE_DIR", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "cluster_forge.cli", "validate", "--n", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 def in_process(capsys, argv):

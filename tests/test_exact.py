@@ -3,6 +3,7 @@ import fnmatch
 import gc
 import itertools
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -37,11 +38,13 @@ from cluster_forge.exact import (
     _optimize,
     _scaling,
     _sweep,
+    _table_actions,
     build_quality_table,
     cached_quality_table,
     clear_table_cache,
     event_tree_oracle,
     expected_attempts,
+    format_action,
     optimal_attempts,
     optimal_quality,
     strategy_quality,
@@ -57,7 +60,6 @@ from cluster_forge.strategies import (
     StatefulStrategy,
     Strategy,
     TwoStage,
-    format_action,
     validate_strategy,
 )
 
@@ -509,8 +511,8 @@ class TestRankedStorage:
         for config in (epr(13), Configuration.single_chain(13), parse_key("1^1,12^1")):
             with pytest.raises(KeyError, match=re.escape(f"'{config}' has more than 12")):
                 strategy.decide(config)
-        result = validate_strategy(strategy, epr(13))
-        assert not result.ok and result.message.startswith("no decision available")
+        error = validate_strategy(strategy, epr(13))
+        assert error.message.startswith("no decision available")
 
     def test_strategy_makes_no_key_strings(self, monkeypatch):
         table = build_quality_table(10)
@@ -562,6 +564,52 @@ class TestRankedStorage:
         with pytest.raises(ValueError, match=message) as err:
             QualityTable.load(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 28])
+    def test_table_actions_are_stop_and_every_pair_of_at_most_n_edges(self, n):
+        actions = _table_actions(n)
+        assert actions[0] is STOP
+        assert [(action.a, action.b) for action in actions[1:]] == sorted(
+            (a, b) for a in range(1, n + 1) for b in range(a, n + 1) if a + b <= n)
+        assert _table_actions(n) is actions
+
+    @pytest.mark.parametrize("n, ps", [(n, ps) for n in (0, 1, 2, 8, 12)
+                                       for ps in (HALF, Fraction(1, 3))] + [(28, HALF)],
+                             ids=str)
+    def test_a_loaded_table_equals_the_built_one(self, tmp_path, n, ps):
+        """A table's actions are a function of N: the loaded table holds
+        the built one's values and action ids, and a pickle round trip of
+        either gives the same table."""
+        built = build_quality_table(n, ps)
+        path = tmp_path / "table.tsv"
+        built.save(path)
+        loaded = QualityTable.load(path)
+
+        def fields(table):
+            return table.n, table.ps, table.values, table.action_ids, table.actions
+
+        assert fields(loaded) == fields(built)
+        assert built.actions is loaded.actions is _table_actions(n)
+        for table in (built, loaded):
+            assert fields(pickle.loads(pickle.dumps(table))) == fields(built)
+
+    @pytest.mark.parametrize("text", ["6,6", "1,10", "0,-3", "2,1", " 1,2", "+1,2", "01,2",
+                                      "1,2 ", "1,\u0662", "1_0,20", "Stop"])
+    def test_load_accepts_only_the_action_texts_save_writes(self, tmp_path, text):
+        """An action text that no table of N=10 edges holds, such as 6,6
+        (12 edges) or a spelling of a pair other than ``a,b`` in plain
+        digits with a <= b, makes its line malformed."""
+        path = tmp_path / "table.tsv"
+        build_quality_table(10).save(path)
+        lines = path.read_text().splitlines()
+        number = next(i for i, line in enumerate(lines, 1) if line.startswith("1^4\t"))
+        line = lines[number - 1] = lines[number - 1].rsplit("\t", 1)[0] + "\t" + text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # a byte that is not ASCII reads as U+FFFD
+        read = line.encode("utf-8").decode("ascii", errors="replace")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line {number} is malformed: {read!r}")):
+            QualityTable.load(path)
 
     @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048)], ids=str)
     @pytest.mark.parametrize("n", [0, 1, 2, 8, 16])
@@ -722,7 +770,8 @@ class TestIntegerScaledEngine:
         n = 10
         p, q = (ps.numerator, ps.denominator) if isinstance(ps, Fraction) else (ps, 1)
         for cap in (n, 4, 2):
-            values, action_ids, actions, costs, starts = _optimize(n, ps, cap, attempts=True)
+            values, action_ids, costs, starts = _optimize(n, ps, cap, attempts=True)
+            actions = _table_actions(n)
             configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
             position = {config: i for i, config in enumerate(configs)}
             assert len(values) == len(action_ids) == len(costs) == len(configs)
@@ -905,8 +954,8 @@ class TestBothStateKindsThroughOneWalker:
                 assert_same_number(evaluate(adapter, start, ps), evaluate(strategy, start, ps))
             # distribution, mean length, expected attempts and path count
             assert event_tree_oracle(adapter, start, ps) == event_tree_oracle(strategy, start, ps)
-            result = validate_strategy(strategy, start)
-            assert result.ok and validate_strategy(adapter, start) == result
+            assert validate_strategy(strategy, start) is None
+            assert validate_strategy(adapter, start) is None
 
 
 class StopsBelowSixVertices(Strategy):

@@ -35,8 +35,6 @@ from cluster_forge.strategies import (
     ProcessState,
     Strategy,
     TwoStage,
-    ValidationResult,
-    parse_action,
     validate_strategy,
     validate_strategy_sweep,
 )
@@ -233,27 +231,32 @@ class Fantasist(Strategy):
         return Fuse(3, 1)
 
 
+def verdict(error):
+    """The start, event and message of an :class:`InvalidStrategy`, or
+    None for a valid strategy."""
+    return None if error is None else (error.start, error.event, error.message)
+
+
 class TestValidation:
     def test_greed_ok(self):
-        assert validate_strategy(GREED, Configuration.epr_pairs(6)).ok
+        assert validate_strategy(GREED, Configuration.epr_pairs(6)) is None
 
     def test_premature_stop_detected(self):
-        result = validate_strategy(Quitter(), Configuration.epr_pairs(2))
-        assert not result.ok
-        assert "premature stop" in result.message
-        assert result.event == ""
+        error = validate_strategy(Quitter(), Configuration.epr_pairs(2))
+        assert isinstance(error, InvalidStrategy)
+        assert "premature stop" in error.message
+        assert error.event == ""
 
     def test_null_fusion_detected(self):
-        result = validate_strategy(Fantasist(), Configuration.epr_pairs(2))
-        assert not result.ok
-        assert "null fusion" in result.message
+        error = validate_strategy(Fantasist(), Configuration.epr_pairs(2))
+        assert "null fusion" in error.message
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
     def test_builtins_valid_up_to_14_edges(self, name):
         strategy = BUILTIN_STRATEGIES[name]
         for config in enumerate_configurations(14):
-            result = validate_strategy(strategy, config)
-            assert result.ok, (name, str(config), result)
+            error = validate_strategy(strategy, config)
+            assert error is None, (name, str(config), error)
 
 
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=7).map(tuple), st.randoms())
@@ -287,13 +290,6 @@ def test_invalid_strategy_names_its_walk_and_pickles():
         err.name, err.start, err.event, err.message)
 
 
-@pytest.mark.parametrize("text", ["0,-3", "2,1", " 1,2", "+1,2", "01,2", "1,2 ", "1,\u0662",
-                                  "1_0,20"])
-def test_parse_action_rejects_what_format_action_never_writes(text):
-    with pytest.raises(ValueError, match="not the text of an action"):
-        parse_action(text)
-
-
 class TestLookupStrategy:
     def test_decide_and_missing_entry(self):
         strategy = LookupStrategy({"1^2": Fuse(1, 1), "2^1": STOP, "": STOP})
@@ -310,14 +306,14 @@ class TestLookupStrategy:
 
     def test_partial_table_fails_validation(self):
         strategy = LookupStrategy({"1^2": Fuse(1, 1)})
-        result = validate_strategy(strategy, Configuration.epr_pairs(2))
-        assert not result.ok
-        assert "no decision" in result.message
+        error = validate_strategy(strategy, Configuration.epr_pairs(2))
+        assert "no decision" in error.message
 
 
 def reference_validate(strategy, start):
     """One start's validity walk with a seen set of its own: the oracle
-    for the shared sweep of :func:`validate_strategy_sweep`."""
+    for the shared sweep of :func:`validate_strategy_sweep`, as the
+    :func:`verdict` of its error."""
     seen = set()
     stack = [(strategy.start(start), "")]
     while stack:
@@ -328,26 +324,26 @@ def reference_validate(strategy, start):
         try:
             action = strategy.choose(state)
         except KeyError as exc:
-            return ValidationResult(False, event, f"no decision available: {exc}")
+            return start, event, f"no decision available: {exc}"
         except ValueError as exc:
-            return ValidationResult(False, event, f"invalid decision: {exc}")
+            return start, event, f"invalid decision: {exc}"
         n_chains = state.chain_count
         if isinstance(action, Stop):
             if n_chains > 1:
-                return ValidationResult(False, event, f"premature stop with {n_chains} chains")
+                return start, event, f"premature stop with {n_chains} chains"
             continue
         if n_chains <= 1:
-            return ValidationResult(False, event, "fusion attempted on a terminal configuration")
+            return start, event, "fusion attempted on a terminal configuration"
         for outcome in (SUCCESS, FAILURE):
             try:
                 child = strategy.step(state, action, outcome)
             except (ValueError, IndexError) as exc:
-                return ValidationResult(False, event + outcome, f"null fusion: {exc}")
+                return start, event + outcome, f"null fusion: {exc}"
             drop = state.vertex_count - child.vertex_count
             if drop not in ({1} if outcome == SUCCESS else {2, 3, 4}):
-                return ValidationResult(False, event + outcome, drop_message(drop))
+                return start, event + outcome, drop_message(drop)
             stack.append((child, event + outcome))
-    return ValidationResult(True)
+    return None
 
 
 def drop_message(drop):
@@ -357,13 +353,12 @@ def drop_message(drop):
 
 def assert_evaluation_raises(strategy, start, result):
     """Exact quality, expected attempts and the event-tree oracle from
-    ``start`` raise InvalidStrategy with the event and message of the
-    rejected ``result``."""
+    ``start`` raise InvalidStrategy with the start, event and message of
+    the rejection ``result``."""
     for evaluate in (strategy_quality, expected_attempts, event_tree_oracle):
         with pytest.raises(InvalidStrategy) as err:
             evaluate(strategy, start)
-        assert (err.value.start, err.value.event, err.value.message) == (
-            start, result.event, result.message)
+        assert verdict(err.value) == result
 
 
 class LateQuitter(Strategy):
@@ -530,18 +525,18 @@ class TestValidationSweep:
         the exact evaluation and the event-tree oracle from each start (of
         at most 12 edges, within the oracle's 14) raise exactly when that
         start is rejected, with the same event and message."""
-        expected = (None, ValidationResult(True))
+        expected = None
         for start in starts:
             result = reference_validate(strategy, start)
-            assert validate_strategy(strategy, start) == result
-            if result.ok:
+            assert verdict(validate_strategy(strategy, start)) == result
+            if result is None:
                 assert event_tree_oracle(strategy, start).mean_length == strategy_quality(
                     strategy, start)
             else:
                 assert_evaluation_raises(strategy, start, result)
-                if expected[1].ok:
-                    expected = (start, result)
-        assert validate_strategy_sweep(strategy, starts) == expected
+                if expected is None:
+                    expected = result
+        assert verdict(validate_strategy_sweep(strategy, starts)) == expected
 
     @pytest.mark.parametrize("strategy, start, event, drop", [
         (LossySuccess(), "1^3", "S", 2),
@@ -556,9 +551,9 @@ class TestValidationSweep:
         as the exact evaluation assumes; the first step that does not
         fails validation at its event, and the message names its drop."""
         start = parse_key(start)
-        expected = ValidationResult(False, event, drop_message(drop))
-        assert validate_strategy(strategy, start) == expected
-        assert validate_strategy_sweep(strategy, [parse_key("1^1"), start]) == (start, expected)
+        expected = (start, event, drop_message(drop))
+        assert verdict(validate_strategy(strategy, start)) == expected
+        assert verdict(validate_strategy_sweep(strategy, [parse_key("1^1"), start])) == expected
         assert_evaluation_raises(strategy, start, expected)
 
     @pytest.mark.parametrize("strategy, start, event, message", [
@@ -579,14 +574,13 @@ class TestValidationSweep:
         the same event and message."""
         for start in starts:
             result = reference_validate(strategy, start)
-            if result.ok:
+            if result is None:
                 continue
-            row = [outcome == SUCCESS for outcome in result.event]
+            row = [outcome == SUCCESS for outcome in result[1]]
             row += [False] * (start.vertex_count - len(row))
             with pytest.raises(InvalidStrategy) as err:
                 montecarlo._play(strategy, start, row)
-            assert (err.value.start, err.value.event, err.value.message) == (
-                start, result.event, result.message)
+            assert verdict(err.value) == result
 
     @pytest.mark.parametrize("strategy", [
         Fantasist(), Treadmill(), Grower(), LossySuccess(), MildFailure(), PairEatingSuccess(),
@@ -599,9 +593,9 @@ class TestValidationSweep:
 
     def test_broken_strategies_fail_deep_in_a_later_start(self):
         for strategy in (LateQuitter(), LateFantasist()):
-            start, result = validate_strategy_sweep(strategy, PAIR_STARTS)
-            assert not result.ok and result.event
-            assert start.chain_count > 4
+            error = validate_strategy_sweep(strategy, PAIR_STARTS)
+            assert isinstance(error, InvalidStrategy) and error.event
+            assert error.start.chain_count > 4
 
     @pytest.mark.parametrize("strategy", [GREED, MODESTY, STATIC], ids=lambda s: s.name)
     def test_sweep_decides_each_reachable_state_once(self, strategy):
@@ -616,11 +610,11 @@ class TestValidationSweep:
             if isinstance(action, Fuse):
                 stack.extend(strategy.step(state, action, outcome) for outcome in (SUCCESS, FAILURE))
         counting = CountingStrategy(strategy)
-        assert validate_strategy_sweep(counting, SMALL_STARTS) == (None, ValidationResult(True))
+        assert validate_strategy_sweep(counting, SMALL_STARTS) is None
         assert counting.decisions == len(reachable)
 
     def test_no_starts_is_valid(self):
-        assert validate_strategy_sweep(GREED, []) == (None, ValidationResult(True))
+        assert validate_strategy_sweep(GREED, []) is None
 
 
 class Stubborn(Strategy):
@@ -647,10 +641,10 @@ class Overreacher(Strategy):
 def test_a_bad_inner_action_fails_validation(inner, message):
     strategy = TwoStage(3, inner)
     start = Configuration.epr_pairs(3)
-    expected = ValidationResult(False, "", message)
-    assert validate_strategy(strategy, start) == expected
-    assert validate_strategy_sweep(strategy, [Configuration.single_chain(4), start]) == (
-        start, expected)
+    expected = (start, "", message)
+    assert verdict(validate_strategy(strategy, start)) == expected
+    sweep = validate_strategy_sweep(strategy, [Configuration.single_chain(4), start])
+    assert verdict(sweep) == expected
     assert reference_validate(strategy, start) == expected
 
 
@@ -674,8 +668,8 @@ def assert_pair_eating_success_is_rejected():
         with pytest.raises(InvalidStrategy,
                            match=re.escape(f"{drop_message(3)} at 'S' from '1^3'")):
             walker(PairEatingSuccess(), start)
-    result = validate_strategy(PairEatingSuccess(), start)
-    if result != ValidationResult(False, "S", drop_message(3)):
+    result = verdict(validate_strategy(PairEatingSuccess(), start))
+    if result != (start, "S", drop_message(3)):
         raise AssertionError(f"validation gave {result}")
     table = montecarlo._event_table(PairEatingSuccess(), start, 2 ** 62)
     if table is not None:
@@ -779,12 +773,11 @@ class TestSweepPausesTheCollector:
     def test_no_collection_runs_inside_the_sweep(self, gc_collections):
         starts = [Configuration.epr_pairs(n) for n in range(1, 33)]
         with gc_collections() as generations:
-            assert validate_strategy_sweep(STATIC, starts) == (None, ValidationResult(True))
+            assert validate_strategy_sweep(STATIC, starts) is None
         assert generations == []
 
     @pytest.mark.parametrize("strategy, ok", [(GREED, True), (LateQuitter(), False)],
                              ids=["valid", "invalid-mid-walk"])
     def test_the_collector_state_is_restored(self, collector_state, strategy, ok):
-        start, result = validate_strategy_sweep(strategy, PAIR_STARTS)
-        assert result.ok is ok and (start is None) is ok
+        assert (validate_strategy_sweep(strategy, PAIR_STARTS) is None) is ok
         assert gc.isenabled() is collector_state
