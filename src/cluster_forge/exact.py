@@ -53,15 +53,16 @@ chain cut to R edges, which also minimises attempts in the same pass.
   them (3,010 of 18,460 at N=28). Neither holds a line, key or tuple per
   entry of the whole table.
 
-The read side is scaled the same way. One explorer, :func:`_explore`,
-walks a strategy's event DAG through the validity gate of
-:mod:`cluster_forge.strategies` and yields each new state once, in
-post-order, to one of three consumers: :func:`_sweep` (under
-:func:`strategy_quality`, :func:`expected_attempts` and
+The read side is scaled the same way. One expansion rule,
+:func:`_expand`, decides at a state and steps on both outcomes through
+the validity gate of :mod:`cluster_forge.strategies`; the event-tree
+oracle and the Monte Carlo event tables call it directly. One explorer,
+:func:`_explore`, walks a strategy's event DAG with it and yields each
+new state once, in post-order, to one of two consumers: :func:`_sweep`
+(under :func:`strategy_quality`, :func:`expected_attempts` and
 :func:`strategy_quality_range`) fills a memo of ints ``value * q**V``
 shared by a sweep's starts, with one ``Fraction(I, q**V)`` per answer and
-the same q = 1 float path; ``validate_strategy_sweep`` fills a set; a
-Monte Carlo event table numbers the states.
+the same q = 1 float path; ``validate_strategy_sweep`` fills a set.
 
 One store, :func:`cached_quality_table`, keeps the largest table read or
 built per table directory (or none), type of ``ps`` and ``ps``; past it,
@@ -70,7 +71,7 @@ covers it, else saves there what a request without a directory gets.
 
 The bulk builders (:func:`_sweep`, ``validate_strategy_sweep``,
 :func:`_optimize`, :meth:`QualityTable.load` and :meth:`QualityTable.save`,
-:func:`event_tree_oracle` and the Monte Carlo event table) run with
+:func:`event_tree_oracle` and the Monte Carlo event tables' fills) run with
 CPython's cyclic collector paused (:func:`_collector_paused`). What they
 allocate, tuples, ints, Fractions and dicts, is acyclic and freed by
 reference counting, yet a full collection would walk every tracked
@@ -163,23 +164,34 @@ def _collector_paused():
         gc.enable()
 
 
-def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen,
-             budget: int | None = None):
+def _expand(strategy: Strategy | StatefulStrategy, state: Hashable, v: int):
+    """The expansion rule every event-DAG walker shares: ``strategy``'s
+    decision at ``state`` of ``v`` vertices, then its step on success
+    and on failure, each through the validity gate of
+    :mod:`cluster_forge.strategies`, in that order. None at a stop, else
+    ``(success state, failure drop, failure state)``; a broken rule
+    raises ``_Broken``."""
+    action = _decide(strategy, state)
+    if isinstance(action, Stop):
+        return None
+    succ, _ = _advance(strategy, state, action, SUCCESS, v)
+    fail, drop = _advance(strategy, state, action, FAILURE, v)
+    return succ, drop, fail
+
+
+def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen):
     """The states of ``strategy``'s event DAG from the process state
     ``root`` that are not in ``seen``, each once, in post-order, as
     ``(state, vertices, node)``: ``node`` is None at a stop, else
-    ``(success state, failure drop, failure state)``. The consumer puts
-    each state into ``seen`` before it asks for the next.
+    ``(success state, failure drop, failure state)`` (:func:`_expand`).
+    The consumer puts each state into ``seen`` before it asks for the
+    next.
 
-    Each decided state passes the validity gate of
-    :mod:`cluster_forge.strategies`; the first broken rule raises
+    The first broken validity rule raises
     :class:`~cluster_forge.strategies.InvalidStrategy`, so a state in
     ``seen`` has a clean subtree. Depth first, the failure child first;
-    that order decides which broken rule is reported. After ``budget``
-    decisions it stops; the root comes last, so a cut exploration never
-    yields it.
+    that order decides which broken rule is reported.
     """
-    decided = 0
     # (state, its vertex count, its node once its successors are pushed)
     stack: list[tuple[Hashable, int, tuple | None]] = [(root, root.vertex_count, None)]
     try:
@@ -190,18 +202,14 @@ def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen,
                 continue
             if state in seen:
                 continue
-            if decided == budget:
-                return
-            decided += 1
-            action = _decide(strategy, state)
-            if isinstance(action, Stop):
+            node = _expand(strategy, state, v)
+            if node is None:
                 yield state, v, None
                 continue
-            succ, _ = _advance(strategy, state, action, SUCCESS, v)
-            fail, drop = _advance(strategy, state, action, FAILURE, v)
+            succ, drop, fail = node
             # a child already seen is skipped when popped, so each state
             # is hashed once per parent, not twice
-            stack.append((state, v, (succ, drop, fail)))
+            stack.append((state, v, node))
             stack.append((succ, v - 1, None))
             stack.append((fail, v - drop, None))
     except _Broken as exc:
@@ -738,15 +746,13 @@ def event_tree_oracle(
         # failure first, so a broken rule is met where the exact
         # evaluation meets it
         try:
-            action = _decide(strategy, state)
-            if isinstance(action, Stop):
-                leaves.append((state.to_configuration(), prob, len(event)))
-                return
-            v = state.vertex_count
-            succ, _ = _advance(strategy, state, action, SUCCESS, v)
-            fail, _ = _advance(strategy, state, action, FAILURE, v)
+            node = _expand(strategy, state, state.vertex_count)
         except _Broken as exc:
             raise exc.invalid(strategy, start, event) from exc.__cause__
+        if node is None:
+            leaves.append((state.to_configuration(), prob, len(event)))
+            return
+        succ, _, fail = node
         walk(fail, prob * pf, event + FAILURE)
         walk(succ, prob * ps, event + SUCCESS)
 

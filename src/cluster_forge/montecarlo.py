@@ -20,30 +20,33 @@ the float comparison, bit for bit.
 A chunk plays all its trials at once on numpy arrays, by the plan
 :func:`_plan` makes: runs of a strategy, one after another from their
 own starts, then insistent-pairing rounds on their survivors. The plan
-looks at a strategy's type only where an engine depends on it: a
+looks at a strategy's type only where the engine depends on it: a
 :class:`TwoStage` whose inner strategy keeps :class:`Strategy`'s own
-``start``, ``choose`` and ``step`` runs its blocks, and runs of exactly
-:class:`Modesty` or :class:`Greed` have a count-matrix fallback. Every
-other strategy is one run of itself. Before the chunks run,
-:func:`estimate_quality` explores each
-distinct run's event DAG with the exact evaluation's explorer
-(:func:`cluster_forge.exact._explore`, depth first through the validity
-gate), numbers its states and doubles its one-attempt steps twice into a
-step table; a chunk then walks the table four attempts per gather. The
-DAG grows fast with the start (smallest-first has 55 states from 12
-pairs, 27,881 from 100), so exploration stops once the table would hold
-more than one state per 16 trials of the run, which keeps a given-up
-exploration cheap next to the run that follows it
-(:func:`_state_budget`). A run without a table plays smallest- or
-largest-first on a ``(trials, total_length + 1)`` count matrix; any
-other strategy then plays its whole chunk one trial at a time on the
-scalar player :func:`_play`, which the tests keep as the oracle and
+``start``, ``choose`` and ``step`` runs its blocks; every other strategy
+is one run of itself. A trial of a run is a random walk on the run's
+event DAG, and :func:`estimate_quality` makes one empty event table per
+distinct run (:class:`_EventTable`), which every chunk of the run then
+fills as its trials need it: a state is numbered when a step first
+reaches it and expanded, decided and stepped on both outcomes through
+the validity gate by :func:`cluster_forge.exact._expand`, when a walk
+first needs it, and a step-table entry, four attempts from a state for
+one value of the next four win bits, is filled the first time a trial
+reads it. A chunk walks the table four attempts per gather. Trials
+visit far fewer states than the DAG holds (about 1,070 of smallest-first's
+4,582 from 64 pairs in 4096 trials), and later chunks mostly read
+entries that are already filled. A table that a fill could take past
+:data:`_TABLE_STATES` states first restarts from its trials' states,
+which changes no result. A chunk whose expansion breaks a
+validity rule or meets a state that cannot be hashed, and a run whose
+first state has more vertices than its start, play one trial at a time
+on the scalar player :func:`_play`, which the tests keep as the oracle,
 which drives stateless and stateful strategies alike through the
-validity gate. The pairing rounds play on a ``(trials, chains)`` length
-array. Each trial keeps its own attempt pointer and reads ``wins[t,
+validity gate and which raises the error of the first trial that breaks
+a rule. The pairing rounds play on a ``(trials, chains)`` length array.
+Each trial keeps its own attempt pointer and reads ``wins[t,
 attempts[t]]``, the win bit the scalar player reads at that step, so
 the finals, and the float sums built from them, are bit-identical to
-the scalar player's.
+the scalar player's whatever the tables hold.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,12 +64,9 @@ from .configuration import (
     Stop,
     canonical_key,
 )
-from .exact import _collector_paused, _explore
+from .exact import _collector_paused, _expand
 from .strategies import (
     MODESTY,
-    Greed,
-    InvalidStrategy,
-    Modesty,
     StatefulStrategy,
     Strategy,
     TwoStage,
@@ -241,74 +240,14 @@ class SimulationReport:
         return asdict(self)
 
 
-def _play_counts(
-    greedy: bool, counts: dict[int, int], wins: np.ndarray, attempts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-first fusion (largest-first with ``greedy``) from
-    ``counts`` in every trial of a chunk at once.
-
-    Trial t reads its next win bit at ``wins[t, attempts[t]]``, and
-    ``attempts`` is advanced in place. Returns each trial's final total
-    length and its number of failed attempts."""
-    trials = len(wins)
-    total = sum(k * n for k, n in counts.items())
-    chain_count = sum(counts.values())
-    failures = np.zeros(trials, np.int64)
-    if chain_count <= 1:
-        return np.full(trials, total, np.int64), failures
-    # Column base + sign * k counts the chains of length k, so that the
-    # chain to fuse first sits in the leftmost occupied column. The
-    # length-0 column collects chains a failure destroys and is cleared
-    # after every step. No count ever exceeds the starting chain count.
-    base, sign = (total, -1) if greedy else (0, 1)
-    width = total + 1
-    matrix = np.zeros((trials, width), np.min_scalar_type(chain_count))
-    for k, n in counts.items():
-        matrix[:, base + sign * k] = n
-    column_lengths = base + sign * np.arange(width)
-    chains = np.full(trials, chain_count, np.int64)
-    finals = np.zeros(trials, np.int64)
-    live = np.arange(trials)
-    while live.size:
-        local = np.arange(live.size)
-        present = matrix > 0
-        first = present.argmax(1)
-        present[local, first] = matrix[local, first] >= 2
-        second = present.argmax(1)
-        a = base + sign * first
-        b = base + sign * second
-        at = attempts[live]
-        success = wins[live, at]
-        attempts[live] = at + 1
-        matrix[local, first] -= 1
-        matrix[local, second] -= 1
-        matrix[local, base + sign * np.where(success, a + b, a - 1)] += 1
-        matrix[local, base + sign * np.where(success, 0, b - 1)] += 1
-        matrix[:, base] = 0
-        failures[live[~success]] += 1
-        chains -= np.where(success, 1, (a == 1).astype(np.int64) + (b == 1))
-        done = chains <= 1
-        if done.any():
-            finals[live[done]] = matrix[done] @ column_lengths
-            keep = ~done
-            matrix, chains, live = matrix[keep], chains[keep], live[keep]
-    return finals, failures
-
-
-def _state_budget(trials: int) -> int:
-    """Most states an event table may hold in a run of ``trials``. An
-    exploration given up at this size costs 4 to 9 us a state (mostly
-    its two fusions), so at most about half a microsecond a trial. The
-    run that then plays costs far more: the count matrix 6 us a trial
-    or more from 32 pairs up, and the scalar player, the fallback of
-    every other strategy, about 50 us a trial from 12 pairs and more
-    from larger starts, so a given-up exploration adds about 1 % to it.
-    Smaller starts have small tables (570 states from 32 pairs under
-    smallest-first). A table that is kept also gets its step table, at
-    about 0.6 us a state (2.8 ms for the 4,582 states of smallest-first
-    from 64 pairs), under a tenth of its exploration."""
-    return trials // 16
-
+# Most states an event table holds. Before a fill that could pass it, the
+# table restarts from the states its trials are at (_EventTable.restart).
+# A fill adds at most two states for the root and ten a step entry, and a
+# gather needs at most one entry a trial, so a table restarted from a
+# chunk's trials and the root holds the fill that follows while this is
+# at least 11 * TRIAL_CHUNK + 3. 2**18 holds the roughly 247,000 states
+# one chunk of smallest-first from 1000 pairs visits.
+_TABLE_STATES = 1 << 18
 
 # A walk reads four win bits as one little-endian uint32 of their bool
 # bytes, attempt i at bit 8i. Times this factor, bit 8i lands on bit
@@ -316,86 +255,126 @@ def _state_budget(trials: int) -> int:
 # product shifted right by 24 is the 4-bit step index, attempt i at bit i.
 _GATHER_BITS = np.uint32(1 << 24 | 1 << 17 | 1 << 10 | 1 << 3)
 
+# The win bits of each 4-bit step index, attempt 0 first.
+_BITS = [tuple(v >> i & 1 for i in range(4)) for v in range(16)]
 
-class _EventTable(NamedTuple):
-    """A strategy's event DAG from one start, state 0. ``succ[i]``
-    and ``fail[i]`` number the states after a successful and a failed
-    attempt at state ``i``; at a ``terminal`` state the strategy stops,
-    both point back to it, and ``final_length`` is its total length.
+
+class _EventTable:
+    """A strategy's event DAG from the process state ``root``, its rows
+    filled the first time a walk needs them.
+
+    State 0 is the root; a state is numbered the first time a step
+    reaches it, and expanded (:func:`cluster_forge.exact._expand`) the
+    first time a walk needs its steps or whether it is terminal. Then
+    ``rows[i]`` numbers the states after a failed and a successful
+    attempt at state ``i``, in that order, so that a win bit indexes it;
+    it is None before. At a terminal state, where the strategy stops,
+    both point back to it, and ``final_length[i]`` is its total length.
     ``steps[16 * i + v]`` is four attempts from state ``i`` whose win
-    bits are the bits of ``v``, attempt j at bit j (:func:`_step_table`)."""
+    bits are the bits of ``v``, attempt j at bit j: ``after << 7 | ended
+    << 6 | taken << 3 | lost``, the state after them, whether it is
+    terminal, how many attempts were taken before a terminal state was
+    reached and how many of those failed. An entry is 0 until it is
+    filled: a filled one takes an attempt or has ended. The two arrays
+    double as states are numbered."""
 
-    succ: np.ndarray
-    fail: np.ndarray
-    final_length: np.ndarray
-    terminal: np.ndarray
-    steps: np.ndarray
+    def __init__(self, strategy: Strategy | StatefulStrategy, root):
+        self.strategy, self.root = strategy, root
+        self._clear()
+
+    def _clear(self) -> None:
+        # no step reaches the root, so it needs no number
+        self.number: dict = {}
+        self.states, self.rows = [self.root], [None]
+        self.final_length, self.steps = np.zeros(64, np.int64), np.zeros(64 * 16, np.uint32)
+
+    def _number(self, state) -> int:
+        """``state``'s number, a new one the first time; TypeError when it
+        cannot be hashed."""
+        i = self.number.setdefault(state, len(self.states))  # hashes the state once
+        if i == len(self.states):
+            self.states.append(state)
+            self.rows.append(None)
+            if i == len(self.final_length):
+                self.final_length, self.steps = (np.concatenate([rows, np.zeros_like(rows)])
+                                                 for rows in (self.final_length, self.steps))
+        return i
+
+    def _expand_row(self, i: int) -> tuple[int, int]:
+        """State ``i``'s row, once it is expanded."""
+        state = self.states[i]
+        node = _expand(self.strategy, state, state.vertex_count)
+        if node is None:
+            self.final_length[i] = state.total_length
+            # a terminal state takes no attempt, whatever the bits
+            self.steps[16 * i:16 * i + 16] = i << 7 | 1 << 6
+            row = (i, i)
+        else:
+            succ, _, fail = node
+            row = (self._number(fail), self._number(succ))
+        self.rows[i] = row
+        return row
+
+    @_collector_paused()
+    def fill(self, keys: list[int]) -> bool:
+        """Expand the root, then fill the step entries ``keys`` (``16 *
+        state + bits``), each by four single attempts over the rows,
+        expanding each state the first time it is needed, the one the
+        four attempts reach included. False when an expansion breaks a
+        validity rule or meets a state that cannot be hashed; the rows it
+        filled are kept."""
+        rows, expand = self.rows, self._expand_row
+        entries = []
+        append = entries.append
+        try:
+            if rows[0] is None:
+                expand(0)
+            for key in keys:
+                state, counts = key >> 4, 0  # counts: taken << 3 | lost
+                for won in _BITS[key & 15]:
+                    after = (rows[state] or expand(state))[won]
+                    if after == state:  # a terminal state's row points back to it
+                        append(state << 7 | 1 << 6 | counts)
+                        break
+                    state, counts = after, counts + 9 - won
+                else:
+                    append(state << 7 | ((rows[state] or expand(state))[0] == state) << 6 | counts)
+        except (_Broken, TypeError):  # TypeError: a state that cannot be hashed
+            return False
+        self.steps[keys] = entries
+        return True
+
+    def restart(self, state: np.ndarray) -> np.ndarray:
+        """Empty the table but for its root and the states in ``state``,
+        and return ``state`` numbered anew. A trial's path depends on its
+        win bits alone, so a restart changes no result."""
+        renumber = np.zeros(len(self.states), state.dtype)
+        kept = [(i, self.states[i]) for i in set(state.tolist()) if i]
+        self._clear()
+        for i, kept_state in kept:
+            renumber[i] = self._number(kept_state)
+        return renumber[state]
 
 
-def _step_table(succ: np.ndarray, fail: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    """The 16 entries a state of the one-attempt table ``succ``/``fail``
-    has for the next four win bits: ``after << 6 | taken << 3 | lost``,
-    the state after the four attempts, how many of them were taken
-    before a terminal state was reached and how many of those failed.
-    Terminal states point back to themselves and take no attempt, so
-    two doublings of the one-attempt table, each a gather of the table
-    by itself, make it."""
-    n = len(succ)
-    after = np.stack([fail, succ], 1)  # (n, 2): column = the win bit
-    # taken << 3 | lost of one attempt: a failure at a live state loses it
-    counts = np.where(terminal[:, None], np.uint8(0), np.array([0b1001, 0b1000], np.uint8))
-    for _ in range(2):
-        # entry lo + hi * width: the first half by lo, then from there by hi
-        width = after.shape[1]
-        counts = (counts[:, None, :] + counts[after].transpose(0, 2, 1)).reshape(n, width * width)
-        after = after[after].transpose(0, 2, 1).reshape(n, width * width)
-    # the states numbered by the entries fit uint32 up to 2**26 states
-    kind = np.uint32 if n <= 1 << 26 else np.uint64
-    return (after.astype(kind) << 6 | counts).reshape(-1)
-
-
-@_collector_paused()
-def _event_table(strategy: Strategy | StatefulStrategy, start: Configuration,
-                 budget: int) -> _EventTable | None:
-    """The event DAG of ``strategy`` from ``start``, numbered in the
-    post-order of :func:`~cluster_forge.exact._explore` and then reversed,
-    so that the start is state 0. None once it would hold more than
-    ``budget`` states, or when a walk could need more win bits than a
-    trial's row holds (the start's process state has more vertices than
-    the start). None too at a state that breaks a validity rule or
-    cannot be hashed; the scalar player, which runs without a table,
-    then raises what it raises, or plays through if no trial reaches
-    that state."""
-    root = strategy.start(start)
-    if root.vertex_count > _draws_bound(start):
-        return None
-    number: dict = {}
-    succ, fail = [], []
-    try:
-        for state, _, node in _explore(strategy, root, number, budget):
-            i = number[state] = len(number)  # a stop points back to itself
-            succ.append(i if node is None else number[node[0]])
-            fail.append(i if node is None else number[node[2]])
-    except (InvalidStrategy, TypeError):  # TypeError: an unhashable state
-        return None
-    if root not in number:  # the budget cut the exploration short
-        return None
-    last = len(number) - 1  # post-order number i becomes state last - i
-    succ, fail = last - np.array(succ[::-1], np.intp), last - np.array(fail[::-1], np.intp)
-    terminal = succ == np.arange(last + 1)
-    final_length = np.array([state.total_length for state in reversed(number)], np.int64)
-    return _EventTable(succ, fail, final_length, terminal, _step_table(succ, fail, terminal))
+def _distinct(keys: np.ndarray) -> list[int]:
+    """The distinct values of ``keys``, ascending. A sort: a set of 4096
+    ints costs several times as much, and ``np.unique`` imports
+    ``numpy.ma``, about 25 ms, on its first call."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])].tolist()
 
 
 def _walk_table(
     table: _EventTable, wins: np.ndarray, attempts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Every trial of a chunk walked through ``table`` from its state 0,
-    four attempts per gather of its step table.
+    four attempts per gather of its step table, each entry filled the
+    first time a trial needs it (:meth:`_EventTable.fill`).
 
     Trial t reads its next win bits from ``wins[t, attempts[t]]`` on,
     and ``attempts`` is advanced in place. Returns each trial's final
-    total length and its number of failed attempts.
+    total length and its number of failed attempts, or None when an
+    expansion fails (the scalar player then plays the chunk).
 
     A state that is not terminal holds two chains or more, so four
     vertices or more, and every attempt removes a vertex: a trial still
@@ -403,33 +382,45 @@ def _walk_table(
     ended stays on its terminal state, which takes no attempt whatever
     bits it reads, until at least half of the trials still walked have
     ended; then the ended ones are recorded and dropped at once."""
-    final_length, terminal, steps = table.final_length, table.terminal, table.steps
     trials, draws = wins.shape
-    finals = np.full(trials, final_length[0])
     failures = np.zeros(trials, np.int64)
-    if terminal[0]:
-        return finals, failures
+    if table.rows[0] is None and not table.fill([]):
+        return None
+    if table.rows[0][0] == 0:  # the start is terminal
+        return np.full(trials, table.final_length[0]), failures
+    finals = np.zeros(trials, np.int64)
     # words[j]: the win bits j to j + 3, one per byte
     bits = wins.reshape(-1)
     words = np.ndarray((bits.size - 3,), "<u4", bits, 0, (1,))
     live = np.arange(trials)
     at = live * draws + attempts  # flat index of each live trial's next win bit
-    state = np.zeros(trials, steps.dtype)
+    state = np.zeros(trials, np.uint32)
     lost = np.zeros(trials, np.int64)
     while live.size:
         # only the chunk's last trial, once it has ended, can need the clip
         word = words[np.minimum(at, words.size - 1)]
         word *= _GATHER_BITS
         word >>= 24
-        entry = steps[state << 4 | word]
-        state = entry >> 6
+        key = state << 4 | word
+        entry = table.steps[key]
+        if np.count_nonzero(entry) < entry.size:
+            missing = np.flatnonzero(entry == 0)
+            keys = _distinct(key[missing])
+            if len(table.states) + 2 + 10 * len(keys) > _TABLE_STATES:
+                state = table.restart(state)
+                key, missing = state << 4 | word, np.arange(key.size)
+                keys = _distinct(key)
+            if not table.fill(keys):
+                return None
+            entry[missing] = table.steps[key[missing]]
+        state = entry >> 7
         at += (entry >> 3) & 7
         lost += entry & 7
-        done = terminal[state]
+        done = (entry & 64).astype(bool)
         if 2 * np.count_nonzero(done) < live.size:
             continue
         ended = live[done]
-        finals[ended] = final_length[state[done]]
+        finals[ended] = table.final_length[state[done]]
         failures[ended] = lost[done]
         attempts[ended] = at[done] - ended * draws
         keep = ~done
@@ -437,31 +428,29 @@ def _walk_table(
     return finals, failures
 
 
-def _plan(strategy, start: Configuration) -> tuple[Strategy | StatefulStrategy, list, bool | None]:
-    """How a chunk plays ``strategy`` from ``start``: ``(explorer, runs,
-    greedy)``, the starts of the runs of ``explorer``, played one after
-    another, each on its event table, and the count matrix a run without
-    a table falls back on, largest-first when ``greedy``, none when
-    ``greedy`` is None. A :class:`TwoStage` runs its blocks when its
+def _plan(strategy, start: Configuration) -> tuple[Strategy | StatefulStrategy, list]:
+    """How a chunk plays ``strategy`` from ``start``: ``(explorer, runs)``,
+    the starts of the runs of ``explorer``, played one after another,
+    each on its event table. A :class:`TwoStage` runs its blocks when its
     inner strategy keeps :class:`Strategy`'s own ``start``, ``choose`` and
     ``step``: its process is then its decisions under the fusion rule, as
-    in a block. Exactly :class:`Modesty` and :class:`Greed` have the count
-    matrix. Every other strategy is one run of itself."""
-    runs = [start]
+    in a block. Every other strategy is one run of itself."""
     if type(strategy) is TwoStage and all(
             getattr(type(strategy.inner), name, None) is getattr(Strategy, name)
             for name in ("start", "choose", "step")):
-        strategy, runs = strategy.inner, strategy.blocks(start)
-    kind = type(strategy)
-    return strategy, runs, kind is Greed if kind in (Modesty, Greed) else None
+        return strategy.inner, strategy.blocks(start)
+    return strategy, [start]
 
 
-def _event_tables(strategy, start: Configuration, budget: int) -> dict:
-    """The event tables within ``budget`` of the runs of the chunks' plan
-    (:func:`_plan`), keyed by the run's start."""
-    explorer, runs, _ = _plan(strategy, start)
-    tables = {run: _event_table(explorer, run, budget) for run in dict.fromkeys(runs)}
-    return {run: table for run, table in tables.items() if table is not None}
+def _tables(strategy, start: Configuration) -> dict:
+    """An empty event table for each distinct run of the chunks' plan
+    (:func:`_plan`), keyed by the run's start; None for a run whose
+    first state has more vertices than its start, where a walk could
+    need more win bits than a trial's row holds."""
+    explorer, runs = _plan(strategy, start)
+    roots = {run: explorer.start(run) for run in runs}
+    return {run: _EventTable(explorer, root) if root.vertex_count <= _draws_bound(run) else None
+            for run, root in roots.items()}
 
 
 def _compact(lengths: np.ndarray) -> np.ndarray:
@@ -506,23 +495,23 @@ def _play_chunk(
     strategy, start: Configuration, wins: np.ndarray, tables: dict | None = None,
 ) -> np.ndarray | None:
     """Final total length of every trial of a chunk, played from its win
-    matrix on arrays by the plan of :func:`_plan` with the run's event
-    ``tables`` (see :func:`_event_tables`), or None when the scalar player
-    runs it: a run with neither a table nor a count matrix."""
-    _, runs, greedy = _plan(strategy, start)
-    tables = tables or {}
+    matrix on arrays by the plan of :func:`_plan` on the run's event
+    ``tables`` (:func:`_tables`, made here when None), or None when the
+    scalar player plays it: a run without a table, or one whose walk
+    fails."""
+    _, runs = _plan(strategy, start)
+    if tables is None:
+        tables = _tables(strategy, start)
     trials = len(wins)
     attempts = np.zeros(trials, np.int64)
     failures = np.zeros(trials, np.int64)
     survivors = np.zeros((trials, len(runs)), np.int64)
     for i, run in enumerate(runs):
-        table = tables.get(run)
-        if table is not None:
-            survivors[:, i], lost = _walk_table(table, wins, attempts)
-        elif greedy is None:
+        table = tables[run]
+        walked = None if table is None else _walk_table(table, wins, attempts)
+        if walked is None:
             return None
-        else:
-            survivors[:, i], lost = _play_counts(greedy, run.counts(), wins, attempts)
+        survivors[:, i], lost = walked
         failures += lost
     # one run leaves one column: nothing to compact, no round to play
     chains = _compact(survivors) if len(runs) > 1 else survivors
@@ -571,8 +560,9 @@ def estimate_quality(
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     p = _check_run(ps, seed)
-    # built once per run, so no chunk or pool worker builds a table again
-    tables = _event_tables(strategy, start, _state_budget(trials))
+    # made once per run and filled as the chunks walk them; a pool batch
+    # unpickles one empty copy and fills its own
+    tables = _tables(strategy, start)
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
     jobs = [(strategy, start, p, seed, chunk, min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK),
              threshold, tables) for chunk in range(n_chunks)]

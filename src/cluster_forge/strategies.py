@@ -34,16 +34,20 @@ valid by construction.
 Validity has rules local to a state: ``choose`` decides, a stop leaves
 at most one chain, a fusion needs two chains, a step does not raise, and
 each step removes the vertices the fusion rule removes (exactly 1 on
-``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. Only this
-module checks them, in a gate of two calls, ``_decide`` and ``_advance``,
-that raise ``_Broken``. Three walkers call it, each turning that into
-:class:`InvalidStrategy` at its own event string: the oracle, the scalar
-Monte Carlo player and the event-DAG explorer ``exact._explore``. The
-explorer serves the exact evaluation, the Monte Carlo event tables
-(which give up instead) and :func:`validate_strategy_sweep`, whose
-starts share one set of explored states (``cluster-forge validate``
-walks 508 states of smallest-first for the 508 configurations up to 14
-edges, not 12,340). :class:`Modesty` and :class:`Greed` decide from the sorted ``items`` in O(1).
+``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. A fusion of a
+pair the state lacks breaks one rule, with one message at the
+decision's event, in both state kinds. Only this module checks them,
+in a gate of two calls, ``_decide`` and ``_advance``, that raise
+``_Broken``; ``exact._expand`` runs a decision and both its steps
+through it. Three walkers turn ``_Broken`` into
+:class:`InvalidStrategy` at their own event strings: the oracle, the
+scalar Monte Carlo player and the event-DAG explorer
+``exact._explore``, which serves the exact evaluation and
+:func:`validate_strategy_sweep`, whose starts share one set of explored
+states (``cluster-forge validate`` walks 508 states of smallest-first
+for the 508 configurations up to 14 edges, not 12,340). The Monte Carlo
+event tables give up instead, and leave the error to the scalar player.
+:class:`Modesty` and :class:`Greed` decide from the sorted ``items`` in O(1).
 :class:`TwoStage` remembers its inner strategy's fusion per block offset
 and lineup, since it depends on those alone. Its stage-one memory is
 only where the running block starts and how many chains it holds, so
@@ -63,6 +67,7 @@ from .configuration import (
     Configuration,
     Fuse,
     IdentityConfiguration,
+    InvalidFusionError,
     Stop,
     _new,
     parse_key,
@@ -246,12 +251,15 @@ class IdentityAdapter(StatefulStrategy):
 
 
 def _lowest_indices(chains: tuple[int, ...], a: int, b: int, offset: int = 0) -> Fuse:
-    """Lowest chain indices realizing the length pair (a, b)."""
-    i = chains.index(a)
-    if b == a:
-        j = chains.index(a, i + 1)
-    else:
-        j = chains.index(b)
+    """Lowest chain indices realizing the length pair (a, b). A pair the
+    chains lack raises :class:`InvalidFusionError` with the text
+    :meth:`Configuration.fuse` gives it."""
+    try:
+        i = chains.index(a)
+        j = chains.index(a, i + 1) if b == a else chains.index(b)
+    except ValueError:
+        raise InvalidFusionError(f"no chains of lengths ({a},{b}) in "
+                                 f"{Configuration.from_lengths(chains)}") from None
     return Fuse(offset + i, offset + j)
 
 
@@ -403,11 +411,22 @@ class _Broken(Exception):
 def _decide(strategy: Strategy | StatefulStrategy, state) -> Action:
     """``strategy``'s action at ``state``, once it obeys the rules of a
     decision: ``choose`` raises neither KeyError nor ValueError, a stop
-    leaves at most one chain, and a fusion has two chains to fuse."""
+    leaves at most one chain, and a fusion has two chains to fuse.
+
+    An :class:`InvalidFusionError` from ``choose`` is a pair the chains
+    lack, as when :class:`IdentityAdapter` maps its inner strategy's
+    lengths to indices: it breaks the rule that a plain state's step
+    breaks for the same pair (:func:`_advance`), or, on one chain or
+    none, the rule against fusing there that a plain state's decision
+    breaks first."""
     try:
         action = strategy.choose(state)
     except KeyError as exc:
         raise _Broken(f"no decision available: {exc}") from exc
+    except InvalidFusionError as exc:
+        if state.chain_count <= 1:
+            raise _Broken("fusion attempted on a terminal configuration") from exc
+        raise _Broken(f"null fusion: {exc}") from exc
     except ValueError as exc:
         raise _Broken(f"invalid decision: {exc}") from exc
     chains = state.chain_count
@@ -424,9 +443,14 @@ def _advance(strategy: Strategy | StatefulStrategy, state, action: Fuse, outcome
     """``(after, drop)``: the state after ``action`` had ``outcome`` at
     ``state`` of ``vertices`` vertices, and the vertices it removed, once
     the step raises neither ValueError nor IndexError (a null fusion) and
-    removes 1 vertex on success, 2 to 4 on failure."""
+    removes 1 vertex on success, 2 to 4 on failure. An
+    :class:`InvalidFusionError`, chains the action names but the state
+    lacks, is the decision's fault whatever the outcome, so it is
+    reported at the decision's event."""
     try:
         after = strategy.step(state, action, outcome)
+    except InvalidFusionError as exc:
+        raise _Broken(f"null fusion: {exc}") from exc
     except (ValueError, IndexError) as exc:
         raise _Broken(f"null fusion: {exc}", outcome) from exc
     drop = vertices - after.vertex_count

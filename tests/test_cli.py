@@ -108,12 +108,15 @@ def test_benchmark_unseeded_outputs_are_pinned(capsys, tmp_path, monkeypatch, st
 
 @pytest.mark.parametrize("seed", range(10))
 def test_benchmark_seeded_static_outputs_are_pinned(capsys, seed):
-    """The benchmark's ``static`` Monte Carlo step and its threshold
-    experiment at the recorded seeds, byte for byte."""
+    """The benchmark's ``modesty``, ``greed`` and ``static`` Monte Carlo
+    steps and its threshold experiment at the recorded seeds, byte for
+    byte."""
     expected = benchmark_references()["seeded"][str(seed)]
-    assert main(["mc", "--strategy", "static", "--n", "64", "--trials", "2048",
-                 "--seed", str(seed), "--threads", "1"]) == 0
-    assert sha256(capsys.readouterr().out) == expected["mc-static"]
+    for strategy, n, trials in [("modesty", 12, 20000), ("greed", 12, 20000),
+                                ("static", 64, 2048)]:
+        assert main(["mc", "--strategy", strategy, "--n", str(n), "--trials", str(trials),
+                     "--seed", str(seed), "--threads", "1"]) == 0
+        assert sha256(capsys.readouterr().out) == expected[f"mc-{strategy}"], strategy
     report = threshold_experiment(8, Fraction(137, 2048), 1, block_size=8, trials=512,
                                   seed=seed)
     assert sha256(json.dumps(report.to_dict(), sort_keys=True)) == expected["threshold"]

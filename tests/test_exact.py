@@ -913,9 +913,9 @@ class TestIntegerScaledReadSide:
         # the memo _sweep hands the explorer, once per start
         memos = []
 
-        def explore(strategy, root, seen, budget=None):
+        def explore(strategy, root, seen):
             memos.append(seen)
-            return _explore(strategy, root, seen, budget)
+            return _explore(strategy, root, seen)
 
         monkeypatch.setattr(exact, "_explore", explore)
         for attempts in (False, True):

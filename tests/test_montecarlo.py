@@ -22,7 +22,7 @@ from cluster_forge.configuration import (
     canonical_key,
     parse_key,
 )
-from cluster_forge.exact import build_quality_table, strategy_quality
+from cluster_forge.exact import _explore, build_quality_table, strategy_quality
 from cluster_forge.montecarlo import (
     TRIAL_CHUNK,
     SimulationReport,
@@ -337,28 +337,43 @@ def scalar_estimate(strategy, start, ps, trials, seed, threshold=None):
         return estimate_quality(strategy, start, ps, trials, seed, threshold)
 
 
-# A state budget no event table in these tests reaches.
-ALL_STATES = 2 ** 62
-PATHS = ["table", "count matrix"]
+# "capped" walks under a table cap so small that a table restarts at
+# nearly every gather that fills an entry.
+CAPS = {"uncapped": montecarlo._TABLE_STATES, "capped": 40}
 
 
 @contextlib.contextmanager
-def on_path(path):
-    """Every smallest- or largest-first run of a chunk plays on ``path``:
-    an event table walk under a budget no table reaches, or the count
-    matrix under a budget of 0. The other engine fails if it is called;
-    yields a spy on the engine of ``path``."""
-    budget, engine, other = {"table": (ALL_STATES, "_walk_table", "_play_counts"),
-                             "count matrix": (0, "_play_counts", "_walk_table")}[path]
+def on_tables(cap="uncapped"):
+    """Every run of a chunk walks its event table under the table cap
+    ``cap``, and no chunk falls back to the scalar player; yields a spy
+    on the walk."""
+    walk = montecarlo._walk_table
 
-    def refuse(*args):
-        raise AssertionError(f"{other} played on the {path} path")
+    def walk_or_refuse(*args):
+        walked = walk(*args)
+        if walked is None:
+            raise AssertionError("a chunk fell back to the scalar player")
+        return walked
 
-    spy = mock.Mock(wraps=getattr(montecarlo, engine))
-    with mock.patch.object(montecarlo, "_state_budget", lambda trials: budget), \
-            mock.patch.object(montecarlo, other, refuse), \
-            mock.patch.object(montecarlo, engine, spy):
+    spy = mock.Mock(wraps=walk_or_refuse)
+    with mock.patch.object(montecarlo, "_TABLE_STATES", CAPS[cap]), \
+            mock.patch.object(montecarlo, "_walk_table", spy):
         yield spy
+
+
+def fill_all(table):
+    """Fill every step entry of every state the table reaches: the whole
+    event DAG, numbered as a lazy walk numbers it."""
+    filled = 0
+    while filled < len(table.states):
+        numbered = len(table.states)
+        assert table.fill(list(range(16 * filled, 16 * numbered)))
+        filled = numbered
+    return table
+
+
+def chunk_wins(start, trials=500, seed=8, p=0.5):
+    return montecarlo._chunk_wins(seed, 0, trials, montecarlo._draws_bound(start), p)
 
 
 PS_VALUES = [Fraction(0), Fraction(137, 2048), Fraction(1, 2), Fraction(1)]
@@ -372,7 +387,7 @@ OPTIMAL_10 = build_quality_table(10).as_strategy()
 
 
 class LargestFirstModesty(Modesty):
-    """A subclass the array engine must not mistake for Modesty."""
+    """A subclass of Modesty that decides as Greed."""
 
     decide = Greed.decide
 
@@ -387,8 +402,8 @@ LOOKUP_8 = LookupStrategy({canonical_key(config): action
 
 class ListMemory(StatefulStrategy):
     """Smallest-first in the identity picture with a list as its memory,
-    which breaks the hashable contract: no event table can be made of
-    it, and the scalar player plays it all the same."""
+    which breaks the hashable contract: no event table can number its
+    states, and the scalar player plays it all the same."""
 
     name = "list-memory"
     adapter = IdentityAdapter(MODESTY)
@@ -406,36 +421,36 @@ class ListMemory(StatefulStrategy):
 class TestChunkEngine:
     """The array engine against the scalar players."""
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("cap", CAPS)
     @settings(max_examples=60, deadline=None)
     @given(strategy=st.sampled_from([MODESTY, GREED]), start=starts, ps=ps_values,
            seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 300),
            threshold=st.none() | st.integers(0, 20))
-    def test_modesty_and_greed(self, path, strategy, start, ps, seed, trials, threshold):
+    def test_modesty_and_greed(self, cap, strategy, start, ps, seed, trials, threshold):
         args = (strategy, start, ps, trials, seed, threshold)
-        with on_path(path) as engine:
+        with on_tables(cap) as walk:
             assert estimate_quality(*args) == scalar_estimate(*args)
-        assert engine.called
+        assert walk.called
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("cap", CAPS)
     @settings(max_examples=60, deadline=None)
     @given(block_size=st.sampled_from([2, 3, 5, 8]), inner=st.sampled_from([MODESTY, GREED]),
            start=starts | st.integers(0, 40).map(epr), ps=ps_values,
            seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 200))
     @example(block_size=2, inner=MODESTY, start=epr(80), ps=0.5, seed=1, trials=200)
-    def test_two_stage(self, path, block_size, inner, start, ps, seed, trials):
+    def test_two_stage(self, cap, block_size, inner, start, ps, seed, trials):
         args = (TwoStage(block_size, inner), start, ps, trials, seed, start.total_length // 2)
-        with on_path(path) as engine:
+        with on_tables(cap) as walk:
             assert estimate_quality(*args) == scalar_estimate(*args)
-        assert engine.called == (start.chain_count > 0)
+        assert walk.called == (start.chain_count > 0)
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("strategy, n", [(MODESTY, 8), (GREED, 8), (STATIC, 19)])
-    def test_chunk_remainder(self, path, strategy, n):
+    def test_chunk_remainder(self, cap, strategy, n):
         args = (strategy, epr(n), Fraction(1, 2), TRIAL_CHUNK + 257, 3, 4)
-        with on_path(path) as engine:
+        with on_tables(cap) as walk:
             assert estimate_quality(*args) == scalar_estimate(*args)
-        assert engine.called
+        assert walk.called
 
     @settings(max_examples=60, deadline=None)
     @given(start=st.sampled_from([epr(5), parse_key("1^3,2^2,3^1"), Configuration.single_chain(10),
@@ -446,12 +461,12 @@ class TestChunkEngine:
            threshold=st.none() | st.integers(0, 10))
     def test_optimal_table(self, start, ps, seed, trials, threshold):
         args = (OPTIMAL_10, start, ps, trials, seed, threshold)
-        with on_path("table") as walk:
+        with on_tables() as walk:
             assert estimate_quality(*args) == scalar_estimate(*args)
         assert walk.called
 
     def test_optimal_table_beyond_its_n_plays_on_the_scalar_player(self):
-        assert montecarlo._event_tables(OPTIMAL_10, epr(11), ALL_STATES) == {}
+        assert montecarlo._play_chunk(OPTIMAL_10, epr(11), chunk_wins(epr(11))) is None
         with pytest.raises(InvalidStrategy, match="no decision available"):
             estimate_quality(OPTIMAL_10, epr(11), 0.5, trials=100, seed=1)
 
@@ -459,7 +474,7 @@ class TestChunkEngine:
         table = build_quality_table(8)
         table.action_ids[table.rank(epr(4))] = table.actions.index(STOP)
         strategy = table.as_strategy()
-        assert montecarlo._event_tables(strategy, epr(4), ALL_STATES) == {}
+        assert montecarlo._play_chunk(strategy, epr(4), chunk_wins(epr(4))) is None
         with pytest.raises(InvalidStrategy) as err:
             estimate_quality(strategy, epr(4), 0.5, trials=100, seed=1)
         assert (err.value.event, err.value.message) == ("", "premature stop with 4 chains")
@@ -469,45 +484,65 @@ class TestChunkEngine:
         (OPTIMAL_10, epr(5), 9), (TwoStage(3, GREED), epr(9), 4),
         (IdentityAdapter(MODESTY), epr(12), 63),
     ], ids=["modesty", "greed", "static", "optimal", "two-stage", "identity-adapter"])
-    def test_event_table_sizes(self, strategy, start, states):
-        tables = montecarlo._event_tables(strategy, start, ALL_STATES)
-        assert [len(table.succ) for table in tables.values()] == [states]
-        # a table of exactly the budget is kept, one state more is not
-        tables = montecarlo._event_tables(strategy, start, states)
-        assert [len(table.succ) for table in tables.values()] == [states]
-        assert montecarlo._event_tables(strategy, start, states - 1) == {}
+    def test_a_filled_table_is_the_event_dag(self, strategy, start, states):
+        """Every entry filled, a run's table numbers each state of its
+        event DAG once; a walk fills no more of it."""
+        tables = montecarlo._tables(strategy, start)
+        assert [len(fill_all(table).states) for table in tables.values()] == [states]
+        dag = set()
+        for table in tables.values():
+            for state, _, _ in _explore(table.strategy, table.root, dag):
+                dag.add(state)
+        assert {state for table in tables.values() for state in table.states} == dag
+        tables = montecarlo._tables(strategy, start)
+        wins = chunk_wins(start, TRIAL_CHUNK)
+        montecarlo._play_chunk(strategy, start, wins, tables)
+        assert all(len(table.states) <= states for table in tables.values())
 
     def test_a_two_stage_run_has_one_table_per_distinct_block(self):
-        tables = montecarlo._event_tables(TwoStage(8, GREED), epr(20), ALL_STATES)
+        tables = montecarlo._tables(TwoStage(8, GREED), epr(20))
         assert list(tables) == [epr(8), epr(4)]
         for block, table in tables.items():
-            alone = montecarlo._event_tables(GREED, block, ALL_STATES)[block]
-            assert all((a == b).all() for a, b in zip(table, alone))
+            alone = montecarlo._tables(GREED, block)[block]
+            assert table.strategy is GREED
+            fill_all(table), fill_all(alone)
+            assert table.states == alone.states
+            assert table.rows == alone.rows
 
-    def test_exploration_stops_at_the_budget(self):
-        budget = montecarlo._state_budget(TRIAL_CHUNK)
-        assert budget == 256
-        with mock.patch.object(MODESTY, "choose", wraps=MODESTY.choose) as choose:
-            assert montecarlo._event_tables(MODESTY, epr(200), budget) == {}
-        assert 0 < choose.call_count <= budget
+    def test_a_walk_expands_only_the_states_its_trials_visit(self):
+        """A chunk decides once at each state one of its trials stands on,
+        as the scalar player does, and nowhere else, though the event DAG
+        from 200 pairs holds far more states."""
+        start, trials = epr(200), 300
+        wins = chunk_wins(start, trials)
+        visited = set()
+        recording = mock.Mock(side_effect=lambda state: visited.add(state) or
+                              Modesty.choose(MODESTY, state))
+        with mock.patch.object(MODESTY, "choose", recording):
+            for row in wins:
+                montecarlo._play(MODESTY, start, row)
+            played, visited = visited, set()
+            recording.reset_mock()
+            tables = montecarlo._tables(MODESTY, start)
+            montecarlo._play_chunk(MODESTY, start, wins, tables)
+        table = tables[start]
+        expanded = [state for state, row in zip(table.states, table.rows) if row]
+        assert recording.call_count == len(expanded) == len(visited)
+        assert set(expanded) == visited == played
 
     @pytest.mark.parametrize("strategy, like_greed", [
         (LargestFirstModesty(), GREED), (TwoStage(4, LargestFirstModesty()), TwoStage(4, GREED)),
     ], ids=["subclass", "two-stage-of-subclass"])
     def test_subclasses_walk_their_own_tables(self, strategy, like_greed):
-        """A subclass of Modesty is never mistaken for Modesty: it walks
-        its own event table, and without one it plays on the scalar
-        player, never on Modesty's count matrix."""
+        """A subclass of Modesty that decides as Greed walks its own event
+        table and plays as Greed."""
         args = (epr(10), 0.5, 500, 8, 10)
         greed = estimate_quality(like_greed, *args)
-        for path in PATHS:
-            with on_path(path) as engine:
-                ours = estimate_quality(strategy, *args)
-            assert engine.called == (path == "table")
-            assert (ours.mean, ours.stderr, ours.success_count) == (
-                greed.mean, greed.stderr, greed.success_count)
-        wins = montecarlo._chunk_wins(8, 0, 500, montecarlo._draws_bound(epr(10)), 0.5)
-        assert montecarlo._play_chunk(strategy, epr(10), wins) is None
+        with on_tables() as walk:
+            ours = estimate_quality(strategy, *args)
+        assert walk.called
+        assert (ours.mean, ours.stderr, ours.success_count) == (
+            greed.mean, greed.stderr, greed.success_count)
 
     @pytest.mark.parametrize("strategy, start", [
         (IdentityAdapter(MODESTY), epr(12)), (LOOKUP_8, epr(8)),
@@ -516,8 +551,8 @@ class TestChunkEngine:
     def test_any_strategy_walks_its_table(self, strategy, start):
         args = (strategy, start, 0.5, TRIAL_CHUNK + 100, 5, start.total_length // 2)
         expected = scalar_estimate(*args)
-        assert list(montecarlo._event_tables(strategy, start, ALL_STATES)) == [start]
-        with on_path("table") as walk:
+        assert list(montecarlo._tables(strategy, start)) == [start]
+        with on_tables() as walk:
             assert estimate_quality(*args) == expected
             assert walk.called
             assert estimate_quality(*args, processes=2) == expected
@@ -531,8 +566,8 @@ class TestChunkEngine:
         process plays one run of it per block, whatever its class."""
         args = (strategy, start, 0.5, TRIAL_CHUNK + 100, 5, start.total_length // 2)
         expected = scalar_estimate(*args)
-        assert list(montecarlo._event_tables(strategy, start, ALL_STATES)) == blocks
-        with on_path("table") as walk:
+        assert list(montecarlo._tables(strategy, start)) == blocks
+        with on_tables() as walk:
             assert estimate_quality(*args) == expected
             assert walk.called
             assert estimate_quality(*args, processes=2) == expected
@@ -542,46 +577,35 @@ class TestChunkEngine:
         are not the blocks TwoStage plays: the two-stage strategy is one
         run of itself, and plays like TwoStage(4, MODESTY)."""
         strategy = TwoStage(4, Inflater())
-        assert montecarlo._plan(strategy, epr(10)) == (strategy, [epr(10)], None)
-        assert list(montecarlo._event_tables(strategy, epr(10), ALL_STATES)) == [epr(10)]
+        assert montecarlo._plan(strategy, epr(10)) == (strategy, [epr(10)])
+        assert list(montecarlo._tables(strategy, epr(10))) == [epr(10)]
         args = (epr(10), 0.5, 500, 8, 10)
         ours, modesty = estimate_quality(strategy, *args), estimate_quality(TwoStage(4), *args)
         assert (ours.mean, ours.stderr, ours.success_count) == (
             modesty.mean, modesty.stderr, modesty.success_count)
 
-    def test_blocks_without_tables_or_count_matrix_play_on_the_scalar_player(self):
-        strategy = TwoStage(3, LOOKUP_8)
-        tables = montecarlo._event_tables(strategy, epr(10), 0)
-        assert tables == {}
-        wins = montecarlo._chunk_wins(8, 0, 500, montecarlo._draws_bound(epr(10)), 0.5)
-        assert montecarlo._play_chunk(strategy, epr(10), wins, tables) is None
-
     def test_a_start_state_past_the_win_row_has_no_table(self):
-        assert montecarlo._event_tables(Inflater(), epr(2), ALL_STATES) == {}
-        with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES), \
-                pytest.raises(InvalidStrategy) as err:
+        assert montecarlo._tables(Inflater(), epr(2)) == {epr(2): None}
+        assert montecarlo._play_chunk(Inflater(), epr(2), chunk_wins(epr(2))) is None
+        with pytest.raises(InvalidStrategy) as err:
             estimate_quality(Inflater(), epr(2), 1.0, trials=10, seed=0)
         assert (err.value.start, err.value.event, err.value.message) == (
             epr(2), "SSSS", "more than 4 attempts from a start of 4 vertices; every attempt "
             "removes a vertex")
 
     def test_unhashable_states_play_on_the_scalar_player(self):
-        assert montecarlo._event_tables(ListMemory(), epr(12), ALL_STATES) == {}
+        assert montecarlo._play_chunk(ListMemory(), epr(12), chunk_wins(epr(12))) is None
         args = (epr(12), 0.5, 300, 4, 8)
-        with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES):
-            ours = estimate_quality(ListMemory(), *args)
+        ours = estimate_quality(ListMemory(), *args)
         modesty = estimate_quality(MODESTY, *args)
         assert (ours.mean, ours.stderr, ours.success_count) == (
             modesty.mean, modesty.stderr, modesty.success_count)
 
     @pytest.mark.parametrize("strategy, engine", [
-        (MODESTY, "_play_counts"), (GREED, "_play_counts"), (STATIC, "_pairing_round"),
-        (MODESTY, "_walk_table"), (GREED, "_walk_table"), (STATIC, "_walk_table"),
-        (OPTIMAL_10, "_walk_table"),
+        (STATIC, "_pairing_round"), (MODESTY, "_walk_table"), (GREED, "_walk_table"),
+        (STATIC, "_walk_table"), (OPTIMAL_10, "_walk_table"),
     ])
     def test_broken_conservation_raises(self, monkeypatch, strategy, engine):
-        monkeypatch.setattr(montecarlo, "_state_budget",
-                            lambda trials: 0 if engine == "_play_counts" else ALL_STATES)
         original = getattr(montecarlo, engine)
 
         def one_failure_too_many(*args):
@@ -594,41 +618,126 @@ class TestChunkEngine:
             estimate_quality(strategy, epr(5 if strategy is OPTIMAL_10 else 16), 0.5,
                              trials=50, seed=3)
 
-    def test_count_matrix_stays_within_three_bytes_a_draw(self):
+    def test_a_chunk_walk_stays_within_a_kilobyte_a_state(self):
         start = epr(200)
-        wins = montecarlo._chunk_wins(5, 0, TRIAL_CHUNK, montecarlo._draws_bound(start), 0.5)
+        wins = chunk_wins(start, TRIAL_CHUNK, seed=5)
+        montecarlo._play_chunk(MODESTY, epr(8), wins[:, :16])  # warm the strategy
         tracemalloc.start()
         try:
-            montecarlo._play_chunk(MODESTY, start, wins)
+            tables = montecarlo._tables(MODESTY, start)
+            montecarlo._play_chunk(MODESTY, start, wins, tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a one-byte count matrix and its temporaries, under a third of
-        # eight bytes a draw; eight-byte counts alone would take half that
-        assert peak < 8 * wins.size // 3
+        # about 620 B a state: mostly the configurations, then the
+        # numbering and the 64 B of step entries of each
+        assert peak < 1000 * len(tables[start].states)
+
+
+class TestTableCap:
+    """A table that would pass its cap restarts from its trials' states,
+    which changes no result."""
+
+    def test_the_cap_holds_a_whole_chunks_fill(self):
+        assert montecarlo._TABLE_STATES >= 11 * TRIAL_CHUNK + 3
+
+    def test_a_capped_run_equals_an_uncapped_one(self, monkeypatch):
+        start, trials = epr(200), 300
+        args = (MODESTY, start, 0.5, trials, 6, 60)
+        uncapped = estimate_quality(*args)
+        cap = 11 * trials + 3
+        sizes, restarts = [], []
+        restart, walk = montecarlo._EventTable.restart, montecarlo._walk_table
+
+        def spy_restart(table, state):
+            restarts.append(len(table.states))
+            return restart(table, state)
+
+        def spy_walk(table, wins, attempts):
+            walked = walk(table, wins, attempts)
+            sizes.append(len(table.states))
+            return walked
+
+        monkeypatch.setattr(montecarlo, "_TABLE_STATES", cap)
+        monkeypatch.setattr(montecarlo._EventTable, "restart", spy_restart)
+        monkeypatch.setattr(montecarlo, "_walk_table", spy_walk)
+        assert estimate_quality(*args) == uncapped == scalar_estimate(*args)
+        assert restarts and max(restarts + sizes) <= cap
+
+    def test_a_restart_keeps_the_start_and_the_live_states(self):
+        table = montecarlo._tables(MODESTY, epr(12))[epr(12)]
+        fill_all(table)
+        live = np.array([0, 7, 3, 7, 0, 12], np.uint32)
+        kept = [table.states[i] for i in live]
+        renumbered = table.restart(live)
+        assert table.states[0] == MODESTY.start(epr(12))
+        assert [table.states[i] for i in renumbered] == kept
+        assert table.rows == [None] * 4
+
+
+class QuitsAtSixPairs(Modesty):
+    """Smallest-first that stops at six lone pairs, which from 30 pairs
+    twelve failures in a row reach: a broken state one trial in about
+    4096 meets at ps 1/2."""
+
+    name = "quits-at-six-pairs"
+
+    def decide(self, config):
+        return STOP if config == epr(6) else Modesty.decide(self, config)
+
+
+def test_a_state_first_broken_in_a_later_chunk_raises_the_scalar_players_error():
+    """Chunk 0 walks its table; chunk 1 meets the broken state and plays on
+    the scalar player, which raises the first breaking trial's error."""
+    strategy, start = QuitsAtSixPairs(), epr(30)
+    outcomes = {}
+
+    def first_chunks(seed):
+        tables = montecarlo._tables(strategy, start)
+        return [montecarlo._play_chunk(strategy, start, montecarlo._chunk_wins(
+            seed, chunk, TRIAL_CHUNK, montecarlo._draws_bound(start), 0.5), tables) is None
+            for chunk in (0, 1)]
+
+    seed = next(seed for seed in range(100) if first_chunks(seed) == [False, True])
+    args = (strategy, start, 0.5, 2 * TRIAL_CHUNK, seed)
+    for name, run in [("arrays", estimate_quality), ("scalar", scalar_estimate)]:
+        with pytest.raises(InvalidStrategy) as err:
+            run(*args)
+        outcomes[name] = (err.value.start, err.value.event, err.value.message)
+    assert outcomes["arrays"] == outcomes["scalar"]
+    assert outcomes["arrays"][1:] == ("F" * 12, "premature stop with 6 chains")
 
 
 def four_single_steps(table, state, bits):
-    """Four attempts from ``state`` through the one-attempt table, attempt
-    i won when bit i of ``bits`` is set: the state after them, and the
-    attempts taken and lost before a terminal state was reached."""
+    """Four attempts from ``state`` through the one-attempt rows, attempt
+    i won when bit i of ``bits`` is set: the state after them, whether it
+    is terminal, and the attempts taken and lost before a terminal state
+    was reached."""
     taken = lost = 0
     for i in range(4):
-        if table.terminal[state]:
+        if table.rows[state][0] == state:
             break
         won = bits >> i & 1
-        state = int((table.succ if won else table.fail)[state])
+        state = table.rows[state][won]
         taken += 1
         lost += not won
-    return state, taken, lost
+    return state, table.rows[state][0] == state, taken, lost
 
 
-def assert_steps_are_four_single_steps(table):
-    for state in range(len(table.succ)):
+def assert_steps_are_four_single_steps(table, every=True):
+    """Each filled step entry is four single steps; with ``every``, each
+    entry is filled."""
+    filled = 0
+    for state in range(len(table.states)):
         for bits in range(16):
             entry = int(table.steps[16 * state + bits])
-            assert (entry >> 6, entry >> 3 & 7, entry & 7) == \
+            if entry == 0:
+                assert not every, (state, bits)
+                continue
+            filled += 1
+            assert (entry >> 7, bool(entry >> 6 & 1), entry >> 3 & 7, entry & 7) == \
                 four_single_steps(table, state, bits), (state, bits)
+    assert filled
 
 
 class ReadRow:
@@ -655,18 +764,25 @@ class TestStepTables:
     @settings(max_examples=40, deadline=None)
     @given(strategy=st.sampled_from([MODESTY, GREED]), start=starts)
     def test_smallest_and_largest_first(self, strategy, start):
-        for table in montecarlo._event_tables(strategy, start, ALL_STATES).values():
-            assert_steps_are_four_single_steps(table)
+        for table in montecarlo._tables(strategy, start).values():
+            assert_steps_are_four_single_steps(fill_all(table))
 
     @pytest.mark.parametrize("strategy, start", [
         (OPTIMAL_10, epr(5)), (OPTIMAL_10, parse_key("1^3,2^2,3^1")),
         (TwoStage(3, GREED), epr(20)), (TwoStage(5, MODESTY), epr(23)), (STATIC, epr(64)),
     ], ids=["optimal-1^5", "optimal-mixed", "two-stage-3", "two-stage-5", "static"])
     def test_optimal_table_and_two_stage_blocks(self, strategy, start):
-        tables = montecarlo._event_tables(strategy, start, ALL_STATES)
+        tables = montecarlo._tables(strategy, start)
         assert tables
         for table in tables.values():
-            assert_steps_are_four_single_steps(table)
+            assert_steps_are_four_single_steps(fill_all(table))
+
+    @pytest.mark.parametrize("strategy, start", [(MODESTY, epr(40)), (GREED, epr(40))],
+                             ids=["modesty", "greed"])
+    def test_a_walked_table_holds_only_four_single_steps(self, strategy, start):
+        tables = montecarlo._tables(strategy, start)
+        montecarlo._play_chunk(strategy, start, chunk_wins(start, 200), tables)
+        assert_steps_are_four_single_steps(tables[start], every=False)
 
     @pytest.mark.parametrize("ps", [0.0, 137 / 2048, 0.5, 1.0])
     @pytest.mark.parametrize("strategy", [MODESTY, GREED, OPTIMAL_10],
@@ -679,7 +795,7 @@ class TestStepTables:
         # so rows are not a whole number of bytes or words long, and the
         # last trial's walk can read up to the chunk's last bit (from 1^2
         # its one step reads its whole row).
-        table = montecarlo._event_table(strategy, start, ALL_STATES)
+        table = montecarlo._tables(strategy, start)[start]
         trials = 8 * 7 + 3
         draws = start.vertex_count + 7
         wins = montecarlo._chunk_wins(41, 2, trials, draws, ps)
@@ -703,8 +819,7 @@ class TestStepTables:
             return walk(table, wins, attempts)
 
         args = (TwoStage(block_size, GREED), epr(37), 0.5, 600, 5, 12)
-        with mock.patch.object(montecarlo, "_state_budget", lambda trials: ALL_STATES), \
-                mock.patch.object(montecarlo, "_walk_table", spy):
+        with mock.patch.object(montecarlo, "_walk_table", spy):
             assert estimate_quality(*args) == scalar_estimate(*args)
         assert offsets == set(range(8))
 
@@ -715,27 +830,26 @@ class TestStepTables:
     ], ids=["modesty", "greed", "optimal", "two-stage"])
     def test_one_trial_and_a_chunk_remainder(self, strategy, start, trials):
         args = (strategy, start, Fraction(1, 2), trials, 17, 5)
-        with on_path("table") as walk:
+        with on_tables() as walk:
             assert estimate_quality(*args) == scalar_estimate(*args)
         assert walk.called
 
     def test_step_tables_stay_small(self):
-        # smallest-first from 64 pairs: 4,582 states
-        montecarlo._event_tables(MODESTY, epr(8), ALL_STATES)  # warm the strategy
+        # smallest-first from 64 pairs: 4,582 states, all of them filled
+        fill_all(montecarlo._tables(MODESTY, epr(8))[epr(8)])  # warm the strategy
         tracemalloc.start()
         try:
-            tables = montecarlo._event_tables(MODESTY, epr(64), ALL_STATES)
+            table = fill_all(montecarlo._tables(MODESTY, epr(64))[epr(64)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        table = tables[epr(64)]
-        states = len(table.succ)
+        states = len(table.states)
         assert states == 4582
-        # 16 four-byte entries a state
-        assert table.steps.nbytes <= 100 * states
-        # Exploring and doubling peak at about 620 B a state, mostly the
-        # explored configurations; building 256 entries a state (eight
-        # attempts a gather) alone would take about 6 KB a state.
+        # 16 four-byte entries a state, in arrays that at most double
+        assert table.steps.nbytes <= 2 * 64 * states
+        # Filling peaks at about 620 B a state, mostly the configurations;
+        # building 256 entries a state (eight attempts a gather) alone
+        # would take about 6 KB a state.
         assert peak < 1000 * states
 
 
@@ -922,24 +1036,24 @@ class TestWinBits:
         assert wins.tolist() == [bool(u < p) for u in word_uniforms(words)]
 
 
-class TestEventTablePausesTheCollector:
-    """``montecarlo._event_table`` explores with the cyclic collector
-    paused and leaves it as it found it (``exact._collector_paused``),
-    also where it gives no table."""
+class TestTableFillsPauseTheCollector:
+    """``_EventTable.fill`` expands with the cyclic collector paused and
+    leaves it as it found it (``exact._collector_paused``), also where an
+    expansion fails."""
 
-    def test_no_collection_runs_inside_an_exploration(self, gc_collections):
+    def test_no_collection_runs_inside_a_fill(self, gc_collections):
+        table = montecarlo._tables(MODESTY, epr(64))[epr(64)]
         with gc_collections() as generations:
-            table = montecarlo._event_table(MODESTY, epr(64), ALL_STATES)
+            fill_all(table)
         assert generations == []
-        assert len(table.succ) == 4582
+        assert len(table.states) == 4582
 
-    @pytest.mark.parametrize("strategy, start, budget, made", [
-        (MODESTY, epr(64), ALL_STATES, True),
-        (MODESTY, epr(64), 100, False),
-        (ListMemory(), epr(12), ALL_STATES, False),
-        (StopsBelowSixVertices(), epr(8), ALL_STATES, False),
-    ], ids=["whole", "budget", "unhashable", "invalid"])
-    def test_the_collector_state_is_restored(self, collector_state, strategy, start, budget,
-                                             made):
-        assert (montecarlo._event_table(strategy, start, budget) is not None) is made
+    @pytest.mark.parametrize("strategy, start, filled", [
+        (MODESTY, epr(64), True),
+        (ListMemory(), epr(12), False),
+        (StopsBelowSixVertices(), epr(8), False),
+    ], ids=["whole", "unhashable", "invalid"])
+    def test_the_collector_state_is_restored(self, collector_state, strategy, start, filled):
+        table = montecarlo._tables(strategy, start)[start]
+        assert table.fill(list(range(0, 16 * len(table.states), 16))) is filled
         assert gc.isenabled() is collector_state

@@ -17,6 +17,7 @@ from cluster_forge.configuration import (
     Configuration,
     Fuse,
     IdentityConfiguration,
+    InvalidFusionError,
     Stop,
     enumerate_configurations,
     parse_key,
@@ -325,6 +326,11 @@ def reference_validate(strategy, start):
             action = strategy.choose(state)
         except KeyError as exc:
             return start, event, f"no decision available: {exc}"
+        except InvalidFusionError as exc:
+            # an absent pair, met where a plain state meets it
+            if state.chain_count <= 1:
+                return start, event, "fusion attempted on a terminal configuration"
+            return start, event, f"null fusion: {exc}"
         except ValueError as exc:
             return start, event, f"invalid decision: {exc}"
         n_chains = state.chain_count
@@ -337,6 +343,8 @@ def reference_validate(strategy, start):
         for outcome in (SUCCESS, FAILURE):
             try:
                 child = strategy.step(state, action, outcome)
+            except InvalidFusionError as exc:  # the decision's fault, at its event
+                return start, event, f"null fusion: {exc}"
             except (ValueError, IndexError) as exc:
                 return start, event + outcome, f"null fusion: {exc}"
             drop = state.vertex_count - child.vertex_count
@@ -636,7 +644,7 @@ class Overreacher(Strategy):
 @pytest.mark.parametrize("inner, message", [
     (Stubborn(), "invalid decision: two-stage-3-stubborn: inner strategy stubborn returned "
                  "Stop inside the block (1, 1, 1)"),
-    (Overreacher(), "invalid decision: tuple.index(x): x not in tuple"),
+    (Overreacher(), "null fusion: no chains of lengths (1,3) in 1^3"),
 ], ids=["stop", "absent-length"])
 def test_a_bad_inner_action_fails_validation(inner, message):
     strategy = TwoStage(3, inner)
@@ -660,8 +668,9 @@ def assert_two_stage_errors_raise():
 def assert_pair_eating_success_is_rejected():
     """Exact evaluation, the event-tree oracle and the scalar Monte Carlo
     player raise at a success that also destroys a spare pair, validation
-    rejects it and no Monte Carlo event table is made; uses no assert
-    statement, so it also checks under -O."""
+    rejects it and the Monte Carlo array engine gives the chunk up to
+    the scalar player; uses no assert statement, so it also checks
+    under -O."""
     start = parse_key("1^3")
     play = lambda strategy, start: montecarlo._play(strategy, start, [True] * 6)
     for walker in (strategy_quality, event_tree_oracle, play):
@@ -671,9 +680,10 @@ def assert_pair_eating_success_is_rejected():
     result = verdict(validate_strategy(PairEatingSuccess(), start))
     if result != (start, "S", drop_message(3)):
         raise AssertionError(f"validation gave {result}")
-    table = montecarlo._event_table(PairEatingSuccess(), start, 2 ** 62)
-    if table is not None:
-        raise AssertionError(f"an event table of {len(table.succ)} states was made")
+    wins = montecarlo._chunk_wins(0, 0, 8, montecarlo._draws_bound(start), 0.5)
+    finals = montecarlo._play_chunk(PairEatingSuccess(), start, wins)
+    if finals is not None:
+        raise AssertionError(f"the array engine played the chunk: {finals}")
 
 
 class TestTwoStageBlockDecisions:
