@@ -71,7 +71,7 @@ covers it, else saves there what a request without a directory gets.
 
 The bulk builders (:func:`_sweep`, ``validate_strategy_sweep``,
 :func:`_optimize`, :meth:`QualityTable.load` and :meth:`QualityTable.save`,
-:func:`event_tree_oracle` and the Monte Carlo event tables' fills) run with
+:func:`event_tree_oracle` and the Monte Carlo event tables' walks) run with
 CPython's cyclic collector paused (:func:`_collector_paused`). What they
 allocate, tuples, ints, Fractions and dicts, is acyclic and freed by
 reference counting, yet a full collection would walk every tracked

@@ -276,7 +276,10 @@ class _EventTable:
     terminal, how many attempts were taken before a terminal state was
     reached and how many of those failed. An entry is 0 until it is
     filled: a filled one takes an attempt or has ended. The two arrays
-    double as states are numbered."""
+    grow by half when a numbered state would not fit, and not past
+    :data:`_TABLE_STATES` states while under it, so that past their first
+    64 states they hold at most 1.5 times the states numbered: at most 96
+    bytes of step entries a state."""
 
     def __init__(self, strategy: Strategy | StatefulStrategy, root):
         self.strategy, self.root = strategy, root
@@ -296,8 +299,10 @@ class _EventTable:
             self.states.append(state)
             self.rows.append(None)
             if i == len(self.final_length):
-                self.final_length, self.steps = (np.concatenate([rows, np.zeros_like(rows)])
-                                                 for rows in (self.final_length, self.steps))
+                size = min(i + i // 2, _TABLE_STATES) if i < _TABLE_STATES else i + i // 2
+                self.final_length, self.steps = (
+                    np.concatenate([rows, np.zeros((size - i) * width, rows.dtype)])
+                    for rows, width in ((self.final_length, 1), (self.steps, 16)))
         return i
 
     def _expand_row(self, i: int) -> tuple[int, int]:
@@ -315,21 +320,21 @@ class _EventTable:
         self.rows[i] = row
         return row
 
-    @_collector_paused()
-    def fill(self, keys: list[int]) -> bool:
+    def fill(self, keys: np.ndarray) -> bool:
         """Expand the root, then fill the step entries ``keys`` (``16 *
         state + bits``), each by four single attempts over the rows,
         expanding each state the first time it is needed, the one the
         four attempts reach included. False when an expansion breaks a
         validity rule or meets a state that cannot be hashed; the rows it
-        filled are kept."""
+        filled are kept. A walk fills with the cyclic collector paused
+        (:func:`_walk_table`)."""
         rows, expand = self.rows, self._expand_row
         entries = []
         append = entries.append
         try:
             if rows[0] is None:
                 expand(0)
-            for key in keys:
+            for key in keys.tolist():
                 state, counts = key >> 4, 0  # counts: taken << 3 | lost
                 for won in _BITS[key & 15]:
                     after = (rows[state] or expand(state))[won]
@@ -356,20 +361,24 @@ class _EventTable:
         return renumber[state]
 
 
-def _distinct(keys: np.ndarray) -> list[int]:
+def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys``, ascending. A sort: a set of 4096
     ints costs several times as much, and ``np.unique`` imports
     ``numpy.ma``, about 25 ms, on its first call."""
     keys = np.sort(keys)
-    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])].tolist()
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
+@_collector_paused()
 def _walk_table(
     table: _EventTable, wins: np.ndarray, attempts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Every trial of a chunk walked through ``table`` from its state 0,
     four attempts per gather of its step table, each entry filled the
-    first time a trial needs it (:meth:`_EventTable.fill`).
+    first time a trial needs it (:meth:`_EventTable.fill`), with the
+    cyclic collector paused: once for the walk rather than once a fill,
+    so that the collections the fills' allocations call for run once
+    when it returns.
 
     Trial t reads its next win bits from ``wins[t, attempts[t]]`` on,
     and ``attempts`` is advanced in place. Returns each trial's final
@@ -384,7 +393,7 @@ def _walk_table(
     ended; then the ended ones are recorded and dropped at once."""
     trials, draws = wins.shape
     failures = np.zeros(trials, np.int64)
-    if table.rows[0] is None and not table.fill([]):
+    if table.rows[0] is None and not table.fill(np.zeros(0, np.uint32)):
         return None
     if table.rows[0][0] == 0:  # the start is terminal
         return np.full(trials, table.final_length[0]), failures
@@ -406,7 +415,7 @@ def _walk_table(
         if np.count_nonzero(entry) < entry.size:
             missing = np.flatnonzero(entry == 0)
             keys = _distinct(key[missing])
-            if len(table.states) + 2 + 10 * len(keys) > _TABLE_STATES:
+            if len(table.states) + 2 + 10 * keys.size > _TABLE_STATES:
                 state = table.restart(state)
                 key, missing = state << 4 | word, np.arange(key.size)
                 keys = _distinct(key)

@@ -445,7 +445,8 @@ def _advance(strategy: Strategy | StatefulStrategy, state, action: Fuse, outcome
     the step raises neither ValueError nor IndexError (a null fusion) and
     removes 1 vertex on success, 2 to 4 on failure. An
     :class:`InvalidFusionError`, chains the action names but the state
-    lacks, is the decision's fault whatever the outcome, so it is
+    lacks (a length pair it does not hold, or chain indices out of range
+    or equal), is the decision's fault whatever the outcome, so it is
     reported at the decision's event."""
     try:
         after = strategy.step(state, action, outcome)

@@ -367,7 +367,7 @@ def fill_all(table):
     filled = 0
     while filled < len(table.states):
         numbered = len(table.states)
-        assert table.fill(list(range(16 * filled, 16 * numbered)))
+        assert table.fill(np.arange(16 * filled, 16 * numbered))
         filled = numbered
     return table
 
@@ -618,7 +618,7 @@ class TestChunkEngine:
             estimate_quality(strategy, epr(5 if strategy is OPTIMAL_10 else 16), 0.5,
                              trials=50, seed=3)
 
-    def test_a_chunk_walk_stays_within_a_kilobyte_a_state(self):
+    def test_a_chunk_walk_stays_within_four_bytes_a_draw(self):
         start = epr(200)
         wins = chunk_wins(start, TRIAL_CHUNK, seed=5)
         montecarlo._play_chunk(MODESTY, epr(8), wins[:, :16])  # warm the strategy
@@ -629,9 +629,11 @@ class TestChunkEngine:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # about 620 B a state: mostly the configurations, then the
-        # numbering and the 64 B of step entries of each
-        assert peak < 1000 * len(tables[start].states)
+        # The table's 8,768 states peak at about 5.2 MB, 3.2 bytes a
+        # draw: about 590 B a state, mostly the configurations, then the
+        # numbering, the rows and the step entries.
+        assert len(tables[start].states) == 8768
+        assert peak < 4 * wins.size
 
 
 class TestTableCap:
@@ -655,7 +657,7 @@ class TestTableCap:
 
         def spy_walk(table, wins, attempts):
             walked = walk(table, wins, attempts)
-            sizes.append(len(table.states))
+            sizes.append(max(len(table.states), len(table.final_length)))
             return walked
 
         monkeypatch.setattr(montecarlo, "_TABLE_STATES", cap)
@@ -663,6 +665,17 @@ class TestTableCap:
         monkeypatch.setattr(montecarlo, "_walk_table", spy_walk)
         assert estimate_quality(*args) == uncapped == scalar_estimate(*args)
         assert restarts and max(restarts + sizes) <= cap
+
+    def test_the_arrays_grow_by_half_and_not_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_TABLE_STATES", 150)
+        table = montecarlo._tables(MODESTY, epr(12))[epr(12)]
+        sizes = []
+        for state in range(1, 200):  # any hashable value numbers as a state
+            table._number(state)
+            sizes.append(len(table.final_length))
+        # a table that a small cap leaves past it grows by half again
+        assert sorted(set(sizes)) == [64, 96, 144, 150, 225]
+        assert table.steps.size == 16 * 225
 
     def test_a_restart_keeps_the_start_and_the_live_states(self):
         table = montecarlo._tables(MODESTY, epr(12))[epr(12)]
@@ -845,8 +858,8 @@ class TestStepTables:
             tracemalloc.stop()
         states = len(table.states)
         assert states == 4582
-        # 16 four-byte entries a state, in arrays that at most double
-        assert table.steps.nbytes <= 2 * 64 * states
+        # 16 four-byte entries a state, in arrays that grow by half
+        assert table.steps.nbytes <= 100 * states
         # Filling peaks at about 620 B a state, mostly the configurations;
         # building 256 entries a state (eight attempts a gather) alone
         # would take about 6 KB a state.
@@ -1036,24 +1049,28 @@ class TestWinBits:
         assert wins.tolist() == [bool(u < p) for u in word_uniforms(words)]
 
 
-class TestTableFillsPauseTheCollector:
-    """``_EventTable.fill`` expands with the cyclic collector paused and
-    leaves it as it found it (``exact._collector_paused``), also where an
-    expansion fails."""
+class TestTableWalksPauseTheCollector:
+    """``_walk_table`` fills and expands with the cyclic collector paused,
+    once for the whole walk, and leaves it as it found it
+    (``exact._collector_paused``), also where an expansion fails."""
 
-    def test_no_collection_runs_inside_a_fill(self, gc_collections):
-        table = montecarlo._tables(MODESTY, epr(64))[epr(64)]
+    def test_no_collection_runs_inside_a_walk(self, gc_collections):
+        start = epr(64)
+        table = montecarlo._tables(MODESTY, start)[start]
+        wins = chunk_wins(start, TRIAL_CHUNK)
         with gc_collections() as generations:
-            fill_all(table)
+            assert montecarlo._walk_table(table, wins, np.zeros(TRIAL_CHUNK, np.int64))
         assert generations == []
-        assert len(table.states) == 4582
+        assert len(table.states) == 1088  # of the DAG's 4,582
 
-    @pytest.mark.parametrize("strategy, start, filled", [
+    @pytest.mark.parametrize("strategy, start, walked", [
         (MODESTY, epr(64), True),
         (ListMemory(), epr(12), False),
         (StopsBelowSixVertices(), epr(8), False),
     ], ids=["whole", "unhashable", "invalid"])
-    def test_the_collector_state_is_restored(self, collector_state, strategy, start, filled):
+    def test_the_collector_state_is_restored(self, collector_state, strategy, start, walked):
         table = montecarlo._tables(strategy, start)[start]
-        assert table.fill(list(range(0, 16 * len(table.states), 16))) is filled
+        wins = chunk_wins(start, TRIAL_CHUNK)
+        result = montecarlo._walk_table(table, wins, np.zeros(TRIAL_CHUNK, np.int64))
+        assert (result is not None) is walked
         assert gc.isenabled() is collector_state

@@ -34,6 +34,7 @@ from cluster_forge.strategies import (
     InvalidStrategy,
     LookupStrategy,
     ProcessState,
+    StatefulStrategy,
     Strategy,
     TwoStage,
     validate_strategy,
@@ -238,6 +239,22 @@ def verdict(error):
     return None if error is None else (error.start, error.event, error.message)
 
 
+class SelfFuser(StatefulStrategy):
+    """Fuses the first chain with itself: indices that name one chain
+    twice, which no outcome of the step can carry out."""
+
+    name = "self-fuser"
+
+    def initial_memory(self, chains):
+        return None
+
+    def decide(self, chains, memory):
+        return STOP if chains.chain_count <= 1 else Fuse(0, 0)
+
+    def next_memory(self, chains, memory, action, outcome, result):
+        return None
+
+
 class TestValidation:
     def test_greed_ok(self):
         assert validate_strategy(GREED, Configuration.epr_pairs(6)) is None
@@ -251,6 +268,18 @@ class TestValidation:
     def test_null_fusion_detected(self):
         error = validate_strategy(Fantasist(), Configuration.epr_pairs(2))
         assert "null fusion" in error.message
+
+    def test_bad_chain_indices_are_the_decisions_fault(self):
+        """Indices that name one chain twice break the step on either
+        outcome, so every walker reports them at the decision's event."""
+        start = Configuration.epr_pairs(2)
+        expected = (start, "", "null fusion: bad chain indices (0,0) for 2 chains")
+        assert verdict(validate_strategy(SelfFuser(), start)) == expected
+        for run in (lambda: event_tree_oracle(SelfFuser(), start),
+                    lambda: estimate_quality(SelfFuser(), start, 0.5, trials=5, seed=0)):
+            with pytest.raises(InvalidStrategy) as err:
+                run()
+            assert verdict(err.value) == expected
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
     def test_builtins_valid_up_to_14_edges(self, name):
