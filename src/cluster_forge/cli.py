@@ -280,7 +280,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_weave(args) -> int:
-    ps = _as_float_ps(args.ps)
+    ps = float(_parse_ps(args.ps))
     _check_least(("--trials", args.trials, 0))
     _check_seed(args.seed)
     try:
@@ -310,22 +310,13 @@ def _cmd_weave(args) -> int:
     return 0
 
 
-def _as_float_ps(text: str) -> float:
-    value = _parse_ps(text)
-    return float(value)
-
-
-def _parse_number_list(text: str, cast):
-    try:
-        return [cast(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise CLIError(f"cannot parse list '{text}': {exc}") from None
-
-
 def _scan_list(text: str, flag: str, cast=float) -> list:
     """The values of a percolation-scan list flag; an empty list is an
     error naming the flag."""
-    values = _parse_number_list(text, cast)
+    try:
+        values = [cast(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise CLIError(f"cannot parse list '{text}': {exc}") from None
     if not values:
         raise CLIError(f"{flag} must list at least one value, got '{text}'")
     return values
@@ -342,7 +333,7 @@ def _cmd_percolation_scan(args) -> int:
     else:
         if args.a_grid is None:
             raise CLIError("--ps requires --a-grid")
-        grid = {"ps": _as_float_ps(args.ps), "a_values": _scan_list(args.a_grid, "--a-grid")}
+        grid = {"ps": float(_parse_ps(args.ps)), "a_values": _scan_list(args.a_grid, "--a-grid")}
     try:
         scan = percolation_scan(n_values, **grid)
     except ValueError as exc:
@@ -360,17 +351,80 @@ def _cmd_percolation_scan(args) -> int:
     return 0
 
 
+def _oracle_failures():
+    """Each builtin strategy and ps at which the event-tree oracle from
+    8 pairs loses probability or disagrees with the memoized quality."""
+    for name, strategy in BUILTIN_STRATEGIES.items():
+        for ps in (Fraction(1, 4), HALF, Fraction(3, 4)):
+            start = Configuration.epr_pairs(8)
+            oracle = event_tree_oracle(strategy, start, ps)
+            quality = strategy_quality(strategy, start, ps)
+            if oracle.mean_length != quality or oracle.total_probability != 1:
+                yield f"{name} at ps={ps}"
+
+
+def _monotonicity_failures(table: QualityTable, n: int):
+    """Each way the optimal quality in ``table`` breaks monotonicity on
+    the configurations of up to ``n`` edges, in the order checked."""
+    for config in enumerate_configurations(n):
+        q = table.quality(config)
+        for i in range(1, 7):
+            bigger = table.quality(config.add(i))
+            if bigger < q or bigger > q + i:
+                yield f"{config} + chain {i}"
+        for i in config.lengths():
+            # shorten one chain of length i by a single edge
+            shorter = config.add(i, -1)
+            if i > 1:
+                shorter = shorter.add(i - 1)
+            if table.quality(shorter) < q - 1:
+                yield f"{config} shortened at {i}"
+            t_gap = (shorter.total_length - table.quality(shorter)) - (config.total_length - q)
+            if t_gap > 0:
+                yield f"attempt monotonicity at {config}, length {i}"
+        if config.chain_count > 1:
+            action = table.action(config)
+            succ = table.quality(config.fuse(action.a, action.b, SUCCESS))
+            fail = table.quality(config.fuse(action.a, action.b, FAILURE))
+            if not (succ >= q >= fail):
+                yield f"win/lose ordering at {config}"
+
+
+def _validation_checks(size: int):
+    """``(name, detail)`` of each check of ``validate --n size``, yielded
+    as the check completes: ``detail`` names its first failure, or is
+    None when it passes."""
+    configs = list(enumerate_configurations(min(size, 14)))
+    for name, strategy in BUILTIN_STRATEGIES.items():
+        error = validate_strategy_sweep(strategy, configs)
+        yield (f"validity of {name} on all configurations up to {min(size, 14)} edges",
+               None if error is None else f"{error.start}: {error.message} at '{error.event}'")
+
+    try:
+        for n in range(1, 201):
+            bnd.lp_attempts_bound(n)
+        detail = None
+    except bnd.CertificateMismatch as exc:
+        detail = str(exc)
+    yield "linear-program duality certificates for N=1..200", detail
+
+    yield "event-tree oracle agrees with memoized qualities at N=8", next(_oracle_failures(), None)
+
+    suite_n = min(size, 12)
+    table = cached_quality_table(max(suite_n + 6, 8), HALF)  # the razor check reads 8 edges
+    yield (f"monotonicity suite on configurations up to {suite_n} edges",
+           next(_monotonicity_failures(table, suite_n), None))
+
+    yield "canonical key round-trip", next(
+        (str(c) for c in configs if parse_key(canonical_key(c)) != c), None)
+
+    rq, _ = bnd.razor_quality(8, 8)
+    optimum = table.quality(Configuration.epr_pairs(8))
+    yield ("razor model with R >= N recovers the exact optimum",
+           None if rq == optimum else f"razor {rq}, exact {optimum}")
+
+
 def _cmd_validate(args) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        status = "ok" if ok else "FAIL"
-        suffix = f" ({detail})" if detail and not ok else ""
-        print(f"{status:4s} {name}{suffix}")
-        if not ok:
-            failures += 1
-
     size = args.n
     _check_least(("--n", size, 0))
     if size > 12:
@@ -378,78 +432,12 @@ def _cmd_validate(args) -> int:
         print(f"cluster-forge: note: validate --n {size} checks strategy validity up to "
               f"{min(size, 14)} edges and the monotonicity suite up to 12 edges",
               file=sys.stderr)
-    configs = list(enumerate_configurations(min(size, 14)))
-    for name, strategy in BUILTIN_STRATEGIES.items():
-        error = validate_strategy_sweep(strategy, configs)
-        bad = None if error is None else f"{error.start}: {error.message} at '{error.event}'"
-        check(f"validity of {name} on all configurations up to {min(size, 14)} edges",
-              bad is None, bad or "")
-
-    try:
-        for n in range(1, 201):
-            bnd.lp_attempts_bound(n)
-        check("linear-program duality certificates for N=1..200", True)
-    except bnd.CertificateMismatch as exc:
-        check("linear-program duality certificates for N=1..200", False, str(exc))
-
-    oracle_ok = True
-    detail = ""
-    for name, strategy in BUILTIN_STRATEGIES.items():
-        for ps in (Fraction(1, 4), HALF, Fraction(3, 4)):
-            start = Configuration.epr_pairs(8)
-            oracle = event_tree_oracle(strategy, start, ps)
-            quality = strategy_quality(strategy, start, ps)
-            if oracle.mean_length != quality or oracle.total_probability != 1:
-                oracle_ok = False
-                detail = f"{name} at ps={ps}"
-                break
-    check("event-tree oracle agrees with memoized qualities at N=8", oracle_ok, detail)
-
-    suite_n = min(size, 12)
-    table = cached_quality_table(max(suite_n + 6, 8), HALF)  # the razor check reads 8 edges
-    suite_ok = True
-    detail = ""
-    for config in enumerate_configurations(suite_n):
-        q = table.quality(config)
-        for i in range(1, 7):
-            bigger = table.quality(config.add(i))
-            if bigger < q or bigger > q + i:
-                suite_ok = False
-                detail = f"{config} + chain {i}"
-                break
-        for i in config.lengths():
-            # shorten one chain of length i by a single edge
-            shorter = config.add(i, -1)
-            if i > 1:
-                shorter = shorter.add(i - 1)
-            if table.quality(shorter) < q - 1:
-                suite_ok = False
-                detail = f"{config} shortened at {i}"
-                break
-            t_gap = (shorter.total_length - table.quality(shorter)) - (config.total_length - q)
-            if t_gap > 0:
-                suite_ok = False
-                detail = f"attempt monotonicity at {config}, length {i}"
-                break
-        if config.chain_count > 1:
-            action = table.action(config)
-            succ = table.quality(config.fuse(action.a, action.b, SUCCESS))
-            fail = table.quality(config.fuse(action.a, action.b, FAILURE))
-            if not (succ >= q >= fail):
-                suite_ok = False
-                detail = f"win/lose ordering at {config}"
-        if not suite_ok:
-            break
-    check(f"monotonicity suite on configurations up to {suite_n} edges", suite_ok, detail)
-
-    roundtrip_ok = all(parse_key(canonical_key(c)) == c for c in configs)
-    check("canonical key round-trip", roundtrip_ok)
-
-    rq, rt = bnd.razor_quality(8, 8)
-    check("razor model with R >= N recovers the exact optimum",
-          rq == table.quality(Configuration.epr_pairs(8)))
-
-    return 0 if failures == 0 else 3
+    failed = False
+    for name, detail in _validation_checks(size):
+        suffix = f" ({detail})" if detail else ""
+        print(f"{'ok' if detail is None else 'FAIL':4s} {name}{suffix}")
+        failed |= detail is not None
+    return 3 if failed else 0
 
 
 def build_parser() -> _Parser:

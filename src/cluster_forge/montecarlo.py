@@ -501,16 +501,13 @@ def _pairing_round(
 
 
 def _play_chunk(
-    strategy, start: Configuration, wins: np.ndarray, tables: dict | None = None,
+    strategy, start: Configuration, wins: np.ndarray, tables: dict,
 ) -> np.ndarray | None:
     """Final total length of every trial of a chunk, played from its win
     matrix on arrays by the plan of :func:`_plan` on the run's event
-    ``tables`` (:func:`_tables`, made here when None), or None when the
-    scalar player plays it: a run without a table, or one whose walk
-    fails."""
+    ``tables`` (:func:`_tables`), or None when the scalar player plays
+    it: a run without a table, or one whose walk fails."""
     _, runs = _plan(strategy, start)
-    if tables is None:
-        tables = _tables(strategy, start)
     trials = len(wins)
     attempts = np.zeros(trials, np.int64)
     failures = np.zeros(trials, np.int64)
@@ -537,7 +534,7 @@ def _play_chunk(
 
 def _chunk_stats(
     strategy, start: Configuration, p: float, seed: int, chunk: int,
-    trials_in_chunk: int, threshold: int | None, tables: dict | None = None,
+    trials_in_chunk: int, threshold: int | None, tables: dict,
 ) -> tuple[float, float, int]:
     wins = _chunk_wins(seed, chunk, trials_in_chunk, _draws_bound(start), p)
     finals = _play_chunk(strategy, start, wins, tables)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from cluster_forge import cli, exact
+from cluster_forge import bounds, cli, exact
 from cluster_forge.cli import build_parser, main
-from cluster_forge.configuration import Configuration
+from cluster_forge.configuration import Configuration, canonical_key
 from cluster_forge.exact import (
     HALF,
     QualityTable,
@@ -21,6 +21,7 @@ from cluster_forge.exact import (
     clear_table_cache,
 )
 from cluster_forge.montecarlo import threshold_experiment
+from cluster_forge.strategies import InvalidStrategy
 
 
 STATIC_03_SWEEP = """\
@@ -605,12 +606,12 @@ class TestSmallSizes:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def fresh_process(argv):
-    """``argv`` run by the CLI in a new interpreter: exit code, stdout and
-    stderr."""
+def fresh_process(argv, *interpreter_flags):
+    """``argv`` run by the CLI in a new interpreter started with
+    ``interpreter_flags``: exit code, stdout and stderr."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     env.pop("CLUSTER_FORGE_TABLE_DIR", None)
-    proc = subprocess.run([sys.executable, "-m", "cluster_forge.cli", *argv],
+    proc = subprocess.run([sys.executable, *interpreter_flags, "-m", "cluster_forge.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -671,3 +672,106 @@ class TestSharedParser:
         capsys.readouterr()
         assert in_process(capsys, ["--help"]) == (0, build_parser().format_help(), "")
         assert cli._parser() is cli._parser()
+
+
+VALIDATE_4_CHECKS = [
+    "validity of greed on all configurations up to 4 edges",
+    "validity of modesty on all configurations up to 4 edges",
+    "validity of static on all configurations up to 4 edges",
+    "linear-program duality certificates for N=1..200",
+    "event-tree oracle agrees with memoized qualities at N=8",
+    "monotonicity suite on configurations up to 4 edges",
+    "canonical key round-trip",
+    "razor model with R >= N recovers the exact optimum",
+]
+
+
+class ShiftedTable:
+    """A quality table whose quality at the configurations keyed in
+    ``shifts`` is moved by the given amounts."""
+
+    def __init__(self, table, shifts):
+        self.table, self.shifts = table, shifts
+
+    def quality(self, config):
+        return self.table.quality(config) + self.shifts.get(canonical_key(config), 0)
+
+    def action(self, config):
+        return self.table.action(config)
+
+
+def shift_tables(monkeypatch, shifts):
+    monkeypatch.setattr(cli, "cached_quality_table",
+                        lambda n, ps: ShiftedTable(cached_quality_table(n, ps), shifts))
+
+
+class TestValidateFailures:
+    """Each check of ``validate`` reports its first failure on its own
+    line, the other checks still run, and the run exits 3."""
+
+    def assert_one_failure(self, capsys, check, detail):
+        code = main(["validate", "--n", "4"])
+        out = capsys.readouterr().out
+        expected = "".join(
+            f"FAIL {name} ({detail})\n" if name == check else f"ok   {name}\n"
+            for name in VALIDATE_4_CHECKS)
+        assert (code, out) == (3, expected)
+
+    def test_an_invalid_strategy_names_its_start_and_event(self, capsys, monkeypatch):
+        sweep = cli.validate_strategy_sweep
+
+        def broken_modesty(strategy, starts):
+            if strategy.name == "modesty":
+                return InvalidStrategy("modesty", starts[3], "SF", "a planted fault")
+            return sweep(strategy, starts)
+
+        monkeypatch.setattr(cli, "validate_strategy_sweep", broken_modesty)
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[1], "1^2: a planted fault at 'SF'")
+
+    def test_a_certificate_mismatch_is_quoted(self, capsys, monkeypatch):
+        lp_bound = bounds.lp_attempts_bound
+
+        def mismatch_at_7(n):
+            if n == 7:
+                raise bounds.CertificateMismatch("planted mismatch at N=7")
+            return lp_bound(n)
+
+        monkeypatch.setattr(bounds, "lp_attempts_bound", mismatch_at_7)
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[3], "planted mismatch at N=7")
+
+    def test_the_oracle_check_names_the_first_failing_strategy(self, capsys, monkeypatch):
+        quality = cli.strategy_quality
+
+        def wrong_at_a_quarter(strategy, start, ps):
+            shift = strategy.name in ("greed", "modesty") and ps == Fraction(1, 4)
+            return quality(strategy, start, ps) + shift
+
+        monkeypatch.setattr(cli, "strategy_quality", wrong_at_a_quarter)
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[4], "greed at ps=1/4")
+
+    @pytest.mark.parametrize("shifts, detail", [
+        ({"3^1": -HALF, "1^1,2^1": HALF}, "1^1,2^1 + chain 1"),
+        ({"2^1": -HALF}, "3^1 shortened at 3"),
+        ({"2^2": -HALF}, "win/lose ordering at 1^2,2^1"),
+    ], ids=["first-of-a-configurations-failures", "shortened", "win-lose"])
+    def test_the_monotonicity_suite_names_the_first_failure(self, capsys, monkeypatch,
+                                                            shifts, detail):
+        shift_tables(monkeypatch, shifts)
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[5], detail)
+
+    def test_a_broken_round_trip_names_the_configuration(self, capsys, monkeypatch):
+        parse = cli.parse_key
+        monkeypatch.setattr(cli, "parse_key", lambda key: parse("1^1" if key == "2^1" else key))
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[6], "2^1")
+
+    def test_a_razor_mismatch_gives_both_qualities(self, capsys, monkeypatch):
+        shift_tables(monkeypatch, {"1^8": 1})
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[7], "razor 649/256, exact 905/256")
+
+
+def test_validate_prints_the_same_under_python_O():
+    """The checks are no assert statements, so ``-O`` strips none of them."""
+    argv = ["validate", "--n", "4"]
+    code, out, _ = fresh_process(argv)
+    assert (code, out) == (0, "".join(f"ok   {name}\n" for name in VALIDATE_4_CHECKS))
+    assert fresh_process(argv, "-O")[:2] == (code, out)

@@ -466,7 +466,8 @@ class TestChunkEngine:
         assert walk.called
 
     def test_optimal_table_beyond_its_n_plays_on_the_scalar_player(self):
-        assert montecarlo._play_chunk(OPTIMAL_10, epr(11), chunk_wins(epr(11))) is None
+        assert montecarlo._play_chunk(OPTIMAL_10, epr(11), chunk_wins(epr(11)),
+                                       montecarlo._tables(OPTIMAL_10, epr(11))) is None
         with pytest.raises(InvalidStrategy, match="no decision available"):
             estimate_quality(OPTIMAL_10, epr(11), 0.5, trials=100, seed=1)
 
@@ -474,7 +475,8 @@ class TestChunkEngine:
         table = build_quality_table(8)
         table.action_ids[table.rank(epr(4))] = table.actions.index(STOP)
         strategy = table.as_strategy()
-        assert montecarlo._play_chunk(strategy, epr(4), chunk_wins(epr(4))) is None
+        assert montecarlo._play_chunk(strategy, epr(4), chunk_wins(epr(4)),
+                                       montecarlo._tables(strategy, epr(4))) is None
         with pytest.raises(InvalidStrategy) as err:
             estimate_quality(strategy, epr(4), 0.5, trials=100, seed=1)
         assert (err.value.event, err.value.message) == ("", "premature stop with 4 chains")
@@ -586,7 +588,8 @@ class TestChunkEngine:
 
     def test_a_start_state_past_the_win_row_has_no_table(self):
         assert montecarlo._tables(Inflater(), epr(2)) == {epr(2): None}
-        assert montecarlo._play_chunk(Inflater(), epr(2), chunk_wins(epr(2))) is None
+        assert montecarlo._play_chunk(Inflater(), epr(2), chunk_wins(epr(2)),
+                                       montecarlo._tables(Inflater(), epr(2))) is None
         with pytest.raises(InvalidStrategy) as err:
             estimate_quality(Inflater(), epr(2), 1.0, trials=10, seed=0)
         assert (err.value.start, err.value.event, err.value.message) == (
@@ -594,7 +597,8 @@ class TestChunkEngine:
             "removes a vertex")
 
     def test_unhashable_states_play_on_the_scalar_player(self):
-        assert montecarlo._play_chunk(ListMemory(), epr(12), chunk_wins(epr(12))) is None
+        assert montecarlo._play_chunk(ListMemory(), epr(12), chunk_wins(epr(12)),
+                                       montecarlo._tables(ListMemory(), epr(12))) is None
         args = (epr(12), 0.5, 300, 4, 8)
         ours = estimate_quality(ListMemory(), *args)
         modesty = estimate_quality(MODESTY, *args)
@@ -621,7 +625,8 @@ class TestChunkEngine:
     def test_a_chunk_walk_stays_within_four_bytes_a_draw(self):
         start = epr(200)
         wins = chunk_wins(start, TRIAL_CHUNK, seed=5)
-        montecarlo._play_chunk(MODESTY, epr(8), wins[:, :16])  # warm the strategy
+        montecarlo._play_chunk(MODESTY, epr(8), wins[:, :16],  # warm the strategy
+                               montecarlo._tables(MODESTY, epr(8)))
         tracemalloc.start()
         try:
             tables = montecarlo._tables(MODESTY, start)
@@ -880,7 +885,9 @@ def test_scalar_chunk_sums_equal_float_sums_trial_by_trial(threshold):
         total += final
         total_sq += final * final
         successes += threshold is not None and final >= threshold
-    assert montecarlo._chunk_stats(strategy, *args, threshold) == (total, total_sq, successes)
+    tables = montecarlo._tables(strategy, start)
+    assert montecarlo._chunk_stats(strategy, *args, threshold, tables) == (
+        total, total_sq, successes)
 
 
 class RecordingPool:

@@ -710,7 +710,8 @@ def assert_pair_eating_success_is_rejected():
     if result != (start, "S", drop_message(3)):
         raise AssertionError(f"validation gave {result}")
     wins = montecarlo._chunk_wins(0, 0, 8, montecarlo._draws_bound(start), 0.5)
-    finals = montecarlo._play_chunk(PairEatingSuccess(), start, wins)
+    finals = montecarlo._play_chunk(PairEatingSuccess(), start, wins,
+                                    montecarlo._tables(PairEatingSuccess(), start))
     if finals is not None:
         raise AssertionError(f"the array engine played the chunk: {finals}")
 
