@@ -125,6 +125,11 @@ class TableBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class CorruptTable(ValueError):
+    """A table file that :meth:`QualityTable.load` cannot read, or, in a
+    table directory, whose header disagrees with its name."""
+
+
 def _check_ps(ps) -> None:
     if not 0 < ps <= 1:
         raise ValueError(f"success probability must be in (0, 1], got {ps}")
@@ -403,17 +408,17 @@ class QualityTable:
     @classmethod
     @_collector_paused()
     def load(cls, path) -> "QualityTable":
-        """Read a table written by :meth:`save`. Raises ValueError, naming
-        ``path``, unless the header and every line parse, each action text
-        is that of an action a table of N edges can hold
-        (:func:`_table_actions`), and the file holds every configuration
-        of at most N edges exactly once, in key order, each with a value
-        that is a multiple of ``1/q**V``.
+        """Read a table written by :meth:`save`. Raises
+        :class:`CorruptTable`, naming ``path``, unless the header and every
+        line parse, each action text is that of an action a table of N
+        edges can hold (:func:`_table_actions`), and the file holds every
+        configuration of at most N edges exactly once, in key order, each
+        with a value that is a multiple of ``1/q**V``.
 
-        Reads in file order, in step with the keys in key order one group
-        at a time (``configuration._partition_ranker``): each line holds
-        the next key or, past missing ones, a later key. No map over the
-        whole table is made."""
+        Reads in file order, in lockstep with the keys in key order one
+        group at a time (``configuration._partition_ranker``): each line
+        must hold the next key, and a line that holds another is reported
+        with the key expected there. No map over the whole table is made."""
         # a byte that is not ASCII decodes to U+FFFD and fails as malformed
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             header = fh.readline()
@@ -425,11 +430,10 @@ class QualityTable:
                 if n < 0 or not 0 < ps <= 1:
                     raise ValueError
             except (KeyError, ValueError, ZeroDivisionError):
-                raise ValueError(f"{path}: malformed header {header!r}") from None
+                raise CorruptTable(f"{path}: malformed header {header!r}") from None
             _, key_groups, size = _partition_ranker(n)
             # (key, position, vertex count) of every configuration, in key order
             stream = chain.from_iterable(zip(*group) for group in key_groups())
-            read, skipped = 0, None
             scale = [ps.denominator ** v for v in range(2 * n + 1)]
             values: list = [None] * size
             action_ids = array("H", bytes(2 * size))
@@ -445,30 +449,20 @@ class QualityTable:
                     num, den = int(num), int(den)
                     index = index_of[text]
                 except (KeyError, ValueError):
-                    raise ValueError(f"{path}: line {number} is malformed: {line!r}") from None
-                # the keys that sort below the line's are missing from the file
-                for expected, position, vertices in stream:
-                    if expected >= key:
-                        break
-                    if skipped is None:
-                        skipped = expected
-                else:
-                    expected = None
-                if expected != key:
-                    raise ValueError(f"{path}: line {number}: '{key}' is repeated or not "
-                                     f"the key of a configuration of at most N={n} edges, "
-                                     f"or is out of order")
-                read += 1
+                    raise CorruptTable(f"{path}: line {number} is malformed: {line!r}") from None
+                expected, position, vertices = next(stream, (None, 0, 0))
+                if key != expected:
+                    where = ("the file should end" if expected is None
+                             else f"'{expected}' comes next in key order")
+                    raise CorruptTable(f"{path}: line {number} holds '{key}' where {where}")
                 if den < 1 or scale[vertices] % den:
-                    raise ValueError(f"{path}: value {value} of '{key}' is not a multiple "
-                                     f"of 1/{scale[vertices]}")
+                    raise CorruptTable(f"{path}: value {value} of '{key}' is not a multiple "
+                                       f"of 1/{scale[vertices]}")
                 values[position] = num * (scale[vertices] // den)
                 action_ids[position] = index
-        if read < size:
-            if skipped is None:
-                skipped = next(stream)[0]
-            raise ValueError(f"{path}: {size - read} of the {size} entries for N={n} are "
-                             f"missing, such as '{skipped}'")
+        absent, _, _ = next(stream, (None, 0, 0))
+        if absent is not None:
+            raise CorruptTable(f"{path}: the file ends before '{absent}'")
         return cls(n, ps, values, action_ids)
 
 
@@ -620,11 +614,6 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
     return QualityTable(n, ps, values, action_ids)
 
 
-class CorruptTable(Exception):
-    """A table file in a table directory that does not parse or whose
-    header disagrees with its name."""
-
-
 # The table store, by (table directory or None, type(ps), ps): the type keeps
 # a float table from answering an exact request (0.5 == Fraction(1, 2)), the
 # directory a table read from it from answering a call that names none. A
@@ -648,8 +637,8 @@ def cached_quality_table(n: int, ps=HALF, table_dir: str | None = None) -> Quali
 def _directory_table(table_dir: str, n: int, ps: Fraction) -> QualityTable:
     """The smallest ``table-n<N>-ps<p>-<q>.tsv`` in ``table_dir`` covering
     n, else the store's table without a directory, which may be larger,
-    saved there under its own N. A file that does not parse or whose
-    header disagrees with its name raises :class:`CorruptTable`."""
+    saved there under its own N. A file that does not load, or whose
+    header disagrees with its name, raises :class:`CorruptTable`."""
     if not isinstance(ps, Fraction):
         raise TypeError("only exact-rational tables are persisted")
     suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
@@ -669,10 +658,7 @@ def _directory_table(table_dir: str, n: int, ps: Fraction) -> QualityTable:
         return table
     file_n, name = min(candidates)
     path = os.path.join(table_dir, name)
-    try:
-        table = QualityTable.load(path)
-    except ValueError as exc:
-        raise CorruptTable(exc) from None
+    table = QualityTable.load(path)
     if (table.n, table.ps) != (file_n, ps):
         raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
                            f"the file name N={file_n} ps={ps}")

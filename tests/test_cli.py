@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import json
@@ -749,6 +750,19 @@ class TestValidateFailures:
         monkeypatch.setattr(cli, "strategy_quality", wrong_at_a_quarter)
         self.assert_one_failure(capsys, VALIDATE_4_CHECKS[4], "greed at ps=1/4")
 
+    def test_the_oracle_check_holds_the_edge_loss_identity(self, capsys, monkeypatch):
+        oracle = cli.event_tree_oracle
+
+        def attempts_moved_for_modesty_at_three_quarters(strategy, start, ps):
+            result = oracle(strategy, start, ps)
+            if strategy.name == "modesty" and ps == Fraction(3, 4):
+                result = dataclasses.replace(result,
+                                             expected_attempts=result.expected_attempts + 1)
+            return result
+
+        monkeypatch.setattr(cli, "event_tree_oracle", attempts_moved_for_modesty_at_three_quarters)
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[4], "modesty at ps=3/4")
+
     @pytest.mark.parametrize("shifts, detail", [
         ({"3^1": -HALF, "1^1,2^1": HALF}, "1^1,2^1 + chain 1"),
         ({"2^1": -HALF}, "3^1 shortened at 3"),
@@ -767,6 +781,17 @@ class TestValidateFailures:
     def test_a_razor_mismatch_gives_both_qualities(self, capsys, monkeypatch):
         shift_tables(monkeypatch, {"1^8": 1})
         self.assert_one_failure(capsys, VALIDATE_4_CHECKS[7], "razor 649/256, exact 905/256")
+
+    def test_the_razor_check_holds_the_edge_loss_identity(self, capsys, monkeypatch):
+        razor = bounds.razor_quality
+
+        def attempts_moved(n, r, ps=HALF):
+            quality, attempts = razor(n, r, ps)
+            return quality, attempts + Fraction(1, 256)
+
+        monkeypatch.setattr(bounds, "razor_quality", attempts_moved)
+        self.assert_one_failure(capsys, VALIDATE_4_CHECKS[7],
+                                "razor 649/256, exact 649/256, razor attempts 175/32")
 
 
 def test_validate_prints_the_same_under_python_O():

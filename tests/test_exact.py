@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cluster_forge import exact
+from cluster_forge.cli import main
 from cluster_forge.configuration import (
     FAILURE,
     STOP,
@@ -486,6 +487,41 @@ def assert_bellman(table, ps):
         assert options[action] == value, config
 
 
+# Edits of an N=8 table file's entry lines, and the error each makes load
+# raise. A line that holds any key but the next one is named with the key
+# expected there; a file cut short names its first absent key.
+DAMAGED_FILES = [
+    (lambda lines: lines[:5] + lines[6:],
+     r"line 7 holds '1\^1,2\^2' where '1\^1,2\^1,5\^1' comes next in key order$"),
+    (lambda lines: lines[:-1], r"the file ends before '8\^1'$"),
+    (lambda lines: lines + lines[-1:], r"line 69 holds '8\^1' where the file should end$"),
+    (lambda lines: lines[:1] + ["9^1\t9/1\tstop"] + lines[1:],
+     r"line 3 holds '9\^1' where '1\^1' comes next in key order$"),
+    (lambda lines: [line.replace("1^1,2^1\t", "2^1,1^1\t") for line in lines],
+     r"line 4 holds '2\^1,1\^1' where '1\^1,2\^1' comes next in key order$"),
+    (lambda lines: [line.replace("\t1/1\t", "\t1/3\t") for line in lines],
+     "is not a multiple of"),
+    (lambda lines: [line.replace("\t1/1\t", "\t1/0\t") for line in lines],
+     "is not a multiple of"),
+    (lambda lines: lines[:9] + [lines[9].split("\t")[0] + "\t1"], "line 11 is malformed"),
+    (lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t1;1"] + lines[1:], "line 2 is malformed"),
+    (lambda lines: [lines[0] + "\u00e9"] + lines[1:], "line 2 is malformed"),
+    (lambda lines: [line.replace("1^3\t3/2\t1,1", "1^3\t3/2\t0,-3") for line in lines],
+     r"line 29 is malformed: '1\^3\\t3/2\\t0,-3'"),
+    (lambda lines: [line[:-3] + "2,1" if line.endswith("\t1,2") else line for line in lines],
+     r"line 4 is malformed: '1\^1,2\^1\\t2/1\\t2,1'"),
+]
+DAMAGED_FILE_IDS = ["missing", "missing-last", "duplicated", "too-long", "not-canonical",
+                    "bad-value", "zero-denominator", "truncated", "bad-action", "not-ascii",
+                    "negative-action", "reversed-action"]
+
+
+def damage(path, edit) -> None:
+    """Rewrite the table file at ``path`` with ``edit`` applied to its entry lines."""
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(lines)) + "\n")
+
+
 class TestRankedStorage:
     def test_rank_is_the_storage_position(self):
         table = build_quality_table(20)
@@ -537,33 +573,34 @@ class TestRankedStorage:
         build_quality_table(12).save(path)
         assert_bellman(QualityTable.load(path), HALF)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines[:5] + lines[6:], "1 of the 67 entries for N=8 are missing"),
-        (lambda lines: lines + lines[-1:], "is repeated or not the key"),
-        (lambda lines: lines[:1] + ["9^1\t9/1\tstop"] + lines[1:], "is repeated or not the key"),
-        (lambda lines: [line.replace("1^1,2^1\t", "2^1,1^1\t") for line in lines],
-         "is repeated or not the key"),
-        (lambda lines: [line.replace("\t1/1\t", "\t1/3\t") for line in lines],
-         "is not a multiple of"),
-        (lambda lines: [line.replace("\t1/1\t", "\t1/0\t") for line in lines],
-         "is not a multiple of"),
-        (lambda lines: lines[:9] + [lines[9].split("\t")[0] + "\t1"], "line 11 is malformed"),
-        (lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t1;1"] + lines[1:], "line 2 is malformed"),
-        (lambda lines: [lines[0] + "\u00e9"] + lines[1:], "line 2 is malformed"),
-        (lambda lines: [line.replace("1^3\t3/2\t1,1", "1^3\t3/2\t0,-3") for line in lines],
-         r"line 29 is malformed: '1\^3\\t3/2\\t0,-3'"),
-        (lambda lines: [line[:-3] + "2,1" if line.endswith("\t1,2") else line for line in lines],
-         r"line 4 is malformed: '1\^1,2\^1\\t2/1\\t2,1'"),
-    ], ids=["missing", "duplicated", "too-long", "not-canonical", "bad-value", "zero-denominator",
-            "truncated", "bad-action", "not-ascii", "negative-action", "reversed-action"])
+    @pytest.mark.parametrize("edit, message", DAMAGED_FILES, ids=DAMAGED_FILE_IDS)
     def test_load_rejects_a_damaged_file(self, tmp_path, edit, message):
         path = tmp_path / "table.tsv"
         build_quality_table(8).save(path)
-        header, *lines = path.read_text().splitlines()
-        path.write_text("\n".join([header] + edit(lines)) + "\n")
-        with pytest.raises(ValueError, match=message) as err:
+        damage(path, edit)
+        with pytest.raises(CorruptTable, match=message) as err:
             QualityTable.load(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("edit, message", DAMAGED_FILES, ids=DAMAGED_FILE_IDS)
+    def test_a_damaged_file_fails_the_same_through_the_cli(self, capsys, tmp_path, monkeypatch,
+                                                            edit, message):
+        """A damaged cached table exits 3 with the error :meth:`QualityTable.load`
+        raises, as one line."""
+        path = tmp_path / "table-n8-ps1-2.tsv"
+        build_quality_table(8).save(path)
+        damage(path, edit)
+        with pytest.raises(CorruptTable, match=message) as err:
+            QualityTable.load(path)
+        monkeypatch.setenv("CLUSTER_FORGE_TABLE_DIR", str(tmp_path))
+        clear_table_cache()
+        try:
+            code = main(["quality", "--strategy", "optimal", "--n-max", "8"])
+        finally:
+            clear_table_cache()
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"cluster-forge: corrupt table: {err.value}\n"
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 28])
     def test_table_actions_are_stop_and_every_pair_of_at_most_n_edges(self, n):
@@ -621,28 +658,29 @@ class TestRankedStorage:
 
     @pytest.mark.parametrize("swap", ["groups", "lines"])
     def test_load_rejects_keys_out_of_order(self, tmp_path, swap):
+        """The first line that leaves key order is reported with the key
+        expected there."""
         path = tmp_path / "table.tsv"
         build_quality_table(8).save(path)
         header, *lines = path.read_text().splitlines()
         heads = [line.split("\t")[0].partition(",")[0] for line in lines]
+        start = heads.index("1^1")
         if swap == "groups":
             # the group 1^1 and the one after it
-            start = heads.index("1^1")
             middle = start + heads.count("1^1")
             stop = middle + heads.count(heads[middle])
-            lines[start:stop] = lines[middle:stop] + lines[start:middle]
-            # 1^1 is read after the later group
-            number = 2 + start + stop - middle
         else:
             # the second and third lines of the group 1^1
-            start = heads.index("1^1") + 1
+            start += 1
             assert heads[start + 1] == "1^1"
-            lines[start], lines[start + 1] = lines[start + 1], lines[start]
-            number = 2 + start + 1
-        key = lines[number - 2].split("\t")[0]
+            middle, stop = start + 1, start + 2
+        expected = lines[start].split("\t")[0]
+        lines[start:stop] = lines[middle:stop] + lines[start:middle]
+        key = lines[start].split("\t")[0]
         path.write_text("\n".join([header] + lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: line {number}: '{key}' is repeated or not the key")):
+                f"{path}: line {2 + start} holds '{key}' where '{expected}' comes next "
+                f"in key order")):
             QualityTable.load(path)
 
     @pytest.mark.parametrize("header", ["", "N=8", "ps=1/2", "N=x ps=1/2", "N=8 ps=1/0",
