@@ -56,27 +56,28 @@ chain cut to R edges, which also minimises attempts in the same pass.
 The read side is scaled the same way. One expansion rule,
 :func:`_expand`, decides at a state and steps on both outcomes through
 the validity gate of :mod:`cluster_forge.strategies`; the event-tree
-oracle and the Monte Carlo event tables call it directly. One explorer,
-:func:`_explore`, walks a strategy's event DAG with it and yields each
-new state once, in post-order, to one of two consumers: :func:`_sweep`
-(under :func:`strategy_quality`, :func:`expected_attempts` and
-:func:`strategy_quality_range`) fills a memo of ints ``value * q**V``
-shared by a sweep's starts, with one ``Fraction(I, q**V)`` per answer and
-the same q = 1 float path; ``validate_strategy_sweep`` fills a set.
+oracle and the Monte Carlo event tables call it directly. The memoized
+sweep, :func:`_sweep` (under :func:`strategy_quality`, :func:`expected_attempts`,
+:func:`strategy_quality_range` and ``validate_strategy_sweep``), walks a
+strategy's event DAG with it, expands each state once and fills a memo
+of ints ``value * q**V`` shared by the sweep's starts, with one
+``Fraction(I, q**V)`` per answer and the same q = 1 float path. Its first
+error is the strategy's first broken validity rule, so the validity
+check is a float sweep whose values are dropped.
 
 One store, :func:`cached_quality_table`, keeps the largest table read or
 built per table directory (or none), type of ``ps`` and ``ps``; past it,
 a request builds, or with a directory reads the smallest file there that
 covers it, else saves there what a request without a directory gets.
 
-The bulk builders (:func:`_sweep`, ``validate_strategy_sweep``,
-:func:`_optimize`, :meth:`QualityTable.load` and :meth:`QualityTable.save`,
-:func:`event_tree_oracle` and the Monte Carlo event tables' walks) run with
-CPython's cyclic collector paused (:func:`_collector_paused`). What they
-allocate, tuples, ints, Fractions and dicts, is acyclic and freed by
-reference counting, yet a full collection would walk every tracked
-object in the process; the collector's prior state, on or off, is
-restored on return and on raise.
+The bulk builders (:func:`_sweep`, :func:`_optimize`,
+:meth:`QualityTable.load` and :meth:`QualityTable.save`,
+:func:`event_tree_oracle` and the Monte Carlo event tables' walks) run
+with CPython's cyclic collector paused (:func:`_collector_paused`).
+What they allocate, tuples, ints, Fractions and dicts, is acyclic and
+freed by reference counting, yet a full collection would walk every
+tracked object in the process; the collector's prior state, on or off,
+is restored on return and on raise.
 """
 
 from __future__ import annotations
@@ -157,8 +158,9 @@ def _collector_paused():
     ``@_collector_paused()``, it covers the whole call: the builder's
     locals, such as a memo, are freed by reference counting before the
     collector resumes, so the collection that follows has nothing of
-    theirs to walk. Never used inside a generator, whose suspension or
-    abandonment would leave the collector off for its caller."""
+    theirs to walk. Never wrapped around a generator, whose suspension
+    or abandonment would leave the collector off for its caller; no bulk
+    builder is one."""
     if not gc.isenabled():
         yield
         return
@@ -184,39 +186,52 @@ def _expand(strategy: Strategy | StatefulStrategy, state: Hashable, v: int):
     return succ, drop, fail
 
 
-def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen):
-    """The states of ``strategy``'s event DAG from the process state
-    ``root`` that are not in ``seen``, each once, in post-order, as
-    ``(state, vertices, node)``: ``node`` is None at a stop, else
-    ``(success state, failure drop, failure state)`` (:func:`_expand`).
-    The consumer puts each state into ``seen`` before it asks for the
-    next.
+@_collector_paused()
+def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
+    """Quality (or expected attempts) of ``strategy`` from each start, all
+    sharing one memo of ``I = value * q**v`` at v vertices: at a stop the
+    total length (quality) or 0 (attempts) times ``q**v``, else ``base +
+    p * I(success) + (q - p) * q**(drop - 1) * I(failure)``, base
+    ``q**v`` for attempts and 0 for quality.
 
-    The first broken validity rule raises
-    :class:`~cluster_forge.strategies.InvalidStrategy`, so a state in
-    ``seen`` has a clean subtree. Depth first, the failure child first;
-    that order decides which broken rule is reported.
+    The exact walk of the event DAG: depth first, the failure child
+    first, each state expanded once (:func:`_expand`) and valued in
+    post-order. The first broken validity rule raises
+    :class:`~cluster_forge.strategies.InvalidStrategy`, so a state in the
+    memo has a clean subtree; the walk order decides which broken rule is
+    reported. The memo is dropped on return and on raise, so a held
+    error keeps only the starts and the failing path alive.
     """
-    # (state, its vertex count, its node once its successors are pushed)
-    stack: list[tuple[Hashable, int, tuple | None]] = [(root, root.vertex_count, None)]
+    _check_ps(ps)
+    states = [strategy.start(start) for start in starts]
+    exact, p, scale, fail_factor = _scaling(ps, max((s.vertex_count for s in states), default=0))
+    zero = 0 * scale[0]
+    memo: dict = {}
+    answers = []
     try:
-        while stack:
-            state, v, node = stack.pop()
-            if node is not None:
-                yield state, v, node
-                continue
-            if state in seen:
-                continue
-            node = _expand(strategy, state, v)
-            if node is None:
-                yield state, v, None
-                continue
-            succ, drop, fail = node
-            # a child already seen is skipped when popped, so each state
-            # is hashed once per parent, not twice
-            stack.append((state, v, node))
-            stack.append((succ, v - 1, None))
-            stack.append((fail, v - drop, None))
+        for root in states:
+            # (state, its vertex count, its node once its successors are pushed)
+            stack: list[tuple[Hashable, int, tuple | None]] = [(root, root.vertex_count, None)]
+            while stack:
+                state, v, node = stack.pop()
+                if node is not None:
+                    succ, drop, fail = node
+                    base = scale[v] if attempts else zero
+                    memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
+                    continue
+                if state in memo:
+                    continue
+                node = _expand(strategy, state, v)
+                if node is None:
+                    memo[state] = zero if attempts else state.total_length * scale[v]
+                    continue
+                succ, drop, fail = node
+                # a child already in the memo is skipped when popped, not
+                # looked up here as well
+                stack.append((state, v, node))
+                stack.append((succ, v - 1, None))
+                stack.append((fail, v - drop, None))
+            answers.append(Fraction(memo[root], scale[root.vertex_count]) if exact else memo[root])
     except _Broken as exc:
         # the state's ancestors are the post-order entries left on the
         # stack; one whose success child still waits right above it was
@@ -225,30 +240,8 @@ def _explore(strategy: Strategy | StatefulStrategy, root: Hashable, seen):
             FAILURE if i + 1 < len(stack) and stack[i + 1][2] is None else SUCCESS
             for i, (_, _, node) in enumerate(stack) if node is not None)
         raise exc.invalid(strategy, root, event) from exc.__cause__
-
-
-@_collector_paused()
-def _sweep(strategy: Strategy | StatefulStrategy, starts, ps, attempts: bool = False) -> list:
-    """Quality (or expected attempts) of ``strategy`` from each start, all
-    sharing one memo, dropped on return, of ``I = value * q**v`` at v
-    vertices: at a stop the total length (quality) or 0 (attempts) times
-    ``q**v``, else ``base + p * I(success) + (q - p) * q**(drop - 1) *
-    I(failure)``, base ``q**v`` for attempts and 0 for quality."""
-    _check_ps(ps)
-    states = [strategy.start(start) for start in starts]
-    exact, p, scale, fail_factor = _scaling(ps, max((s.vertex_count for s in states), default=0))
-    zero = 0 * scale[0]
-    memo: dict = {}
-    answers = []
-    for root in states:
-        for state, v, node in _explore(strategy, root, memo):
-            if node is None:
-                memo[state] = zero if attempts else state.total_length * scale[v]
-            else:
-                succ, drop, fail = node
-                base = scale[v] if attempts else zero
-                memo[state] = base + p * memo[succ] + fail_factor[drop] * memo[fail]
-        answers.append(Fraction(memo[root], scale[root.vertex_count]) if exact else memo[root])
+    finally:
+        memo.clear()
     return answers
 
 

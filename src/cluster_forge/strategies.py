@@ -41,12 +41,13 @@ in a gate of two calls, ``_decide`` and ``_advance``, that raise
 ``_Broken``; ``exact._expand`` runs a decision and both its steps
 through it. Three walkers turn ``_Broken`` into
 :class:`InvalidStrategy` at their own event strings: the oracle, the
-scalar Monte Carlo player and the event-DAG explorer
-``exact._explore``, which serves the exact evaluation and
-:func:`validate_strategy_sweep`, whose starts share one set of explored
-states (``cluster-forge validate`` walks 508 states of smallest-first
-for the 508 configurations up to 14 edges, not 12,340). The Monte Carlo
-event tables give up instead, and leave the error to the scalar player.
+scalar Monte Carlo player and the memoized sweep ``exact._sweep`` of the
+exact evaluation. :func:`validate_strategy_sweep` is that sweep at a
+float ``ps``, its values dropped and its first error the answer; its
+starts share one memo (``cluster-forge validate`` walks 508 states of
+smallest-first for the 508 configurations up to 14 edges, not 12,340).
+The Monte Carlo event tables give up instead, and leave the error to the
+scalar player.
 :class:`Modesty` and :class:`Greed` decide from the sorted ``items`` in O(1).
 :class:`TwoStage` remembers its inner strategy's fusion per block offset
 and lineup, since it depends on those alone. Its stage-one memory is
@@ -469,24 +470,16 @@ def validate_strategy(strategy: Strategy | StatefulStrategy,
 
 def validate_strategy_sweep(strategy: Strategy | StatefulStrategy,
                             starts) -> InvalidStrategy | None:
-    """Check validity from each start in turn by exploring the event DAG
-    (``exact._explore``) with one set of explored states. Returns the
+    """Check validity from each start in turn: one float sweep of the
+    exact evaluation (``exact._sweep``), its values dropped. Returns the
     :class:`InvalidStrategy` of the first start that breaks a rule, or
-    None. A state in the set obeyed every rule, and so did each state
-    below it, so each start's error has the start, event and message of
-    its own :func:`validate_strategy` call."""
-    from .exact import _collector_paused, _explore  # exact imports this module
+    None. A state in the sweep's shared memo obeyed every rule, and so
+    did each state below it, so each start's error has the start, event
+    and message of its own :func:`validate_strategy` call."""
+    from .exact import _sweep  # exact imports this module
 
-    seen: set = set()
-    with _collector_paused():
-        try:
-            for start in starts:
-                for state, _, _ in _explore(strategy, strategy.start(start), seen):
-                    seen.add(state)
-        except InvalidStrategy as exc:
-            return exc
-        finally:
-            # freed while the collector is paused; the returned error's
-            # traceback holds this frame
-            seen.clear()
+    try:
+        _sweep(strategy, starts, 0.5)
+    except InvalidStrategy as exc:
+        return exc
     return None

@@ -1,5 +1,6 @@
 """Fixtures shared by the tests of the builders that pause the cyclic
-collector (``exact._collector_paused``)."""
+collector (``exact._collector_paused``), and a plain walk of a strategy's
+event DAG."""
 
 import contextlib
 import gc
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import cluster_forge
+from cluster_forge.exact import _expand
 
 PACKAGE_DIR = os.path.dirname(cluster_forge.__file__) + os.sep
 
@@ -58,3 +60,22 @@ def collector_state(request):
     (gc.enable if request.param else gc.disable)()
     yield request.param
     (gc.enable if was else gc.disable)()
+
+
+def event_dag(strategy, root) -> set:
+    """Every state of ``strategy``'s event DAG from the process state
+    ``root``: a plain depth-first walk with ``exact._expand``, whose
+    broken validity rule raises ``strategies._Broken``."""
+    dag = {root}
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        node = _expand(strategy, state, state.vertex_count)
+        if node is None:
+            continue
+        succ, _, fail = node
+        for child in (succ, fail):
+            if child not in dag:
+                dag.add(child)
+                stack.append(child)
+    return dag

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,9 +36,8 @@ from cluster_forge.exact import (
     QualityTable,
     TableBudgetExceeded,
     _count_codes,
-    _explore,
+    _expand,
     _optimize,
-    _scaling,
     _sweep,
     _table_actions,
     build_quality_table,
@@ -62,7 +62,10 @@ from cluster_forge.strategies import (
     Strategy,
     TwoStage,
     validate_strategy,
+    validate_strategy_sweep,
 )
+
+from conftest import event_dag
 
 
 def epr(n):
@@ -936,36 +939,27 @@ class TestIntegerScaledReadSide:
     def test_range_of_nothing_is_empty(self):
         assert strategy_quality_range(STATIC, [], HALF) == {}
 
-    @pytest.mark.parametrize("ps, stored", [(Fraction(137, 2048), int), (137 / 2048, float)],
-                             ids=repr)
+    @pytest.mark.parametrize("ps", [Fraction(137, 2048), 137 / 2048], ids=repr)
     @pytest.mark.parametrize("strategy", [MODESTY, STATIC], ids=lambda s: s.name)
-    def test_memo_holds_scaled_values_and_answers_keep_the_type_of_ps(
-            self, strategy, ps, stored, monkeypatch):
+    def test_a_sweep_expands_each_state_once_and_answers_keep_the_type_of_ps(
+            self, strategy, ps, monkeypatch):
         starts = [epr(n) for n in range(1, 11)]
-        roots = [strategy.start(start) for start in starts]
-        explored = set()
-        for root in roots:
-            for state, _, _ in _explore(strategy, root, explored):
-                explored.add(state)
-        _, _, scale, _ = _scaling(ps, 20)
-        # the memo _sweep hands the explorer, once per start
-        memos = []
+        dag = set().union(*(event_dag(strategy, strategy.start(start)) for start in starts))
+        expected = {False: [strategy_quality(strategy, start, ps) for start in starts],
+                    True: [expected_attempts(strategy, start, ps) for start in starts]}
+        expanded = []
 
-        def explore(strategy, root, seen):
-            memos.append(seen)
-            return _explore(strategy, root, seen)
+        def expand(strategy, state, v):
+            expanded.append(state)
+            return _expand(strategy, state, v)
 
-        monkeypatch.setattr(exact, "_explore", explore)
+        monkeypatch.setattr(exact, "_expand", expand)
         for attempts in (False, True):
-            memos.clear()
+            expanded.clear()
             answers = _sweep(strategy, starts, ps, attempts)
-            memo = memos[0]
-            assert len(memos) == len(starts) and all(seen is memo for seen in memos)
-            assert memo.keys() == explored
-            assert all(type(value) is stored for value in memo.values())
+            assert len(expanded) == len(dag) and set(expanded) == dag
             assert all(type(answer) is type(ps) for answer in answers)
-            for root, answer in zip(roots, answers):
-                assert memo[root] == answer * scale[root.vertex_count]
+            assert answers == expected[attempts]
 
     def test_range_rejects_bad_ps(self):
         with pytest.raises(ValueError):
@@ -1022,6 +1016,50 @@ class NestedSweep(Strategy):
         return MODESTY.decide(config)
 
 
+class Memory:
+    """A weak-referenceable memory that compares by its event string;
+    every one made is counted in ``refs``."""
+
+    __slots__ = ("event", "__weakref__")
+    refs: list = []
+
+    def __init__(self, event):
+        self.event = event
+        Memory.refs.append(weakref.ref(self))
+
+    def __eq__(self, other):
+        return self.event == other.event
+
+    def __hash__(self):
+        return hash(self.event)
+
+    @classmethod
+    def live(cls) -> int:
+        gc.collect()
+        return sum(ref() is not None for ref in cls.refs)
+
+
+class StopsAtOneEvent(StatefulStrategy):
+    """Fuses the first two chains, and stops once its memory holds the
+    event ``SFSFSFSFSFSF``: from 14 pairs, two chains are left there.
+    Off that event's prefixes the memory is None, so the DAG merges."""
+
+    name = "stops-at-one-event"
+    event = "SF" * 6
+
+    def initial_memory(self, chains):
+        return Memory("")
+
+    def decide(self, chains, memory):
+        if len(chains.chains) <= 1 or memory.event == self.event:
+            return STOP
+        return Fuse(0, 1)
+
+    def next_memory(self, chains, memory, action, outcome, result):
+        event = None if memory.event is None else memory.event + outcome
+        return Memory(event if event is not None and self.event.startswith(event) else None)
+
+
 def saved_table(path, damaged: bool = False):
     """``path`` after an N=8 table is saved there, cut inside line 19 if
     ``damaged``."""
@@ -1030,6 +1068,31 @@ def saved_table(path, damaged: bool = False):
         text = path.read_text()
         path.write_text(text[:text.index("\t", 300) + 2])
     return path
+
+
+class TestHeldError:
+    """An error raised by a sweep keeps, through its traceback, the starts
+    and the failing path alive, not the memo of the whole walk."""
+
+    STARTS = [epr(n) for n in range(1, 15)]
+
+    @pytest.mark.parametrize("call, starts", [
+        (lambda strategy: strategy_quality_range(strategy, range(1, 15)), 14),
+        (lambda strategy: validate_strategy_sweep(strategy, TestHeldError.STARTS), 14),
+        (lambda strategy: strategy_quality(strategy, epr(14)), 1),
+        (lambda strategy: expected_attempts(strategy, epr(14)), 1),
+    ], ids=["quality-range", "validate-sweep", "quality", "attempts"])
+    def test_a_held_error_keeps_only_the_starts_and_its_path(self, call, starts):
+        Memory.refs.clear()
+        try:
+            error = call(StopsAtOneEvent())
+        except InvalidStrategy as exc:
+            error = exc
+        assert (error.start, error.event, error.message) == (
+            epr(14), "SF" * 6, "premature stop with 2 chains")
+        assert Memory.live() <= starts + 2 * len(error.event) + 2
+        del error
+        assert Memory.live() == 0
 
 
 class TestCollectorPaused:
@@ -1086,11 +1149,4 @@ class TestCollectorPaused:
         strategy = NestedSweep()
         assert strategy_quality(strategy, epr(4)) == strategy_quality(MODESTY, epr(4))
         assert strategy.paused and all(strategy.paused)
-        assert gc.isenabled() is collector_state
-
-    def test_an_abandoned_explorer_leaves_the_collector_alone(self, collector_state):
-        explorer = _explore(MODESTY, MODESTY.start(epr(6)), set())
-        next(explorer)
-        assert gc.isenabled() is collector_state
-        explorer.close()
         assert gc.isenabled() is collector_state

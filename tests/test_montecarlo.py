@@ -22,7 +22,7 @@ from cluster_forge.configuration import (
     canonical_key,
     parse_key,
 )
-from cluster_forge.exact import _explore, build_quality_table, strategy_quality
+from cluster_forge.exact import build_quality_table, event_tree_oracle, strategy_quality
 from cluster_forge.montecarlo import (
     TRIAL_CHUNK,
     SimulationReport,
@@ -45,6 +45,8 @@ from cluster_forge.strategies import (
     TwoStage,
     _bad_drop,
 )
+
+from conftest import event_dag
 
 
 def epr(n):
@@ -330,6 +332,49 @@ class TestThresholdExperiment:
         assert report.fraction <= 0.5
 
 
+# the benchmark's bound on a count's distance from its exact mean
+Z_LIMIT = 5
+
+
+def reach_probability(strategy, start, threshold, max_total_length=14) -> Fraction:
+    """Exact P(final length >= threshold) from the event-tree oracle."""
+    oracle = event_tree_oracle(strategy, start, Fraction(1, 2), max_total_length)
+    return sum((prob for final, prob in oracle.distribution.items()
+                if final.total_length >= threshold), Fraction(0))
+
+
+def assert_count_near(successes, trials, probability):
+    """``successes`` lies within Z_LIMIT standard deviations of the
+    binomial mean ``trials * probability``."""
+    mean = trials * probability
+    assert abs(successes - mean) <= Z_LIMIT * math.sqrt(mean * (1 - probability))
+
+
+class TestThresholdCountsMatchTheOracle:
+    """A Monte Carlo success count estimates the exact probability that
+    the final length reaches the threshold. Every seed was fixed before
+    the first run."""
+
+    @pytest.mark.parametrize("strategy, seed", [(MODESTY, 9101), (GREED, 9102), (STATIC, 9103)],
+                             ids=lambda x: getattr(x, "name", x))
+    @pytest.mark.parametrize("threshold", [4, 7])
+    def test_twelve_pairs(self, strategy, seed, threshold):
+        trials = 4000
+        probability = reach_probability(strategy, epr(12), threshold)
+        assert 0 < probability < 1
+        report = estimate_quality(strategy, epr(12), 0.5, trials, seed, threshold=threshold)
+        assert_count_near(report.success_count, trials, probability)
+
+    def test_a_stage_one_block_pair(self):
+        # 16 pairs, two blocks of 8, then one insistent pair
+        trials = 2000
+        report = threshold_experiment(2, 0.1, 2, 8, trials, 9116, direction="insufficient")
+        assert report.n_pairs == 16
+        probability = reach_probability(TwoStage(8, MODESTY), epr(16), 2, max_total_length=16)
+        assert probability == Fraction(1906681, 2097152)
+        assert_count_near(report.successes, trials, probability)
+
+
 def scalar_estimate(strategy, start, ps, trials, seed, threshold=None):
     """estimate_quality with every chunk played by the scalar players, the
     reference the array engine must reproduce bit for bit."""
@@ -491,10 +536,7 @@ class TestChunkEngine:
         event DAG once; a walk fills no more of it."""
         tables = montecarlo._tables(strategy, start)
         assert [len(fill_all(table).states) for table in tables.values()] == [states]
-        dag = set()
-        for table in tables.values():
-            for state, _, _ in _explore(table.strategy, table.root, dag):
-                dag.add(state)
+        dag = set().union(*(event_dag(table.strategy, table.root) for table in tables.values()))
         assert {state for table in tables.values() for state in table.states} == dag
         tables = montecarlo._tables(strategy, start)
         wins = chunk_wins(start, TRIAL_CHUNK)
