@@ -170,7 +170,7 @@ def lp_attempts_bound(n: int) -> Fraction:
             raise CertificateMismatch(f"dual certificate infeasible for N={n}")
 
     primal_value = sum(c * v for c, v in zip(instance.cost, x))
-    dual_value = (n - 1) * y[0] - y[1]
+    dual_value = -sum(b * v for b, v in zip(instance.rhs, y))
     if not (primal_value == dual_value == closed):
         raise CertificateMismatch(
             f"objective mismatch for N={n}: primal={primal_value} "
@@ -295,8 +295,6 @@ def greed_closed_form_float(n: int) -> float:
     log2 = math.log(2.0)
     terms = []
     for k in range((n - 1) // 2 + 1):
-        if n - 2 * k == 0:
-            continue
         terms.append(
             (1 - n) * log2
             + math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

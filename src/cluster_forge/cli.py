@@ -1,8 +1,8 @@
 """Command-line front end emitting plot-ready CSV/JSON.
 
 Exit codes: 0 success, 1 invalid flags or values, 2 table budget
-exceeded, 3 internal certificate failure (LP duality, oracle mismatch,
-or a failed validation run) or a corrupt table in
+exceeded, 3 a failed validation run (among its checks, the LP duality
+certificates and the oracle agreement) or a corrupt table in
 CLUSTER_FORGE_TABLE_DIR, which the table store of cluster_forge.exact
 reads and writes for an exact ps.
 """
@@ -534,9 +534,6 @@ def main(argv=None) -> int:
     except TableBudgetExceeded as exc:
         print(f"cluster-forge: budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except bnd.CertificateMismatch as exc:
-        print(f"cluster-forge: certificate failure: {exc}", file=sys.stderr)
-        return 3
     except CorruptTable as exc:
         print(f"cluster-forge: corrupt table: {exc}", file=sys.stderr)
         return 3

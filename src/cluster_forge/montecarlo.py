@@ -18,20 +18,21 @@ matrix: one byte per draw instead of eight, and the same successes as
 the float comparison, bit for bit.
 
 A chunk plays all its trials at once on numpy arrays, by the plan
-:func:`_plan` makes: runs of a strategy, one after another from their
-own starts, then insistent-pairing rounds on their survivors. The plan
-looks at a strategy's type only where the engine depends on it: a
-:class:`TwoStage` whose inner strategy keeps :class:`Strategy`'s own
-``start``, ``choose`` and ``step`` runs its blocks; every other strategy
-is one run of itself. A trial of a run is a random walk on the run's
-event DAG, and :func:`estimate_quality` makes one empty event table per
-distinct run (:class:`_EventTable`), which every chunk of the run then
-fills as its trials need it: a state is numbered when a step first
-reaches it and expanded, decided and stepped on both outcomes through
-the validity gate by :func:`cluster_forge.exact._expand`, when a walk
-first needs it, and a step-table entry, four attempts from a state for
-one value of the next four win bits, is filled the first time a trial
-reads it. A chunk walks the table four attempts per gather. Trials
+:func:`_plan` makes once per estimate: runs of a strategy, one after
+another from their own starts, then insistent-pairing rounds on their
+survivors. The plan looks at a strategy's type only where the engine
+depends on it: a :class:`TwoStage` whose inner strategy keeps
+:class:`Strategy`'s own ``start``, ``choose`` and ``step`` runs its
+blocks; every other strategy is one run of itself. A trial of a run is a
+random walk on the run's event DAG, and the plan is the list of the
+runs' empty event tables (:class:`_EventTable`) in play order, runs from
+equal starts sharing one table. :func:`estimate_quality` hands the plan
+to every chunk, which fills its tables as its trials need them: a state
+is numbered when a step first reaches it and expanded, decided and
+stepped on both outcomes through the validity gate by
+:func:`cluster_forge.exact._expand`, when a walk first needs it, and a
+step-table entry, four attempts from a state for one value of the next
+four win bits, is filled the first time a trial reads it. A chunk walks the table four attempts per gather. Trials
 visit far fewer states than the DAG holds (about 1,070 of smallest-first's
 4,582 from 64 pairs in 4096 trials), and later chunks mostly read
 entries that are already filled. A table that a fill could take past
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -437,29 +439,26 @@ def _walk_table(
     return finals, failures
 
 
-def _plan(strategy, start: Configuration) -> tuple[Strategy | StatefulStrategy, list]:
-    """How a chunk plays ``strategy`` from ``start``: ``(explorer, runs)``,
-    the starts of the runs of ``explorer``, played one after another,
-    each on its event table. A :class:`TwoStage` runs its blocks when its
-    inner strategy keeps :class:`Strategy`'s own ``start``, ``choose`` and
-    ``step``: its process is then its decisions under the fusion rule, as
-    in a block. Every other strategy is one run of itself."""
+def _plan(strategy, start: Configuration) -> list:
+    """How a chunk plays ``strategy`` from ``start``: the empty event
+    table of each run, in play order, the runs played one after another
+    and runs from equal starts sharing one table. A :class:`TwoStage`
+    runs its blocks when its inner strategy keeps :class:`Strategy`'s own
+    ``start``, ``choose`` and ``step``: its process is then its decisions
+    under the fusion rule, as in a block. Every other strategy is one run
+    of itself. A run whose first state has more vertices than its start
+    has None, not a table: a walk could need more win bits than a trial's
+    row holds. :func:`estimate_quality` makes the plan once, for all its
+    chunks."""
+    explorer, runs = strategy, [start]
     if type(strategy) is TwoStage and all(
             getattr(type(strategy.inner), name, None) is getattr(Strategy, name)
             for name in ("start", "choose", "step")):
-        return strategy.inner, strategy.blocks(start)
-    return strategy, [start]
-
-
-def _tables(strategy, start: Configuration) -> dict:
-    """An empty event table for each distinct run of the chunks' plan
-    (:func:`_plan`), keyed by the run's start; None for a run whose
-    first state has more vertices than its start, where a walk could
-    need more win bits than a trial's row holds."""
-    explorer, runs = _plan(strategy, start)
+        explorer, runs = strategy.inner, strategy.blocks(start)
     roots = {run: explorer.start(run) for run in runs}
-    return {run: _EventTable(explorer, root) if root.vertex_count <= _draws_bound(run) else None
-            for run, root in roots.items()}
+    tables = {run: _EventTable(explorer, root) if root.vertex_count <= _draws_bound(run) else None
+              for run, root in roots.items()}
+    return [tables[run] for run in runs]
 
 
 def _compact(lengths: np.ndarray) -> np.ndarray:
@@ -501,26 +500,24 @@ def _pairing_round(
 
 
 def _play_chunk(
-    strategy, start: Configuration, wins: np.ndarray, tables: dict,
+    strategy, start: Configuration, wins: np.ndarray, plan: list,
 ) -> np.ndarray | None:
     """Final total length of every trial of a chunk, played from its win
-    matrix on arrays by the plan of :func:`_plan` on the run's event
-    ``tables`` (:func:`_tables`), or None when the scalar player plays
-    it: a run without a table, or one whose walk fails."""
-    _, runs = _plan(strategy, start)
+    matrix on arrays, each run walked on its event table of ``plan``
+    (:func:`_plan`), or None when the scalar player plays it: a run
+    without a table, or one whose walk fails."""
     trials = len(wins)
     attempts = np.zeros(trials, np.int64)
     failures = np.zeros(trials, np.int64)
-    survivors = np.zeros((trials, len(runs)), np.int64)
-    for i, run in enumerate(runs):
-        table = tables[run]
+    survivors = np.zeros((trials, len(plan)), np.int64)
+    for i, table in enumerate(plan):
         walked = None if table is None else _walk_table(table, wins, attempts)
         if walked is None:
             return None
         survivors[:, i], lost = walked
         failures += lost
     # one run leaves one column: nothing to compact, no round to play
-    chains = _compact(survivors) if len(runs) > 1 else survivors
+    chains = _compact(survivors) if len(plan) > 1 else survivors
     while chains.shape[1] >= 2:
         chains, lost = _pairing_round(chains, wins, attempts)
         failures += lost
@@ -533,11 +530,15 @@ def _play_chunk(
 
 
 def _chunk_stats(
-    strategy, start: Configuration, p: float, seed: int, chunk: int,
-    trials_in_chunk: int, threshold: int | None, tables: dict,
+    strategy, start: Configuration, p: float, seed: int, threshold: int | None,
+    plan: list, chunk: int, trials_in_chunk: int,
 ) -> tuple[float, float, int]:
+    """The sum, the sum of squares and the count reaching ``threshold`` of
+    the final lengths of chunk ``chunk``'s trials, played on ``plan``
+    (:func:`_plan`) or, when that fails, by the scalar player. The
+    per-chunk arguments come last, so that the rest is bound once."""
     wins = _chunk_wins(seed, chunk, trials_in_chunk, _draws_bound(start), p)
-    finals = _play_chunk(strategy, start, wins, tables)
+    finals = _play_chunk(strategy, start, wins, plan)
     if finals is None:
         finals = np.array([_play(strategy, start, row).total_length for row in wins], np.int64)
     # Finals are integers and no partial sum reaches 2**53 (that needs
@@ -566,32 +567,25 @@ def estimate_quality(
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     p = _check_run(ps, seed)
-    # made once per run and filled as the chunks walk them; a pool batch
-    # unpickles one empty copy and fills its own
-    tables = _tables(strategy, start)
-    n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
-    jobs = [(strategy, start, p, seed, chunk, min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK),
-             threshold, tables) for chunk in range(n_chunks)]
+    # the plan is made once and its tables filled as the chunks walk them;
+    # a pool batch unpickles one empty copy and fills its own
+    play = partial(_chunk_stats, strategy, start, p, seed, threshold, _plan(strategy, start))
+    chunks = range((trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK)
+    sizes = [min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK) for chunk in chunks]
 
-    if processes > 1 and n_chunks > 1:
+    if processes > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(processes, n_chunks)
-        # a forked pool starts every worker up front; map keeps job order
-        # and pickles each batch of jobs as one call, so the tables they
-        # share are pickled once a batch, and there is one batch a worker
+        workers = min(processes, len(chunks))
+        # a forked pool starts every worker up front; map keeps chunk order
+        # and pickles each batch of chunks as one call, so the plan is
+        # pickled once a batch, and there is one batch a worker
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_stats, *zip(*jobs), chunksize=-(-n_chunks // workers)))
+            parts = list(pool.map(play, chunks, sizes, chunksize=-(-len(chunks) // workers)))
     else:
-        parts = [_chunk_stats(*job) for job in jobs]
-
-    total = 0.0
-    total_sq = 0.0
-    successes = 0
-    for part_total, part_sq, part_succ in parts:
-        total += part_total
-        total_sq += part_sq
-        successes += part_succ
+        parts = list(map(play, chunks, sizes))
+    # summed left to right in chunk order, whatever ran them
+    total, total_sq, successes = (sum(column) for column in zip(*parts))
 
     mean = total / trials
     if trials >= 2:

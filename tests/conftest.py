@@ -1,6 +1,6 @@
 """Fixtures shared by the tests of the builders that pause the cyclic
-collector (``exact._collector_paused``), and a plain walk of a strategy's
-event DAG."""
+collector (``exact._collector_paused``), a plain walk of a strategy's
+event DAG, and the exact final-length distribution pushed through it."""
 
 import contextlib
 import gc
@@ -79,3 +79,24 @@ def event_dag(strategy, root) -> set:
                 dag.add(child)
                 stack.append(child)
     return dag
+
+
+def final_length_distribution(strategy, root, ps) -> dict:
+    """The exact probability of each final total length of ``strategy``
+    from the process state ``root`` at success probability ``ps``. The
+    states of :func:`event_dag` are taken in decreasing vertex count, an
+    order in which each state comes after every state that steps to it,
+    since every step removes a vertex; each pushes its probability mass
+    to its two children, or at a stop adds it to its total length."""
+    mass = {root: 1}
+    lengths: dict = {}
+    for state in sorted(event_dag(strategy, root), key=lambda state: -state.vertex_count):
+        weight = mass.pop(state, 0)
+        node = _expand(strategy, state, state.vertex_count)
+        if node is None:
+            lengths[state.total_length] = lengths.get(state.total_length, 0) + weight
+            continue
+        succ, _, fail = node
+        mass[succ] = mass.get(succ, 0) + weight * ps
+        mass[fail] = mass.get(fail, 0) + weight * (1 - ps)
+    return {length: weight for length, weight in lengths.items() if weight}

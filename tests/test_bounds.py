@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -235,6 +236,18 @@ class TestLinearProgram:
     def test_corrupted_certificates_raise(self):
         assert_every_corruption_raises()
 
+    @pytest.mark.parametrize("n", [6, 7, 30])
+    def test_the_dual_objective_is_read_from_the_program(self, n):
+        """A program whose right-hand side is not the one the closed form
+        solves fails its certificate. Both solutions stay feasible there:
+        the primal's first column is tight at 1 - n, and the dual's
+        constraints do not read the right-hand side."""
+        shifted = dataclasses.replace(LinearProgramInstance.for_pairs(n),
+                                      rhs=(Fraction(2 - n), Fraction(1)))
+        with mock.patch.object(LinearProgramInstance, "for_pairs", lambda n: shifted):
+            with pytest.raises(CertificateMismatch, match="objective mismatch"):
+                lp_attempts_bound(n)
+
     def test_corrupted_certificates_raise_under_python_O(self):
         env = dict(os.environ)
         package_root = str(Path(bounds.__file__).parents[1])
@@ -384,6 +397,19 @@ class TestSmallHelpers:
     def test_inverse_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
             inverse_resource_bounds(100, Fraction(1, 5), 0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: lp_closed_form(0), "need at least one pair"),
+        (lambda: modesty_lower_bound(20, 8, modesty_quality_range(16), step=3),
+         "step must be 1 or 2"),
+        (lambda: inverse_resource_bounds(100, 0, Fraction(1, 2)), "alpha must be positive"),
+        (lambda: greed_closed_form(0), "need at least one pair"),
+        (lambda: greed_closed_form_float(0), "need at least one pair"),
+    ], ids=["lp_closed_form", "modesty_lower_bound", "inverse_resource_bounds",
+            "greed_closed_form", "greed_closed_form_float"])
+    def test_argument_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_achievable_rate_value(self):
         sufficient, _ = inverse_resource_bounds(1.0, 0.153336, 0.08)

@@ -265,6 +265,14 @@ class TestWeave:
         assert float(fields[3]) == pytest.approx(0.65625)
         assert fields[5] == ""  # a <= 1/ps: no valid bound
 
+    def test_no_trials_leaves_the_monte_carlo_columns_empty(self, capsys):
+        code, out = run(capsys, "weave", "--n", "5", "--a", "3", "--ps", "0.5")
+        assert code == 0
+        header, row = out.splitlines()[1:]
+        assert header.endswith(",mc_estimate,mc_ci_low,mc_ci_high")
+        assert row.endswith(",,,")
+        assert all(row.split(",")[:6])
+
     def test_percolation_scan_comments(self, capsys):
         code, out = run(capsys, "percolation-scan", "--n-list", "50,100,200",
                         "--a", "2.0", "--ps-grid", "0.4,0.6")
@@ -561,6 +569,16 @@ class TestSmallSizes:
          "--a-grid must list at least one value, got ','"),
         (["percolation-scan", "--n-list", ",", "--a", "2", "--ps-grid", "0.5"],
          "--n-list must list at least one value, got ','"),
+        (["quality", "--strategy", "all", "--n-max", "4", "--ps", "1/3"],
+         "--strategy all tabulates the ps = 1/2 reference curves"),
+        (["percolation-scan", "--n-list", "5", "--a", "2", "--ps", "0.5", "--ps-grid", "0.5"],
+         "fix exactly one of --a and --ps"),
+        (["percolation-scan", "--n-list", "5", "--ps-grid", "0.5"],
+         "fix exactly one of --a and --ps"),
+        (["percolation-scan", "--n-list", "5", "--a", "2"], "--a requires --ps-grid"),
+        (["percolation-scan", "--n-list", "5", "--ps", "0.5"], "--ps requires --a-grid"),
+        (["percolation-scan", "--n-list", "5,x", "--a", "2", "--ps-grid", "0.5"],
+         "cannot parse list '5,x': invalid literal for int() with base 10: 'x'"),
     ], ids=["quality-n-min", "quality-step", "bounds-n-min", "bounds-n", "bounds-n-max",
             "razor-n", "razor-n-min", "razor-r-min", "validate-n", "optimal-table-max-entries",
             "quality-n-max", "quality-all-n-max", "razor-r-max-below-r-min", "razor-r-max",
@@ -571,7 +589,9 @@ class TestSmallSizes:
             "percolation-scan-a-n-overflows", "weave-budget-above-int64", "bounds-exact-max",
             "percolation-scan-ps-grid-empty", "percolation-scan-ps-grid-comma",
             "percolation-scan-a-grid-empty", "percolation-scan-a-grid-comma",
-            "percolation-scan-n-list-comma"])
+            "percolation-scan-n-list-comma", "quality-all-ps", "percolation-scan-a-and-ps",
+            "percolation-scan-neither-a-nor-ps", "percolation-scan-a-without-ps-grid",
+            "percolation-scan-ps-without-a-grid", "percolation-scan-unparsable-list"])
     def test_below_the_minimum_exits_one_with_one_error_line(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()

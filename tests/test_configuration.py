@@ -369,6 +369,7 @@ MALFORMED = {
     "unsorted": lambda: Configuration(((2, 1), (1, 1))),
     "repeated-length": lambda: Configuration(((2, 1), (2, 1))),
     "identity-zero-length": lambda: IdentityConfiguration((0,)),
+    "removal-past-count": lambda: Configuration.from_lengths([1, 2]).add(1, -2),
 }
 
 

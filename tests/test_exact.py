@@ -385,6 +385,36 @@ class TestQualityTable:
         finally:
             clear_table_cache()
 
+    def test_a_directory_ignores_a_table_name_without_an_integer_n(self, tmp_path):
+        junk = tmp_path / "table-nX-ps1-2.tsv"
+        junk.write_text("junk\n")
+        clear_table_cache()
+        try:
+            table = cached_quality_table(6, HALF, str(tmp_path))
+        finally:
+            clear_table_cache()
+        assert table.n == 6
+        assert sorted(os.listdir(tmp_path)) == ["table-n6-ps1-2.tsv", "table-nX-ps1-2.tsv"]
+        assert junk.read_text() == "junk\n"
+
+    @pytest.mark.parametrize("persist", [
+        lambda path: build_quality_table(4, 0.5).save(path / "table.tsv"),
+        lambda path: cached_quality_table(4, 0.5, str(path)),
+    ], ids=["save", "table-directory"])
+    def test_a_float_table_is_not_persisted(self, tmp_path, persist):
+        with pytest.raises(TypeError, match="only exact-rational tables are persisted"):
+            persist(tmp_path)
+        assert os.listdir(tmp_path) == []
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        table = build_quality_table(6)
+        path = tmp_path / "table.tsv"
+        table.save(path)
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, ""] + lines[:5] + ["", ""] + lines[5:] + [""]) + "\n")
+        loaded = QualityTable.load(path)
+        assert (loaded.n, loaded.ps, list(loaded.items())) == (table.n, table.ps, list(table.items()))
+
     def test_budget_bounds_memory(self):
         # enumeration is lazy by vertex level, so a budget stops the build
         # before the whole N=40 state space (215,308 entries) is made

@@ -20,6 +20,7 @@ from cluster_forge.configuration import (
     Configuration,
     IdentityConfiguration,
     canonical_key,
+    enumerate_configurations,
     parse_key,
 )
 from cluster_forge.exact import build_quality_table, event_tree_oracle, strategy_quality
@@ -46,7 +47,7 @@ from cluster_forge.strategies import (
     _bad_drop,
 )
 
-from conftest import event_dag
+from conftest import event_dag, final_length_distribution
 
 
 def epr(n):
@@ -207,6 +208,10 @@ class TestEstimateQuality:
     def test_single_trial_has_no_stderr(self):
         report = estimate_quality(MODESTY, epr(4), 0.5, trials=1, seed=1)
         assert report.stderr is None
+
+    def test_no_threshold_has_no_success_fraction(self):
+        report = estimate_quality(MODESTY, epr(4), 0.5, trials=10, seed=1)
+        assert (report.success_count, report.success_fraction) == (None, None)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -375,6 +380,47 @@ class TestThresholdCountsMatchTheOracle:
         assert_count_near(report.successes, trials, probability)
 
 
+OPTIMAL_12 = build_quality_table(12).as_strategy()
+
+
+class TestFinalLengthsMatchTheExactDistribution:
+    """Seeded Monte Carlo final lengths against their exact distribution,
+    pushed through the event DAG in time linear in its states
+    (``conftest.final_length_distribution``), which is first checked
+    against the event-tree oracle. Every seed was fixed before the first
+    run."""
+
+    @pytest.mark.parametrize("strategy", [MODESTY, GREED, STATIC, OPTIMAL_12],
+                             ids=["modesty", "greed", "static", "optimal-12"])
+    def test_the_pushed_distribution_is_the_oracles(self, strategy):
+        for start in enumerate_configurations(12):
+            by_length: dict = {}
+            for final, probability in event_tree_oracle(strategy, start).distribution.items():
+                by_length[final.total_length] = by_length.get(final.total_length, 0) + probability
+            assert final_length_distribution(
+                strategy, strategy.start(start), Fraction(1, 2)) == by_length, start
+
+    @pytest.mark.parametrize("strategy, n, seed", [
+        (MODESTY, 16, 9201), (MODESTY, 20, 9202), (MODESTY, 28, 9203),
+        (GREED, 16, 9204), (GREED, 20, 9205), (GREED, 28, 9206), ("optimal-28", 28, 9207),
+    ], ids=lambda x: getattr(x, "name", x))
+    def test_seeded_estimates_lie_near_the_exact_values(self, strategy, n, seed):
+        """The success count lies within Z_LIMIT standard deviations of
+        its exact mean, and the mean within Z_LIMIT standard errors of the
+        exact mean, which is the memoized quality."""
+        trials, threshold = 4000, 5
+        if strategy == "optimal-28":
+            strategy = build_quality_table(28).as_strategy()
+        distribution = final_length_distribution(strategy, strategy.start(epr(n)), Fraction(1, 2))
+        mean = sum(length * probability for length, probability in distribution.items())
+        assert mean == strategy_quality(strategy, epr(n))
+        probability = sum(p for length, p in distribution.items() if length >= threshold)
+        assert 0 < probability < 1
+        report = estimate_quality(strategy, epr(n), 0.5, trials, seed, threshold=threshold)
+        assert_count_near(report.success_count, trials, probability)
+        assert abs(report.mean - mean) <= Z_LIMIT * report.stderr
+
+
 def scalar_estimate(strategy, start, ps, trials, seed, threshold=None):
     """estimate_quality with every chunk played by the scalar players, the
     reference the array engine must reproduce bit for bit."""
@@ -512,7 +558,7 @@ class TestChunkEngine:
 
     def test_optimal_table_beyond_its_n_plays_on_the_scalar_player(self):
         assert montecarlo._play_chunk(OPTIMAL_10, epr(11), chunk_wins(epr(11)),
-                                       montecarlo._tables(OPTIMAL_10, epr(11))) is None
+                                       montecarlo._plan(OPTIMAL_10, epr(11))) is None
         with pytest.raises(InvalidStrategy, match="no decision available"):
             estimate_quality(OPTIMAL_10, epr(11), 0.5, trials=100, seed=1)
 
@@ -521,7 +567,7 @@ class TestChunkEngine:
         table.action_ids[table.rank(epr(4))] = table.actions.index(STOP)
         strategy = table.as_strategy()
         assert montecarlo._play_chunk(strategy, epr(4), chunk_wins(epr(4)),
-                                       montecarlo._tables(strategy, epr(4))) is None
+                                       montecarlo._plan(strategy, epr(4))) is None
         with pytest.raises(InvalidStrategy) as err:
             estimate_quality(strategy, epr(4), 0.5, trials=100, seed=1)
         assert (err.value.event, err.value.message) == ("", "premature stop with 4 chains")
@@ -534,20 +580,21 @@ class TestChunkEngine:
     def test_a_filled_table_is_the_event_dag(self, strategy, start, states):
         """Every entry filled, a run's table numbers each state of its
         event DAG once; a walk fills no more of it."""
-        tables = montecarlo._tables(strategy, start)
-        assert [len(fill_all(table).states) for table in tables.values()] == [states]
-        dag = set().union(*(event_dag(table.strategy, table.root) for table in tables.values()))
-        assert {state for table in tables.values() for state in table.states} == dag
-        tables = montecarlo._tables(strategy, start)
+        tables = list(dict.fromkeys(montecarlo._plan(strategy, start)))  # the distinct ones
+        assert [len(fill_all(table).states) for table in tables] == [states]
+        dag = set().union(*(event_dag(table.strategy, table.root) for table in tables))
+        assert {state for table in tables for state in table.states} == dag
+        plan = montecarlo._plan(strategy, start)
         wins = chunk_wins(start, TRIAL_CHUNK)
-        montecarlo._play_chunk(strategy, start, wins, tables)
-        assert all(len(table.states) <= states for table in tables.values())
+        montecarlo._play_chunk(strategy, start, wins, plan)
+        assert all(len(table.states) <= states for table in plan)
 
     def test_a_two_stage_run_has_one_table_per_distinct_block(self):
-        tables = montecarlo._tables(TwoStage(8, GREED), epr(20))
-        assert list(tables) == [epr(8), epr(4)]
-        for block, table in tables.items():
-            alone = montecarlo._tables(GREED, block)[block]
+        plan = montecarlo._plan(TwoStage(8, GREED), epr(20))
+        assert [table.root for table in plan] == [epr(8), epr(8), epr(4)]
+        assert plan[0] is plan[1]
+        for table in dict.fromkeys(plan):  # the distinct ones
+            alone = montecarlo._plan(GREED, table.root)[0]
             assert table.strategy is GREED
             fill_all(table), fill_all(alone)
             assert table.states == alone.states
@@ -567,9 +614,9 @@ class TestChunkEngine:
                 montecarlo._play(MODESTY, start, row)
             played, visited = visited, set()
             recording.reset_mock()
-            tables = montecarlo._tables(MODESTY, start)
-            montecarlo._play_chunk(MODESTY, start, wins, tables)
-        table = tables[start]
+            plan = montecarlo._plan(MODESTY, start)
+            montecarlo._play_chunk(MODESTY, start, wins, plan)
+        table = plan[0]
         expanded = [state for state, row in zip(table.states, table.rows) if row]
         assert recording.call_count == len(expanded) == len(visited)
         assert set(expanded) == visited == played
@@ -595,22 +642,25 @@ class TestChunkEngine:
     def test_any_strategy_walks_its_table(self, strategy, start):
         args = (strategy, start, 0.5, TRIAL_CHUNK + 100, 5, start.total_length // 2)
         expected = scalar_estimate(*args)
-        assert list(montecarlo._tables(strategy, start)) == [start]
+        assert [table.root for table in montecarlo._plan(strategy, start)] == [
+            strategy.start(start)]
         with on_tables() as walk:
             assert estimate_quality(*args) == expected
             assert walk.called
             assert estimate_quality(*args, processes=2) == expected
 
     @pytest.mark.parametrize("strategy, start, blocks", [
-        (TwoStage(8, OPTIMAL_10), epr(20), [epr(8), epr(4)]),
-        (TwoStage(3, LOOKUP_8), epr(10), [epr(3), epr(1)]),
+        (TwoStage(8, OPTIMAL_10), epr(20), [epr(8), epr(8), epr(4)]),
+        (TwoStage(3, LOOKUP_8), epr(10), [epr(3), epr(3), epr(3), epr(1)]),
     ], ids=["optimal", "lookup"])
     def test_a_plain_inner_strategy_walks_its_block_tables(self, strategy, start, blocks):
         """A two-stage strategy whose inner strategy keeps Strategy's own
         process plays one run of it per block, whatever its class."""
         args = (strategy, start, 0.5, TRIAL_CHUNK + 100, 5, start.total_length // 2)
         expected = scalar_estimate(*args)
-        assert list(montecarlo._tables(strategy, start)) == blocks
+        plan = montecarlo._plan(strategy, start)
+        assert [table.root for table in plan] == blocks
+        assert plan[0] is plan[1]
         with on_tables() as walk:
             assert estimate_quality(*args) == expected
             assert walk.called
@@ -621,17 +671,17 @@ class TestChunkEngine:
         are not the blocks TwoStage plays: the two-stage strategy is one
         run of itself, and plays like TwoStage(4, MODESTY)."""
         strategy = TwoStage(4, Inflater())
-        assert montecarlo._plan(strategy, epr(10)) == (strategy, [epr(10)])
-        assert list(montecarlo._tables(strategy, epr(10))) == [epr(10)]
+        [table] = montecarlo._plan(strategy, epr(10))
+        assert (table.strategy, table.root) == (strategy, strategy.start(epr(10)))
         args = (epr(10), 0.5, 500, 8, 10)
         ours, modesty = estimate_quality(strategy, *args), estimate_quality(TwoStage(4), *args)
         assert (ours.mean, ours.stderr, ours.success_count) == (
             modesty.mean, modesty.stderr, modesty.success_count)
 
     def test_a_start_state_past_the_win_row_has_no_table(self):
-        assert montecarlo._tables(Inflater(), epr(2)) == {epr(2): None}
+        assert montecarlo._plan(Inflater(), epr(2)) == [None]
         assert montecarlo._play_chunk(Inflater(), epr(2), chunk_wins(epr(2)),
-                                       montecarlo._tables(Inflater(), epr(2))) is None
+                                       montecarlo._plan(Inflater(), epr(2))) is None
         with pytest.raises(InvalidStrategy) as err:
             estimate_quality(Inflater(), epr(2), 1.0, trials=10, seed=0)
         assert (err.value.start, err.value.event, err.value.message) == (
@@ -640,7 +690,7 @@ class TestChunkEngine:
 
     def test_unhashable_states_play_on_the_scalar_player(self):
         assert montecarlo._play_chunk(ListMemory(), epr(12), chunk_wins(epr(12)),
-                                       montecarlo._tables(ListMemory(), epr(12))) is None
+                                       montecarlo._plan(ListMemory(), epr(12))) is None
         args = (epr(12), 0.5, 300, 4, 8)
         ours = estimate_quality(ListMemory(), *args)
         modesty = estimate_quality(MODESTY, *args)
@@ -668,18 +718,18 @@ class TestChunkEngine:
         start = epr(200)
         wins = chunk_wins(start, TRIAL_CHUNK, seed=5)
         montecarlo._play_chunk(MODESTY, epr(8), wins[:, :16],  # warm the strategy
-                               montecarlo._tables(MODESTY, epr(8)))
+                               montecarlo._plan(MODESTY, epr(8)))
         tracemalloc.start()
         try:
-            tables = montecarlo._tables(MODESTY, start)
-            montecarlo._play_chunk(MODESTY, start, wins, tables)
+            plan = montecarlo._plan(MODESTY, start)
+            montecarlo._play_chunk(MODESTY, start, wins, plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # The table's 8,768 states peak at about 5.2 MB, 3.2 bytes a
         # draw: about 590 B a state, mostly the configurations, then the
         # numbering, the rows and the step entries.
-        assert len(tables[start].states) == 8768
+        assert len(plan[0].states) == 8768
         assert peak < 4 * wins.size
 
 
@@ -715,7 +765,7 @@ class TestTableCap:
 
     def test_the_arrays_grow_by_half_and_not_past_the_cap(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_TABLE_STATES", 150)
-        table = montecarlo._tables(MODESTY, epr(12))[epr(12)]
+        table = montecarlo._plan(MODESTY, epr(12))[0]
         sizes = []
         for state in range(1, 200):  # any hashable value numbers as a state
             table._number(state)
@@ -725,7 +775,7 @@ class TestTableCap:
         assert table.steps.size == 16 * 225
 
     def test_a_restart_keeps_the_start_and_the_live_states(self):
-        table = montecarlo._tables(MODESTY, epr(12))[epr(12)]
+        table = montecarlo._plan(MODESTY, epr(12))[0]
         fill_all(table)
         live = np.array([0, 7, 3, 7, 0, 12], np.uint32)
         kept = [table.states[i] for i in live]
@@ -753,9 +803,9 @@ def test_a_state_first_broken_in_a_later_chunk_raises_the_scalar_players_error()
     outcomes = {}
 
     def first_chunks(seed):
-        tables = montecarlo._tables(strategy, start)
+        plan = montecarlo._plan(strategy, start)
         return [montecarlo._play_chunk(strategy, start, montecarlo._chunk_wins(
-            seed, chunk, TRIAL_CHUNK, montecarlo._draws_bound(start), 0.5), tables) is None
+            seed, chunk, TRIAL_CHUNK, montecarlo._draws_bound(start), 0.5), plan) is None
             for chunk in (0, 1)]
 
     seed = next(seed for seed in range(100) if first_chunks(seed) == [False, True])
@@ -824,7 +874,7 @@ class TestStepTables:
     @settings(max_examples=40, deadline=None)
     @given(strategy=st.sampled_from([MODESTY, GREED]), start=starts)
     def test_smallest_and_largest_first(self, strategy, start):
-        for table in montecarlo._tables(strategy, start).values():
+        for table in montecarlo._plan(strategy, start):
             assert_steps_are_four_single_steps(fill_all(table))
 
     @pytest.mark.parametrize("strategy, start", [
@@ -832,17 +882,17 @@ class TestStepTables:
         (TwoStage(3, GREED), epr(20)), (TwoStage(5, MODESTY), epr(23)), (STATIC, epr(64)),
     ], ids=["optimal-1^5", "optimal-mixed", "two-stage-3", "two-stage-5", "static"])
     def test_optimal_table_and_two_stage_blocks(self, strategy, start):
-        tables = montecarlo._tables(strategy, start)
-        assert tables
-        for table in tables.values():
+        plan = montecarlo._plan(strategy, start)
+        assert plan
+        for table in plan:
             assert_steps_are_four_single_steps(fill_all(table))
 
     @pytest.mark.parametrize("strategy, start", [(MODESTY, epr(40)), (GREED, epr(40))],
                              ids=["modesty", "greed"])
     def test_a_walked_table_holds_only_four_single_steps(self, strategy, start):
-        tables = montecarlo._tables(strategy, start)
-        montecarlo._play_chunk(strategy, start, chunk_wins(start, 200), tables)
-        assert_steps_are_four_single_steps(tables[start], every=False)
+        plan = montecarlo._plan(strategy, start)
+        montecarlo._play_chunk(strategy, start, chunk_wins(start, 200), plan)
+        assert_steps_are_four_single_steps(plan[0], every=False)
 
     @pytest.mark.parametrize("ps", [0.0, 137 / 2048, 0.5, 1.0])
     @pytest.mark.parametrize("strategy", [MODESTY, GREED, OPTIMAL_10],
@@ -855,7 +905,7 @@ class TestStepTables:
         # so rows are not a whole number of bytes or words long, and the
         # last trial's walk can read up to the chunk's last bit (from 1^2
         # its one step reads its whole row).
-        table = montecarlo._tables(strategy, start)[start]
+        table = montecarlo._plan(strategy, start)[0]
         trials = 8 * 7 + 3
         draws = start.vertex_count + 7
         wins = montecarlo._chunk_wins(41, 2, trials, draws, ps)
@@ -896,10 +946,10 @@ class TestStepTables:
 
     def test_step_tables_stay_small(self):
         # smallest-first from 64 pairs: 4,582 states, all of them filled
-        fill_all(montecarlo._tables(MODESTY, epr(8))[epr(8)])  # warm the strategy
+        fill_all(montecarlo._plan(MODESTY, epr(8))[0])  # warm the strategy
         tracemalloc.start()
         try:
-            table = fill_all(montecarlo._tables(MODESTY, epr(64))[epr(64)])
+            table = fill_all(montecarlo._plan(MODESTY, epr(64))[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -918,7 +968,6 @@ def test_scalar_chunk_sums_equal_float_sums_trial_by_trial(threshold):
     """A chunk played by the scalar player is summed in int64 like an
     array-engine chunk; the sums equal the float sums of its trials."""
     strategy, start = LargestFirstModesty(), parse_key("1^7,2^3,4^1")
-    args = (start, 0.5, 11, 1, 700)
     wins = montecarlo._chunk_wins(11, 1, 700, montecarlo._draws_bound(start), 0.5)
     total = total_sq = 0.0
     successes = 0
@@ -927,8 +976,8 @@ def test_scalar_chunk_sums_equal_float_sums_trial_by_trial(threshold):
         total += final
         total_sq += final * final
         successes += threshold is not None and final >= threshold
-    tables = montecarlo._tables(strategy, start)
-    assert montecarlo._chunk_stats(strategy, *args, threshold, tables) == (
+    plan = montecarlo._plan(strategy, start)
+    assert montecarlo._chunk_stats(strategy, start, 0.5, 11, threshold, plan, 1, 700) == (
         total, total_sq, successes)
 
 
@@ -964,7 +1013,7 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
 
 
 def test_each_worker_gets_one_batch_of_chunks(monkeypatch):
-    # one batch a worker is pickled once, with the tables its jobs share
+    # one batch a worker is pickled once, with the plan its chunks share
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(RecordingPool, "chunksizes", [])
@@ -1105,7 +1154,7 @@ class TestTableWalksPauseTheCollector:
 
     def test_no_collection_runs_inside_a_walk(self, gc_collections):
         start = epr(64)
-        table = montecarlo._tables(MODESTY, start)[start]
+        table = montecarlo._plan(MODESTY, start)[0]
         wins = chunk_wins(start, TRIAL_CHUNK)
         with gc_collections() as generations:
             assert montecarlo._walk_table(table, wins, np.zeros(TRIAL_CHUNK, np.int64))
@@ -1118,7 +1167,7 @@ class TestTableWalksPauseTheCollector:
         (StopsBelowSixVertices(), epr(8), False),
     ], ids=["whole", "unhashable", "invalid"])
     def test_the_collector_state_is_restored(self, collector_state, strategy, start, walked):
-        table = montecarlo._tables(strategy, start)[start]
+        table = montecarlo._plan(strategy, start)[0]
         wins = chunk_wins(start, TRIAL_CHUNK)
         result = montecarlo._walk_table(table, wins, np.zeros(TRIAL_CHUNK, np.int64))
         assert (result is not None) is walked

@@ -255,6 +255,26 @@ class SelfFuser(StatefulStrategy):
         return None
 
 
+class SecondFailureBreaks(StatefulStrategy):
+    """Smallest-first in the identity picture, its memory counting
+    attempts, whose memory step raises IndexError on a failure at the
+    second attempt: a null fusion of that outcome alone."""
+
+    name = "second-failure-breaks"
+    adapter = IdentityAdapter(MODESTY)
+
+    def initial_memory(self, chains):
+        return 0
+
+    def decide(self, chains, memory):
+        return self.adapter.decide(chains, None)
+
+    def next_memory(self, chains, memory, action, outcome, result):
+        if memory == 1 and outcome == FAILURE:
+            raise IndexError("no memory for a failed second attempt")
+        return memory + 1
+
+
 class TestValidation:
     def test_greed_ok(self):
         assert validate_strategy(GREED, Configuration.epr_pairs(6)) is None
@@ -277,6 +297,19 @@ class TestValidation:
         assert verdict(validate_strategy(SelfFuser(), start)) == expected
         for run in (lambda: event_tree_oracle(SelfFuser(), start),
                     lambda: estimate_quality(SelfFuser(), start, 0.5, trials=5, seed=0)):
+            with pytest.raises(InvalidStrategy) as err:
+                run()
+            assert verdict(err.value) == expected
+
+    def test_a_step_error_is_the_outcomes_fault(self):
+        """An IndexError of a step is a null fusion of that outcome: every
+        walker reports it at the event with the outcome letter appended."""
+        strategy, start = SecondFailureBreaks(), parse_key("1^3")
+        expected = (start, "SF", "null fusion: no memory for a failed second attempt")
+        assert verdict(validate_strategy(strategy, start)) == expected
+        for run in (lambda: strategy_quality(strategy, start),
+                    lambda: event_tree_oracle(strategy, start),
+                    lambda: estimate_quality(strategy, start, 0.5, trials=50, seed=0)):
             with pytest.raises(InvalidStrategy) as err:
                 run()
             assert verdict(err.value) == expected
@@ -711,7 +744,7 @@ def assert_pair_eating_success_is_rejected():
         raise AssertionError(f"validation gave {result}")
     wins = montecarlo._chunk_wins(0, 0, 8, montecarlo._draws_bound(start), 0.5)
     finals = montecarlo._play_chunk(PairEatingSuccess(), start, wins,
-                                    montecarlo._tables(PairEatingSuccess(), start))
+                                    montecarlo._plan(PairEatingSuccess(), start))
     if finals is not None:
         raise AssertionError(f"the array engine played the chunk: {finals}")
 

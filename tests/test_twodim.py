@@ -365,6 +365,11 @@ class TestPercolationScan:
         scan = percolation_scan([100], a=2.0, ps_values=[0.4])
         assert scan.trends[(2.0, 0.4)] == "degenerate"
 
+    def test_perfect_gates_are_flat(self):
+        scan = percolation_scan([5, 10], a=2.0, ps_values=[1.0])
+        assert scan.trends == {(2.0, 1.0): "flat"}
+        assert (scan.bracket_low, scan.bracket_high) == (None, None)
+
     def test_a_grid_mode(self):
         scan = percolation_scan([50, 100, 200], ps=0.5, a_values=[1.5, 2.5])
         assert scan.threshold == 2.0
@@ -377,6 +382,8 @@ class TestPercolationScan:
             percolation_scan([10], a=2.0, ps=0.5)
         with pytest.raises(ValueError):
             percolation_scan([10], a=2.0)
+        with pytest.raises(ValueError, match="scanning a requires a_values"):
+            percolation_scan([10], ps=0.5)
         with pytest.raises(ValueError):
             percolation_scan([], a=2.0, ps_values=[0.4])
 
