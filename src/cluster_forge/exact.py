@@ -26,10 +26,11 @@ chain cut to R edges, which also minimises attempts in the same pass.
   ``ps`` runs the same code with q = 1, which gives bit-identical floats
   since ``x * 1`` is exact.
 * Count codes and pair rows. Configurations are keyed by the integer
-  ``sum(count_k * (n + 1)**k)`` (:func:`_count_codes`). One precomputed
-  row per fusion pair holds both code shifts, both branch factors, both
-  drops and the action index, so the inner loop does no arithmetic on
-  lengths.
+  ``sum(count_k * w[k])`` with mixed-radix weights ``w[k] = prod(n // j +
+  1 for 1 <= j < k)`` (:func:`_count_codes`): at most ``n // k`` chains
+  have length k. One precomputed row per fusion pair holds both code
+  shifts, both branch factors, both drops and the action index, so the
+  inner loop does no arithmetic on lengths.
 * Level-lazy enumeration. Count vectors come from one
   ``configuration._block_enumerator`` per build, one block of vertex and
   edge count at a time, in the order of :func:`enumerate_configurations`.
@@ -37,21 +38,25 @@ chain cut to R edges, which also minimises attempts in the same pass.
   blocks, and drops it once the build passes the last vertex level that
   can use it. The DP keeps only as many levels as the deepest drop, four
   for the table, and a budget stops early.
-* Rank-indexed storage. Each configuration's entry sits at its rank,
-  its position in that order, as one scaled value in a list and, in an
-  ``array('H')``, one index into :func:`_table_actions`, the actions a
-  table of at most N edges can hold: a function of N alone, so a table
-  stores no action list and a load accepts no other action text. The
-  build makes no configuration object, key string or Fraction: a
-  :class:`QualityTable` computes the rank from a count vector when asked
-  (``configuration._partition_ranker``), and its quality, action and
-  strategy read by rank. ``Fraction(I, q**V)`` is built only on demand,
-  and canonical key strings only where a table is saved or loaded. The
-  file holds the entries sorted by key, and :meth:`QualityTable.save` and
-  :meth:`QualityTable.load` go through them in that order one group at a
-  time: the keys that share a first item ``k^m``, at most p(n - 1) of
-  them (3,010 of 18,460 at N=28). Neither holds a line, key or tuple per
-  entry of the whole table.
+* Rank-indexed, packed storage. Each configuration's entry sits at its
+  rank, its position in that order. Its scaled value is packed: for an
+  exact ``ps = p/q``, in one ``bytes`` per vertex level at a width fixed
+  in advance from N and q (:class:`_PackedInts`, :func:`_level_limits`);
+  for a float ``ps``, in one ``array('d')``. The DP keeps plain ints only
+  in the dicts of its live levels and packs each level once it is done.
+  Its action is one index, in an ``array('H')``, into
+  :func:`_table_actions`, the actions a table of at most N edges can
+  hold: a function of N alone, so a table stores no action list and a
+  load accepts no other action text. The build makes no configuration
+  object, key string or Fraction: a :class:`QualityTable` computes the
+  rank from a count vector when asked (``configuration._partition_ranker``),
+  and its quality, action and strategy read by rank. ``Fraction(I,
+  q**V)`` is built only on demand, and canonical key strings only where a
+  table is saved or loaded. The file holds the entries sorted by key, and
+  :meth:`QualityTable.save` and :meth:`QualityTable.load` go through them
+  in that order one group at a time: the keys that share a first item
+  ``k^m``, at most p(n - 1) of them (3,010 of 18,460 at N=28). Neither
+  holds a line, key or tuple per entry of the whole table.
 
 The read side is scaled the same way. One expansion rule,
 :func:`_expand`, decides at a state and steps on both outcomes through
@@ -85,11 +90,13 @@ from __future__ import annotations
 import gc
 import os
 from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 from typing import Hashable, Iterator
 
@@ -292,6 +299,90 @@ def format_action(action: Action) -> str:
     return "stop"
 
 
+def _level_limits(n: int, q: int, attempts: bool = False) -> list[int]:
+    """The largest scaled entry at each vertex level V <= 2n of a table of
+    at most ``n`` edges with ``ps = p/q``, known before any entry is: a
+    scaled value at V vertices is at most ``L * q**V`` for its ``L <=
+    min(V - 1, n)`` edges (0 at V = 0), and with ``attempts`` a scaled
+    attempt cost is at most ``V * q**V``, since every attempt removes a
+    vertex."""
+    return [(v if attempts else max(min(v - 1, n), 0)) * q ** v for v in range(2 * n + 1)]
+
+
+def _level_widths(limits: list[int]) -> list[int]:
+    """Bytes per entry of each level whose entries are at most ``limits``;
+    at least one, so a level's length over its width counts its entries."""
+    return [max(1, (limit.bit_length() + 7) // 8) for limit in limits]
+
+
+class _PackedInts(Sequence):
+    """Scaled ints by storage position, packed and read-only: one
+    ``bytes`` per vertex level V, in which every entry takes ``widths[V]``
+    bytes, little-endian, fixed from the level's limit (:func:`_level_limits`).
+
+    :meth:`extend` packs the next level; a value wider than its level
+    raises OverflowError from ``int.to_bytes``. :meth:`at` decodes one
+    entry from its position and vertex count. Indexing by position alone,
+    iteration and ``==`` read the store as the list of ints it stands
+    for, and a pickle carries the bytes.
+    """
+
+    def __init__(self, widths: list[int], levels=()):
+        self.widths = widths
+        self.levels: list[bytes] = []
+        # offsets[V]: the position of level V's first entry; the last, the length
+        self.offsets = [0]
+        for level in levels:
+            self._add(bytes(level))
+
+    def _add(self, level: bytes) -> None:
+        self.offsets.append(self.offsets[-1] + len(level) // self.widths[len(self.levels)])
+        self.levels.append(level)
+
+    def extend(self, values) -> None:
+        """Pack ``values``, the next vertex level's entries in storage order,
+        a few thousand at a time, so that no bytes object per entry of the
+        whole level is held at once."""
+        width, values = self.widths[len(self.levels)], iter(values)
+        chunks = iter(lambda: b"".join([value.to_bytes(width, "little")
+                                        for value in islice(values, 4096)]), b"")
+        self._add(b"".join(chunks))
+
+    def at(self, position: int, vertices: int) -> int:
+        """The entry at ``position``, a configuration of ``vertices`` vertices."""
+        width = self.widths[vertices]
+        start = (position - self.offsets[vertices]) * width
+        return int.from_bytes(self.levels[vertices][start:start + width], "little")
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
+
+    def __getitem__(self, position: int) -> int:
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("packed value index out of range")
+        # an empty level shares its offset with the next; the last one wins
+        return self.at(position, bisect_right(self.offsets, position) - 1)
+
+    def __iter__(self) -> Iterator[int]:
+        for level, width in zip(self.levels, self.widths):
+            for start in range(0, len(level), width):
+                yield int.from_bytes(level[start:start + width], "little")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _PackedInts) and other.widths == self.widths:
+            return other.levels == self.levels
+        if isinstance(other, Sequence):
+            return len(other) == len(self) and all(x == y for x, y in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return type(self), (self.widths, self.levels)
+
+
 class QualityTable:
     """Optimal quality and an optimal action for every configuration with
     at most ``n`` edges, stored by rank.
@@ -300,18 +391,20 @@ class QualityTable:
     :func:`enumerate_configurations`; :meth:`rank` computes r from the
     configuration's count vector with a table of restricted-partition
     counts (``configuration._partition_ranker``); the table holds no
-    dictionary over entries. ``values[r]`` is the scaled int ``I = quality * q**V``
-    for ``ps = p/q`` and a configuration of V vertices, or the quality
-    itself for a float ``ps``. The action is ``actions[action_ids[r]]``,
-    a small index into ``actions = _table_actions(n)``, the ``Fuse`` and
-    ``STOP`` objects every table of ``n`` edges shares.
-    :meth:`quality` builds ``Fraction(I, q**V)`` only when asked, and
-    :meth:`as_strategy` decides by rank too: canonical key strings are
-    made only where a table crosses the file boundary, by :meth:`save`
-    and :meth:`load`.
+    dictionary over entries. ``values`` is a read-only sequence by
+    position. For ``ps = p/q`` it is a :class:`_PackedInts` of the scaled
+    ints ``I = quality * q**V`` for a configuration of V vertices, one
+    ``bytes`` per vertex level; for a float ``ps``, an ``array('d')`` of
+    the qualities themselves. The action is ``actions[action_ids[r]]``, a
+    small index into ``actions = _table_actions(n)``, the ``Fuse`` and
+    ``STOP`` objects every table of ``n`` edges shares. :meth:`quality`
+    decodes one value and builds ``Fraction(I, q**V)`` only when asked,
+    and :meth:`as_strategy` decides by rank too: canonical key strings are
+    made only where a table crosses the file boundary, by :meth:`save` and
+    :meth:`load`.
     """
 
-    def __init__(self, n: int, ps, values: list, action_ids: array):
+    def __init__(self, n: int, ps, values: _PackedInts | array, action_ids: array):
         self.n = n
         self.ps = ps
         self.values = values
@@ -337,8 +430,9 @@ class QualityTable:
         return self._rank(config.items)[0]
 
     def _quality(self, position: int, vertices: int):
-        value = self.values[position]
-        return value if self._scale is None else Fraction(value, self._scale[vertices])
+        if self._scale is None:
+            return self.values[position]
+        return Fraction(self.values.at(position, vertices), self._scale[vertices])
 
     def quality(self, config: Configuration):
         return self._quality(*self._rank(config.items))
@@ -363,8 +457,9 @@ class QualityTable:
         """Header ``N=<n> ps=<num>/<den>`` then one sorted line per entry:
         ``key<TAB>num/den<TAB>a,b|stop``. Byte-reproducible. The keys come
         in order one group at a time (``configuration._partition_ranker``)
-        and each line is written as it is made, so no more than one
-        group's keys and no line list are held at once. Written to
+        and the lines are written 512 at a time as they are made, so no
+        more than one group's keys and 512 lines are held at once; each
+        value is decoded from the packed store as its line is made. Written to
         ``<path>.<pid>.part`` and renamed over ``path``, so ``path`` never
         holds a partial table; the temporary file does not outlive a failed
         write. A ``path`` that exists but is no regular file, such as
@@ -377,7 +472,9 @@ class QualityTable:
         try:
             with open(partial, "w", encoding="ascii") as fh:
                 fh.write(f"N={self.n} ps={self.ps.numerator}/{self.ps.denominator}\n")
-                fh.writelines(self._lines())
+                # a few hundred lines a write: a write a line took a tenth of a save
+                lines = self._lines()
+                fh.writelines(iter(lambda: "".join(islice(lines, 512)), ""))
             if not in_place:
                 os.replace(partial, path)
         except BaseException:
@@ -390,11 +487,18 @@ class QualityTable:
         groups come in key order, and a tab sorts before every key
         character, so the lines come out sorted."""
         texts = [format_action(action) for action in self.actions]
-        values, action_ids, scale = self.values, self.action_ids, self._scale
+        action_ids, scale, from_bytes, divisor = self.action_ids, self._scale, int.from_bytes, gcd
+        # the store's at(), inlined, with each level's first byte less its
+        # first position times its width, so a line does one lookup fewer
+        levels, widths = self.values.levels, self.values.widths
+        shifts = [offset * width for offset, width in zip(self.values.offsets, widths)]
         for keys, positions, vertex_counts in self._groups():
             for key, position, vertices in zip(keys, positions, vertex_counts):
-                value, denominator = values[position], scale[vertices]
-                common = gcd(value, denominator)
+                width = widths[vertices]
+                start = position * width - shifts[vertices]
+                value = from_bytes(levels[vertices][start:start + width], "little")
+                denominator = scale[vertices]
+                common = divisor(value, denominator)
                 yield (f"{key}\t{value // common}/{denominator // common}"
                        f"\t{texts[action_ids[position]]}\n")
 
@@ -406,7 +510,8 @@ class QualityTable:
         line parse, each action text is that of an action a table of N
         edges can hold (:func:`_table_actions`), and the file holds every
         configuration of at most N edges exactly once, in key order, each
-        with a value that is a multiple of ``1/q**V``.
+        with a value that is a multiple of ``1/q**V`` between 0 and
+        ``min(V - 1, N)``, the most edges at V vertices.
 
         Reads in file order, in lockstep with the keys in key order one
         group at a time (``configuration._partition_ranker``): each line
@@ -428,6 +533,10 @@ class QualityTable:
             # (key, position, vertex count) of every configuration, in key order
             stream = chain.from_iterable(zip(*group) for group in key_groups())
             scale = [ps.denominator ** v for v in range(2 * n + 1)]
+            limits = _level_limits(n, ps.denominator)
+            # the scaled values by position, in key order, packed level by
+            # level once all are read: filling packed levels line by line
+            # took a sixth longer at N=28
             values: list = [None] * size
             action_ids = array("H", bytes(2 * size))
             index_of = {format_action(action): index
@@ -451,12 +560,24 @@ class QualityTable:
                 if den < 1 or scale[vertices] % den:
                     raise CorruptTable(f"{path}: value {value} of '{key}' is not a multiple "
                                        f"of 1/{scale[vertices]}")
-                values[position] = num * (scale[vertices] // den)
+                scaled = num * (scale[vertices] // den)
+                if not 0 <= scaled <= limits[vertices]:
+                    raise CorruptTable(f"{path}: value {value} of '{key}' is outside [0, "
+                                       f"{limits[vertices] // scale[vertices]}]")
+                values[position] = scaled
                 action_ids[position] = index
         absent, _, _ = next(stream, (None, 0, 0))
         if absent is not None:
             raise CorruptTable(f"{path}: the file ends before '{absent}'")
-        return cls(n, ps, values, action_ids)
+        counts = [0] * (2 * n + 1)
+        for v, _, start, stop in _block_starts(n):
+            counts[v] += stop - start
+        packed = _PackedInts(_level_widths(limits))
+        stop = 0
+        for count in counts:
+            start, stop = stop, stop + count
+            packed.extend(values[start:stop])
+        return cls(n, ps, packed, action_ids)
 
 
 class _TableStrategy(Strategy):
@@ -476,15 +597,18 @@ def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[lis
     chains are at most ``cap`` long.
 
     A configuration with ``count_k`` chains of length k has code
-    ``sum(count_k * w[k])`` with ``w[k] = (n + 1) ** k`` and ``w[0] = 0``;
-    no count exceeds n, so the code is injective. Fusing lengths a <= b
-    adds ``success[a][b] = w[min(a+b, cap)] - w[a] - w[b]`` to the code on
+    ``sum(count_k * w[k])`` with mixed-radix weights ``w[k] = prod(n // j
+    + 1 for 1 <= j < k)`` and ``w[0] = 0``; at most ``n // k`` chains have
+    length k, so the code is injective. Fusing lengths a <= b adds
+    ``success[a][b] = w[min(a+b, cap)] - w[a] - w[b]`` to the code on
     success (a merged chain longer than ``cap`` is cut to ``cap``, as in
     the razor model; with ``cap = n`` nothing is cut) and
     ``failure[a][b] = w[a-1] - w[a] + w[b-1] - w[b]`` on failure.
     Returns ``(w, success, failure)``, indexed by lengths up to ``cap``.
     """
-    w = [0] + [(n + 1) ** k for k in range(1, cap + 1)]
+    w = [0, 1][:cap + 1]
+    for k in range(2, cap + 1):
+        w.append(w[k - 1] * (n // (k - 1) + 1))
     success = [[w[min(a + b, cap)] - w[a] - w[b] for b in range(cap + 1)]
                for a in range(cap + 1)]
     failure = [[w[a - 1] - w[a] + w[b - 1] - w[b] if a and b else 0 for b in range(cap + 1)]
@@ -503,10 +627,15 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     every fusion are known. Returns ``(values, action_ids, costs,
     starts)``: by position, the maximal scaled quality, the index into
     ``_table_actions(n)`` of the smallest maximizing pair, and, with
-    ``attempts``, the minimal scaled expected attempts (else an empty
-    list); and ``starts[m]``, the quality and (with ``attempts``, else
-    None) the attempts from the start of m pairs for m <= n, decoded: a
-    Fraction for an exact ``ps``.
+    ``attempts``, the minimal scaled expected attempts (else empty); and
+    ``starts[m]``, the quality and (with ``attempts``, else None) the
+    attempts from the start of m pairs for m <= n, decoded: a Fraction for
+    an exact ``ps``.
+
+    Values and costs live as plain ints (or floats) only in the dicts of
+    the live levels. Each level is packed once the build moves past it,
+    into a :class:`_PackedInts` at the widths :func:`_level_limits` fixes
+    for an exact ``ps``, or into an ``array('d')`` for a float one.
     """
     _check_ps(ps)
     exact, p, scale, fail_factor = _scaling(ps, 2 * n)
@@ -526,28 +655,34 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     # for a success, and the largest cut is min(2 cap, n) - cap
     depth = max(4, 1 + max(min(2 * cap, n) - cap, 0))
     zero, inf = 0 * scale[0], float("inf")
-    values: list = []
+    values, costs = ([_PackedInts(_level_widths(_level_limits(n, ps.denominator, cost)))
+                      for cost in (False, True)] if exact else [array("d"), array("d")])
     action_ids = array("H")
-    costs: list = []
-    starts: list[int] = []
+    starts: list[tuple] = []
     # quality[v], spent[v]: {code: scaled quality or attempts} at v vertices,
     # None once no successor can reach them
     quality: list = [{} for _ in range(2 * n + 1)]
     spent: list = [{} for _ in range(2 * n + 1)]
+
+    def pack(levels) -> None:
+        for done in levels:
+            values.extend(quality[done].values())
+            costs.extend(spent[done].values())
+
     partitions = _block_enumerator(cap, n)
     level = -1
     for v, total in _blocks(n):
         # under a cap a one-chain block may be empty; it then stores nothing
         block = partitions(total, v - total)
         if v != level:
+            # the levels below v are done; level 1 holds no configuration
+            pack(range(max(level, 0), v))
             level, base = v, scale[v]
             if v > depth:
                 quality[v - depth - 1] = spent[v - depth - 1] = None
             here, there = quality[v], spent[v]
             # below[d], spent_below[d]: the levels d vertices down
             below, spent_below = quality[v::-1], spent[v::-1]
-        if v == 2 * total:  # the block of m = total pairs alone
-            starts.append(len(values))
         stop = v - total <= 1  # the empty configuration or one chain
         for items in block:
             code = 0
@@ -570,16 +705,17 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
                         if cost < least:
                             least = cost
             here[code] = best
-            values.append(best)
             action_ids.append(action)
             if attempts:
                 there[code] = least
-                costs.append(least)
+        if v == 2 * total:  # the block of m = total pairs alone, 1^m
+            starts.append((best, least))
+    pack(range(level, 2 * n + 1))
     # the start of m pairs has 2m vertices
     decode = (lambda x, m: Fraction(x, scale[2 * m])) if exact else (lambda x, m: x)
     return values, action_ids, costs, [
-        (decode(values[i], m), decode(costs[i], m) if attempts else None)
-        for m, i in enumerate(starts)]
+        (decode(best, m), decode(least, m) if attempts else None)
+        for m, (best, least) in enumerate(starts)]
 
 
 def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> QualityTable:

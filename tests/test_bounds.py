@@ -31,8 +31,14 @@ from cluster_forge.bounds import (
     razor_upper_bound,
     static_lower_bound,
 )
-from cluster_forge.configuration import Configuration
-from cluster_forge.exact import cached_quality_table, event_tree_oracle, strategy_quality
+from cluster_forge.configuration import Configuration, enumerate_configurations
+from cluster_forge.exact import (
+    HALF,
+    _optimize,
+    cached_quality_table,
+    event_tree_oracle,
+    strategy_quality,
+)
 from cluster_forge.strategies import GREED, MODESTY, STATIC
 
 
@@ -89,6 +95,23 @@ def reference_razor(n, r, ps):
 
 
 class TestRazor:
+    @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), Fraction(137, 2048), 0.5, 0.3],
+                             ids=str)
+    def test_packed_values_and_costs_decode_to_the_reference(self, ps):
+        # the razor DP's values and costs sit in the table's packed store;
+        # at each start of m pairs (2m vertices) they decode to the plain
+        # recursion's optimum
+        n, r = 8, 3
+        q = ps.denominator if isinstance(ps, Fraction) else 1
+        values, _, costs, starts = _optimize(n, ps, r, attempts=True)
+        configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= r]
+        assert len(values) == len(costs) == len(configs)
+        for m in range(n + 1):
+            i = configs.index(epr(m))
+            quality, attempts = reference_razor(m, r, ps)
+            assert (values[i], costs[i]) == (quality * q ** (2 * m), attempts * q ** (2 * m))
+            assert starts[m] == (quality, attempts)
+
     def test_uncapped_recovers_exact_optimum(self):
         table = cached_quality_table(8)
         for n in (4, 6, 8):

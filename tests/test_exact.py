@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,10 @@ from cluster_forge.exact import (
     TableBudgetExceeded,
     _count_codes,
     _expand,
+    _level_limits,
+    _level_widths,
     _optimize,
+    _PackedInts,
     _sweep,
     _table_actions,
     build_quality_table,
@@ -543,10 +547,15 @@ DAMAGED_FILES = [
      r"line 29 is malformed: '1\^3\\t3/2\\t0,-3'"),
     (lambda lines: [line[:-3] + "2,1" if line.endswith("\t1,2") else line for line in lines],
      r"line 4 is malformed: '1\^1,2\^1\\t2/1\\t2,1'"),
+    (lambda lines: [line.replace("1^1\t1/1\t", "1^1\t2/1\t") for line in lines],
+     r"value 2/1 of '1\^1' is outside \[0, 1\]$"),
+    (lambda lines: [line.replace("1^1\t1/1\t", "1^1\t-1/2\t") for line in lines],
+     r"value -1/2 of '1\^1' is outside \[0, 1\]$"),
 ]
 DAMAGED_FILE_IDS = ["missing", "missing-last", "duplicated", "too-long", "not-canonical",
                     "bad-value", "zero-denominator", "truncated", "bad-action", "not-ascii",
-                    "negative-action", "reversed-action"]
+                    "negative-action", "reversed-action", "value-above-the-edges",
+                    "negative-value"]
 
 
 def damage(path, edit) -> None:
@@ -812,6 +821,8 @@ class TestIntegerScaledEngine:
         n = 10
         for cap in (n, 4):
             w, success, failure = _count_codes(n, cap)
+            # mixed radix: at most n // k chains have length k
+            assert w[:4] == [0, 1, n + 1, (n + 1) * (n // 2 + 1)]
 
             def code(config):
                 return sum(count * w[k] for k, count in config.items)
@@ -874,6 +885,104 @@ class TestIntegerScaledEngine:
                     action for action, value in options.items() if value == best), (cap, config)
                 assert costs[i] == min(spent), (cap, config)
 
+
+
+# What a built N=28 table (18,460 entries) keeps alive, traced with
+# tracemalloc: 1.28 MB with one int per entry, 0.57 MB with the values
+# packed per vertex level.
+RETAINED_N = 28
+RETAINED_LIMIT = 3 * 2 ** 18  # 0.75 MB
+
+
+def exact_or_hex(value):
+    """A value as compared bit for bit: a float by its hex form."""
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestPackedValues:
+    """A table's values sit in one packed store, a :class:`_PackedInts` for
+    an exact ps and an ``array('d')`` for a float one, that decodes to the
+    plain recursion's values and reads as the list of values it replaces."""
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), Fraction(137, 2048), 0.5, 0.3],
+                             ids=str)
+    def test_decoded_values_equal_the_reference(self, ps):
+        n = 12
+        table = build_quality_table(n, ps)
+        q = ps.denominator if isinstance(ps, Fraction) else 1
+        assert type(table.values) is (_PackedInts if q != 1 else array)
+        memo = {}
+        configs = list(enumerate_configurations(n))
+        expected = [exact_or_hex(reference_quality(config, ps, memo)[0] * q ** config.vertex_count)
+                    for config in configs]
+        assert [exact_or_hex(value) for value in table.values] == expected
+        assert [exact_or_hex(table.values[i]) for i in range(len(configs))] == expected
+        if q != 1:
+            assert [table.values.at(i, config.vertex_count)
+                    for i, config in enumerate(configs)] == expected
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048)], ids=str)
+    def test_each_level_is_packed_at_its_width(self, ps):
+        n = 10
+        table = build_quality_table(n, ps)
+        widths = _level_widths(_level_limits(n, ps.denominator))
+        assert table.values.widths == widths
+        counts = [0] * (2 * n + 1)
+        for config in enumerate_configurations(n):
+            counts[config.vertex_count] += 1
+        assert [len(level) for level in table.values.levels] == [
+            count * width for count, width in zip(counts, widths)]
+        assert all(type(level) is bytes for level in table.values.levels)
+
+    def test_the_store_reads_as_a_sequence(self):
+        table = build_quality_table(8)
+        values = list(table.values)
+        assert len(table.values) == len(values) == len(table)
+        assert table.values == values and values == table.values
+        assert table.values[-1] == values[-1] and table.values[0] == 0
+        with pytest.raises(IndexError):
+            table.values[len(values)]
+        assert table.values != build_quality_table(8, Fraction(1, 3)).values
+        assert table.values != values[:-1]
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048), 0.3], ids=str)
+    def test_a_pickle_round_trip_gives_an_equal_table(self, ps):
+        table = build_quality_table(10, ps)
+        copy = pickle.loads(pickle.dumps(table))
+        assert type(copy.values) is type(table.values)
+        assert copy.values == table.values
+        assert list(copy.items()) == list(table.items())
+
+    def test_a_value_wider_than_its_level_overflows(self):
+        store = _PackedInts([1, 2])
+        store.extend([255])
+        with pytest.raises(OverflowError):
+            store.extend([2 ** 16])
+        with pytest.raises(OverflowError):
+            _PackedInts([1]).extend([-1])
+        # the check is int.to_bytes itself, not an assert
+        code = ("assert False, 'asserts must be stripped'\n"
+                "from cluster_forge.exact import _PackedInts\n"
+                "try:\n    _PackedInts([1]).extend([256])\n"
+                "except OverflowError:\n    print('raised')\n")
+        env = dict(os.environ)
+        package_root = str(Path(exact.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert proc.stdout == "raised\n"
+
+    def test_a_built_table_retains_its_values_packed(self):
+        build_quality_table(4)
+        _table_actions(RETAINED_N)
+        tracemalloc.start()
+        try:
+            table = build_quality_table(RETAINED_N)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 18460
+        assert retained < RETAINED_LIMIT
 
 def reference_strategy_value(strategy, start, ps, attempts=False):
     """Quality (or expected attempts) of ``strategy`` from ``start`` by the
