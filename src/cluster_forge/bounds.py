@@ -77,9 +77,11 @@ def razor_quality_range(ns: Iterable[int], r: int, ps=HALF) -> dict[int, tuple]:
     if r < 2:
         raise ValueError("razor parameter must be at least 2")
     ns = list(ns)
+    if ns and min(ns) < 0:
+        raise ValueError(f"razor size must be at least 0, got {min(ns)}")
     n = max(ns, default=0)
     # no chain is longer than n, so a larger cap changes nothing
-    *_, starts = _optimize(n, ps, min(r, n), attempts=True)
+    _, _, starts = _optimize(n, ps, min(r, n), attempts=True)
     return {m: starts[m] for m in ns}
 
 

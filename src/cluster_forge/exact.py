@@ -15,7 +15,8 @@ recursion is well-founded and can be tabulated level by level.
 One count-code optimiser, :func:`_optimize`, solves this recursion for
 exact and float ``ps``: :func:`build_quality_table` with no cap on chain
 length, and the razor model of :mod:`cluster_forge.bounds` with a merged
-chain cut to R edges, which also minimises attempts in the same pass.
+chain cut to R edges, which also minimises attempts in the same pass and
+keeps only its values at the starts of m pairs.
 
 * Integer scaling. With ``ps = p/q`` a configuration of V vertices holds
   ``I = value * q**V`` as a Python int. Success removes ``1 + cut``
@@ -38,19 +39,21 @@ chain cut to R edges, which also minimises attempts in the same pass.
   blocks, and drops it once the build passes the last vertex level that
   can use it. The DP keeps only as many levels as the deepest drop, four
   for the table, and a budget stops early.
-* Rank-indexed, packed storage. Each configuration's entry sits at its
-  rank, its position in that order. Its scaled value is packed: for an
-  exact ``ps = p/q``, in one ``bytes`` per vertex level at a width fixed
-  in advance from N and q (:class:`_PackedInts`, :func:`_level_limits`);
-  for a float ``ps``, in one ``array('d')``. The DP keeps plain ints only
-  in the dicts of its live levels and packs each level once it is done.
-  Its action is one index, in an ``array('H')``, into
+* Rank-indexed, packed storage. Each entry of a table sits at its
+  configuration's rank, its position in that order. Its scaled value is
+  packed: for an exact ``ps = p/q``, in one ``bytes`` per vertex level at
+  a width fixed by (N, q) before any entry is known (:class:`_PackedInts`,
+  :func:`_level_limits`); for a float ``ps``, in one ``array('d')``. The
+  table's DP keeps plain ints only in the dicts of its live levels and
+  packs each level once it is done; the razor DP packs nothing. An
+  entry's action is one index, in an ``array('H')``, into
   :func:`_table_actions`, the actions a table of at most N edges can
-  hold: a function of N alone, so a table stores no action list and a
-  load accepts no other action text. The build makes no configuration
-  object, key string or Fraction: a :class:`QualityTable` computes the
-  rank from a count vector when asked (``configuration._partition_ranker``),
-  and its quality, action and strategy read by rank. ``Fraction(I,
+  hold: a function of N alone, as the packed layout is of (N, q), so a
+  table stores no action list and a load accepts no other action text.
+  The build makes no configuration object, key string or Fraction: a
+  :class:`QualityTable` computes the rank from a count vector when asked
+  (``configuration._partition_ranker``), and its quality, action and
+  strategy read by rank. ``Fraction(I,
   q**V)`` is built only on demand, and canonical key strings only where a
   table is saved or loaded. The file holds the entries sorted by key, and
   :meth:`QualityTable.save` and :meth:`QualityTable.load` go through them
@@ -90,8 +93,6 @@ from __future__ import annotations
 import gc
 import os
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,38 +300,33 @@ def format_action(action: Action) -> str:
     return "stop"
 
 
-def _level_limits(n: int, q: int, attempts: bool = False) -> list[int]:
-    """The largest scaled entry at each vertex level V <= 2n of a table of
-    at most ``n`` edges with ``ps = p/q``, known before any entry is: a
-    scaled value at V vertices is at most ``L * q**V`` for its ``L <=
-    min(V - 1, n)`` edges (0 at V = 0), and with ``attempts`` a scaled
-    attempt cost is at most ``V * q**V``, since every attempt removes a
-    vertex."""
-    return [(v if attempts else max(min(v - 1, n), 0)) * q ** v for v in range(2 * n + 1)]
+def _level_limits(n: int, scale: list[int]) -> list[int]:
+    """The largest scaled value at each vertex level V <= 2n of a table of
+    at most ``n`` edges, with ``scale[V] = q**V`` for ``ps = p/q`` (from
+    :func:`_scaling`), known before any value is: at most ``L * q**V`` for
+    its ``L <= min(V - 1, n)`` edges, and 0 at V = 0."""
+    return [max(min(v - 1, n), 0) * scale[v] for v in range(2 * n + 1)]
 
 
-def _level_widths(limits: list[int]) -> list[int]:
-    """Bytes per entry of each level whose entries are at most ``limits``;
-    at least one, so a level's length over its width counts its entries."""
-    return [max(1, (limit.bit_length() + 7) // 8) for limit in limits]
-
-
-class _PackedInts(Sequence):
-    """Scaled ints by storage position, packed and read-only: one
-    ``bytes`` per vertex level V, in which every entry takes ``widths[V]``
-    bytes, little-endian, fixed from the level's limit (:func:`_level_limits`).
+class _PackedInts:
+    """A table's scaled values by storage position, packed and read-only:
+    one ``bytes`` per vertex level V, in which every entry takes
+    ``widths[V]`` bytes, little-endian. The widths follow from the table's
+    N and the denominator q of ``ps = p/q`` alone, through each level's
+    limit (:func:`_level_limits`), so a pickle carries ``(n, q, levels)``.
 
     :meth:`extend` packs the next level; a value wider than its level
     raises OverflowError from ``int.to_bytes``. :meth:`at` decodes one
-    entry from its position and vertex count. Indexing by position alone,
-    iteration and ``==`` read the store as the list of ints it stands
-    for, and a pickle carries the bytes.
+    entry from its position and vertex count.
     """
 
-    def __init__(self, widths: list[int], levels=()):
-        self.widths = widths
+    def __init__(self, n: int, q: int, levels=()):
+        self.n, self.q = n, q
+        _, _, scale, _ = _scaling(Fraction(1, q), 2 * n)
+        # at least one byte, so a level's length over its width counts its entries
+        self.widths = [max(1, (limit.bit_length() + 7) // 8) for limit in _level_limits(n, scale)]
         self.levels: list[bytes] = []
-        # offsets[V]: the position of level V's first entry; the last, the length
+        # offsets[V]: the position of level V's first entry
         self.offsets = [0]
         for level in levels:
             self._add(bytes(level))
@@ -354,33 +350,8 @@ class _PackedInts(Sequence):
         start = (position - self.offsets[vertices]) * width
         return int.from_bytes(self.levels[vertices][start:start + width], "little")
 
-    def __len__(self) -> int:
-        return self.offsets[-1]
-
-    def __getitem__(self, position: int) -> int:
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError("packed value index out of range")
-        # an empty level shares its offset with the next; the last one wins
-        return self.at(position, bisect_right(self.offsets, position) - 1)
-
-    def __iter__(self) -> Iterator[int]:
-        for level, width in zip(self.levels, self.widths):
-            for start in range(0, len(level), width):
-                yield int.from_bytes(level[start:start + width], "little")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _PackedInts) and other.widths == self.widths:
-            return other.levels == self.levels
-        if isinstance(other, Sequence):
-            return len(other) == len(self) and all(x == y for x, y in zip(self, other))
-        return NotImplemented
-
-    __hash__ = None
-
     def __reduce__(self):
-        return type(self), (self.widths, self.levels)
+        return type(self), (self.n, self.q, self.levels)
 
 
 class QualityTable:
@@ -391,11 +362,11 @@ class QualityTable:
     :func:`enumerate_configurations`; :meth:`rank` computes r from the
     configuration's count vector with a table of restricted-partition
     counts (``configuration._partition_ranker``); the table holds no
-    dictionary over entries. ``values`` is a read-only sequence by
-    position. For ``ps = p/q`` it is a :class:`_PackedInts` of the scaled
-    ints ``I = quality * q**V`` for a configuration of V vertices, one
-    ``bytes`` per vertex level; for a float ``ps``, an ``array('d')`` of
-    the qualities themselves. The action is ``actions[action_ids[r]]``, a
+    dictionary over entries. ``values`` holds the qualities by position.
+    For ``ps = p/q`` it is a :class:`_PackedInts` of the scaled ints ``I =
+    quality * q**V`` for a configuration of V vertices, one ``bytes`` per
+    vertex level, read by position and V; for a float ``ps``, an
+    ``array('d')`` of the qualities themselves, read by position. The action is ``actions[action_ids[r]]``, a
     small index into ``actions = _table_actions(n)``, the ``Fuse`` and
     ``STOP`` objects every table of ``n`` edges shares. :meth:`quality`
     decodes one value and builds ``Fraction(I, q**V)`` only when asked,
@@ -412,11 +383,10 @@ class QualityTable:
         self.actions = _table_actions(n)
         self._rank, self._groups, _ = _partition_ranker(n)
         # q**V per vertex count V for an exact ps; None for a float ps
-        self._scale = ([ps.denominator ** v for v in range(2 * n + 1)]
-                       if isinstance(ps, Fraction) else None)
+        self._scale = _scaling(ps, 2 * n)[2] if isinstance(ps, Fraction) else None
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.action_ids)
 
     def __reduce__(self):
         # the ranker's closures and the actions are rebuilt, not pickled
@@ -532,8 +502,8 @@ class QualityTable:
             _, key_groups, size = _partition_ranker(n)
             # (key, position, vertex count) of every configuration, in key order
             stream = chain.from_iterable(zip(*group) for group in key_groups())
-            scale = [ps.denominator ** v for v in range(2 * n + 1)]
-            limits = _level_limits(n, ps.denominator)
+            _, _, scale, _ = _scaling(ps, 2 * n)
+            limits = _level_limits(n, scale)
             # the scaled values by position, in key order, packed level by
             # level once all are read: filling packed levels line by line
             # took a sixth longer at N=28
@@ -572,7 +542,7 @@ class QualityTable:
         counts = [0] * (2 * n + 1)
         for v, _, start, stop in _block_starts(n):
             counts[v] += stop - start
-        packed = _PackedInts(_level_widths(limits))
+        packed = _PackedInts(n, ps.denominator)
         stop = 0
         for count in counts:
             start, stop = stop, stop + count
@@ -624,18 +594,17 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
 
     Works up through the configurations of at most ``n`` edges and chains
     of at most ``cap`` edges in storage order, so both successors of
-    every fusion are known. Returns ``(values, action_ids, costs,
-    starts)``: by position, the maximal scaled quality, the index into
-    ``_table_actions(n)`` of the smallest maximizing pair, and, with
-    ``attempts``, the minimal scaled expected attempts (else empty); and
-    ``starts[m]``, the quality and (with ``attempts``, else None) the
-    attempts from the start of m pairs for m <= n, decoded: a Fraction for
-    an exact ``ps``.
+    every fusion are known. Returns ``(values, action_ids, starts)``: a
+    table's stores by position, the maximal scaled quality and the index
+    into ``_table_actions(n)`` of the smallest maximizing pair, both empty
+    with ``attempts``; and ``starts[m]``, the quality and (with
+    ``attempts``, else None) the minimal expected attempts from the start
+    of m pairs for m <= n, decoded: a Fraction for an exact ``ps``.
 
-    Values and costs live as plain ints (or floats) only in the dicts of
-    the live levels. Each level is packed once the build moves past it,
-    into a :class:`_PackedInts` at the widths :func:`_level_limits` fixes
-    for an exact ``ps``, or into an ``array('d')`` for a float one.
+    Values and attempts live as plain ints (or floats) only in the dicts
+    of the live levels. Without ``attempts`` each level is packed once the
+    build moves past it, into a :class:`_PackedInts` for an exact ``ps``,
+    or into an ``array('d')`` for a float one.
     """
     _check_ps(ps)
     exact, p, scale, fail_factor = _scaling(ps, 2 * n)
@@ -655,8 +624,7 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     # for a success, and the largest cut is min(2 cap, n) - cap
     depth = max(4, 1 + max(min(2 * cap, n) - cap, 0))
     zero, inf = 0 * scale[0], float("inf")
-    values, costs = ([_PackedInts(_level_widths(_level_limits(n, ps.denominator, cost)))
-                      for cost in (False, True)] if exact else [array("d"), array("d")])
+    values = _PackedInts(n, ps.denominator) if exact else array("d")
     action_ids = array("H")
     starts: list[tuple] = []
     # quality[v], spent[v]: {code: scaled quality or attempts} at v vertices,
@@ -665,9 +633,9 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     spent: list = [{} for _ in range(2 * n + 1)]
 
     def pack(levels) -> None:
-        for done in levels:
-            values.extend(quality[done].values())
-            costs.extend(spent[done].values())
+        if not attempts:
+            for done in levels:
+                values.extend(quality[done].values())
 
     partitions = _block_enumerator(cap, n)
     level = -1
@@ -705,15 +673,16 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
                         if cost < least:
                             least = cost
             here[code] = best
-            action_ids.append(action)
             if attempts:
                 there[code] = least
+            else:
+                action_ids.append(action)
         if v == 2 * total:  # the block of m = total pairs alone, 1^m
             starts.append((best, least))
     pack(range(level, 2 * n + 1))
     # the start of m pairs has 2m vertices
     decode = (lambda x, m: Fraction(x, scale[2 * m])) if exact else (lambda x, m: x)
-    return values, action_ids, costs, [
+    return values, action_ids, [
         (decode(best, m), decode(least, m) if attempts else None)
         for m, (best, least) in enumerate(starts)]
 
@@ -739,7 +708,7 @@ def build_quality_table(n: int, ps=HALF, max_entries: int | None = None) -> Qual
         for v, _, _, stop in _block_starts(n):
             if stop > max_entries:
                 raise TableBudgetExceeded(n, v, max_entries)
-    values, action_ids, _, _ = _optimize(n, ps, n)
+    values, action_ids, _ = _optimize(n, ps, n)
     return QualityTable(n, ps, values, action_ids)
 
 

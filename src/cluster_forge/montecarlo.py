@@ -365,7 +365,7 @@ class _EventTable:
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of ``keys``, ascending. A sort: a set of 4096
-    ints costs several times as much, and ``np.unique`` imports
+    ints takes several times as long, and ``np.unique`` imports
     ``numpy.ma``, about 25 ms, on its first call."""
     keys = np.sort(keys)
     return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
@@ -608,9 +608,12 @@ def estimate_quality(
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a Bernoulli rate; asymmetric, so it stays
-    informative for fractions near 0 or 1."""
+    informative for fractions near 0 or 1. No trials give ``(0.0, 1.0)``;
+    a success count outside ``[0, trials]`` raises ValueError."""
     if trials <= 0:
         return (0.0, 1.0)
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in [0, {trials}], got {successes}")
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -665,6 +668,8 @@ def threshold_experiment(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     if direction not in ("sufficient", "insufficient"):
         raise ValueError("direction must be 'sufficient' or 'insufficient'")
     sign = 1 if direction == "sufficient" else -1

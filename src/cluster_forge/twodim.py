@@ -1,7 +1,7 @@
 """Building n x n clusters from linear chains by weaving.
 
 n cross-chains of length m = a n are fused onto a long thread at n sites
-each. A failed attempt costs a bounded number of edges without splitting
+each. A failed attempt loses a bounded number of edges without splitting
 a chain, so weaving one cross-chain succeeds exactly when n successes
 arrive within the m-attempt budget; the per-gate model counts two lost
 edges per involved chain per failure, and all lengths here are in those
@@ -137,7 +137,7 @@ def resource_count(params: WeaveParameters) -> int:
     """Total input edges (double-edge units): n cross-chains of length m
     plus the thread of length n (m - n + 1). Grows like (2a - 1) n^2, so
     quadratically at fixed a; preparing the redundantly encoded fusion
-    sites costs a further ~2 n^2 edges on top, a constant factor."""
+    sites needs a further ~2 n^2 edges on top, a constant factor."""
     return params.n * params.attempt_budget + params.thread_length
 
 
@@ -352,13 +352,11 @@ def percolation_scan(
         if not ps_values:
             raise ValueError("scanning ps requires ps_values")
         grid = [(a, p) for p in ps_values]
-        threshold = 1.0 / a
         varying = [p for _, p in grid]
     else:
         if not a_values:
             raise ValueError("scanning a requires a_values")
         grid = [(av, ps) for av in a_values]
-        threshold = 1.0 / ps
         varying = [av for av, _ in grid]
 
     if not n_values:
@@ -397,7 +395,8 @@ def percolation_scan(
     return PercolationScan(
         points=tuple(points),
         trends=trends,
-        threshold=threshold,
+        # every grid point passed WeaveParameters, so the fixed value is positive
+        threshold=1.0 / (ps if a is None else a),
         bracket_low=bracket_low,
         bracket_high=bracket_high,
     )

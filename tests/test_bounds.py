@@ -31,7 +31,7 @@ from cluster_forge.bounds import (
     razor_upper_bound,
     static_lower_bound,
 )
-from cluster_forge.configuration import Configuration, enumerate_configurations
+from cluster_forge.configuration import Configuration
 from cluster_forge.exact import (
     HALF,
     _optimize,
@@ -97,20 +97,22 @@ def reference_razor(n, r, ps):
 class TestRazor:
     @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), Fraction(137, 2048), 0.5, 0.3],
                              ids=str)
-    def test_packed_values_and_costs_decode_to_the_reference(self, ps):
-        # the razor DP's values and costs sit in the table's packed store;
-        # at each start of m pairs (2m vertices) they decode to the plain
-        # recursion's optimum
-        n, r = 8, 3
-        q = ps.denominator if isinstance(ps, Fraction) else 1
-        values, _, costs, starts = _optimize(n, ps, r, attempts=True)
-        configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= r]
-        assert len(values) == len(costs) == len(configs)
-        for m in range(n + 1):
-            i = configs.index(epr(m))
-            quality, attempts = reference_razor(m, r, ps)
-            assert (values[i], costs[i]) == (quality * q ** (2 * m), attempts * q ** (2 * m))
-            assert starts[m] == (quality, attempts)
+    def test_capped_starts_equal_the_reference(self, ps):
+        # the razor DP keeps no table stores; each start of m pairs, read
+        # as the DP goes, is the plain recursion's optimum, floats bit for bit
+        n = 10
+        for cap in (n, 4, 3, 2):
+            values, action_ids, starts = _optimize(n, ps, cap, attempts=True)
+            stored = values.levels if isinstance(ps, Fraction) else values
+            assert (len(stored), len(action_ids)) == (0, 0)
+            assert len(starts) == n + 1
+            for m, got in enumerate(starts):
+                reference = reference_razor(m, cap, ps)
+                assert [type(x) for x in got] == [type(x) for x in reference]
+                if isinstance(ps, float):
+                    got = tuple(x.hex() for x in got)
+                    reference = tuple(x.hex() for x in reference)
+                assert got == reference, (cap, m)
 
     def test_uncapped_recovers_exact_optimum(self):
         table = cached_quality_table(8)
@@ -186,6 +188,14 @@ class TestRazor:
             razor_quality(4, 1)
         with pytest.raises(ValueError):
             razor_quality_range([4], 1)
+
+    def test_rejects_a_negative_size(self):
+        # as build_quality_table does, before any DP work
+        for call in (lambda: razor_quality(-1, 2), lambda: razor_upper_bound(-1, 2),
+                     lambda: razor_quality_range([3, -2, 5], 2)):
+            with pytest.raises(ValueError, match="razor size must be at least 0, got -"):
+                call()
+        assert razor_quality(0, 2) == (0, 0)
 
 
 def _closed_form_plus_one(n):

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -693,6 +694,38 @@ class TestSharedParser:
         capsys.readouterr()
         assert in_process(capsys, ["--help"]) == (0, build_parser().format_help(), "")
         assert cli._parser() is cli._parser()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """The ``cluster-forge`` lines of the README's *Command line* block,
+    each with its backslash-continued lines joined on."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [" ".join(line.split()) for line in joined.splitlines()
+            if line.startswith("cluster-forge ")]
+
+
+class TestReadmeCommands:
+    def test_the_block_holds_a_line_for_each_command(self):
+        # percolation-scan spans two lines in the block
+        commands = [shlex.split(line)[1] for line in readme_commands()]
+        assert sorted(set(commands)) == sorted(
+            cli.build_parser()._subparsers._group_actions[0].choices)
+        assert "--ps-grid" in readme_commands()[commands.index("percolation-scan")]
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_each_line_parses(self, line, capsys):
+        # parsed only, never run: a renamed or removed flag fails here
+        argv = shlex.split(line)[1:]
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+        assert args.command == argv[0]
 
 
 VALIDATE_4_CHECKS = [

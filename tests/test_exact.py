@@ -38,9 +38,6 @@ from cluster_forge.exact import (
     TableBudgetExceeded,
     _count_codes,
     _expand,
-    _level_limits,
-    _level_widths,
-    _optimize,
     _PackedInts,
     _sweep,
     _table_actions,
@@ -501,14 +498,23 @@ def all_configurations(max_total):
             for total in range(max_total + 1) for lengths in partitions(total, total)]
 
 
+def stored_value(table, config):
+    """The scaled value ``table`` stores for ``config``: decoded from the
+    packed store by position and vertex count for an exact ps, read by
+    index from the float array otherwise."""
+    position = table.rank(config)
+    if isinstance(table.ps, Fraction):
+        return table.values.at(position, config.vertex_count)
+    return table.values[position]
+
+
 def assert_bellman(table, ps):
     """Each stored scaled value is the best over the fusion pairs of the
     stored successor values, and the stored action attains it."""
     p, q = (ps.numerator, ps.denominator) if isinstance(ps, Fraction) else (ps, 1)
     for config in enumerate_configurations(table.n):
-        position = table.rank(config)
-        value = table.values[position]
-        action = table.actions[table.action_ids[position]]
+        value = stored_value(table, config)
+        action = table.action(config)
         vertices = config.vertex_count
         if config.chain_count <= 1:
             assert (value, action) == (config.total_length * q ** vertices, STOP), config
@@ -518,8 +524,8 @@ def assert_bellman(table, ps):
             success = config.fuse(a, b, SUCCESS)
             failure = config.fuse(a, b, FAILURE)
             drop = vertices - failure.vertex_count
-            options[Fuse(a, b)] = (p * table.values[table.rank(success)]
-                                   + (q - p) * q ** (drop - 1) * table.values[table.rank(failure)])
+            options[Fuse(a, b)] = (p * stored_value(table, success)
+                                   + (q - p) * q ** (drop - 1) * stored_value(table, failure))
         assert value == max(options.values()), config
         assert options[action] == value, config
 
@@ -607,8 +613,8 @@ class TestRankedStorage:
     def test_stored_values_obey_bellman(self, ps):
         table = build_quality_table(16, ps)
         assert_bellman(table, ps)
-        assert all(type(value) is (int if isinstance(ps, Fraction) else float)
-                   for value in table.values)
+        assert all(type(stored_value(table, config)) is (int if isinstance(ps, Fraction) else float)
+                   for config in enumerate_configurations(16))
 
     def test_load_passes_bellman(self, tmp_path):
         path = tmp_path / "table.tsv"
@@ -665,7 +671,7 @@ class TestRankedStorage:
         loaded = QualityTable.load(path)
 
         def fields(table):
-            return table.n, table.ps, table.values, table.action_ids, table.actions
+            return table.n, table.ps, stored(table.values), table.action_ids, table.actions
 
         assert fields(loaded) == fields(built)
         assert built.actions is loaded.actions is _table_actions(n)
@@ -843,50 +849,6 @@ class TestIntegerScaledEngine:
                     assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)
 
 
-    @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), 0.3], ids=str)
-    def test_capped_engine_obeys_its_recursion(self, ps):
-        # every stored value is the best and every stored cost the least
-        # over the fusion pairs, from the stored successors with a merged
-        # chain cut to cap; the stored action is the first pair that
-        # attains the best
-        n = 10
-        p, q = (ps.numerator, ps.denominator) if isinstance(ps, Fraction) else (ps, 1)
-        for cap in (n, 4, 2):
-            values, action_ids, costs, starts = _optimize(n, ps, cap, attempts=True)
-            actions = _table_actions(n)
-            configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
-            position = {config: i for i, config in enumerate(configs)}
-            assert len(values) == len(action_ids) == len(costs) == len(configs)
-            # each start of m pairs (2m vertices), decoded
-            decode = (lambda x, m: Fraction(x, q ** (2 * m))) if q != 1 else (lambda x, m: x)
-            pairs = [position[Configuration.epr_pairs(m)] for m in range(n + 1)]
-            assert starts == [(decode(values[i], m), decode(costs[i], m))
-                              for m, i in enumerate(pairs)]
-            for config, i in position.items():
-                vertices = config.vertex_count
-                if config.chain_count <= 1:
-                    assert (values[i], actions[action_ids[i]], costs[i]) == (
-                        config.total_length * q ** vertices, STOP, 0), config
-                    continue
-                options, spent = {}, []
-                for a, b in config.fusion_pairs():
-                    won = Configuration.from_lengths(
-                        min(k, cap) for k, count in config.fuse(a, b, SUCCESS).items
-                        for _ in range(count))
-                    lost = config.fuse(a, b, FAILURE)
-                    s_factor = p * q ** (vertices - won.vertex_count - 1)
-                    f_factor = (q - p) * q ** (vertices - lost.vertex_count - 1)
-                    w, f = position[won], position[lost]
-                    options[Fuse(a, b)] = s_factor * values[w] + f_factor * values[f]
-                    spent.append(q ** vertices + s_factor * costs[w] + f_factor * costs[f])
-                best = max(options.values())
-                assert values[i] == best, (cap, config)
-                assert actions[action_ids[i]] == next(
-                    action for action, value in options.items() if value == best), (cap, config)
-                assert costs[i] == min(spent), (cap, config)
-
-
-
 # What a built N=28 table (18,460 entries) keeps alive, traced with
 # tracemalloc: 1.28 MB with one int per entry, 0.57 MB with the values
 # packed per vertex level.
@@ -899,10 +861,18 @@ def exact_or_hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def stored(values):
+    """A table's value store as compared bit for bit: a packed store by
+    its (n, q) and levels, a float array by its bytes."""
+    if isinstance(values, _PackedInts):
+        return values.n, values.q, values.levels
+    return values.typecode, values.tobytes()
+
+
 class TestPackedValues:
     """A table's values sit in one packed store, a :class:`_PackedInts` for
     an exact ps and an ``array('d')`` for a float one, that decodes to the
-    plain recursion's values and reads as the list of values it replaces."""
+    plain recursion's values."""
 
     @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), Fraction(137, 2048), 0.5, 0.3],
                              ids=str)
@@ -915,18 +885,23 @@ class TestPackedValues:
         configs = list(enumerate_configurations(n))
         expected = [exact_or_hex(reference_quality(config, ps, memo)[0] * q ** config.vertex_count)
                     for config in configs]
-        assert [exact_or_hex(value) for value in table.values] == expected
-        assert [exact_or_hex(table.values[i]) for i in range(len(configs))] == expected
         if q != 1:
-            assert [table.values.at(i, config.vertex_count)
-                    for i, config in enumerate(configs)] == expected
+            decoded = [table.values.at(i, config.vertex_count) for i, config in enumerate(configs)]
+        else:
+            decoded = [table.values[i] for i in range(len(configs))]
+        assert [exact_or_hex(value) for value in decoded] == expected
+        assert len(table) == len(configs)
 
     @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048)], ids=str)
     def test_each_level_is_packed_at_its_width(self, ps):
-        n = 10
+        # the widths follow from (N, q) alone: a value at V vertices is at
+        # most min(V - 1, N) * q**V, and 0 at V = 0
+        n, q = 10, ps.denominator
         table = build_quality_table(n, ps)
-        widths = _level_widths(_level_limits(n, ps.denominator))
-        assert table.values.widths == widths
+        widths = [max(1, ((max(min(v - 1, n), 0) * q ** v).bit_length() + 7) // 8)
+                  for v in range(2 * n + 1)]
+        assert (table.values.n, table.values.q, table.values.widths) == (n, q, widths)
+        assert _PackedInts(n, q).widths == widths
         counts = [0] * (2 * n + 1)
         for config in enumerate_configurations(n):
             counts[config.vertex_count] += 1
@@ -934,36 +909,34 @@ class TestPackedValues:
             count * width for count, width in zip(counts, widths)]
         assert all(type(level) is bytes for level in table.values.levels)
 
-    def test_the_store_reads_as_a_sequence(self):
-        table = build_quality_table(8)
-        values = list(table.values)
-        assert len(table.values) == len(values) == len(table)
-        assert table.values == values and values == table.values
-        assert table.values[-1] == values[-1] and table.values[0] == 0
-        with pytest.raises(IndexError):
-            table.values[len(values)]
-        assert table.values != build_quality_table(8, Fraction(1, 3)).values
-        assert table.values != values[:-1]
-
     @pytest.mark.parametrize("ps", [HALF, Fraction(137, 2048), 0.3], ids=str)
     def test_a_pickle_round_trip_gives_an_equal_table(self, ps):
         table = build_quality_table(10, ps)
         copy = pickle.loads(pickle.dumps(table))
         assert type(copy.values) is type(table.values)
-        assert copy.values == table.values
+        assert stored(copy.values) == stored(table.values)
         assert list(copy.items()) == list(table.items())
+        if isinstance(ps, Fraction):
+            # the pickle carries the layout's (n, q), not its widths
+            assert table.values.__reduce__() == (_PackedInts, (10, ps.denominator,
+                                                               table.values.levels))
 
     def test_a_value_wider_than_its_level_overflows(self):
-        store = _PackedInts([1, 2])
+        # N=2, q=16: levels of 1, 1, 2, 2 and 3 bytes
+        store = _PackedInts(2, 16)
+        assert store.widths == [1, 1, 2, 2, 3]
         store.extend([255])
+        with pytest.raises(OverflowError):
+            store.extend([256])
+        store.extend([])
         with pytest.raises(OverflowError):
             store.extend([2 ** 16])
         with pytest.raises(OverflowError):
-            _PackedInts([1]).extend([-1])
+            _PackedInts(2, 16).extend([-1])
         # the check is int.to_bytes itself, not an assert
         code = ("assert False, 'asserts must be stripped'\n"
                 "from cluster_forge.exact import _PackedInts\n"
-                "try:\n    _PackedInts([1]).extend([256])\n"
+                "try:\n    _PackedInts(2, 16).extend([256])\n"
                 "except OverflowError:\n    print('raised')\n")
         env = dict(os.environ)
         package_root = str(Path(exact.__file__).parents[1])
@@ -1258,7 +1231,7 @@ class TestCollectorPaused:
         with gc_collections() as generations:
             loaded = QualityTable.load(path)
         assert generations == []
-        assert loaded.values == table.values
+        assert loaded.values.levels == table.values.levels
 
     @pytest.mark.parametrize("call", [
         lambda tmp_path: strategy_quality_range(STATIC, range(1, 9)),

@@ -281,6 +281,14 @@ class TestWilson:
         low, high = wilson_interval(99, 100)
         assert 0.99 - low > high - 0.99
 
+    @pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 3), (1, 0.5)])
+    def test_rejects_successes_outside_the_trials(self, successes, trials):
+        with pytest.raises(ValueError, match=rf"^successes must be in \[0, {trials}\], "
+                                             rf"got {successes}$"):
+            wilson_interval(successes, trials)
+        # no trials still give the whole unit interval, whatever the count
+        assert wilson_interval(successes, 0) == (0.0, 1.0)
+
 
 class TestThresholdExperiment:
     def test_sufficient_direction(self):
@@ -311,6 +319,12 @@ class TestThresholdExperiment:
             threshold_experiment(40, 0.2, 0, 8, 10, 1)
         with pytest.raises(ValueError):
             threshold_experiment(40, 0.2, 6, 8, 10, 1, direction="insufficient")
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, -0.2, Fraction(-1, 5)], ids=repr)
+    def test_alpha_validation(self, alpha):
+        # no ZeroDivisionError at 0, and no "epsilon too large" below it
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            threshold_experiment(8, alpha, 1, 8, 10, 0)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):

@@ -386,6 +386,13 @@ class TestPercolationScan:
             percolation_scan([10], ps=0.5)
         with pytest.raises(ValueError):
             percolation_scan([], a=2.0, ps_values=[0.4])
+        # the fixed value meets WeaveParameters before the threshold 1/value
+        for ps in (0.0, -0.5):
+            with pytest.raises(ValueError, match="success probability must be in"):
+                percolation_scan([4], ps=ps, a_values=[2.0])
+        for a in (0.0, -0.0):
+            with pytest.raises(ValueError, match="overhead factor must exceed 1"):
+                percolation_scan([4], a=a, ps_values=[0.5])
 
 
 # every percolation-scan point of the benchmark (n in 50..800, a = 2, ps in
