@@ -15,7 +15,8 @@ checked primal/dual certificate.
 
 Exact answers stay Fractions, but the razor model and the smallest-first
 sweep behind the lower bounds do their arithmetic on integer-scaled
-values in :mod:`cluster_forge.exact`. This module has no DP of its own:
+values in :mod:`cluster_forge.exact`, and the LP certificate is checked
+on ints over the lcm of its denominators. This module has no DP of its own:
 the razor model is the optimal-table engine run with a cap of R on the
 chain length, and the sweep goes through
 :func:`~cluster_forge.exact.strategy_quality_range`. A sweep over sizes
@@ -112,15 +113,16 @@ class LinearProgramInstance:
 
     @classmethod
     def for_pairs(cls, n: int) -> "LinearProgramInstance":
-        return cls(
-            cost=(Fraction(1), Fraction(1), Fraction(1)),
-            matrix=(
-                (Fraction(-2), Fraction(1, 2)),
-                (Fraction(-1, 2), Fraction(-1, 2)),
-                (Fraction(1), Fraction(-3, 2)),
-            ),
-            rhs=(Fraction(1 - n), Fraction(1)),
-        )
+        return cls(cost=_UNIT_COSTS, matrix=_MOVES, rhs=(Fraction(1 - n), Fraction(1)))
+
+
+# the cost and mean displacement of each move, the same for every n
+_UNIT_COSTS = (Fraction(1), Fraction(1), Fraction(1))
+_MOVES = (
+    (Fraction(-2), Fraction(1, 2)),
+    (Fraction(-1, 2), Fraction(-1, 2)),
+    (Fraction(1), Fraction(-3, 2)),
+)
 
 
 def lp_closed_form(n: int) -> Fraction:
@@ -143,7 +145,7 @@ def lp_certificate(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
             (Fraction(1, 2), Fraction(0)),
         )
     return (
-        (Fraction(2 * n, 5), 2 * (Fraction(n, 5) - 1), Fraction(0)),
+        (Fraction(2 * n, 5), Fraction(2 * n - 10, 5), Fraction(0)),
         (Fraction(4, 5), Fraction(6, 5)),
     )
 
@@ -153,30 +155,39 @@ def lp_attempts_bound(n: int) -> Fraction:
     on n pairs: the closed form, certified by an explicit primal/dual
     pair that are feasible for their respective programs and whose
     objectives coincide with it, which proves it the optimum. Every
-    check raises :class:`CertificateMismatch`, also under ``python -O``."""
+    check raises :class:`CertificateMismatch`, also under ``python -O``.
+
+    The checks run on ints: the instance's cost, matrix and rhs, the
+    closed form and both certificates are scaled by the lcm d of all
+    their denominators, so a product of two scaled numbers is over d**2.
+    """
     instance = LinearProgramInstance.for_pairs(n)
     closed = lp_closed_form(n)
     x, y = lp_certificate(n)
+    parts = (instance.cost, *instance.matrix, instance.rhs, x, y, (closed,))
+    d = math.lcm(*(v.denominator for part in parts for v in part))
+    cost, *matrix, rhs, x, y, (target,) = [
+        [v.numerator * (d // v.denominator) for v in part] for part in parts]
 
     if any(v < 0 for v in x):
         raise CertificateMismatch(f"primal certificate not nonnegative for N={n}")
     for j in range(2):
-        lhs = sum(x[i] * instance.matrix[i][j] for i in range(3))
-        if lhs > instance.rhs[j]:
+        lhs = sum(x[i] * matrix[i][j] for i in range(3))
+        if lhs > rhs[j] * d:
             raise CertificateMismatch(f"primal certificate infeasible for N={n}")
     if any(v < 0 for v in y):
         raise CertificateMismatch(f"dual certificate not nonnegative for N={n}")
     for i in range(3):
-        lhs = -sum(y[j] * instance.matrix[i][j] for j in range(2))
-        if lhs > instance.cost[i]:
+        lhs = -sum(y[j] * matrix[i][j] for j in range(2))
+        if lhs > cost[i] * d:
             raise CertificateMismatch(f"dual certificate infeasible for N={n}")
 
-    primal_value = sum(c * v for c, v in zip(instance.cost, x))
-    dual_value = -sum(b * v for b, v in zip(instance.rhs, y))
-    if not (primal_value == dual_value == closed):
+    primal_value = sum(c * v for c, v in zip(cost, x))
+    dual_value = -sum(b * v for b, v in zip(rhs, y))
+    if not (primal_value == dual_value == target * d):
         raise CertificateMismatch(
-            f"objective mismatch for N={n}: primal={primal_value} "
-            f"dual={dual_value} closed={closed}"
+            f"objective mismatch for N={n}: primal={Fraction(primal_value, d * d)} "
+            f"dual={Fraction(dual_value, d * d)} closed={closed}"
         )
     return closed
 

@@ -407,6 +407,15 @@ class QualityTable:
     def quality(self, config: Configuration):
         return self._quality(*self._rank(config.items))
 
+    def scaled(self, config: Configuration) -> tuple[int, int]:
+        """``(I, q**V)`` for ``config`` of V vertices: its stored scaled
+        quality and the scale, unreduced, so that ``quality(config) ==
+        Fraction(I, q**V)`` without a gcd. A float table raises TypeError."""
+        if self._scale is None:
+            raise TypeError("a float table holds no scaled values")
+        position, vertices = self._rank(config.items)
+        return self.values.at(position, vertices), self._scale[vertices]
+
     def action(self, config: Configuration) -> Action:
         return self.actions[self.action_ids[self._rank(config.items)[0]]]
 
@@ -813,6 +822,12 @@ def event_tree_oracle(
     passes the validity gate, so an invalid strategy raises
     :class:`~cluster_forge.strategies.InvalidStrategy` as the exact
     evaluation does.
+
+    Exact in integers, for a float ``ps`` too (as the Fraction it is):
+    with ``ps = p/q`` and D the deepest string, a string of d attempts
+    and w successes weighs ``p**w * (q - p)**(d - w) * q**(D - d)``
+    over ``q**D``. The leaves carry their success counts, the weights
+    are summed as ints, and a Fraction is built once per field.
     """
     _check_ps(ps)
     total = start.total_length
@@ -821,11 +836,11 @@ def event_tree_oracle(
             f"oracle is exhaustive; start has {total} > {max_total_length} edges"
         )
     ps = Fraction(ps)
-    pf = 1 - ps
-    # (final configuration, probability, attempts) per event string
-    leaves: list[tuple[Configuration, Fraction, int]] = []
+    p, q = ps.numerator, ps.denominator
+    # (final configuration, successes, attempts) per event string
+    leaves: list[tuple[Configuration, int, int]] = []
 
-    def walk(state, prob: Fraction, event: str) -> None:
+    def walk(state, wins: int, event: str) -> None:
         # both children pass the validity gate before either is walked,
         # failure first, so a broken rule is met where the exact
         # evaluation meets it
@@ -834,19 +849,27 @@ def event_tree_oracle(
         except _Broken as exc:
             raise exc.invalid(strategy, start, event) from exc.__cause__
         if node is None:
-            leaves.append((state.to_configuration(), prob, len(event)))
+            leaves.append((state.to_configuration(), wins, len(event)))
             return
         succ, _, fail = node
-        walk(fail, prob * pf, event + FAILURE)
-        walk(succ, prob * ps, event + SUCCESS)
+        walk(fail, wins, event + FAILURE)
+        walk(succ, wins + 1, event + SUCCESS)
 
-    walk(strategy.start(start), Fraction(1), "")
-    distribution: dict[Configuration, Fraction] = {}
-    for final, prob, _ in leaves:
-        distribution[final] = distribution.get(final, Fraction(0)) + prob
+    walk(strategy.start(start), 0, "")
+    depth = max(d for _, _, d in leaves)
+    wins_power = [p ** k for k in range(depth + 1)]
+    losses_power = [(q - p) ** k for k in range(depth + 1)]
+    scale = [q ** k for k in range(depth + 1)]
+    weights: dict[Configuration, int] = {}
+    attempts = 0
+    for final, wins, d in leaves:
+        weight = wins_power[wins] * losses_power[d - wins] * scale[depth - d]
+        weights[final] = weights.get(final, 0) + weight
+        attempts += weight * d
     return OracleResult(
-        distribution=distribution,
-        mean_length=sum((prob * final.total_length for final, prob, _ in leaves), Fraction(0)),
-        expected_attempts=sum((prob * depth for _, prob, depth in leaves), Fraction(0)),
+        distribution={final: Fraction(weight, scale[depth]) for final, weight in weights.items()},
+        mean_length=Fraction(sum(weight * final.total_length
+                                 for final, weight in weights.items()), scale[depth]),
+        expected_attempts=Fraction(attempts, scale[depth]),
         paths=len(leaves),
     )

@@ -53,6 +53,7 @@ the scalar player's whatever the tables hold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -665,11 +666,20 @@ def threshold_experiment(
     when alpha upper-bounds every strategy). The remainder argument
     behind the sufficient direction needs L >= block_size / epsilon;
     ``block_remainder_ok`` records whether that held.
+
+    ``target_length``, ``alpha``, ``epsilon`` and ``direction`` are
+    checked before any trial runs, each by a ValueError that names it.
     """
+    if not isinstance(target_length, numbers.Integral) or target_length < 1:
+        raise ValueError(f"target_length must be an integer >= 1, got {target_length!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
+        # NaN passes the comparisons above, and an infinite one is no rate
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if direction not in ("sufficient", "insufficient"):
         raise ValueError("direction must be 'sufficient' or 'insufficient'")
     sign = 1 if direction == "sufficient" else -1

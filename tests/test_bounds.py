@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -243,6 +244,38 @@ def assert_every_corruption_raises():
                 lp_attempts_bound(7)
 
 
+def reference_certificate_failure(n, closed, x, y):
+    """The first failing check of ``lp_attempts_bound`` on n pairs in
+    Fraction arithmetic, with the given closed form and certificates, or
+    None: the reference for the checks on scaled ints."""
+    instance = LinearProgramInstance.for_pairs(n)
+    if any(v < 0 for v in x):
+        return f"primal certificate not nonnegative for N={n}"
+    for j in range(2):
+        if sum(x[i] * instance.matrix[i][j] for i in range(3)) > instance.rhs[j]:
+            return f"primal certificate infeasible for N={n}"
+    if any(v < 0 for v in y):
+        return f"dual certificate not nonnegative for N={n}"
+    for i in range(3):
+        if -sum(y[j] * instance.matrix[i][j] for j in range(2)) > instance.cost[i]:
+            return f"dual certificate infeasible for N={n}"
+    primal = sum(c * v for c, v in zip(instance.cost, x))
+    dual = -sum(b * v for b, v in zip(instance.rhs, y))
+    if not (primal == dual == closed):
+        return f"objective mismatch for N={n}: primal={primal} dual={dual} closed={closed}"
+    return None
+
+
+# (certificate, coordinate): each of the primal's three and the dual's two
+THIRD_MOVES = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+
+
+def moved_by_a_third(n, part, i, sign):
+    x, y = (list(v) for v in lp_certificate(n))
+    (x, y)[part][i] += sign * Fraction(1, 3)
+    return tuple(x), tuple(y)
+
+
 class TestLinearProgram:
     def test_instance_matrix(self):
         inst = LinearProgramInstance.for_pairs(7)
@@ -268,6 +301,49 @@ class TestLinearProgram:
 
     def test_corrupted_certificates_raise(self):
         assert_every_corruption_raises()
+
+    # the parent's messages, where the certificates were checked in Fractions
+    @pytest.mark.parametrize("part, i, sign, message", [
+        (0, 0, 1, "primal certificate infeasible for N=7"),
+        (0, 1, 1, "objective mismatch for N=7: primal=59/15 dual=18/5 closed=18/5"),
+        (0, 2, -1, "primal certificate not nonnegative for N=7"),
+        (1, 1, -1, "dual certificate infeasible for N=7"),
+    ])
+    def test_a_certificate_moved_by_a_third_keeps_its_message(self, part, i, sign, message):
+        """A denominator of 3 is in no true certificate: the lcm of the
+        integer checks takes it in and still catches the move."""
+        with mock.patch.object(bounds, "lp_certificate",
+                               lambda n: moved_by_a_third(n, part, i, sign)):
+            with pytest.raises(CertificateMismatch, match=f"^{re.escape(message)}$"):
+                lp_attempts_bound(7)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("part, i", THIRD_MOVES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 30, 199])
+    def test_every_move_by_a_third_fails_as_the_fraction_reference(self, n, part, i, sign):
+        x, y = moved_by_a_third(n, part, i, sign)
+        expected = reference_certificate_failure(n, lp_closed_form(n), x, y)
+        with mock.patch.object(bounds, "lp_certificate", lambda n: (x, y)):
+            if expected is None:
+                # at N=1 the rhs is (0, 1), so a dual of (1/3, 0) still certifies 0
+                assert (n, part, i, sign) == (1, 1, 0, 1)
+                assert lp_attempts_bound(n) == 0
+            else:
+                with pytest.raises(CertificateMismatch, match=f"^{re.escape(expected)}$"):
+                    lp_attempts_bound(n)
+
+    @pytest.mark.parametrize("shift", [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 12)], ids=str)
+    def test_a_closed_form_moved_fails_as_the_fraction_reference(self, shift):
+        for n in (1, 4, 7, 30):
+            closed = lp_closed_form(n) + shift
+            expected = reference_certificate_failure(n, closed, *lp_certificate(n))
+            with mock.patch.object(bounds, "lp_closed_form", lambda n: closed):
+                with pytest.raises(CertificateMismatch, match=f"^{re.escape(expected)}$"):
+                    lp_attempts_bound(n)
+
+    def test_the_true_certificates_pass_the_fraction_reference(self):
+        for n in range(1, 201):
+            assert reference_certificate_failure(n, lp_closed_form(n), *lp_certificate(n)) is None
 
     @pytest.mark.parametrize("n", [6, 7, 30])
     def test_the_dual_objective_is_read_from_the_program(self, n):

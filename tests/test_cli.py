@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import os
+import random
 import shlex
 import signal
 import subprocess
@@ -14,7 +15,14 @@ import pytest
 
 from cluster_forge import bounds, cli, exact
 from cluster_forge.cli import build_parser, main
-from cluster_forge.configuration import Configuration, canonical_key
+from cluster_forge.configuration import (
+    FAILURE,
+    SUCCESS,
+    Configuration,
+    canonical_key,
+    enumerate_configurations,
+    parse_key,
+)
 from cluster_forge.exact import (
     HALF,
     QualityTable,
@@ -750,6 +758,12 @@ class ShiftedTable:
     def quality(self, config):
         return self.table.quality(config) + self.shifts.get(canonical_key(config), 0)
 
+    def scaled(self, config):
+        # the same shift on the scaled read: a/S + u/v is (a*v + u*S)/(S*v)
+        value, scale = self.table.scaled(config)
+        shift = Fraction(self.shifts.get(canonical_key(config), 0))
+        return value * shift.denominator + shift.numerator * scale, scale * shift.denominator
+
     def action(self, config):
         return self.table.action(config)
 
@@ -845,6 +859,107 @@ class TestValidateFailures:
         monkeypatch.setattr(bounds, "razor_quality", attempts_moved)
         self.assert_one_failure(capsys, VALIDATE_4_CHECKS[7],
                                 "razor 649/256, exact 649/256, razor attempts 175/32")
+
+
+def reference_monotonicity_failures(table, n):
+    """The monotonicity suite in Fraction arithmetic, through
+    ``Configuration.add`` and ``table.quality``: the reference for the
+    integer suite of ``cli._monotonicity_failures``."""
+    for config in enumerate_configurations(n):
+        q = table.quality(config)
+        for i in range(1, 7):
+            bigger = table.quality(config.add(i))
+            if bigger < q or bigger > q + i:
+                yield f"{config} + chain {i}"
+        for i in config.lengths():
+            shorter = config.add(i, -1)
+            if i > 1:
+                shorter = shorter.add(i - 1)
+            if table.quality(shorter) < q - 1:
+                yield f"{config} shortened at {i}"
+        if config.chain_count > 1:
+            action = table.action(config)
+            succ = table.quality(config.fuse(action.a, action.b, SUCCESS))
+            fail = table.quality(config.fuse(action.a, action.b, FAILURE))
+            if not (succ >= q >= fail):
+                yield f"win/lose ordering at {config}"
+
+
+class TestMonotonicitySuiteInIntegers:
+    @pytest.mark.parametrize("ps, holds", [(HALF, True), (Fraction(2, 7), False),
+                                           (Fraction(3, 4), True)], ids=str)
+    def test_an_unshifted_table_fails_as_the_fraction_reference(self, ps, holds):
+        # the suite's properties need not hold at every ps: at 2/7 one more
+        # chain of one edge lowers the quality of 1^1, since two chains
+        # may not stop
+        table = cached_quality_table(10, ps)
+        expected = list(reference_monotonicity_failures(table, 4))
+        assert list(cli._monotonicity_failures(table, 4)) == expected
+        assert (expected == []) == holds
+
+    @staticmethod
+    def seeded_shift(ps, seed):
+        """An N=10 table with one entry that the suite on 4 edges reads
+        moved by a seeded amount. Odd seeds move it by up to 40/2**k, even
+        ones onto the quality of another entry it reads, or one edge below
+        it, where the suite's < and <= differ."""
+        table = cached_quality_table(10, ps)
+        read = []
+
+        class Recording:
+            action = table.action
+
+            def scaled(self, config):
+                read.append(canonical_key(config))
+                return table.scaled(config)
+
+        list(cli._monotonicity_failures(Recording(), 4))
+        keys = sorted(set(read))
+        rng = random.Random(seed)
+        key = keys[rng.randrange(len(keys))]
+        if seed % 2:
+            shift = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), 2 ** rng.randint(0, 5))
+        else:
+            other = keys[rng.randrange(len(keys))]
+            shift = (table.quality(parse_key(other)) - table.quality(parse_key(key))
+                     - rng.randint(0, 1))
+        return ShiftedTable(table, {key: shift})
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("ps", [HALF, Fraction(2, 7)], ids=str)
+    def test_a_shifted_entry_fails_as_the_fraction_reference(self, ps, seed):
+        """The integer suite reports every failure the Fraction suite
+        does, in order."""
+        shifted = self.seeded_shift(ps, seed)
+        expected = list(reference_monotonicity_failures(shifted, 4))
+        assert list(cli._monotonicity_failures(shifted, 4)) == expected
+
+    def test_the_seeded_shifts_make_the_suite_fail(self):
+        """The seeds above are not vacuous: at 1/2 half of them plant a
+        failure (at 2/7 the table fails the suite unshifted)."""
+        failing = sum(next(cli._monotonicity_failures(self.seeded_shift(HALF, seed), 4),
+                           None) is not None for seed in range(16))
+        assert failing >= 8
+
+    def test_the_scaled_read_is_unreduced(self):
+        table = cached_quality_table(10, HALF)
+        config = Configuration.epr_pairs(4)
+        assert table.scaled(config) == (13 * 2 ** 8 // 8, 2 ** 8)
+        assert ShiftedTable(table, {"1^4": HALF}).scaled(config) == (416 * 2 + 256, 512)
+
+
+def test_validate_by_default_checks_up_to_12_edges(capsys):
+    code = main(["validate"])
+    assert (code, capsys.readouterr().out) == (0, """\
+ok   validity of greed on all configurations up to 12 edges
+ok   validity of modesty on all configurations up to 12 edges
+ok   validity of static on all configurations up to 12 edges
+ok   linear-program duality certificates for N=1..200
+ok   event-tree oracle agrees with memoized qualities at N=8
+ok   monotonicity suite on configurations up to 12 edges
+ok   canonical key round-trip
+ok   razor model with R >= N recovers the exact optimum
+""")
 
 
 def test_validate_prints_the_same_under_python_O():

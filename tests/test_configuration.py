@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cluster_forge.configuration import (
     FAILURE,
+    STOP,
     SUCCESS,
     Configuration,
     Fuse,
@@ -423,6 +424,11 @@ class TestConstructorsCheck:
     def test_repr_names_the_items(self):
         assert repr(Configuration.from_lengths([1, 3])) == "Configuration(items=((1, 1), (3, 1)))"
         assert repr(Configuration()) == "Configuration(items=())"
+
+    def test_actions_repr_as_they_are_written(self):
+        # a fuse is unordered and shows its smaller length first
+        assert repr(Fuse(3, 2)) == repr(Fuse(2, 3)) == "Fuse(2,3)"
+        assert repr(STOP) == "Stop"
 
     def test_pickles_through_the_checked_constructor(self):
         config = Configuration.from_lengths([2, 2, 5])

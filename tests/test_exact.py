@@ -168,6 +168,32 @@ class TestOptimalQuality:
             optimal_attempts(epr(2), Fraction(1))
 
 
+def reference_oracle(strategy, start, ps):
+    """``(distribution, mean length, expected attempts, paths)`` of every
+    event string from ``start``, in the oracle's walk order, failure
+    first, through the strategy's own ``start``, ``choose`` and ``step``:
+    each probability a product of Fraction branch probabilities."""
+    ps = Fraction(ps)
+    leaves = []
+
+    def walk(state, probability, depth):
+        action = strategy.choose(state)
+        if isinstance(action, Stop):
+            leaves.append((state.to_configuration(), probability, depth))
+            return
+        walk(strategy.step(state, action, FAILURE), probability * (1 - ps), depth + 1)
+        walk(strategy.step(state, action, SUCCESS), probability * ps, depth + 1)
+
+    walk(strategy.start(start), Fraction(1), 0)
+    distribution = {}
+    for final, probability, _ in leaves:
+        distribution[final] = distribution.get(final, Fraction(0)) + probability
+    return (distribution,
+            sum((p * final.total_length for final, p, _ in leaves), Fraction(0)),
+            sum((p * depth for _, p, depth in leaves), Fraction(0)),
+            len(leaves))
+
+
 class TestEventTreeOracle:
     def test_probabilities_sum_to_one(self):
         for strategy in (GREED, MODESTY, STATIC):
@@ -194,6 +220,25 @@ class TestEventTreeOracle:
     def test_identity_start_for_stateful(self):
         oracle = event_tree_oracle(STATIC, IdentityConfiguration.epr_pairs(8))
         assert oracle.mean_length == Fraction(649, 256)
+
+    @pytest.mark.parametrize("ps", [0.3, Fraction(2, 7), Fraction(1)], ids=repr)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_STRATEGIES))
+    @pytest.mark.parametrize("start", [epr(8), parse_key("1^3,2^2,3^1"),
+                                       IdentityConfiguration((3, 1, 2, 1))],
+                             ids=str)
+    def test_every_field_equals_a_fraction_walk(self, start, name, ps):
+        """The integer weights give the Fractions that a product of
+        branch probabilities does, field by field and type by type, with
+        the distribution in the order its finals are first reached; at
+        ps = 1 the failure branches weigh 0 and still count as paths."""
+        strategy = BUILTIN_STRATEGIES[name]
+        oracle = event_tree_oracle(strategy, start, ps)
+        distribution, mean, attempts, paths = reference_oracle(strategy, start, ps)
+        assert list(oracle.distribution.items()) == list(distribution.items())
+        assert (oracle.mean_length, oracle.expected_attempts, oracle.paths) == (mean, attempts, paths)
+        fields = (*oracle.distribution.values(), oracle.mean_length, oracle.expected_attempts)
+        assert all(type(value) is Fraction for value in fields)
+        assert oracle.total_probability == 1
 
 
 class TestQualityTable:
@@ -873,6 +918,22 @@ class TestPackedValues:
     """A table's values sit in one packed store, a :class:`_PackedInts` for
     an exact ps and an ``array('d')`` for a float one, that decodes to the
     plain recursion's values."""
+
+    @pytest.mark.parametrize("ps", [HALF, Fraction(2, 7), Fraction(137, 2048)], ids=str)
+    def test_the_scaled_read_is_the_stored_int_over_its_scale(self, ps, tmp_path):
+        table = build_quality_table(8, ps)
+        table.save(tmp_path / "t.tsv")
+        for read in (table, QualityTable.load(tmp_path / "t.tsv")):
+            for position, config in enumerate(enumerate_configurations(8)):
+                value, scale = read.scaled(config)
+                # unreduced: the scale is q**V even where a gcd divides out
+                assert scale == ps.denominator ** config.vertex_count
+                assert value == table.values.at(position, config.vertex_count)
+                assert Fraction(value, scale) == table.quality(config)
+
+    def test_a_float_table_has_no_scaled_read(self):
+        with pytest.raises(TypeError, match="float table"):
+            build_quality_table(4, 0.5).scaled(epr(2))
 
     @pytest.mark.parametrize("ps", [HALF, Fraction(1, 3), Fraction(137, 2048), 0.5, 0.3],
                              ids=str)

@@ -326,6 +326,32 @@ class TestThresholdExperiment:
         with pytest.raises(ValueError, match="^alpha must be positive$"):
             threshold_experiment(8, alpha, 1, 8, 10, 0)
 
+    @pytest.mark.parametrize("target", [0, -3, 2.0, "8", None], ids=repr)
+    def test_target_length_validation(self, target, monkeypatch):
+        # rejected before any trial runs, by a message naming the argument
+        monkeypatch.setattr(montecarlo, "estimate_quality", None)
+        with pytest.raises(ValueError, match="^target_length must be an integer >= 1, got "):
+            threshold_experiment(target, 0.2, 1, 8, 10, 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", math.nan), ("alpha", math.inf), ("epsilon", math.nan), ("epsilon", math.inf),
+    ], ids=repr)
+    def test_alpha_and_epsilon_must_be_finite(self, name, value, monkeypatch):
+        monkeypatch.setattr(montecarlo, "estimate_quality", None)
+        arguments = {"alpha": 0.2, "epsilon": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            threshold_experiment(8, arguments["alpha"], arguments["epsilon"], 8, 10, 0)
+
+    def test_negative_infinities_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            threshold_experiment(8, -math.inf, 1, 8, 10, 0)
+        with pytest.raises(ValueError, match="^epsilon must be strictly positive$"):
+            threshold_experiment(8, 0.2, -math.inf, 8, 10, 0)
+
+    def test_an_integral_target_of_any_type_is_accepted(self):
+        report = threshold_experiment(np.int64(8), Fraction(1, 5), 1, 8, 10, 0)
+        assert report.n_pairs == 48  # ceil((5 + 1) * 8)
+
     def test_direction_validation(self):
         with pytest.raises(ValueError):
             threshold_experiment(40, 0.2, 0.5, 8, 10, 1, direction="sideways")

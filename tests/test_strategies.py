@@ -92,6 +92,17 @@ def walk(strategy, chains, memory, outcomes):
     return chains, memory, trace
 
 
+class TestRepr:
+    def test_a_strategy_shows_its_class_and_name(self):
+        assert repr(GREED) == "<Greed greed>"
+        assert repr(LookupStrategy({}, name="table")) == "<LookupStrategy table>"
+
+    def test_a_stateful_strategy_shows_its_class_and_name(self):
+        assert repr(STATIC) == "<TwoStage static>"
+        assert repr(TwoStage(4, GREED)) == "<TwoStage two-stage-4-greed>"
+        assert repr(IdentityAdapter(MODESTY)) == "<IdentityAdapter modesty>"
+
+
 class TestStatic:
     def test_blocks_of_eight(self):
         chains = IdentityConfiguration.epr_pairs(16)

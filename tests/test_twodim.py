@@ -10,6 +10,7 @@ import pytest
 
 from cluster_forge import twodim
 from cluster_forge.cli import main
+from cluster_forge.montecarlo import wilson_interval
 from cluster_forge.twodim import (
     PercolationScan,
     WeaveParameters,
@@ -171,6 +172,18 @@ class TestSimulateWeave:
         expected = overall_success_probability(params)
         sigma = math.sqrt(expected * (1 - expected) / report.trials)
         assert abs(report.fraction - expected) < 3 * sigma
+
+    def test_the_report_as_a_dict(self):
+        params = WeaveParameters(n=3, a=2, ps=0.5)
+        report = simulate_weave(params, 2000, seed=8)
+        successes = binomial_successes(params, 2000, 8)
+        low, high = wilson_interval(successes, 2000)
+        expected = {"n": 3, "a": 2, "ps": 0.5, "trials": 2000, "seed": 8,
+                    "successes": successes, "fraction": successes / 2000,
+                    "wilson_low": low, "wilson_high": high}
+        assert report.to_dict() == expected
+        assert list(report.to_dict()) == list(expected)  # in field order
+        assert json.loads(json.dumps(report.to_dict())) == expected
 
     def test_trial_validation(self):
         with pytest.raises(ValueError):
