@@ -16,7 +16,6 @@ import json
 import os
 import signal
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 
 from . import __version__
@@ -24,7 +23,6 @@ from .configuration import (
     FAILURE,
     SUCCESS,
     Configuration,
-    _new,
     canonical_key,
     enumerate_configurations,
     parse_key,
@@ -367,42 +365,26 @@ def _oracle_failures():
                 yield f"{name} at ps={ps}"
 
 
-def _edited(config: Configuration, length: int, delta: int) -> Configuration:
-    """``config.add(length, delta)`` for ``delta`` of 1, or of -1 at a
-    length ``config`` holds, built by one edit of its items tuple:
-    without a dict, a sort or the constructor's checks."""
-    items, vertices = config
-    i = bisect_left(items, (length,))
-    if i < len(items) and items[i][0] == length:
-        count = items[i][1] + delta
-        items = items[:i] + (((length, count),) if count else ()) + items[i + 1:]
-    else:
-        items = items[:i] + ((length, delta),) + items[i:]
-    return _new(Configuration, (items, vertices + delta * (length + 1)))
-
-
 def _monotonicity_failures(table: QualityTable, n: int):
     """Each way the optimal quality in ``table`` breaks monotonicity on
     the configurations of up to ``n`` edges, in the order checked.
 
     Exact in integers: each quality is read unreduced as ``a/S`` from
     :meth:`~cluster_forge.exact.QualityTable.scaled`, and ``a/S`` is
-    compared with ``b/T`` as ``a*T`` with ``b*S``. A neighbour one chain
-    longer or one edge shorter is an edit of the configuration's items
-    (:func:`_edited`)."""
+    compared with ``b/T`` as ``a*T`` with ``b*S``."""
     scaled = table.scaled
     for config in enumerate_configurations(n):
         a, s = scaled(config)
         for i in range(1, 7):
-            b, t = scaled(_edited(config, i, 1))
+            b, t = scaled(config.add(i))
             # bigger < q or bigger > q + i
             if b * s < a * t or b * s > (a + i * s) * t:
                 yield f"{config} + chain {i}"
         for i in config.lengths():
             # shorten one chain of length i by a single edge
-            shorter = _edited(config, i, -1)
+            shorter = config.add(i, -1)
             if i > 1:
-                shorter = _edited(shorter, i - 1, 1)
+                shorter = shorter.add(i - 1)
             b, t = scaled(shorter)
             if b * s < (a - s) * t:
                 yield f"{config} shortened at {i}"

@@ -163,11 +163,22 @@ class Configuration(_Counts):
         return dict(self.items)
 
     def add(self, length: int, n: int = 1) -> "Configuration":
-        counts = self.counts()
-        counts[length] = counts.get(length, 0) + n
-        if counts[length] < 0:
+        """Add ``n`` chains of ``length``, or remove them for a negative ``n``.
+
+        Like :meth:`fuse`, the result is one edit of the sorted ``items`` at
+        the bisected length: one pair changed, dropped or inserted.
+        """
+        items, vertices = self
+        i = bisect_left(items, (length,))
+        held = items[i][1] if i < len(items) and items[i][0] == length else 0
+        count = held + n
+        if count < 0:
             raise ValueError(f"cannot remove {abs(n)} chains of length {length}")
-        return Configuration.from_counts(counts)
+        if count and length < 1:
+            raise ValueError(f"lengths must be positive: {length}")
+        kept = ((length, count),) if count else ()
+        return _new(Configuration,
+                    (items[:i] + kept + items[i + (held > 0):], vertices + n * (length + 1)))
 
     def fusion_pairs(self) -> Iterator[tuple[int, int]]:
         """All feasible unordered length pairs (a, b) with a <= b."""

@@ -399,10 +399,13 @@ class QualityTable:
         """Storage position of ``config``; KeyError beyond ``n`` edges."""
         return self._rank(config.items)[0]
 
+    def _scaled(self, position: int, vertices: int) -> tuple[int, int]:
+        return self.values.at(position, vertices), self._scale[vertices]
+
     def _quality(self, position: int, vertices: int):
         if self._scale is None:
             return self.values[position]
-        return Fraction(self.values.at(position, vertices), self._scale[vertices])
+        return Fraction(*self._scaled(position, vertices))
 
     def quality(self, config: Configuration):
         return self._quality(*self._rank(config.items))
@@ -413,8 +416,7 @@ class QualityTable:
         Fraction(I, q**V)`` without a gcd. A float table raises TypeError."""
         if self._scale is None:
             raise TypeError("a float table holds no scaled values")
-        position, vertices = self._rank(config.items)
-        return self.values.at(position, vertices), self._scale[vertices]
+        return self._scaled(*self._rank(config.items))
 
     def action(self, config: Configuration) -> Action:
         return self.actions[self.action_ids[self._rank(config.items)[0]]]

@@ -362,6 +362,25 @@ def test_fuse_equals_the_dict_rule(config, a, b, outcome):
     assert hash(after) == hash(expected)
 
 
+@given(configurations, st.integers(1, 9), st.integers(-3, 3))
+@settings(max_examples=400, deadline=None)
+def test_add_equals_the_dict_rule(config, length, n):
+    """Adding or removing chains at any length, held or not: the edited
+    result equals the checked rebuild from a counts dict, field for field,
+    and removing more chains than are held raises."""
+    counts = config.counts()
+    counts[length] = counts.get(length, 0) + n
+    if counts[length] < 0:
+        with pytest.raises(ValueError, match=f"^cannot remove {-n} chains of length {length}$"):
+            config.add(length, n)
+        return
+    after = config.add(length, n)
+    expected = Configuration.from_counts(counts)
+    assert tuple(after) == tuple(expected)
+    assert after.vertex_count == sum(count * (k + 1) for k, count in after.items)
+    assert hash(after) == hash(expected)
+
+
 MALFORMED = {
     "zero-length": lambda: Configuration.from_counts({0: 1}),
     "zero-length-among-others": lambda: Configuration.from_counts({2: 1, 0: 3}),
@@ -371,6 +390,7 @@ MALFORMED = {
     "repeated-length": lambda: Configuration(((2, 1), (2, 1))),
     "identity-zero-length": lambda: IdentityConfiguration((0,)),
     "removal-past-count": lambda: Configuration.from_lengths([1, 2]).add(1, -2),
+    "added-zero-length": lambda: Configuration.from_lengths([1, 2]).add(0),
 }
 
 
