@@ -237,6 +237,8 @@ def modesty_lower_bound(
     this: quality has parity steps, so odd sizes sag below a slope fitted
     at an even anchor.)
     """
+    if n0 < 1:
+        raise ValueError(f"the anchor n0 must be at least 1, got {n0}")
     if n < n0:
         raise ValueError(f"bound is valid for n >= n0 = {n0}")
     if step not in (1, 2):
@@ -277,11 +279,21 @@ def inverse_resource_bounds(target_length, alpha, epsilon) -> tuple:
     """Pair counts that asymptotically suffice / cannot suffice to reach
     ``target_length`` with probability approaching one, given a linear
     rate alpha: ((1/alpha + eps) L, (1/alpha - eps) L). Requires
-    eps > 0: both statements need strict headroom."""
+    eps > 0: both statements need strict headroom.
+
+    ``target_length`` (finite and positive, not necessarily whole),
+    ``alpha`` and ``epsilon`` are checked before anything is computed,
+    each by a ValueError that names it."""
+    if not (target_length > 0 and math.isfinite(target_length)):
+        raise ValueError(f"target_length must be finite and positive, got {target_length!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
+        # NaN passes the comparisons above, and an infinite one is no rate
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     return (
         (1 / alpha + epsilon) * target_length,
         (1 / alpha - epsilon) * target_length,

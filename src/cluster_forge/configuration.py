@@ -14,7 +14,9 @@ A fusion attempt on chains of lengths ``a`` and ``b`` merges them into a
 single chain of length ``a + b`` on success.  On failure each loses one
 edge; a chain reduced to length 0 is destroyed and disappears from the
 configuration.  Either way the number of vertices strictly decreases, so
-every process terminates.
+every process terminates.  :func:`_fused` states this rule once; both
+views, the optimal DP's count codes (:mod:`cluster_forge.exact`) and the
+Monte Carlo pairing rounds (:mod:`cluster_forge.montecarlo`) call it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ class Stop:
 STOP = Stop()
 
 Action = Fuse | Stop
+
+
+def _fused(a, b, won: bool):
+    """The lengths of chains ``a`` and ``b`` after one fusion attempt, 0
+    for a destroyed chain: the merged chain and 0 if ``won``, else each
+    one edge shorter. Plain arithmetic, so it also runs on numpy arrays."""
+    return (a + b, 0) if won else (a - 1, b - 1)
 
 
 class _Counts(NamedTuple):
@@ -209,19 +218,15 @@ class Configuration(_Counts):
                 out[i] = (k, n - 1)
             else:
                 del out[i]
-        if outcome == SUCCESS:
-            adds = (a + b,)
-            vertices -= 1
-        else:
-            # each chain loses an edge; a chain of length 1 is destroyed
-            adds = [k - 1 for k in (a, b) if k > 1]
-            vertices -= 4 - len(adds)
-        for k in adds:
-            i = bisect_left(out, (k,))
-            if i < len(out) and out[i][0] == k:
-                out[i] = (k, out[i][1] + 1)
-            else:
-                out.insert(i, (k, 1))
+        vertices -= a + b + 2
+        for k in _fused(a, b, outcome == SUCCESS):
+            if k:  # a chain of k >= 1 edges has k + 1 vertices
+                vertices += k + 1
+                i = bisect_left(out, (k,))
+                if i < len(out) and out[i][0] == k:
+                    out[i] = (k, out[i][1] + 1)
+                else:
+                    out.insert(i, (k, 1))
         return _new(Configuration, (tuple(out), vertices))
 
     def to_configuration(self) -> "Configuration":
@@ -291,16 +296,12 @@ class IdentityConfiguration(_Lineup):
         if i > j:
             i, j = j, i
         out = list(c)
-        if outcome == SUCCESS:
-            out[i] += out[j]
+        out[i], out[j] = _fused(c[i], c[j], outcome == SUCCESS)
+        # a destroyed chain is deleted, j first so that i stays in place
+        if not out[j]:
             del out[j]
-        else:
-            # each chain loses an edge; a chain of length 1 is destroyed
-            for k in (j, i):
-                if out[k] > 1:
-                    out[k] -= 1
-                else:
-                    del out[k]
+        if not out[i]:
+            del out[i]
         return _new(IdentityConfiguration, (tuple(out),))
 
 

@@ -19,9 +19,10 @@ chain cut to R edges, which also minimises attempts in the same pass and
 keeps only its values at the starts of m pairs.
 
 * Integer scaling. With ``ps = p/q`` a configuration of V vertices holds
-  ``I = value * q**V`` as a Python int. Success removes ``1 + cut``
-  vertices (``cut`` edges lost to the cap, none for the table) and
-  failure ``drop = 2 + [a == 1] + [b == 1]``, so
+  ``I = value * q**V`` as a Python int. An outcome that removes ``drop``
+  vertices weighs its successor by ``q**(drop - 1)``: success removes
+  ``1 + cut`` (``cut`` edges lost to the cap, none for the table) and
+  failure 2 to 4, so
   ``I(C) = p * q**cut * I(S) + (q - p) * q**(drop - 1) * I(F)``: no gcd
   inside the DP, and values of one level compare as plain ints. A float
   ``ps`` runs the same code with q = 1, which gives bit-identical floats
@@ -29,8 +30,9 @@ keeps only its values at the starts of m pairs.
 * Count codes and pair rows. Configurations are keyed by the integer
   ``sum(count_k * w[k])`` with mixed-radix weights ``w[k] = prod(n // j +
   1 for 1 <= j < k)`` (:func:`_count_codes`): at most ``n // k`` chains
-  have length k. One precomputed row per fusion pair holds both code
-  shifts, both branch factors, both drops and the action index, so the
+  have length k. One precomputed row per fusion pair (:func:`_pair_rows`)
+  holds both code shifts, both branch factors, both drops and the action
+  index, all taken from the fusion rule ``configuration._fused``, so the
   inner loop does no arithmetic on lengths.
 * Level-lazy enumeration. Count vectors come from one
   ``configuration._block_enumerator`` per build, one block of vertex and
@@ -98,7 +100,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
-from math import gcd
+from math import gcd, prod
 from typing import Hashable, Iterator
 
 from .configuration import (
@@ -113,6 +115,7 @@ from .configuration import (
     _block_enumerator,
     _block_starts,
     _blocks,
+    _fused,
     _partition_ranker,
     enumerate_configurations,
 )
@@ -573,28 +576,50 @@ class _TableStrategy(Strategy):
         return self.table.action(config)
 
 
-def _count_codes(n: int, cap: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Integer count codes for configurations of at most ``n`` edges whose
-    chains are at most ``cap`` long.
+def _count_codes(n: int, cap: int) -> list[int]:
+    """The weights ``w`` of the integer count codes of configurations of at
+    most ``n`` edges whose chains are at most ``cap`` long.
 
     A configuration with ``count_k`` chains of length k has code
     ``sum(count_k * w[k])`` with mixed-radix weights ``w[k] = prod(n // j
-    + 1 for 1 <= j < k)`` and ``w[0] = 0``; at most ``n // k`` chains have
-    length k, so the code is injective. Fusing lengths a <= b adds
-    ``success[a][b] = w[min(a+b, cap)] - w[a] - w[b]`` to the code on
-    success (a merged chain longer than ``cap`` is cut to ``cap``, as in
-    the razor model; with ``cap = n`` nothing is cut) and
-    ``failure[a][b] = w[a-1] - w[a] + w[b-1] - w[b]`` on failure.
-    Returns ``(w, success, failure)``, indexed by lengths up to ``cap``.
+    + 1 for 1 <= j < k)`` and ``w[0] = 0``, so a destroyed chain adds
+    nothing; at most ``n // k`` chains have length k, so the code is
+    injective. Indexed by lengths up to ``cap``. :func:`_pair_rows` takes
+    each fusion's code shifts and vertex drops from the fusion rule.
     """
-    w = [0, 1][:cap + 1]
-    for k in range(2, cap + 1):
-        w.append(w[k - 1] * (n // (k - 1) + 1))
-    success = [[w[min(a + b, cap)] - w[a] - w[b] for b in range(cap + 1)]
-               for a in range(cap + 1)]
-    failure = [[w[a - 1] - w[a] + w[b - 1] - w[b] if a and b else 0 for b in range(cap + 1)]
-               for a in range(cap + 1)]
-    return w, success, failure
+    return [0] + [prod(n // j + 1 for j in range(1, k)) for k in range(1, cap + 1)]
+
+
+def _pair_rows(n: int, cap: int, ps) -> tuple[list[int], list[list[tuple | None]]]:
+    """``(w, rows)``: the weights of :func:`_count_codes` and the row of
+    each fusion pair that :func:`_optimize` reads.
+
+    ``rows[a][b]``, a <= b <= cap, is ``(success shift, p * q**cut,
+    success drop, failure shift, failure factor, failure drop, action
+    index)``, and None past the cap. Each outcome's chains are those of
+    the fusion rule, ``configuration._fused``, with a merged chain longer
+    than ``cap`` cut to ``cap`` (the razor model; with ``cap = n`` nothing
+    is cut). The code shift is their weights less ``w[a] + w[b]``; the
+    drop is the vertices of a and b less theirs, a chain of k >= 1 edges
+    having k + 1. A success thus drops ``1 + cut`` vertices, and its factor
+    is ``p * q**cut``; a failure's is ``fail_factor[drop]`` of
+    :func:`_scaling`. The action index is the pair's position in
+    ``_table_actions(n)``.
+    """
+    _, p, scale, fail_factor = _scaling(ps, n)
+    w = _count_codes(n, cap)
+    rows = [[None] * (cap + 1) for _ in range(cap + 1)]
+    for index, fuse in enumerate(_table_actions(n)[1:], 1):
+        a, b = fuse.a, fuse.b
+        if b <= cap:
+            row = []
+            for won in (True, False):
+                kept = [min(k, cap) for k in _fused(a, b, won)]
+                drop = a + b + 2 - sum(k + 1 for k in kept if k)
+                row += (sum(w[k] for k in kept) - w[a] - w[b],
+                        p * scale[drop - 1] if won else fail_factor[drop], drop)
+            rows[a][b] = (*row, index)
+    return w, rows
 
 
 @_collector_paused()
@@ -618,22 +643,10 @@ def _optimize(n: int, ps, cap: int, attempts: bool = False):
     or into an ``array('d')`` for a float one.
     """
     _check_ps(ps)
-    exact, p, scale, fail_factor = _scaling(ps, 2 * n)
-    w, success, failure = _count_codes(n, cap)
-    # rows[a][b], a <= b <= cap: (success shift, p * q**cut, success drop
-    # 1 + cut, failure shift, failure factor, failure drop, action index),
-    # where the cap cuts a + b - min(a + b, cap) edges from the merged chain
-    # and the action index is the pair's position in _table_actions(n)
-    rows = [[None] * (cap + 1) for _ in range(cap + 1)]
-    for index, fuse in enumerate(_table_actions(n)[1:], 1):
-        a, b = fuse.a, fuse.b
-        if b <= cap:
-            cut, drop = a + b - min(a + b, cap), 2 + (a == 1) + (b == 1)
-            rows[a][b] = (success[a][b], p * scale[cut], 1 + cut,
-                          failure[a][b], fail_factor[drop], drop, index)
-    # keep as many levels as the deepest drop: 4 for a failure, 1 + cut
-    # for a success, and the largest cut is min(2 cap, n) - cap
-    depth = max(4, 1 + max(min(2 * cap, n) - cap, 0))
+    exact, _, scale, _ = _scaling(ps, 2 * n)
+    w, rows = _pair_rows(n, cap, ps)
+    # keep as many levels as the deepest drop of a pair row
+    depth = max((max(row[2], row[5]) for pairs in rows for row in pairs if row), default=0)
     zero, inf = 0 * scale[0], float("inf")
     values = _PackedInts(n, ps.denominator) if exact else array("d")
     action_ids = array("H")

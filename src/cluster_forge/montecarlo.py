@@ -65,6 +65,7 @@ from .configuration import (
     SUCCESS,
     Configuration,
     Stop,
+    _fused,
     canonical_key,
 )
 from .exact import _collector_paused, _expand
@@ -490,10 +491,10 @@ def _pairing_round(
             success = wins[live, at]
             attempts[live] = at + 1
             xs, ys = x[live], y[live]
-            x[live] = np.where(success, xs + ys, xs - 1)
-            y[live] = np.where(success, 0, ys - 1)
+            won, lost = _fused(xs, ys, True), _fused(xs, ys, False)
+            x[live], y[live] = np.where(success, won[0], lost[0]), np.where(success, won[1], lost[1])
             failures[live[~success]] += 1
-            live = live[~success & (xs > 1) & (ys > 1)]
+            live = live[~success & (lost[0] > 0) & (lost[1] > 0)]
         out[:, i] = x + y
     if m % 2:
         out[:, -1] = lineup[:, -1]
@@ -610,7 +611,10 @@ def estimate_quality(
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a Bernoulli rate; asymmetric, so it stays
     informative for fractions near 0 or 1. No trials give ``(0.0, 1.0)``;
-    a success count outside ``[0, trials]`` raises ValueError."""
+    a success count outside ``[0, trials]``, or a ``z`` that is not finite
+    and positive, raises ValueError."""
+    if not (z > 0 and math.isfinite(z)):
+        raise ValueError(f"z must be finite and positive, got {z!r}")
     if trials <= 0:
         return (0.0, 1.0)
     if not 0 <= successes <= trials:

@@ -58,6 +58,7 @@ subtraction.
 
 from __future__ import annotations
 
+import numbers
 from functools import cache
 from typing import Hashable, Mapping, NamedTuple
 
@@ -295,6 +296,8 @@ class TwoStage(StatefulStrategy):
     """
 
     def __init__(self, block_size: int = 8, inner: Strategy | None = None, name: str | None = None):
+        if not isinstance(block_size, numbers.Integral):
+            raise ValueError(f"block_size must be an integer, got {block_size!r}")
         if block_size < 2:
             raise ValueError("block_size must be at least 2")
         self.block_size = block_size

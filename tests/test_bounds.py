@@ -32,7 +32,7 @@ from cluster_forge.bounds import (
     razor_upper_bound,
     static_lower_bound,
 )
-from cluster_forge.configuration import Configuration
+from cluster_forge.configuration import Configuration, _fused
 from cluster_forge.exact import (
     HALF,
     _optimize,
@@ -285,6 +285,25 @@ class TestLinearProgram:
         assert inst.matrix[2] == (1, Fraction(-3, 2))
         assert inst.rhs == (-6, 1)
 
+    def test_moves_are_the_fusion_rule_with_chains_cut_to_2_edges(self):
+        """The rows of the certified program are the model's: the mean
+        change in (chains of 1 edge, chains of 2 edges) of fusing 1+1, 1+2
+        and 2+2 at ps = 1/2, a merged chain cut to 2 edges (R = 2)."""
+
+        def change(a, b, won):
+            counts = {1: 0, 2: 0}
+            counts[a] -= 1
+            counts[b] -= 1
+            for k in _fused(a, b, won):
+                if k:  # a destroyed chain counts nowhere
+                    counts[min(k, 2)] += 1
+            return counts[1], counts[2]
+
+        moves = tuple(tuple(Fraction(won + lost, 2)
+                            for won, lost in zip(change(a, b, True), change(a, b, False)))
+                      for a, b in ((1, 1), (1, 2), (2, 2)))
+        assert moves == bounds._MOVES == LinearProgramInstance.for_pairs(7).matrix
+
     def test_closed_form_values(self):
         assert lp_attempts_bound(1) == 0
         assert lp_attempts_bound(5) == 2
@@ -519,6 +538,38 @@ class TestSmallHelpers:
     def test_argument_errors(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("target, alpha, epsilon, message", [
+        (10, math.nan, 1, "alpha must be finite, got nan"),
+        (10, math.inf, 1, "alpha must be finite, got inf"),
+        (10, 0.2, math.nan, "epsilon must be finite, got nan"),
+        (10, 0.2, math.inf, "epsilon must be finite, got inf"),
+        (-3, 0.2, 1, "target_length must be finite and positive, got -3"),
+        (0, 0.2, 1, "target_length must be finite and positive, got 0"),
+        (Fraction(-1, 2), 0, 1, r"target_length must be finite and positive, got Fraction\(-1, 2\)"),
+        (math.nan, 0.2, 1, "target_length must be finite and positive, got nan"),
+        (math.inf, 0.2, 1, "target_length must be finite and positive, got inf"),
+    ], ids=repr)
+    def test_inverse_rejects_what_is_no_length_or_rate(self, target, alpha, epsilon, message):
+        # nothing is computed: (nan, nan), (inf, -inf) and (-18.0, -12.0) before
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            inverse_resource_bounds(target, alpha, epsilon)
+
+    def test_inverse_keeps_its_messages_for_nonpositive_rates(self):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            inverse_resource_bounds(10, -math.inf, 1)
+        with pytest.raises(ValueError, match="^epsilon must be strictly positive$"):
+            inverse_resource_bounds(10, 0.2, -math.inf)
+
+    def test_inverse_accepts_a_fractional_length(self):
+        assert inverse_resource_bounds(Fraction(5, 2), Fraction(1, 5), Fraction(1, 2)) == (
+            Fraction(55, 4), Fraction(45, 4))
+
+    @pytest.mark.parametrize("n0", [0, -2])
+    def test_modesty_anchor_must_be_at_least_one(self, n0):
+        # at 0 the slope divided by zero
+        with pytest.raises(ValueError, match=f"^the anchor n0 must be at least 1, got {n0}$"):
+            modesty_lower_bound(10, n0, {0: Fraction(1), -2: Fraction(1)})
 
     def test_achievable_rate_value(self):
         sufficient, _ = inverse_resource_bounds(1.0, 0.153336, 0.08)

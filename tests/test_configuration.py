@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from cluster_forge.configuration import (
     InvalidFusionError,
     _block_enumerator,
     _blocks,
+    _fused,
     _partition_ranker,
     canonical_key,
     enumerate_configurations,
@@ -110,6 +112,27 @@ class TestFusionRule:
         assert Fuse(3, 2) == Fuse(2, 3)
         start = Configuration.from_lengths([3, 2])
         assert start.fuse(2, 3, SUCCESS) == start.fuse(3, 2, SUCCESS)
+
+    def test_fused_gives_both_lengths_with_0_for_a_destroyed_chain(self):
+        assert _fused(3, 2, True) == (5, 0)
+        assert _fused(3, 2, False) == (2, 1)
+        assert _fused(1, 4, False) == (0, 3)
+        assert _fused(1, 1, False) == (0, 0)
+
+    @pytest.mark.parametrize("won", [True, False])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_fused_on_arrays_equals_the_scalar_rule(self, won, dtype):
+        """The Monte Carlo pairing round calls the rule on columns of
+        lengths: each element as the scalar rule gives, in the lineup's
+        dtype."""
+        rng = np.random.default_rng(7)
+        xs = rng.integers(1, 20, 200).astype(dtype)
+        ys = rng.integers(1, 20, 200).astype(dtype)
+        x, y = _fused(xs, ys, won)
+        # a merged chain's partner is the scalar 0, which np.where spreads
+        columns = zip(np.broadcast_to(x, xs.shape).tolist(), np.broadcast_to(y, ys.shape).tolist())
+        assert list(columns) == [_fused(int(a), int(b), won) for a, b in zip(xs, ys)]
+        assert x.dtype == dtype
 
 
 configurations = st.lists(st.integers(1, 8), min_size=0, max_size=8).map(

@@ -38,6 +38,7 @@ from cluster_forge.exact import (
     TableBudgetExceeded,
     _count_codes,
     _expand,
+    _pair_rows,
     _PackedInts,
     _sweep,
     _table_actions,
@@ -867,16 +868,24 @@ class TestIntegerScaledEngine:
         assert event_tree_oracle(table.as_strategy(), config, ps).mean_length == quality
 
     def test_code_deltas_equal_the_fusion_rule(self):
+        """Every pair row of the optimiser: both code shifts and both
+        vertex drops against ``Configuration.fuse`` on every configuration
+        it applies to, both branch factors against ``p/q``, and the action
+        index."""
         # cap = n is the table's rule; a smaller cap the razor model's, in
         # which a merged chain longer than cap is cut to cap
-        n = 10
+        n, (p, q) = 10, (2, 7)
         for cap in (n, 4):
-            w, success, failure = _count_codes(n, cap)
+            w, rows = _pair_rows(n, cap, Fraction(p, q))
+            assert w == _count_codes(n, cap)
             # mixed radix: at most n // k chains have length k
             assert w[:4] == [0, 1, n + 1, (n + 1) * (n // 2 + 1)]
 
             def code(config):
                 return sum(count * w[k] for k, count in config.items)
+
+            def vertices(config):
+                return sum(count * (k + 1) for k, count in config.items)
 
             def cut(config):
                 return Configuration.from_lengths(
@@ -884,14 +893,28 @@ class TestIntegerScaledEngine:
 
             configs = [c for c in enumerate_configurations(n) if max(c.lengths(), default=0) <= cap]
             assert len({code(c) for c in configs}) == len(configs)
+            reached = set()
             for config in configs:
                 for a, b in config.fusion_pairs():
+                    s_shift, s_factor, s_drop, f_shift, f_factor, f_drop, index = rows[a][b]
                     won = cut(config.fuse(a, b, SUCCESS))
                     lost = config.fuse(a, b, FAILURE)
-                    assert code(won) == code(config) + success[a][b]
-                    assert code(lost) == code(config) + failure[a][b]
-                    assert won.vertex_count == config.vertex_count - 1 - (a + b - min(a + b, cap))
-                    assert lost.vertex_count == config.vertex_count - 2 - (a == 1) - (b == 1)
+                    assert code(won) == code(config) + s_shift
+                    assert code(lost) == code(config) + f_shift
+                    assert vertices(won) == vertices(config) - 1 - (a + b - min(a + b, cap))
+                    assert vertices(won) == vertices(config) - s_drop
+                    assert vertices(lost) == vertices(config) - f_drop
+                    assert (s_factor, f_factor) == (p * q ** (s_drop - 1), (q - p) * q ** (f_drop - 1))
+                    assert _table_actions(n)[index] == Fuse(a, b)
+                    reached.add((a, b))
+            # a row for each pair a <= b <= cap with a + b <= n, all reached
+            assert reached == {(a, b) for a in range(1, cap + 1) for b in range(a, cap + 1)
+                               if a + b <= n}
+            assert sum(row is not None for pairs in rows for row in pairs) == len(reached)
+            # a float ps: the same rows with the float branch probabilities
+            _, float_rows = _pair_rows(n, cap, 0.3)
+            assert float_rows == [[row and (row[0], 0.3, row[2], row[3], 1 - 0.3, *row[5:])
+                                   for row in pairs] for pairs in rows]
 
 
 # What a built N=28 table (18,460 entries) keeps alive, traced with

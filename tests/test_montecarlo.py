@@ -289,6 +289,13 @@ class TestWilson:
         # no trials still give the whole unit interval, whatever the count
         assert wilson_interval(successes, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("z", [-1.96, 0, 0.0, math.nan, math.inf, -math.inf], ids=repr)
+    def test_rejects_a_z_that_is_not_finite_and_positive(self, z):
+        # -1.96 gave (0.603, 0.108) and nan (0.0, 1.0)
+        for trials in (10, 0):
+            with pytest.raises(ValueError, match=f"^z must be finite and positive, got {z!r}$"):
+                wilson_interval(3, trials, z)
+
 
 class TestThresholdExperiment:
     def test_sufficient_direction(self):
@@ -351,6 +358,12 @@ class TestThresholdExperiment:
     def test_an_integral_target_of_any_type_is_accepted(self):
         report = threshold_experiment(np.int64(8), Fraction(1, 5), 1, 8, 10, 0)
         assert report.n_pairs == 48  # ceil((5 + 1) * 8)
+
+    @pytest.mark.parametrize("block_size", [2.5, 8.0, Fraction(8)], ids=repr)
+    def test_a_fractional_block_size_is_rejected_before_any_trial(self, block_size, monkeypatch):
+        monkeypatch.setattr(montecarlo, "estimate_quality", None)
+        with pytest.raises(ValueError, match="^block_size must be an integer, got "):
+            threshold_experiment(8, 0.1, 1, block_size, 10, 0)
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import pickle
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +191,19 @@ class TestStatic:
     def test_block_size_below_two_rejected(self):
         with pytest.raises(ValueError):
             TwoStage(block_size=1)
+
+    @pytest.mark.parametrize("block_size", [2.5, 8.0, Fraction(8), "8", None], ids=repr)
+    def test_block_size_must_be_an_integer(self, block_size):
+        # 2.5 built, and its quality then raised a bare TypeError from a slice
+        message = f"^block_size must be an integer, got {re.escape(repr(block_size))}$"
+        with pytest.raises(ValueError, match=message):
+            TwoStage(block_size)
+
+    def test_any_integral_block_size_is_accepted(self):
+        strategy = TwoStage(np.int64(3))
+        assert strategy.name == "two-stage-3-modesty"
+        assert strategy_quality(strategy, Configuration.epr_pairs(6)) == strategy_quality(
+            TwoStage(3), Configuration.epr_pairs(6))
 
     def test_stage_one_never_crosses_blocks(self):
         # DFS the whole event tree from 19 pairs (blocks of 8, 8 and 3),
