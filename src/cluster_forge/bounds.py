@@ -193,12 +193,14 @@ def lp_attempts_bound(n: int) -> Fraction:
 
 
 def analytic_upper_bound(n: int) -> Fraction:
-    """Quality of n pairs is at most n/5 + 2, for n >= 6."""
+    """Quality of n pairs is at most n/5 + 2, for n >= 6: quality is n
+    minus the expected attempts at ps = 1/2, and those are at least the
+    certified LP bound (:func:`lp_attempts_bound`)."""
     if n < 6:
         raise ValueError(
             "the n/5 + 2 bound needs n >= 6; use lp_attempts_bound for the small cases"
         )
-    return Fraction(n, 5) + 2
+    return n - lp_attempts_bound(n)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +277,9 @@ def general_ps_initial_length(ps) -> Fraction | float:
     return 2 * (1 - ps) / ps
 
 
-def inverse_resource_bounds(target_length, alpha, epsilon) -> tuple:
-    """Pair counts that asymptotically suffice / cannot suffice to reach
-    ``target_length`` with probability approaching one, given a linear
-    rate alpha: ((1/alpha + eps) L, (1/alpha - eps) L). Requires
-    eps > 0: both statements need strict headroom.
-
-    ``target_length`` (finite and positive, not necessarily whole),
-    ``alpha`` and ``epsilon`` are checked before anything is computed,
-    each by a ValueError that names it."""
-    if not (target_length > 0 and math.isfinite(target_length)):
-        raise ValueError(f"target_length must be finite and positive, got {target_length!r}")
+def _check_rate(alpha, epsilon) -> None:
+    """A ValueError naming ``alpha`` or ``epsilon`` unless both are finite
+    and positive."""
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
     if alpha <= 0:
@@ -294,10 +288,34 @@ def inverse_resource_bounds(target_length, alpha, epsilon) -> tuple:
         # NaN passes the comparisons above, and an infinite one is no rate
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    return (
-        (1 / alpha + epsilon) * target_length,
-        (1 / alpha - epsilon) * target_length,
-    )
+
+
+def _pair_budget(target_length, alpha, epsilon, sign: int):
+    """(1/alpha + sign * epsilon) * target_length pairs, for a rate that
+    :func:`_check_rate` passed; a ValueError when the pairs per edge are
+    not positive."""
+    rate = 1 / alpha + sign * epsilon
+    if rate <= 0:
+        raise ValueError("epsilon too large: nonpositive pair budget")
+    return rate * target_length
+
+
+def inverse_resource_bounds(target_length, alpha, epsilon) -> tuple:
+    """Pair counts that asymptotically suffice / cannot suffice to reach
+    ``target_length`` with probability approaching one, given a linear
+    rate alpha: ((1/alpha + eps) L, (1/alpha - eps) L). Requires
+    eps > 0: both statements need strict headroom.
+
+    ``target_length`` (finite and positive, not necessarily whole),
+    ``alpha`` and ``epsilon`` are checked before anything is computed,
+    each by a ValueError that names it, and a budget that is not
+    positive (eps >= 1/alpha) raises. Both counts come from
+    :func:`_pair_budget`, which also sets the pairs of
+    :func:`cluster_forge.montecarlo.threshold_experiment`."""
+    if not (target_length > 0 and math.isfinite(target_length)):
+        raise ValueError(f"target_length must be finite and positive, got {target_length!r}")
+    _check_rate(alpha, epsilon)
+    return tuple(_pair_budget(target_length, alpha, epsilon, sign) for sign in (1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ is numbered when a step first reaches it and expanded, decided and
 stepped on both outcomes through the validity gate by
 :func:`cluster_forge.exact._expand`, when a walk first needs it, and a
 step-table entry, four attempts from a state for one value of the next
-four win bits, is filled the first time a trial reads it. A chunk walks the table four attempts per gather. Trials
+four win bits, is filled the first time a trial reads it. A chunk walks
+the table four attempts per gather, every trial until all have ended. Trials
 visit far fewer states than the DAG holds (about 1,070 of smallest-first's
 4,582 from 64 pairs in 4096 trials), and later chunks mostly read
 entries that are already filled. A table that a fill could take past
@@ -60,6 +61,7 @@ from functools import partial
 
 import numpy as np
 
+from .bounds import _check_rate, _pair_budget
 from .configuration import (
     FAILURE,
     SUCCESS,
@@ -246,11 +248,12 @@ class SimulationReport:
 
 # Most states an event table holds. Before a fill that could pass it, the
 # table restarts from the states its trials are at (_EventTable.restart).
-# A fill adds at most two states for the root and ten a step entry, and a
-# gather needs at most one entry a trial, so a table restarted from a
-# chunk's trials and the root holds the fill that follows while this is
-# at least 11 * TRIAL_CHUNK + 3. 2**18 holds the roughly 247,000 states
-# one chunk of smallest-first from 1000 pairs visits.
+# A fill adds at most ten states a step entry (two for each of the five
+# states it expands), and a gather needs at most one entry a trial, so a
+# table restarted from a chunk's trials and the root holds the fill that
+# follows while this is at least 11 * TRIAL_CHUNK + 1. 2**18 holds the
+# roughly 247,000 states one chunk of smallest-first from 1000 pairs
+# visits.
 _TABLE_STATES = 1 << 18
 
 # A walk reads four win bits as one little-endian uint32 of their bool
@@ -325,10 +328,10 @@ class _EventTable:
         return row
 
     def fill(self, keys: np.ndarray) -> bool:
-        """Expand the root, then fill the step entries ``keys`` (``16 *
-        state + bits``), each by four single attempts over the rows,
-        expanding each state the first time it is needed, the one the
-        four attempts reach included. False when an expansion breaks a
+        """Fill the step entries ``keys`` (``16 * state + bits``), each by
+        four single attempts over the rows, expanding each state the
+        first time it is needed, the entry's own and the one the four
+        attempts reach included. False when an expansion breaks a
         validity rule or meets a state that cannot be hashed; the rows it
         filled are kept. A walk fills with the cyclic collector paused
         (:func:`_walk_table`)."""
@@ -336,8 +339,6 @@ class _EventTable:
         entries = []
         append = entries.append
         try:
-            if rows[0] is None:
-                expand(0)
             for key in keys.tolist():
                 state, counts = key >> 4, 0  # counts: taken << 3 | lost
                 for won in _BITS[key & 15]:
@@ -389,28 +390,26 @@ def _walk_table(
     total length and its number of failed attempts, or None when an
     expansion fails (the scalar player then plays the chunk).
 
-    A state that is not terminal holds two chains or more, so four
-    vertices or more, and every attempt removes a vertex: a trial still
-    walked has four win bits or more left in its row. A trial that has
-    ended stays on its terminal state, which takes no attempt whatever
-    bits it reads, until at least half of the trials still walked have
-    ended; then the ended ones are recorded and dropped at once."""
+    Every trial is gathered at every step until all have ended. A state
+    that is not terminal holds two chains or more, so four vertices or
+    more, and every attempt removes a vertex: a trial not yet ended has
+    four win bits or more left in its row. A trial that has ended stays
+    on its terminal state, which takes no attempt whatever bits it
+    reads. Only a start of at most three vertices, which holds one chain
+    or none, gives a chunk fewer than four bits; such a chunk is padded
+    with zero bits to one word."""
     trials, draws = wins.shape
-    failures = np.zeros(trials, np.int64)
-    if table.rows[0] is None and not table.fill(np.zeros(0, np.uint32)):
-        return None
-    if table.rows[0][0] == 0:  # the start is terminal
-        return np.full(trials, table.final_length[0]), failures
-    finals = np.zeros(trials, np.int64)
-    # words[j]: the win bits j to j + 3, one per byte
     bits = wins.reshape(-1)
+    if bits.size < 4:
+        bits = np.concatenate([bits, np.zeros(3, bool)])
+    # words[j]: the win bits j to j + 3, one per byte
     words = np.ndarray((bits.size - 3,), "<u4", bits, 0, (1,))
-    live = np.arange(trials)
-    at = live * draws + attempts  # flat index of each live trial's next win bit
+    first = np.arange(trials) * draws  # flat index of each trial's first win bit
+    at = first + attempts  # and of its next one
     state = np.zeros(trials, np.uint32)
-    lost = np.zeros(trials, np.int64)
-    while live.size:
-        # only the chunk's last trial, once it has ended, can need the clip
+    failures = np.zeros(trials, np.int64)
+    while True:
+        # only a trial that has ended can read past the last word
         word = words[np.minimum(at, words.size - 1)]
         word *= _GATHER_BITS
         word >>= 24
@@ -419,7 +418,7 @@ def _walk_table(
         if np.count_nonzero(entry) < entry.size:
             missing = np.flatnonzero(entry == 0)
             keys = _distinct(key[missing])
-            if len(table.states) + 2 + 10 * keys.size > _TABLE_STATES:
+            if len(table.states) + 10 * keys.size > _TABLE_STATES:
                 state = table.restart(state)
                 key, missing = state << 4 | word, np.arange(key.size)
                 keys = _distinct(key)
@@ -428,17 +427,11 @@ def _walk_table(
             entry[missing] = table.steps[key[missing]]
         state = entry >> 7
         at += (entry >> 3) & 7
-        lost += entry & 7
-        done = (entry & 64).astype(bool)
-        if 2 * np.count_nonzero(done) < live.size:
-            continue
-        ended = live[done]
-        finals[ended] = table.final_length[state[done]]
-        failures[ended] = lost[done]
-        attempts[ended] = at[done] - ended * draws
-        keep = ~done
-        live, at, state, lost = live[keep], at[keep], state[keep], lost[keep]
-    return finals, failures
+        failures += entry & 7
+        if (entry & 64).all():
+            break
+    attempts[:] = at - first
+    return table.final_length[state], failures
 
 
 def _plan(strategy, start: Configuration) -> list:
@@ -673,24 +666,17 @@ def threshold_experiment(
 
     ``target_length``, ``alpha``, ``epsilon`` and ``direction`` are
     checked before any trial runs, each by a ValueError that names it.
+    The rate checks and the pair budget are those of
+    :func:`cluster_forge.bounds.inverse_resource_bounds`, taken in
+    floats for this direction alone.
     """
     if not isinstance(target_length, numbers.Integral) or target_length < 1:
         raise ValueError(f"target_length must be an integer >= 1, got {target_length!r}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be strictly positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    for name, value in (("alpha", alpha), ("epsilon", epsilon)):
-        # NaN passes the comparisons above, and an infinite one is no rate
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_rate(alpha, epsilon)
     if direction not in ("sufficient", "insufficient"):
         raise ValueError("direction must be 'sufficient' or 'insufficient'")
     sign = 1 if direction == "sufficient" else -1
-    rate = 1 / float(alpha) + sign * float(epsilon)
-    if rate <= 0:
-        raise ValueError("epsilon too large: nonpositive pair budget")
-    n_pairs = math.ceil(rate * target_length)
+    n_pairs = math.ceil(_pair_budget(target_length, float(alpha), float(epsilon), sign))
     strategy = TwoStage(block_size, MODESTY)
     report = estimate_quality(
         strategy, Configuration.epr_pairs(n_pairs), ps, trials, seed,

@@ -408,6 +408,11 @@ class TestAnalyticUpperBound:
         for n in range(6, 21):
             assert table.quality(epr(n)) <= analytic_upper_bound(n)
 
+    def test_is_n_minus_the_lp_bound(self):
+        # quality <= N - attempts <= N - LP(N), which is N/5 + 2
+        for n in range(6, 3000):
+            assert analytic_upper_bound(n) == Fraction(n, 5) + 2, n
+
 
 class TestCombineLowerBound:
     def test_single_part(self):
@@ -555,6 +560,12 @@ class TestSmallHelpers:
         with pytest.raises(ValueError, match=f"^{message}$"):
             inverse_resource_bounds(target, alpha, epsilon)
 
+    @pytest.mark.parametrize("alpha, epsilon", [(1, 2), (Fraction(1, 5), 5), (0.5, 3.0)], ids=repr)
+    def test_inverse_rejects_a_budget_that_is_not_positive(self, alpha, epsilon):
+        # (1, 2) gave (30.0, -10.0), where threshold_experiment raised
+        with pytest.raises(ValueError, match="^epsilon too large: nonpositive pair budget$"):
+            inverse_resource_bounds(10, alpha, epsilon)
+
     def test_inverse_keeps_its_messages_for_nonpositive_rates(self):
         with pytest.raises(ValueError, match="^alpha must be positive$"):
             inverse_resource_bounds(10, -math.inf, 1)
@@ -574,3 +585,17 @@ class TestSmallHelpers:
     def test_achievable_rate_value(self):
         sufficient, _ = inverse_resource_bounds(1.0, 0.153336, 0.08)
         assert sufficient == pytest.approx(6.6, abs=0.01)
+
+
+def test_importing_bounds_loads_neither_numpy_nor_the_monte_carlo_layers():
+    # the exact layers start without numpy, and montecarlo imports bounds,
+    # never the reverse
+    env = dict(os.environ)
+    package_root = str(Path(bounds.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = ("import sys, cluster_forge.bounds\n"
+            "print([name for name in ('numpy', 'scipy', 'cluster_forge.montecarlo',\n"
+            "                         'cluster_forge.twodim') if name in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True, timeout=120)
+    assert proc.stdout == "[]\n"

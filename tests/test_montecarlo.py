@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cluster_forge import montecarlo
+from cluster_forge.bounds import inverse_resource_bounds
 from cluster_forge.configuration import (
     STOP,
     SUCCESS,
@@ -297,6 +299,18 @@ class TestWilson:
                 wilson_interval(3, trials, z)
 
 
+# finite positive rates, as floats and as Fractions
+RATES = st.floats(1e-3, 1e3) | st.fractions(Fraction(1, 1000), 1000, max_denominator=1000)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return str(error)
+
+
 class TestThresholdExperiment:
     def test_sufficient_direction(self):
         report = threshold_experiment(
@@ -379,6 +393,29 @@ class TestThresholdExperiment:
         ]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] >= 0.99
+
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.integers(1, 10 ** 4), alpha=RATES, epsilon=RATES)
+    def test_pairs_are_the_ceiling_of_the_inverse_bounds(self, target, alpha, epsilon):
+        # both take the pair budget of cluster_forge.bounds, so both
+        # directions hand over the ceiling of their inverse_resource_bounds
+        # entry or raise its message
+        spy = mock.Mock(return_value=SimpleNamespace(success_count=0))
+        expected = outcome(lambda: [math.ceil(pairs) for pairs in inverse_resource_bounds(
+            target, float(alpha), float(epsilon))])
+        if isinstance(expected, str):
+            # epsilon >= 1/alpha: only the minus sign leaves no positive budget
+            expected = [math.ceil((1 / float(alpha) + float(epsilon)) * target), expected]
+        for direction, want in zip(("sufficient", "insufficient"), expected):
+            spy.reset_mock()
+            with mock.patch.object(montecarlo, "estimate_quality", spy):
+                got = outcome(lambda: threshold_experiment(target, alpha, epsilon, 8, 10, 0,
+                                                           direction=direction))
+            if isinstance(want, str):
+                assert (got, spy.called) == (want, False)
+            else:
+                assert spy.call_args.args[1] == epr(want)
+                assert got.n_pairs == want
 
     def test_insufficient_budget_stays_away_from_one(self):
         # below the universal five-pairs-per-edge rate nothing can reach
@@ -1014,6 +1051,40 @@ class TestStepTables:
         # building 256 entries a state (eight attempts a gather) alone
         # would take about 6 KB a state.
         assert peak < 1000 * states
+
+
+TINY_STARTS = [Configuration(), epr(1), parse_key("2^1")]
+
+
+class TestPaddedWalks:
+    """A start of at most three vertices holds one chain or none, so it
+    is terminal; a chunk from it of fewer than four win bits is padded to
+    one word, and every trial ends where it started."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    @pytest.mark.parametrize("start", TINY_STARTS, ids=["empty", "1^1", "2^1"])
+    @pytest.mark.parametrize("strategy", [MODESTY, GREED, OPTIMAL_12],
+                             ids=["modesty", "greed", "optimal"])
+    def test_a_walk_from_a_tiny_start_takes_no_attempt(self, strategy, start, trials):
+        table = montecarlo._plan(strategy, start)[0]
+        draws = montecarlo._draws_bound(start)
+        wins = montecarlo._chunk_wins(3, 0, trials, draws, 0.5)
+        attempts = np.arange(trials) % (draws + 1)
+        before = attempts.copy()
+        finals, failures = montecarlo._walk_table(table, wins, attempts)
+        assert finals.tolist() == [start.total_length] * trials
+        assert failures.tolist() == [0] * trials
+        assert attempts.tolist() == before.tolist()
+
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    @pytest.mark.parametrize("start", TINY_STARTS, ids=["empty", "1^1", "2^1"])
+    @pytest.mark.parametrize("strategy", [MODESTY, GREED, OPTIMAL_12],
+                             ids=["modesty", "greed", "optimal"])
+    def test_estimates_from_a_tiny_start_are_the_scalar_players(self, strategy, start, trials):
+        args = (strategy, start, 0.5, trials, 23, 1)
+        with on_tables() as walk:
+            assert estimate_quality(*args) == scalar_estimate(*args)
+        assert walk.called
 
 
 @pytest.mark.parametrize("threshold", [None, 9])
