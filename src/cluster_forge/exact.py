@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import gc
 import os
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -490,8 +491,10 @@ class QualityTable:
     @_collector_paused()
     def load(cls, path) -> "QualityTable":
         """Read a table written by :meth:`save`. Raises
-        :class:`CorruptTable`, naming ``path``, unless the header and every
-        line parse, each action text is that of an action a table of N
+        :class:`CorruptTable`, naming ``path``, unless the header is one
+        :meth:`save` writes (``N=<n> ps=<p>/<q>`` and a newline, each number
+        in plain decimal digits, p <= q in lowest terms), every line
+        parses, each action text is that of an action a table of N
         edges can hold (:func:`_table_actions`), and the file holds every
         configuration of at most N edges exactly once, in key order, each
         with a value that is a multiple of ``1/q**V`` between 0 and
@@ -504,15 +507,14 @@ class QualityTable:
         # a byte that is not ASCII decodes to U+FFFD and fails as malformed
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             header = fh.readline()
+            match = re.fullmatch(r"N=(0|[1-9][0-9]*) ps=([1-9][0-9]*)/([1-9][0-9]*)\n", header)
             try:
-                fields = dict(part.split("=", 1) for part in header.split())
-                n = int(fields["N"])
-                num, _, den = fields["ps"].partition("/")
-                ps = Fraction(int(num), int(den))
-                if n < 0 or not 0 < ps <= 1:
-                    raise ValueError
-            except (KeyError, ValueError, ZeroDivisionError):
-                raise CorruptTable(f"{path}: malformed header {header!r}") from None
+                n, p, q = map(int, match.groups()) if match else (0, 0, 0)
+            except ValueError:  # a number past the digit limit of int()
+                match = None
+            if not match or p > q or gcd(p, q) != 1:
+                raise CorruptTable(f"{path}: malformed header {header!r}")
+            ps = Fraction(p, q)
             _, key_groups, size = _partition_ranker(n)
             # (key, position, vertex count) of every configuration, in key order
             stream = chain.from_iterable(zip(*group) for group in key_groups())
@@ -759,27 +761,22 @@ def cached_quality_table(n: int, ps=HALF, table_dir: str | None = None) -> Quali
 def _directory_table(table_dir: str, n: int, ps: Fraction) -> QualityTable:
     """The smallest ``table-n<N>-ps<p>-<q>.tsv`` in ``table_dir`` covering
     n, else the store's table without a directory, which may be larger,
-    saved there under its own N. A file that does not load, or whose
-    header disagrees with its name, raises :class:`CorruptTable`."""
+    saved there under its own N. Only the exact name the store writes is
+    read, N in plain decimal digits; any other file is ignored. A file
+    that does not load, or whose header disagrees with its name, raises
+    :class:`CorruptTable`."""
     if not isinstance(ps, Fraction):
         raise TypeError("only exact-rational tables are persisted")
     suffix = f"-ps{ps.numerator}-{ps.denominator}.tsv"
-    candidates = []
-    for name in os.listdir(table_dir):
-        if name.startswith("table-n") and name.endswith(suffix):
-            try:
-                file_n = int(name[len("table-n"):].split("-")[0])
-            except ValueError:
-                continue
-            if file_n >= n:
-                candidates.append((file_n, name))
-    if not candidates:
+    pattern = re.compile("table-n(0|[1-9][0-9]*)" + re.escape(suffix))
+    sizes = [int(match[1]) for match in map(pattern.fullmatch, os.listdir(table_dir)) if match]
+    file_n = min((size for size in sizes if size >= n), default=None)
+    if file_n is None:
         table = cached_quality_table(n, ps)
         # the store may answer with a larger table; name the file by its size
         table.save(os.path.join(table_dir, f"table-n{table.n}{suffix}"))
         return table
-    file_n, name = min(candidates)
-    path = os.path.join(table_dir, name)
+    path = os.path.join(table_dir, f"table-n{file_n}{suffix}")
     table = QualityTable.load(path)
     if (table.n, table.ps) != (file_n, ps):
         raise CorruptTable(f"{path}: header says N={table.n} ps={table.ps}, "
@@ -793,7 +790,6 @@ def clear_table_cache() -> None:
 
 def optimal_quality(config: Configuration, ps=HALF):
     """Best possible expected final total length from ``config``."""
-    _check_ps(ps)
     return cached_quality_table(config.total_length, ps).quality(config)
 
 
@@ -803,7 +799,6 @@ def optimal_attempts(config: Configuration, ps=HALF):
     Uses the edge-loss identity quality = L - 2 (1 - ps) attempts, which
     pins down the attempt count whenever ps < 1.
     """
-    _check_ps(ps)
     if ps == 1:
         raise ValueError("attempts are not determined by quality at ps = 1")
     return (config.total_length - optimal_quality(config, ps)) / (2 * (1 - ps))

@@ -31,15 +31,15 @@ named tuples, so they hash and compare in C, and expose
 builds its successor directly, without the constructors' checks: it is
 valid by construction.
 
-Validity has rules local to a state: ``choose`` decides, a stop leaves
-at most one chain, a fusion needs two chains, a step does not raise, and
-each step removes the vertices the fusion rule removes (exactly 1 on
-``SUCCESS``, 2 to 4 on ``FAILURE``), so every walk ends. A fusion of a
-pair the state lacks breaks one rule, with one message at the
-decision's event, in both state kinds. Only this module checks them,
-in a gate of two calls, ``_decide`` and ``_advance``, that raise
-``_Broken``; ``exact._expand`` runs a decision and both its steps
-through it. Three walkers turn ``_Broken`` into
+Validity has rules local to a state: ``choose`` decides, a decision is
+a fusion or a stop, a stop leaves at most one chain, a fusion needs two
+chains, a step does not raise, and each step removes the vertices the
+fusion rule removes (exactly 1 on ``SUCCESS``, 2 to 4 on ``FAILURE``),
+so every walk ends. A fusion of a pair the state lacks breaks one rule,
+with one message at the decision's event, in both state kinds. Only
+this module checks them, in a gate of two calls, ``_decide`` and
+``_advance``, that raise ``_Broken``; ``exact._expand`` runs a decision
+and both its steps through it. Three walkers turn ``_Broken`` into
 :class:`InvalidStrategy` at their own event strings: the oracle, the
 scalar Monte Carlo player and the memoized sweep ``exact._sweep`` of the
 exact evaluation. :func:`validate_strategy_sweep` is that sweep at a
@@ -270,7 +270,8 @@ class TwoStage(StatefulStrategy):
 
     Stage one partitions the chain lineup into consecutive blocks of
     ``block_size`` chains (a final short block is allowed) and runs the
-    inner strategy to completion inside each block; no fusion ever
+    inner strategy, a stateless one (a :class:`StatefulStrategy` raises
+    ValueError), to completion inside each block; no fusion ever
     crosses a block boundary. Stage two repeatedly pairs the surviving
     chains (1st with 2nd, 3rd with 4th, ...) and fuses each pair
     insistently: after a failure that both partners survive, the same
@@ -300,6 +301,9 @@ class TwoStage(StatefulStrategy):
             raise ValueError(f"block_size must be an integer, got {block_size!r}")
         if block_size < 2:
             raise ValueError("block_size must be at least 2")
+        if isinstance(inner, StatefulStrategy):
+            raise ValueError(f"inner strategy {inner.name} is stateful; a block runs a "
+                             "stateless one")
         self.block_size = block_size
         self.inner = inner if inner is not None else Modesty()
         self.name = name if name is not None else f"two-stage-{block_size}-{self.inner.name}"
@@ -414,8 +418,9 @@ class _Broken(Exception):
 
 def _decide(strategy: Strategy | StatefulStrategy, state) -> Action:
     """``strategy``'s action at ``state``, once it obeys the rules of a
-    decision: ``choose`` raises neither KeyError nor ValueError, a stop
-    leaves at most one chain, and a fusion has two chains to fuse.
+    decision: ``choose`` raises neither KeyError nor ValueError, its
+    action is a fusion or a stop, a stop leaves at most one chain, and a
+    fusion has two chains to fuse.
 
     An :class:`InvalidFusionError` from ``choose`` is a pair the chains
     lack, as when :class:`IdentityAdapter` maps its inner strategy's
@@ -437,6 +442,8 @@ def _decide(strategy: Strategy | StatefulStrategy, state) -> Action:
     if isinstance(action, Stop):
         if chains > 1:
             raise _Broken(f"premature stop with {chains} chains")
+    elif not isinstance(action, Fuse):
+        raise _Broken(f"invalid decision: {action!r} is neither a fusion nor a stop")
     elif chains <= 1:
         raise _Broken("fusion attempted on a terminal configuration")
     return action

@@ -351,13 +351,11 @@ def percolation_scan(
     if a is not None:
         if not ps_values:
             raise ValueError("scanning ps requires ps_values")
-        grid = [(a, p) for p in ps_values]
-        varying = [p for _, p in grid]
+        grid = [(a, p, p) for p in ps_values]
     else:
         if not a_values:
             raise ValueError("scanning a requires a_values")
-        grid = [(av, ps) for av in a_values]
-        varying = [av for av, _ in grid]
+        grid = [(av, ps, av) for av in a_values]
 
     if not n_values:
         raise ValueError("need at least one cluster side")
@@ -366,7 +364,8 @@ def percolation_scan(
     trends: dict[tuple[float, float], str] = {}
     below: list[float] = []
     above: list[float] = []
-    for (av, pv), var in zip(grid, varying):
+    # (a, ps, the scanned value) of each grid point
+    for av, pv, var in grid:
         logs = []
         for n in ns:
             params = WeaveParameters(n=n, a=av, ps=pv)
@@ -380,10 +379,7 @@ def percolation_scan(
                     log_overall=lo,
                 )
             )
-        if av * pv == 1.0:
-            trends[(av, pv)] = "critical"
-            continue
-        trend = _trend(logs)
+        trend = "critical" if av * pv == 1.0 else _trend(logs)
         trends[(av, pv)] = trend
         if trend == "decreasing":
             below.append(var)

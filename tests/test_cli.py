@@ -636,14 +636,30 @@ class TestSmallSizes:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def fresh_process(argv, *interpreter_flags):
+def fresh_process(argv, *interpreter_flags, table_dir=None):
     """``argv`` run by the CLI in a new interpreter started with
-    ``interpreter_flags``: exit code, stdout and stderr."""
+    ``interpreter_flags``, and ``CLUSTER_FORGE_TABLE_DIR`` set to
+    ``table_dir`` if one is given: exit code, stdout and stderr."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     env.pop("CLUSTER_FORGE_TABLE_DIR", None)
+    if table_dir is not None:
+        env["CLUSTER_FORGE_TABLE_DIR"] = str(table_dir)
     proc = subprocess.run([sys.executable, *interpreter_flags, "-m", "cluster_forge.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_stray_files_in_the_table_directory_are_not_read(tmp_path):
+    """Files under names the table store never writes sit beside the
+    tables it writes without stopping a command."""
+    strays = ["table-n8-old-ps1-2.tsv", "table-n1_0-ps1-2.tsv", "table-n010-ps1-2.tsv"]
+    for stray in strays:
+        (tmp_path / stray).write_text("junk\n")
+    argv = ["quality", "--strategy", "optimal", "--n-max", "8"]
+    code, out, err = fresh_process(argv, table_dir=tmp_path)
+    assert (code, out, err) == fresh_process(argv)
+    assert code == 0 and err == ""
+    assert sorted(os.listdir(tmp_path)) == sorted(strays + ["table-n8-ps1-2.tsv"])
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")

@@ -168,6 +168,21 @@ class TestOptimalQuality:
         with pytest.raises(ValueError):
             optimal_attempts(epr(2), Fraction(1))
 
+    @pytest.mark.parametrize("ps", [0, -1, 1.5, float("nan"), Fraction(3, 2)], ids=repr)
+    def test_a_ps_outside_the_unit_interval_is_rejected(self, ps):
+        """The table build checks ps; an invalid ps is never kept, so a
+        second call is checked again."""
+        message = f"^success probability must be in \\(0, 1\\], got {re.escape(str(ps))}$"
+        for _ in range(2):
+            for value in (optimal_quality, optimal_attempts):
+                with pytest.raises(ValueError, match=message):
+                    value(epr(4), ps)
+
+    def test_attempts_are_not_determined_at_ps_one(self):
+        with pytest.raises(ValueError, match="^attempts are not determined by quality at "
+                                             "ps = 1$"):
+            optimal_attempts(epr(4), 1)
+
 
 def reference_oracle(strategy, start, ps):
     """``(distribution, mean length, expected attempts, paths)`` of every
@@ -443,6 +458,44 @@ class TestQualityTable:
         assert table.n == 6
         assert sorted(os.listdir(tmp_path)) == ["table-n6-ps1-2.tsv", "table-nX-ps1-2.tsv"]
         assert junk.read_text() == "junk\n"
+
+    @pytest.mark.parametrize("stray", ["table-n8-old-ps1-2.tsv", "table-n1_0-ps1-2.tsv",
+                                       "table-n010-ps1-2.tsv", "table-n+9-ps1-2.tsv",
+                                       "table-n 9-ps1-2.tsv", "table-n\u0669-ps1-2.tsv"])
+    def test_a_directory_reads_only_the_names_the_store_writes(self, tmp_path, monkeypatch,
+                                                                stray):
+        """A name the store never writes, N in anything but plain decimal
+        digits or more after it, is not read, even where its N would be
+        the smallest covering the request."""
+        (tmp_path / stray).write_text("junk\n")
+        build_quality_table(12).save(tmp_path / "table-n12-ps1-2.tsv")
+        loads = []
+        load = QualityTable.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(QualityTable, "load", classmethod(counting_load))
+        clear_table_cache()
+        try:
+            table = cached_quality_table(8, HALF, str(tmp_path))
+        finally:
+            clear_table_cache()
+        assert table.n == 12
+        assert loads == [os.path.join(str(tmp_path), "table-n12-ps1-2.tsv")]
+        assert sorted(os.listdir(tmp_path)) == sorted([stray, "table-n12-ps1-2.tsv"])
+
+    def test_a_junk_file_under_a_name_the_store_writes_raises(self, tmp_path):
+        (tmp_path / "table-n9-ps1-2.tsv").write_text("junk\n")
+        build_quality_table(12).save(tmp_path / "table-n12-ps1-2.tsv")
+        clear_table_cache()
+        try:
+            with pytest.raises(CorruptTable, match=re.escape(
+                    f"{tmp_path / 'table-n9-ps1-2.tsv'}: malformed header 'junk\\n'")):
+                cached_quality_table(8, HALF, str(tmp_path))
+        finally:
+            clear_table_cache()
 
     @pytest.mark.parametrize("persist", [
         lambda path: build_quality_table(4, 0.5).save(path / "table.tsv"),
@@ -778,13 +831,33 @@ class TestRankedStorage:
             QualityTable.load(path)
 
     @pytest.mark.parametrize("header", ["", "N=8", "ps=1/2", "N=x ps=1/2", "N=8 ps=1/0",
-                                        "N=8 ps=0/1", "N=8 ps=3/2", "N=-1 ps=1/2", "N=8 ps"])
+                                        "N=8 ps=0/1", "N=8 ps=3/2", "N=-1 ps=1/2", "N=8 ps",
+                                        # the right fields, spelled as save never spells them
+                                        "N=4 ps=2/4", "ps=1/2 N=4", "N=+4 ps=1/2", "N=04 ps=1/2",
+                                        "N=4 ps=1/2 x=1", "N=4  ps=1/2", "N=4 ps=+1/2",
+                                        "N=4 ps=1/2 "])
     def test_load_rejects_a_malformed_header(self, tmp_path, header):
         path = tmp_path / "table.tsv"
         build_quality_table(4).save(path)
         path.write_text("\n".join([header] + path.read_text().splitlines()[1:]) + "\n")
         expected = f"{path}: malformed header {header + chr(10)!r}"
         with pytest.raises(ValueError, match=re.escape(expected)):
+            QualityTable.load(path)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() reads a number of any length")
+    @pytest.mark.parametrize("header", ["N={big} ps=1/2", "N=4 ps=1/{big}", "N=4 ps={big}/{big}"],
+                             ids=["n", "denominator", "both-ps-numbers"])
+    def test_load_rejects_a_header_number_past_the_digit_limit_of_int(self, tmp_path, header):
+        """A number of more digits than int() reads from a string (4,300 by
+        default) is a malformed header, not a bare ValueError."""
+        big = "9" * (sys.get_int_max_str_digits() + 1)
+        header = header.format(big=big)
+        path = tmp_path / "table.tsv"
+        build_quality_table(4).save(path)
+        path.write_text("\n".join([header] + path.read_text().splitlines()[1:]) + "\n")
+        with pytest.raises(CorruptTable, match=re.escape(
+                f"{path}: malformed header {header + chr(10)!r}")):
             QualityTable.load(path)
 
 

@@ -26,7 +26,7 @@ from cluster_forge.configuration import (
 )
 from cluster_forge import montecarlo
 from cluster_forge.exact import event_tree_oracle, expected_attempts, strategy_quality
-from cluster_forge.montecarlo import estimate_quality
+from cluster_forge.montecarlo import TRIAL_CHUNK, estimate_quality, simulate_run
 from cluster_forge.strategies import (
     BUILTIN_STRATEGIES,
     GREED,
@@ -301,6 +301,38 @@ class SecondFailureBreaks(StatefulStrategy):
         return memory + 1
 
 
+class NonActor(StatefulStrategy):
+    """Decides ``action``, which is neither a Fuse nor a Stop, wherever
+    two or more chains remain."""
+
+    name = "non-actor"
+
+    def __init__(self, action):
+        self.action = action
+
+    def initial_memory(self, chains):
+        return None
+
+    def decide(self, chains, memory):
+        return STOP if chains.chain_count <= 1 else self.action
+
+    def next_memory(self, chains, memory, action, outcome, result):
+        return None
+
+
+class NonActingLookup(LookupStrategy):
+    """A lookup table that decides ``action`` at two pairs and stops
+    elsewhere."""
+
+    def __init__(self, action):
+        super().__init__({"1^2": action, "2^1": STOP, "1^1": STOP, "": STOP}, "non-acting-lookup")
+        self.action = action
+
+
+NON_ACTION_STRATEGIES = [kind(action) for kind in (NonActingLookup, NonActor)
+                         for action in ("oops", (1, 1), None)]
+
+
 class TestValidation:
     def test_greed_ok(self):
         assert validate_strategy(GREED, Configuration.epr_pairs(6)) is None
@@ -336,6 +368,30 @@ class TestValidation:
         for run in (lambda: strategy_quality(strategy, start),
                     lambda: event_tree_oracle(strategy, start),
                     lambda: estimate_quality(strategy, start, 0.5, trials=50, seed=0)):
+            with pytest.raises(InvalidStrategy) as err:
+                run()
+            assert verdict(err.value) == expected
+
+    @pytest.mark.parametrize("strategy", NON_ACTION_STRATEGIES,
+                             ids=[f"{strategy.name}-{type(strategy.action).__name__}"
+                                  for strategy in NON_ACTION_STRATEGIES])
+    def test_a_decision_that_is_no_action_is_invalid(self, strategy):
+        """A decision that is neither a Fuse nor a Stop breaks a rule at
+        the decision's event in every walker, the Monte Carlo player in
+        one process and in two included."""
+        start = parse_key("1^2")
+        expected = (start, "", f"invalid decision: {strategy.action!r} is neither a fusion "
+                               "nor a stop")
+        assert verdict(validate_strategy(strategy, start)) == expected
+        assert verdict(validate_strategy_sweep(strategy, [start])) == expected
+        assert reference_validate(strategy, start) == expected
+        for run in (lambda: strategy_quality(strategy, start),
+                    lambda: expected_attempts(strategy, start),
+                    lambda: event_tree_oracle(strategy, start),
+                    lambda: estimate_quality(strategy, start, 0.5, trials=5, seed=0),
+                    lambda: estimate_quality(strategy, start, 0.5, trials=TRIAL_CHUNK + 1,
+                                             seed=0, processes=2),
+                    lambda: simulate_run(strategy, start, 0.5, seed=0)):
             with pytest.raises(InvalidStrategy) as err:
                 run()
             assert verdict(err.value) == expected
@@ -426,6 +482,8 @@ def reference_validate(strategy, start):
             if n_chains > 1:
                 return start, event, f"premature stop with {n_chains} chains"
             continue
+        if not isinstance(action, Fuse):
+            return start, event, f"invalid decision: {action!r} is neither a fusion nor a stop"
         if n_chains <= 1:
             return start, event, "fusion attempted on a terminal configuration"
         for outcome in (SUCCESS, FAILURE):
@@ -742,6 +800,33 @@ def test_a_bad_inner_action_fails_validation(inner, message):
     sweep = validate_strategy_sweep(strategy, [Configuration.single_chain(4), start])
     assert verdict(sweep) == expected
     assert reference_validate(strategy, start) == expected
+
+
+class DuckModesty:
+    """Smallest-first with only the ``decide`` and ``name`` a two-stage
+    block asks of its inner strategy, and no Strategy base."""
+
+    name = "duck"
+
+    def decide(self, config):
+        return MODESTY.decide(config)
+
+
+class TestTwoStageInnerStrategy:
+    @pytest.mark.parametrize("inner", [STATIC, TwoStage(3, GREED), IdentityAdapter(MODESTY)],
+                             ids=["static", "two-stage", "identity-adapter"])
+    def test_a_stateful_inner_strategy_is_rejected(self, inner):
+        # it built, and every walk then raised a bare TypeError from decide
+        with pytest.raises(ValueError, match=f"^inner strategy {re.escape(inner.name)} is "
+                                             "stateful; a block runs a stateless one$"):
+            TwoStage(4, inner)
+
+    def test_a_duck_typed_stateless_inner_strategy_is_accepted(self):
+        strategy = TwoStage(4, DuckModesty())
+        assert strategy.name == "two-stage-4-duck"
+        for n in (4, 9):
+            start = Configuration.epr_pairs(n)
+            assert strategy_quality(strategy, start) == strategy_quality(TwoStage(4), start)
 
 
 def assert_two_stage_errors_raise():
